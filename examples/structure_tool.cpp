@@ -16,7 +16,6 @@
 #include "engine/engine_registry.hpp"
 #include "engine/process_engine.hpp"
 #include "graph/graphviz.hpp"
-#include "ipc/transport.hpp"
 #include "pc/pc_stable.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
@@ -88,10 +87,6 @@ int main(int argc, char** argv) {
                 "threads inside each rank for --engine process (0 = auto: "
                 "thread budget / ranks)",
                 "0");
-  args.add_flag("transport",
-                "rank IPC transport for --engine process (auto/pipe/socket; "
-                "auto = FASTBNS_IPC_TRANSPORT, default pipe)",
-                "auto");
   args.add_flag("max-rank-restarts",
                 "respawn budget per dead rank for --engine process before "
                 "its shard is re-partitioned onto survivors",
@@ -143,7 +138,6 @@ int main(int argc, char** argv) {
   options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
   options.rank_threads =
       static_cast<std::int32_t>(args.get_int("rank-threads"));
-  options.ipc_transport = args.get("transport");
   options.max_rank_restarts =
       static_cast<std::int32_t>(args.get_int("max-rank-restarts"));
   options.fault_schedule = args.get("fault-schedule");
@@ -183,16 +177,9 @@ int main(int argc, char** argv) {
     const ShardPlacement placement = plan_shard_placement(
         numa_policy_from_string(options.numa_policy), ranks,
         NumaTopology::detect());
-    // Echo the resolved transport too — "auto" may have been steered by
-    // FASTBNS_IPC_TRANSPORT, and which IPC path carried the run matters
-    // when comparing against a bench row.
     std::printf(
-        "process ranks: %d x %d threads; transport %s%s; numa policy %s: %s\n",
-        ranks,
+        "process ranks: %d x %d threads; numa policy %s: %s\n", ranks,
         resolve_rank_threads(options.rank_threads, ranks, options.num_threads),
-        std::string(to_string(resolve_transport(options.ipc_transport)))
-            .c_str(),
-        options.ipc_transport == "auto" ? " (auto)" : "",
         options.numa_policy.c_str(), placement.describe().c_str());
   }
 

@@ -85,7 +85,6 @@
 #include "common/timer.hpp"
 #include "fault/fault_schedule.hpp"
 #include "ipc/process_group.hpp"
-#include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 #include "topology/placement.hpp"
 
@@ -297,12 +296,11 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
         }
         if (lethal->kind == FaultKind::kDropConn) {
           // Sever the channel with the process still alive: the
-          // supervisor sees EOF (pipe) / FIN (socket) while waitpid
-          // still says "running" — the dropped-connection shape a
-          // network transport produces — and must run the same respawn
-          // ladder a death triggers. Park (capped, like wedge) so an
-          // orphan cannot outlive a crashed parent forever.
-          if (result_fd != command_fd) ::close(result_fd);
+          // supervisor sees a clean EOF while waitpid still says
+          // "running" — no other fault produces that — and must run the
+          // same respawn ladder a death triggers. Park (capped, like
+          // wedge) so an orphan cannot outlive a crashed parent forever.
+          ::close(result_fd);
           ::close(command_fd);
           for (int i = 0; i < 6000; ++i) {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -393,10 +391,10 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
       if (frame_fault != nullptr &&
           frame_fault->kind == FaultKind::kPartialWrite) {
         // The prefix went out (send_frame_with_fault wrote half the
-        // frame); now sever the channel — the supervisor reads a partial
-        // frame ending in EOF, the mid-write crash shape of a TCP peer,
-        // and must respawn + replay. Park alive, capped like wedge.
-        if (result_fd != command_fd) ::close(result_fd);
+        // frame); now sever the channel — the supervisor reads half a
+        // frame followed by EOF from a rank that is still alive, and
+        // must respawn + replay. Park alive, capped like wedge.
+        ::close(result_fd);
         ::close(command_fd);
         for (int i = 0; i < 6000; ++i) {
           std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -930,9 +928,6 @@ class ProcessEngine final : public SkeletonEngine {
     rank_count_ = resolve_rank_count(options.rank_count);
     rank_threads_ = resolve_rank_threads(options.rank_threads, rank_count_,
                                          options.num_threads);
-    // "auto" follows FASTBNS_IPC_TRANSPORT (default pipe) — the knob the
-    // CI socket leg turns without touching any call site.
-    transport_ = resolve_transport(options.ipc_transport);
     // Rank→domain placement: ranks are shards of the placement plan.
     // Pinning needs physical cpu ids; first-touch follows the plan's
     // active flag even on simulated topologies (the logic runs, the pin
@@ -975,7 +970,7 @@ class ProcessEngine final : public SkeletonEngine {
       return false;
     }
     try {
-      group_ = ProcessGroup::spawn(rank_count_, rank_main_, transport_);
+      group_ = ProcessGroup::spawn(rank_count_, rank_main_);
     } catch (const std::exception& error) {
       record_event(depth, -1, RecoveryAction::kDegrade,
                    std::string("initial spawn failed (") + error.what() +
@@ -991,7 +986,6 @@ class ProcessEngine final : public SkeletonEngine {
   std::int32_t rank_count_ = 0;
   std::int32_t rank_threads_ = 1;
   VarId num_vars_ = 0;
-  TransportKind transport_ = TransportKind::kPipe;
   FaultSchedule schedule_;
   int deadline_ms_ = kDefaultRankTimeoutMs;
   std::int32_t retry_limit_ = 2;

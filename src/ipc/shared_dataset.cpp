@@ -1,15 +1,11 @@
 #include "ipc/shared_dataset.hpp"
 
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <utility>
-#include <vector>
 
 namespace fastbns {
 namespace {
@@ -21,240 +17,6 @@ constexpr std::size_t kSegmentAlign = 64;
 
 std::size_t align_up(std::size_t size) noexcept {
   return (size + kSegmentAlign - 1) / kSegmentAlign * kSegmentAlign;
-}
-
-// ---- File-backed header ---------------------------------------------------
-// [u64 magic][u32 version][u32 kind][u64 num_vars][u64 num_samples]
-// [u32 flags][u32 reserved][kind==discrete: num_vars x i32 cardinalities]
-// ...padded to 64 bytes alignment, then the same block layout the
-// anonymous mode uses. Host byte order — the file never leaves the
-// machine (it is how ranks on ONE box mount the dataset without sharing
-// an address space).
-constexpr std::uint64_t kFileMagic = 0xFA57B475'DA7AF11Eull;
-constexpr std::uint32_t kFileVersion = 1;
-constexpr std::uint32_t kFileKindDiscrete = 0;
-constexpr std::uint32_t kFileKindContinuous = 1;
-constexpr std::uint32_t kFlagCols = 1u << 0;
-constexpr std::uint32_t kFlagRows = 1u << 1;
-constexpr std::size_t kFixedHeaderBytes =
-    sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t) +
-    2 * sizeof(std::uint64_t) + 2 * sizeof(std::uint32_t);
-
-std::size_t header_block_bytes(std::uint32_t kind, std::size_t num_vars) {
-  std::size_t bytes = kFixedHeaderBytes;
-  if (kind == kFileKindDiscrete) bytes += num_vars * sizeof(std::int32_t);
-  return align_up(bytes);
-}
-
-struct FileHeader {
-  std::uint32_t kind = 0;
-  std::uint64_t num_vars = 0;
-  std::uint64_t num_samples = 0;
-  std::uint32_t flags = 0;
-  std::vector<std::int32_t> cardinalities;
-  std::size_t block_bytes = 0;  ///< where the data blocks start
-};
-
-void write_header(std::byte* base, const FileHeader& header) {
-  std::byte* cursor = base;
-  auto put = [&cursor](const void* data, std::size_t size) {
-    std::memcpy(cursor, data, size);
-    cursor += size;
-  };
-  put(&kFileMagic, sizeof(kFileMagic));
-  put(&kFileVersion, sizeof(kFileVersion));
-  put(&header.kind, sizeof(header.kind));
-  put(&header.num_vars, sizeof(header.num_vars));
-  put(&header.num_samples, sizeof(header.num_samples));
-  put(&header.flags, sizeof(header.flags));
-  const std::uint32_t reserved = 0;
-  put(&reserved, sizeof(reserved));
-  if (header.kind == kFileKindDiscrete && !header.cardinalities.empty()) {
-    put(header.cardinalities.data(),
-        header.cardinalities.size() * sizeof(std::int32_t));
-  }
-}
-
-FileHeader read_header(const std::byte* base, std::size_t file_size) {
-  if (file_size < kFixedHeaderBytes) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: file too small to be a dataset segment");
-  }
-  const std::byte* cursor = base;
-  auto get = [&cursor](void* out, std::size_t size) {
-    std::memcpy(out, cursor, size);
-    cursor += size;
-  };
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  FileHeader header;
-  get(&magic, sizeof(magic));
-  get(&version, sizeof(version));
-  get(&header.kind, sizeof(header.kind));
-  get(&header.num_vars, sizeof(header.num_vars));
-  get(&header.num_samples, sizeof(header.num_samples));
-  get(&header.flags, sizeof(header.flags));
-  std::uint32_t reserved = 0;
-  get(&reserved, sizeof(reserved));
-  if (magic != kFileMagic) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: not a fastbns dataset file (bad magic)");
-  }
-  if (version != kFileVersion) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: unsupported dataset file version " +
-        std::to_string(version));
-  }
-  if (header.kind != kFileKindDiscrete && header.kind != kFileKindContinuous) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: unknown dataset kind in file header");
-  }
-  const std::size_t n = static_cast<std::size_t>(header.num_vars);
-  header.block_bytes = header_block_bytes(header.kind, n);
-  if (file_size < header.block_bytes) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: dataset file truncated inside its header");
-  }
-  if (header.kind == kFileKindDiscrete) {
-    header.cardinalities.resize(n);
-    if (n > 0) get(header.cardinalities.data(), n * sizeof(std::int32_t));
-  }
-  return header;
-}
-
-// ---- Block layout shared by the anonymous and file-backed modes -----------
-
-struct DiscreteLayout {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  std::size_t stride = 0;
-  bool with_cols = false;
-  bool with_rows = false;
-  std::size_t cols_bytes = 0;
-  std::size_t codes_bytes = 0;
-  std::size_t rows_bytes = 0;
-  [[nodiscard]] std::size_t total() const noexcept {
-    return cols_bytes + codes_bytes + rows_bytes;
-  }
-};
-
-DiscreteLayout make_discrete_layout(std::size_t n, std::size_t m,
-                                    bool with_cols, bool with_rows) {
-  DiscreteLayout layout;
-  layout.n = n;
-  layout.m = m;
-  layout.stride = (m + DiscreteDataset::kCodes8Pad - 1) /
-                  DiscreteDataset::kCodes8Pad * DiscreteDataset::kCodes8Pad;
-  layout.with_cols = with_cols;
-  layout.with_rows = with_rows;
-  // Segment layout (each buffer 64-byte aligned, trailing buffers only
-  // when the source materialized them):
-  //   [ column-major values  n*m ][ codes8 mirror  n*stride ][ rows m*n ]
-  layout.cols_bytes = with_cols ? align_up(n * m) : 0;
-  layout.codes_bytes = with_cols ? align_up(n * layout.stride) : 0;
-  layout.rows_bytes = with_rows ? align_up(n * m) : 0;
-  return layout;
-}
-
-/// Spans over a base pointer laid out per `layout` — the view side,
-/// shared by the creator (who just filled the blocks) and open_file
-/// (who maps somebody else's fill).
-ExternalDataBuffers discrete_buffers(std::byte* base,
-                                     const DiscreteLayout& layout) {
-  ExternalDataBuffers buffers;
-  if (layout.with_cols) {
-    buffers.cols = {reinterpret_cast<DataValue*>(base), layout.n * layout.m};
-    buffers.codes8 = {reinterpret_cast<std::uint8_t*>(base + layout.cols_bytes),
-                      layout.n * layout.stride};
-  }
-  if (layout.with_rows) {
-    buffers.rows = {reinterpret_cast<DataValue*>(base + layout.cols_bytes +
-                                                 layout.codes_bytes),
-                    layout.n * layout.m};
-  }
-  return buffers;
-}
-
-void copy_discrete(const DiscreteDataset& source, std::byte* base,
-                   const DiscreteLayout& layout) {
-  if (layout.with_cols) {
-    auto* cols = reinterpret_cast<DataValue*>(base);
-    auto* codes = reinterpret_cast<std::uint8_t*>(base + layout.cols_bytes);
-    for (VarId v = 0; v < source.num_vars(); ++v) {
-      const std::span<const DataValue> column = source.column(v);
-      std::memcpy(cols + static_cast<std::size_t>(v) * layout.m, column.data(),
-                  column.size_bytes());
-      const std::span<const std::uint8_t> packed = source.codes8(v);
-      if (!packed.empty()) {
-        // Padding rows stay at the kernel's zero-fill, same as the owned
-        // mirror's zero-initialized tail.
-        std::memcpy(codes + static_cast<std::size_t>(v) * layout.stride,
-                    packed.data(), packed.size_bytes());
-      }
-    }
-  }
-  if (layout.with_rows) {
-    auto* rows = reinterpret_cast<DataValue*>(base + layout.cols_bytes +
-                                              layout.codes_bytes);
-    for (Count s = 0; s < source.num_samples(); ++s) {
-      const std::span<const DataValue> row = source.row(s);
-      std::memcpy(rows + static_cast<std::size_t>(s) * layout.n, row.data(),
-                  row.size_bytes());
-    }
-  }
-}
-
-DiscreteLayout layout_of(const DiscreteDataset& source) {
-  const bool with_cols = source.has_column_major();
-  const bool with_rows = source.has_row_major();
-  if (!with_cols && !with_rows) {
-    throw std::invalid_argument(
-        "SharedDatasetSegment: source dataset has no materialized layout");
-  }
-  return make_discrete_layout(static_cast<std::size_t>(source.num_vars()),
-                              static_cast<std::size_t>(source.num_samples()),
-                              with_cols, with_rows);
-}
-
-void copy_continuous(const ContinuousDataset& source, std::byte* base) {
-  auto* doubles = reinterpret_cast<double*>(base);
-  const auto m = static_cast<std::size_t>(source.num_samples());
-  for (VarId v = 0; v < source.num_vars(); ++v) {
-    const std::span<const double> column = source.column(v);
-    std::memcpy(doubles + static_cast<std::size_t>(v) * m, column.data(),
-                column.size_bytes());
-  }
-}
-
-// ---- Temp-file plumbing ---------------------------------------------------
-
-struct TempFile {
-  int fd = -1;
-  std::string path;
-};
-
-TempFile make_temp_file(std::size_t size) {
-  const char* tmpdir = std::getenv("TMPDIR");
-  std::string templ = std::string(tmpdir != nullptr && tmpdir[0] != '\0'
-                                      ? tmpdir
-                                      : "/tmp") +
-                      "/fastbns-dataset-XXXXXX";
-  std::vector<char> buffer(templ.begin(), templ.end());
-  buffer.push_back('\0');
-  const int fd = ::mkstemp(buffer.data());
-  if (fd < 0) {
-    throw std::runtime_error(
-        "SharedDatasetSegment: mkstemp failed for template " + templ);
-  }
-  TempFile file{fd, std::string(buffer.data())};
-  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
-    ::close(fd);
-    ::unlink(file.path.c_str());
-    throw std::runtime_error("SharedDatasetSegment: ftruncate to " +
-                             std::to_string(size) + " bytes failed for " +
-                             file.path);
-  }
-  return file;
 }
 
 }  // namespace
@@ -295,44 +57,6 @@ SharedMemoryRegion SharedMemoryRegion::create(std::size_t size) {
   return region;
 }
 
-SharedMemoryRegion SharedMemoryRegion::map_fd(int fd, std::size_t size,
-                                              bool writable) {
-  SharedMemoryRegion region;
-  if (size == 0) return region;
-  const int prot = writable ? (PROT_READ | PROT_WRITE) : PROT_READ;
-  void* data = ::mmap(nullptr, size, prot, MAP_SHARED, fd, 0);
-  if (data == MAP_FAILED) {
-    throw std::runtime_error(
-        "SharedMemoryRegion: file mmap of " + std::to_string(size) +
-        " bytes failed");
-  }
-  region.data_ = data;
-  region.size_ = size;
-  return region;
-}
-
-SharedDatasetSegment::~SharedDatasetSegment() {
-  if (owns_file_ && !path_.empty()) ::unlink(path_.c_str());
-}
-
-SharedDatasetSegment::SharedDatasetSegment(SharedDatasetSegment&& other) noexcept
-    : region_(std::move(other.region_)),
-      view_(std::move(other.view_)),
-      path_(std::exchange(other.path_, std::string{})),
-      owns_file_(std::exchange(other.owns_file_, false)) {}
-
-SharedDatasetSegment& SharedDatasetSegment::operator=(
-    SharedDatasetSegment&& other) noexcept {
-  if (this != &other) {
-    if (owns_file_ && !path_.empty()) ::unlink(path_.c_str());
-    region_ = std::move(other.region_);
-    view_ = std::move(other.view_);
-    path_ = std::exchange(other.path_, std::string{});
-    owns_file_ = std::exchange(other.owns_file_, false);
-  }
-  return *this;
-}
-
 SharedDatasetSegment SharedDatasetSegment::create(const Dataset& source) {
   return source.is_discrete() ? create(source.discrete())
                               : create(source.continuous());
@@ -340,15 +64,58 @@ SharedDatasetSegment SharedDatasetSegment::create(const Dataset& source) {
 
 SharedDatasetSegment SharedDatasetSegment::create(
     const DiscreteDataset& source) {
-  const DiscreteLayout layout = layout_of(source);
+  const bool with_cols = source.has_column_major();
+  const bool with_rows = source.has_row_major();
+  if (!with_cols && !with_rows) {
+    throw std::invalid_argument(
+        "SharedDatasetSegment: source dataset has no materialized layout");
+  }
+  const auto n = static_cast<std::size_t>(source.num_vars());
+  const auto m = static_cast<std::size_t>(source.num_samples());
+  const std::size_t stride = (m + DiscreteDataset::kCodes8Pad - 1) /
+                             DiscreteDataset::kCodes8Pad *
+                             DiscreteDataset::kCodes8Pad;
+  // Segment layout (each buffer 64-byte aligned, trailing buffers only
+  // when the source materialized them):
+  //   [ column-major values  n*m ][ codes8 mirror  n*stride ][ rows m*n ]
+  const std::size_t cols_bytes = with_cols ? align_up(n * m) : 0;
+  const std::size_t codes_bytes = with_cols ? align_up(n * stride) : 0;
+  const std::size_t rows_bytes = with_rows ? align_up(n * m) : 0;
   SharedDatasetSegment segment;
-  segment.region_ = SharedMemoryRegion::create(layout.total());
+  segment.region_ =
+      SharedMemoryRegion::create(cols_bytes + codes_bytes + rows_bytes);
   std::byte* base = segment.region_.data();
-  copy_discrete(source, base, layout);
+  ExternalDataBuffers buffers;
+  if (with_cols) {
+    auto* cols = reinterpret_cast<DataValue*>(base);
+    auto* codes = reinterpret_cast<std::uint8_t*>(base + cols_bytes);
+    for (VarId v = 0; v < source.num_vars(); ++v) {
+      const std::span<const DataValue> column = source.column(v);
+      std::memcpy(cols + static_cast<std::size_t>(v) * m, column.data(),
+                  column.size_bytes());
+      const std::span<const std::uint8_t> packed = source.codes8(v);
+      if (!packed.empty()) {
+        // Padding rows stay at the kernel's zero-fill, same as the owned
+        // mirror's zero-initialized tail.
+        std::memcpy(codes + static_cast<std::size_t>(v) * stride,
+                    packed.data(), packed.size_bytes());
+      }
+    }
+    buffers.cols = {cols, n * m};
+    buffers.codes8 = {codes, n * stride};
+  }
+  if (with_rows) {
+    auto* rows = reinterpret_cast<DataValue*>(base + cols_bytes + codes_bytes);
+    for (Count s = 0; s < source.num_samples(); ++s) {
+      const std::span<const DataValue> row = source.row(s);
+      std::memcpy(rows + static_cast<std::size_t>(s) * n, row.data(),
+                  row.size_bytes());
+    }
+    buffers.rows = {rows, n * m};
+  }
   segment.view_ =
       Dataset(DiscreteDataset(source.num_vars(), source.num_samples(),
-                              source.cardinalities(),
-                              discrete_buffers(base, layout)));
+                              source.cardinalities(), buffers));
   return segment;
 }
 
@@ -360,144 +127,16 @@ SharedDatasetSegment SharedDatasetSegment::create(
   //   [ column-major doubles  n*m ]
   SharedDatasetSegment segment;
   segment.region_ = SharedMemoryRegion::create(align_up(n * m * sizeof(double)));
-  std::byte* base = segment.region_.data();
-  copy_continuous(source, base);
+  auto* doubles = reinterpret_cast<double*>(segment.region_.data());
+  for (VarId v = 0; v < source.num_vars(); ++v) {
+    const std::span<const double> column = source.column(v);
+    std::memcpy(doubles + static_cast<std::size_t>(v) * m, column.data(),
+                column.size_bytes());
+  }
   ExternalContinuousBuffers buffers;
-  buffers.cols = {reinterpret_cast<double*>(base), n * m};
+  buffers.cols = {doubles, n * m};
   segment.view_ = Dataset(ContinuousDataset(source.num_vars(),
                                             source.num_samples(), buffers));
-  return segment;
-}
-
-SharedDatasetSegment SharedDatasetSegment::create_file_backed(
-    const Dataset& source) {
-  return source.is_discrete() ? create_file_backed(source.discrete())
-                              : create_file_backed(source.continuous());
-}
-
-SharedDatasetSegment SharedDatasetSegment::create_file_backed(
-    const DiscreteDataset& source) {
-  const DiscreteLayout layout = layout_of(source);
-  FileHeader header;
-  header.kind = kFileKindDiscrete;
-  header.num_vars = static_cast<std::uint64_t>(source.num_vars());
-  header.num_samples = static_cast<std::uint64_t>(source.num_samples());
-  header.flags = (layout.with_cols ? kFlagCols : 0u) |
-                 (layout.with_rows ? kFlagRows : 0u);
-  header.cardinalities = source.cardinalities();
-  header.block_bytes = header_block_bytes(header.kind, layout.n);
-
-  const TempFile file = make_temp_file(header.block_bytes + layout.total());
-  SharedDatasetSegment segment;
-  segment.path_ = file.path;
-  segment.owns_file_ = true;
-  try {
-    segment.region_ = SharedMemoryRegion::map_fd(
-        file.fd, header.block_bytes + layout.total(), /*writable=*/true);
-  } catch (...) {
-    ::close(file.fd);
-    throw;  // the segment destructor unlinks the temp file
-  }
-  ::close(file.fd);  // the mapping keeps the file alive
-  std::byte* base = segment.region_.data();
-  write_header(base, header);
-  std::byte* blocks = base + header.block_bytes;
-  copy_discrete(source, blocks, layout);
-  segment.view_ =
-      Dataset(DiscreteDataset(source.num_vars(), source.num_samples(),
-                              source.cardinalities(),
-                              discrete_buffers(blocks, layout)));
-  return segment;
-}
-
-SharedDatasetSegment SharedDatasetSegment::create_file_backed(
-    const ContinuousDataset& source) {
-  const auto n = static_cast<std::size_t>(source.num_vars());
-  const auto m = static_cast<std::size_t>(source.num_samples());
-  FileHeader header;
-  header.kind = kFileKindContinuous;
-  header.num_vars = static_cast<std::uint64_t>(source.num_vars());
-  header.num_samples = static_cast<std::uint64_t>(source.num_samples());
-  header.flags = kFlagCols;
-  header.block_bytes = header_block_bytes(header.kind, n);
-  const std::size_t doubles_bytes = align_up(n * m * sizeof(double));
-
-  const TempFile file = make_temp_file(header.block_bytes + doubles_bytes);
-  SharedDatasetSegment segment;
-  segment.path_ = file.path;
-  segment.owns_file_ = true;
-  try {
-    segment.region_ = SharedMemoryRegion::map_fd(
-        file.fd, header.block_bytes + doubles_bytes, /*writable=*/true);
-  } catch (...) {
-    ::close(file.fd);
-    throw;
-  }
-  ::close(file.fd);
-  std::byte* base = segment.region_.data();
-  write_header(base, header);
-  std::byte* blocks = base + header.block_bytes;
-  copy_continuous(source, blocks);
-  ExternalContinuousBuffers buffers;
-  buffers.cols = {reinterpret_cast<double*>(blocks), n * m};
-  segment.view_ = Dataset(ContinuousDataset(source.num_vars(),
-                                            source.num_samples(), buffers));
-  return segment;
-}
-
-SharedDatasetSegment SharedDatasetSegment::open_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    throw std::runtime_error("SharedDatasetSegment: cannot open " + path);
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("SharedDatasetSegment: fstat failed for " + path);
-  }
-  const auto file_size = static_cast<std::size_t>(st.st_size);
-  SharedDatasetSegment segment;
-  segment.path_ = path;
-  segment.owns_file_ = false;  // the creator unlinks, not us
-  try {
-    segment.region_ =
-        SharedMemoryRegion::map_fd(fd, file_size, /*writable=*/false);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-
-  std::byte* base = segment.region_.data();
-  const FileHeader header = read_header(base, file_size);
-  std::byte* blocks = base + header.block_bytes;
-  if (header.kind == kFileKindDiscrete) {
-    const DiscreteLayout layout = make_discrete_layout(
-        static_cast<std::size_t>(header.num_vars),
-        static_cast<std::size_t>(header.num_samples),
-        (header.flags & kFlagCols) != 0, (header.flags & kFlagRows) != 0);
-    if (file_size < header.block_bytes + layout.total()) {
-      throw std::runtime_error(
-          "SharedDatasetSegment: dataset file truncated inside its blocks");
-    }
-    segment.view_ = Dataset(
-        DiscreteDataset(static_cast<VarId>(header.num_vars),
-                        static_cast<Count>(header.num_samples),
-                        header.cardinalities, discrete_buffers(blocks, layout)));
-  } else {
-    const std::size_t n = static_cast<std::size_t>(header.num_vars);
-    const std::size_t m = static_cast<std::size_t>(header.num_samples);
-    if (file_size < header.block_bytes + align_up(n * m * sizeof(double))) {
-      throw std::runtime_error(
-          "SharedDatasetSegment: dataset file truncated inside its blocks");
-    }
-    ExternalContinuousBuffers buffers;
-    buffers.cols = {reinterpret_cast<double*>(blocks), n * m};
-    segment.view_ =
-        Dataset(ContinuousDataset(static_cast<VarId>(header.num_vars),
-                                  static_cast<Count>(header.num_samples),
-                                  buffers));
-  }
   return segment;
 }
 

@@ -1,118 +1,22 @@
-// The transport seam of the multi-process engine.
-//
-// WireReader/WireWriter and read_frame/write_frame speak to plain file
-// descriptors; nothing in the frame protocol assumes those descriptors
-// are pipe ends. A RankTransport makes the remaining assumption — how a
-// parent/rank fd pair comes into being, and which inherited fds each
-// side must drop after fork() — explicit and swappable: the pipe
-// transport reproduces the PR 7 fd-pair-per-rank topology, the TCP
-// socket transport (ipc/socket_transport.hpp) replaces it with a
-// listener on the driver and one duplex connection per rank, which is
-// the shape a future multi-host launcher needs (a worker then holds a
-// connect string instead of inherited fds).
-//
-// The lifecycle, from ProcessGroup's point of view (one rank at a time;
-// spawn and respawn both walk it):
-//   stage(rank)                parent, pre-fork: allocate the rank's
-//                              channel resources (pipe pairs; sockets
-//                              need nothing per rank — the listener is
-//                              transport-global)
-//   child_attach(rank)         forked child: drop the parent-side ends,
-//                              finish the connection (sockets: connect
-//                              + rank-hello handshake) and return the
-//                              child's command/result fds
-//   close_in_child()           forked child: drop transport-global
-//                              parent resources (the socket listener)
-//   parent_attach(rank, pid)   parent, post-fork: drop the child-side
-//                              ends, finish the connection (sockets:
-//                              deadline-bounded accept + handshake
-//                              validation) and return the parent's
-//                              command/result fds; throws on a failed
-//                              or timed-out handshake
-//   unstage(rank)              parent: release staged resources when
-//                              fork() itself failed
-//
-// A transport may return the same fd for both channel directions (the
-// socket transport does — TCP is duplex); every consumer that closes
-// rank fds must therefore guard against double-closing an aliased pair
-// (ProcessGroup::close_rank_fds owns that).
+// The names PcOptions::ipc_transport accepts. The multi-process engine
+// has one rank channel — a fork-inherited pipe pair per rank (see
+// ipc/process_group.hpp) — so every accepted name means pipe.
 #pragma once
 
-#include <sys/types.h>
-
-#include <memory>
+#include <stdexcept>
 #include <string>
-#include <string_view>
-#include <vector>
 
 namespace fastbns {
 
-enum class TransportKind : std::uint8_t {
-  kPipe,    ///< fork-inherited pipe pair per rank (PR 7 topology)
-  kSocket,  ///< TCP loopback: driver listener, per-rank connect + hello
-};
-
-[[nodiscard]] std::string_view to_string(TransportKind kind) noexcept;
-
-/// Resolves a concrete transport name ("pipe" or "socket"). Throws
-/// std::invalid_argument naming the offending value and the known
-/// vocabulary — "auto" is deliberately rejected here; callers resolve it
-/// first (see resolve_transport_name).
-[[nodiscard]] TransportKind transport_from_string(std::string_view name);
-
-/// The names PcOptions::ipc_transport accepts: auto, pipe, socket.
-[[nodiscard]] std::vector<std::string> list_transports();
-
-/// Resolves the configured name to a concrete one: "auto" (or empty)
-/// follows FASTBNS_IPC_TRANSPORT when set to a valid transport (an
-/// invalid env value is ignored with a stderr note, like
-/// FASTBNS_FAULT_SCHEDULE — env overrides must never crash a run) and
-/// falls back to "pipe". Explicit invalid names throw, naming the value
-/// and vocabulary — the PcOptions::validate path.
-[[nodiscard]] std::string resolve_transport_name(const std::string& name);
-
-/// resolve_transport_name + transport_from_string in one step.
-[[nodiscard]] TransportKind resolve_transport(const std::string& name);
-
-/// One rank's parent-or-child channel endpoints. command_fd carries
-/// parent→rank frames, result_fd rank→parent; a duplex transport returns
-/// the same fd in both slots.
-struct ChannelFds {
-  int command_fd = -1;
-  int result_fd = -1;
-};
-
-class RankTransport {
- public:
-  virtual ~RankTransport() = default;
-
-  [[nodiscard]] virtual TransportKind kind() const noexcept = 0;
-  /// Where a worker would connect: "pipe://fork" (no address — pipes
-  /// only exist through inheritance) or "tcp://127.0.0.1:PORT".
-  [[nodiscard]] virtual std::string connect_string() const = 0;
-
-  /// Parent, pre-fork. Throws std::runtime_error when resource creation
-  /// (pipe(), never needed for sockets) fails.
-  virtual void stage(int rank) = 0;
-  /// Forked child: returns the rank's fds, closing parent-side ends.
-  /// _exit-worthy failures throw std::runtime_error.
-  [[nodiscard]] virtual ChannelFds child_attach(int rank) = 0;
-  /// Forked child: drop transport-global parent resources (listener).
-  virtual void close_in_child() noexcept = 0;
-  /// Parent, post-fork: returns the parent's fds for `rank`, completing
-  /// the handshake within `timeout_ms`. `pid` lets a socket accept loop
-  /// notice the child died before connecting instead of waiting out the
-  /// whole deadline. Throws std::runtime_error on handshake failure —
-  /// the caller owns killing the child.
-  [[nodiscard]] virtual ChannelFds parent_attach(int rank, pid_t pid,
-                                                 int timeout_ms) = 0;
-  /// Parent: releases whatever stage() allocated when fork() failed.
-  virtual void unstage(int rank) noexcept = 0;
-};
-
-/// Factory for the two built-in transports. `rank_count` sizes the
-/// per-rank staging tables (and the socket listener's backlog).
-[[nodiscard]] std::unique_ptr<RankTransport> make_rank_transport(
-    TransportKind kind, int rank_count);
+/// Resolves PcOptions::ipc_transport: "", "auto" and "pipe" all resolve
+/// to "pipe". Anything else throws std::invalid_argument naming the
+/// value and the accepted names — the PcOptions::validate path.
+[[nodiscard]] inline std::string resolve_transport_name(
+    const std::string& name) {
+  if (name.empty() || name == "auto" || name == "pipe") return "pipe";
+  throw std::invalid_argument("PcOptions::ipc_transport \"" + name +
+                              "\" is not a known transport; known "
+                              "transports: auto pipe");
+}
 
 }  // namespace fastbns

@@ -100,21 +100,11 @@ void PcOptions::validate() const {
   // run up front with the offending entry named instead of silently
   // skipping the fault (FaultSchedule::parse throws invalid_argument).
   if (!fault_schedule.empty()) (void)FaultSchedule::parse(fault_schedule);
-  // Resolves the policy name, throwing the known-policies message (with
-  // the offending value) for anything unknown — same contract as engines
-  // and table builders.
+  // Resolve the policy and transport names, each throwing its known-names
+  // message (with the offending value) for anything unknown — same
+  // contract as engines and table builders.
   (void)numa_policy_from_string(numa_policy);
-  const std::vector<std::string> transports = list_transports();
-  if (std::find(transports.begin(), transports.end(), ipc_transport) ==
-      transports.end()) {
-    std::string message = "PcOptions::ipc_transport \"" + ipc_transport +
-                          "\" is not a known transport; known transports:";
-    for (const std::string& known : transports) {
-      message += ' ';
-      message += known;
-    }
-    throw std::invalid_argument(message);
-  }
+  (void)resolve_transport_name(ipc_transport);
   const std::vector<std::string> builders = list_table_builders();
   if (std::find(builders.begin(), builders.end(), table_builder) ==
       builders.end()) {

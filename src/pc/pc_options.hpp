@@ -137,18 +137,14 @@ struct PcOptions {
   /// Backoff between retransmit attempts, in milliseconds, scaled
   /// linearly by the attempt number (kProcess only).
   std::int32_t frame_retry_backoff_ms = 10;
-  /// Rank IPC transport of the multi-process engine (kProcess only):
-  /// "pipe" (fork-inherited pipe pairs + anonymous MAP_SHARED dataset),
-  /// "socket" (TCP loopback with a rank-hello handshake + file-backed
-  /// dataset the ranks mmap read-only — the multi-host stepping stone),
-  /// or "auto" (the FASTBNS_IPC_TRANSPORT environment override,
-  /// defaulting to pipe). Both transports speak the identical frame
-  /// protocol and produce bit-identical results; only the channel
-  /// plumbing differs. Resolved by ipc/transport.hpp.
+  /// Rank IPC channel of the multi-process engine (kProcess only):
+  /// "auto" or "pipe", which both name the one channel it has — a
+  /// fork-inherited pipe pair per rank over the anonymous MAP_SHARED
+  /// dataset. Checked by ipc/transport.hpp.
   std::string ipc_transport = "auto";
   /// Deterministic fault schedule (fault/fault_schedule.hpp grammar,
   /// e.g. "kill@rank=1,depth=2;corrupt-frame@rank=0,depth=1") injected
-  /// into the multi-process engine's ranks and transport — the CI/test
+  /// into the multi-process engine's ranks and channels — the CI/test
   /// hook that exercises every recovery path. Empty = the
   /// FASTBNS_FAULT_SCHEDULE environment variable (default: no faults).
   std::string fault_schedule;
@@ -175,7 +171,7 @@ struct PcOptions {
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads
   /// <= kMaxThreads, 0 <= rank_count <= kMaxRanks, rank_threads likewise
   /// against kMaxThreads, numa_policy a known policy (auto/off/forced),
-  /// ipc_transport a known transport (auto/pipe/socket),
+  /// ipc_transport a known transport (auto/pipe),
   /// table_builder a known kernel name, ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two

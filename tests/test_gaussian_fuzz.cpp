@@ -87,9 +87,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
     const std::int32_t rank_count[] = {1, 2, 4};
     const auto ranks = rank_count[seed % 3];
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
-    // Alternate the rank IPC transport per seed (the continuous dataset
-    // ships file-backed over sockets — doubles block, no codes8 mirror).
-    const char* ipc_transport = seed % 2 == 0 ? "pipe" : "socket";
 
     for (const std::string& engine : engines) {
       for (const std::string& builder : builders) {
@@ -101,7 +98,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         options.numa_policy = numa_policy;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
-        options.ipc_transport = ipc_transport;
         options.ci_test = "gaussian";
         GaussianCiTestOptions test_options;
         test_options.covariance_builder = builder;
@@ -113,8 +109,7 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
                       << " gs=" << gs << " numa=" << numa_policy
-                      << " ranks=" << ranks << "x" << rank_threads << " ipc="
-                      << ipc_transport << ": "
+                      << " ranks=" << ranks << "x" << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }
     }

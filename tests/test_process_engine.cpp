@@ -2,16 +2,14 @@
 // ranks exchanging removal sets over their IPC channels must produce the
 // bit-identical skeleton (adjacency + sepsets + removal depths) and the
 // identical executed-test count the in-process engines produce — at
-// every rank count, including one rank and more ranks than useful, and
-// over BOTH transports (fork-inherited pipes and the TCP socket
-// transport with its file-backed dataset). Plus the fault-tolerance
-// layer: under every deterministic injected fault (kill, wedge,
-// corrupt/truncate/delay-frame, slow rank, spawn failure, and the
-// connection-shaped drop-conn/partial-write) the supervisor's recovery
-// ladder — retransmit, respawn + checkpoint replay, re-partition,
-// degrade to the in-process engine — must complete the run with the
-// identical fingerprint, and the recovery telemetry must name what
-// happened. Plus child-exception propagation, the end-to-end
+// every rank count, including one rank and more ranks than useful. Plus
+// the fault-tolerance layer: under every deterministic injected fault
+// (kill, wedge, corrupt/truncate/delay-frame, slow rank, spawn failure,
+// and the channel-severing drop-conn/partial-write) the supervisor's
+// recovery ladder — retransmit, respawn + checkpoint replay,
+// re-partition, degrade to the in-process engine — must complete the run
+// with the identical fingerprint, and the recovery telemetry must name
+// what happened. Plus child-exception propagation, the end-to-end
 // learn_structure path over the MAP_SHARED segment, and the rank/thread
 // resolution rules.
 #include <gtest/gtest.h>
@@ -207,14 +205,13 @@ TEST(ProcessEngine, LegacyInjectedRankDeathRecoversViaRespawnAndReplay) {
       << describe_events(run.events);
 }
 
-/// The acceptance sweep, shared by the pipe and socket matrices: with
-/// any single injected fault the run must complete with the skeleton
-/// fingerprint (adjacency + sepsets + removal depths) and the
-/// executed-test count bit-identical to the sequential reference, at 2
-/// and 4 ranks. Deadlines are tightened so the wedge/delay/truncate
-/// faults trip the per-frame deadline in test time rather than the
-/// 120 s default.
-void run_fault_sweep(const std::string& transport) {
+TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
+  // The acceptance sweep: with any single injected fault the run must
+  // complete with the skeleton fingerprint (adjacency + sepsets +
+  // removal depths) and the executed-test count bit-identical to the
+  // sequential reference, at 2 and 4 ranks. Deadlines are tightened so
+  // the wedge/delay/truncate faults trip the per-frame deadline in test
+  // time rather than the 120 s default.
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
@@ -229,11 +226,10 @@ void run_fault_sweep(const std::string& transport) {
       {"corrupt-frame@rank=1,depth=0;seed=7", true},
       {"truncate-frame@rank=1,depth=1", true},
       {"delay-frame@rank=0,depth=1,ms=900", true},
-      // The connection-shaped faults: the channel dies while waitpid
+      // The channel-severing faults: the channel dies while waitpid
       // still says the rank is running (drop-conn), or dies mid-frame
-      // leaving a half-written record behind (partial-write) — the TCP
-      // crash shapes, exercised over pipes too because EOF-with-a-
-      // live-pid must recover identically on both transports.
+      // leaving a half-written record behind (partial-write) — the only
+      // faults that produce EOF from a live rank.
       {"drop-conn@rank=1,depth=1", true},
       {"partial-write@rank=1,depth=1", true},
       // Slow but inside the deadline: must NOT trigger recovery.
@@ -242,92 +238,22 @@ void run_fault_sweep(const std::string& transport) {
   for (const auto& fault : cases) {
     for (const std::int32_t ranks : {2, 4}) {
       PcOptions options = process_options(ranks);
-      options.ipc_transport = transport;
       options.fault_schedule = fault.schedule;
       options.frame_deadline_ms = 400;
       options.frame_retry_limit = 4;
       options.frame_retry_backoff_ms = 5;
       const FaultRun run = run_process(instance, options);
       EXPECT_TRUE(run.fingerprint == reference)
-          << "transport=" << transport << " schedule=" << fault.schedule
-          << " ranks=" << ranks << ": "
+          << "schedule=" << fault.schedule << " ranks=" << ranks << ": "
           << fuzz::describe_divergence(reference, run.fingerprint,
                                        instance.data.num_vars());
       EXPECT_EQ(run.result.total_ci_tests, reference_tests)
-          << "transport=" << transport << " schedule=" << fault.schedule
-          << " ranks=" << ranks;
+          << "schedule=" << fault.schedule << " ranks=" << ranks;
       EXPECT_EQ(!run.events.empty(), fault.expect_events)
-          << "transport=" << transport << " schedule=" << fault.schedule
-          << " ranks=" << ranks << "\n"
+          << "schedule=" << fault.schedule << " ranks=" << ranks << "\n"
           << describe_events(run.events);
     }
   }
-}
-
-TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
-  run_fault_sweep("pipe");
-}
-
-TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprintOverSockets) {
-  run_fault_sweep("socket");
-}
-
-TEST(ProcessEngine, SocketTransportMatchesTheSequentialReference) {
-  // The socket acceptance matrix: ranks {1, 2, 4} over TCP loopback +
-  // the file-backed dataset, each fingerprinted against fastbns-seq with
-  // the executed-test counts compared per depth — the same identity the
-  // pipe transport is held to.
-  const fuzz::FuzzInstance instance = fuzz::make_instance(3);
-  const VarId n = instance.data.num_vars();
-  PcOptions reference_options;
-  reference_options.engine = EngineKind::kFastSequential;
-  const DiscreteCiTest reference_test(instance.data, CiTestOptions{});
-  const SkeletonResult reference =
-      learn_skeleton(n, reference_test, reference_options);
-  const fuzz::SkeletonFingerprint reference_print =
-      fuzz::fingerprint(reference, n);
-  for (const std::int32_t ranks : {1, 2, 4}) {
-    PcOptions options = process_options(ranks);
-    options.ipc_transport = "socket";
-    const DiscreteCiTest test(instance.data, CiTestOptions{});
-    const SkeletonResult actual = learn_skeleton(n, test, options);
-    const fuzz::SkeletonFingerprint actual_print =
-        fuzz::fingerprint(actual, n);
-    EXPECT_TRUE(actual_print == reference_print)
-        << "ranks=" << ranks << ": "
-        << fuzz::describe_divergence(reference_print, actual_print, n);
-    EXPECT_EQ(actual.total_ci_tests, reference.total_ci_tests)
-        << "ranks=" << ranks;
-    ASSERT_EQ(actual.depth_stats.size(), reference.depth_stats.size());
-    for (std::size_t d = 0; d < reference.depth_stats.size(); ++d) {
-      EXPECT_EQ(actual.depth_stats[d].ci_tests,
-                reference.depth_stats[d].ci_tests)
-          << "ranks=" << ranks << " depth=" << d;
-    }
-  }
-}
-
-TEST(ProcessEngine, SocketLearnStructureUsesTheFileBackedSegment) {
-  // learn_structure with ipc_transport=socket must mount the dataset
-  // file-backed (the path a non-address-space-sharing rank would mmap)
-  // and still produce the sequential CPDAG edge for edge.
-  Rng rng(4047);
-  const auto network = benchmark_network("alarm");
-  ASSERT_TRUE(network.has_value());
-  const DiscreteDataset data =
-      forward_sample(*network, 500, rng, DataLayout::kColumnMajor);
-  PcOptions sequential;
-  sequential.engine = EngineKind::kFastSequential;
-  const PcStableResult expected = learn_structure(data, sequential);
-  PcOptions socketed = process_options(2, 2);
-  socketed.ipc_transport = "socket";
-  const PcStableResult actual = learn_structure(data, socketed);
-  auto directed = actual.cpdag.directed_edges();
-  auto expected_directed = expected.cpdag.directed_edges();
-  std::sort(directed.begin(), directed.end());
-  std::sort(expected_directed.begin(), expected_directed.end());
-  EXPECT_EQ(directed, expected_directed);
-  EXPECT_EQ(actual.skeleton.total_ci_tests, expected.skeleton.total_ci_tests);
 }
 
 TEST(ProcessEngine, DoubleRankDeathInOneDepthRecoversBothRanks) {

@@ -213,18 +213,20 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
     EXPECT_NE(message.find("pearson"), std::string::npos) << message;
     EXPECT_NE(message.find("gaussian"), std::string::npos) << message;
   }
-  // Unknown IPC transports too: the message must name the value and the
-  // accepted vocabulary so a typoed --transport is diagnosable.
-  PcOptions typo_transport;
-  typo_transport.ipc_transport = "shared-memory";
-  try {
-    typo_transport.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("shared-memory"), std::string::npos) << message;
-    EXPECT_NE(message.find("pipe"), std::string::npos) << message;
-    EXPECT_NE(message.find("socket"), std::string::npos) << message;
+  // Unknown IPC transports too — "socket" included, since pipes are the
+  // only rank channel: the message must name the value and the accepted
+  // vocabulary.
+  for (const char* transport : {"shared-memory", "socket"}) {
+    PcOptions typo_transport;
+    typo_transport.ipc_transport = transport;
+    try {
+      typo_transport.validate();
+      ADD_FAILURE() << "expected std::invalid_argument for " << transport;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(transport), std::string::npos) << message;
+      EXPECT_NE(message.find("auto pipe"), std::string::npos) << message;
+    }
   }
   // The engine-dependent combination — every permitted table smaller
   // than the effective thread count makes sample-parallel builds pure
