@@ -1,16 +1,34 @@
 // TableBuilder kernel bench: the counting pass isolated from the
-// statistic layer, on exactly the workload the SIMD data path targets —
-// large-n same-shape runs of one endpoint group (the batched kernel's
-// shared pass, ROADMAP's "gather z codes for 8 tables at once").
+// statistic layer, on two data sets and the two call shapes.
+//
+// - Call shapes: fanout 8 is the batched kernel's shared pass over a
+//   same-shape run of one endpoint group (the batch entry); fanout 1 is
+//   one build() per table, the call every default engine makes.
+// - Data: "uniform3" is a synthetic large-n data set of cardinality-3
+//   columns drawn uniformly; "munin1" forward-samples the munin1 analog,
+//   whose skewed columns (cardinality 2-4) are what the benchmark's
+//   munin1 workloads count. Its groups take (x, y) from the network's
+//   edges, the pairs that survive depth 0, with random conditioning
+//   sets.
 //
 // Compares the scalar kernel (one pass per table), the batched scalar
 // kernel (one shared pass per shape run) and the SIMD kernel (shared
 // pass with vectorized index composition) at several conditioning
-// depths, and reports each kernel's speedup over the batched scalar
-// baseline — the acceptance bar for the SIMD path is >= 1.5x on AVX2
-// hardware. Results land in bench_results/BENCH_table_builder.json.
+// depths, and reports each kernel's speedup over the batched kernel —
+// the acceptance bar for the SIMD path is >= 1.5x at depth >= 2 in the
+// fanout-8 rows on AVX2 hardware. The "endpoint codes" row times
+// make_table_context per munin1 pair. Results land in
+// bench_results/BENCH_table_builder.json.
+//
+// A second table times the two single-table loops, count_split and
+// count_one_copy, on random munin1-analog tables bucketed by depth and
+// cell count: the measurement table_detail::kSplitCells is chosen from.
+// Results land in bench_results/BENCH_table_builder_split.json.
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +40,7 @@
 #include "common/timer.hpp"
 #include "stats/simd_dispatch.hpp"
 #include "stats/table_builder.hpp"
+#include "stats/table_builder_detail.hpp"
 
 namespace {
 
@@ -29,7 +48,7 @@ using namespace fastbns;
 
 constexpr VarId kNumVars = 12;
 constexpr std::int32_t kCard = 3;
-constexpr std::size_t kFanout = 8;  ///< tables per shape run
+constexpr std::size_t kMuninGroups = 32;
 
 DiscreteDataset synthetic_dataset(Count samples) {
   DiscreteDataset data(kNumVars, samples,
@@ -44,93 +63,312 @@ DiscreteDataset synthetic_dataset(Count samples) {
   return data;
 }
 
-double best_build_seconds(TableBuilder& kernel,
-                          const TableBuildContext& context,
-                          std::vector<TableJob>& jobs, double min_total) {
-  kernel.build_batch(context, jobs);  // warmup
-  double best = 1e100;
+/// One endpoint pair and its conditioning sets.
+struct Group {
+  VarId x = 0;
+  VarId y = 0;
+  std::vector<std::vector<VarId>> sets;
+};
+
+/// `count` random sets of `depth` variables other than x and y.
+std::vector<std::vector<VarId>> random_sets(const DiscreteDataset& data,
+                                            VarId x, VarId y,
+                                            std::int32_t depth,
+                                            std::size_t count, Rng& rng) {
+  std::vector<std::vector<VarId>> sets;
+  for (std::size_t j = 0; j < count; ++j) {
+    std::vector<VarId> z;
+    while (static_cast<std::int32_t>(z.size()) < depth) {
+      const auto v = static_cast<VarId>(
+          rng.next_below(static_cast<std::uint64_t>(data.num_vars())));
+      if (v == x || v == y || std::find(z.begin(), z.end(), v) != z.end()) {
+        continue;
+      }
+      z.push_back(v);
+    }
+    std::sort(z.begin(), z.end());
+    sets.push_back(std::move(z));
+  }
+  return sets;
+}
+
+/// Best time of each of `fns`, timed in rotation until together they
+/// have run for `min_total` seconds per function (at least 3 rounds), so
+/// a slow spell of a shared host falls on all of them alike.
+std::vector<double> best_seconds(const std::vector<std::function<void()>>& fns,
+                                 double min_total) {
+  for (const auto& fn : fns) fn();  // warmup
+  std::vector<double> best(fns.size(), 1e100);
   double accumulated = 0.0;
-  for (int repeat = 0; repeat < 50 && accumulated < min_total; ++repeat) {
-    const WallTimer timer;
-    kernel.build_batch(context, jobs);
-    const double seconds = timer.seconds();
-    accumulated += seconds;
-    if (seconds < best) best = seconds;
+  const double budget = min_total * static_cast<double>(fns.size());
+  for (int round = 0; round < 3 || accumulated < budget; ++round) {
+    for (std::size_t i = 0; i < fns.size(); ++i) {
+      const WallTimer timer;
+      fns[i]();
+      const double seconds = timer.seconds();
+      accumulated += seconds;
+      best[i] = std::min(best[i], seconds);
+    }
   }
   return best;
+}
+
+/// The groups of one data set with a context per pair (each in its own
+/// arena, so the timed loop only counts) and per-group cell storage.
+struct Workset {
+  std::vector<Group> groups;
+  std::vector<ScratchArena> arenas;
+  std::vector<TableBuildContext> contexts;
+  std::vector<std::vector<std::vector<Count>>> storage;
+  std::vector<std::vector<TableJob>> jobs;
+  std::size_t tables = 0;
+
+  Workset(const DiscreteDataset& data, std::vector<Group> all)
+      : groups(std::move(all)), arenas(groups.size()) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const Group& group = groups[g];
+      contexts.push_back(make_table_context(data, group.x, group.y,
+                                            /*row_major=*/false, arenas[g]));
+      const auto xy_cells = static_cast<std::size_t>(contexts[g].cx) *
+                            static_cast<std::size_t>(contexts[g].cy);
+      storage.emplace_back(group.sets.size());
+      jobs.emplace_back();
+      for (std::size_t j = 0; j < group.sets.size(); ++j) {
+        std::size_t cz = 1;
+        for (const VarId v : group.sets[j]) {
+          cz *= static_cast<std::size_t>(data.cardinality(v));
+        }
+        storage[g][j].assign(xy_cells * cz, 0);
+        jobs[g].push_back(TableJob{group.sets[j], cz, storage[g][j]});
+      }
+      tables += group.sets.size();
+    }
+  }
+
+  /// Fanout 1 counts table by table through build(); wider fanouts go
+  /// through build_batch, as the batch entry does.
+  void count(TableBuilder& kernel, std::size_t fanout) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (fanout == 1) {
+        for (const TableJob& job : jobs[g]) kernel.build(contexts[g], job);
+      } else {
+        kernel.build_batch(contexts[g], jobs[g]);
+      }
+    }
+  }
+};
+
+void add_kernel_rows(TablePrinter& table, const std::string& label,
+                     const DiscreteDataset& data,
+                     const std::vector<Group>& groups, std::int32_t depth,
+                     std::size_t fanout, double min_total) {
+  Workset work(data, groups);
+  const auto samples = static_cast<double>(data.num_samples());
+  const std::vector<std::string> names{"batched", "scalar", "simd"};
+  std::vector<std::unique_ptr<TableBuilder>> kernels;
+  std::vector<std::function<void()>> fns;
+  for (const std::string& name : names) {
+    kernels.push_back(make_table_builder(name));
+    fns.emplace_back([&work, &kernel = *kernels.back(), fanout] {
+      work.count(kernel, fanout);
+    });
+  }
+  const std::vector<double> best = best_seconds(fns, min_total);
+  const double batched_seconds = best[0];
+  for (std::size_t k = 0; k < names.size(); ++k) {
+    const std::string& name = names[k];
+    const double seconds = best[k];
+    const auto tables = static_cast<double>(work.tables);
+    table.add_row({label, name, std::to_string(depth),
+                   std::to_string(data.num_samples()), std::to_string(fanout),
+                   TablePrinter::num(seconds * 1e3, 3),
+                   TablePrinter::num(seconds / tables * 1e6, 2),
+                   TablePrinter::num(samples * tables / seconds / 1e6, 1),
+                   name == "scalar" ? std::string("-")
+                                    : TablePrinter::num(
+                                          batched_seconds / seconds, 2)});
+  }
+}
+
+/// Upper cell bounds of the split-limit buckets; bucket i holds tables
+/// of (kSplitBuckets[i - 1], kSplitBuckets[i]] cells.
+constexpr std::array<std::size_t, 7> kSplitBuckets{16,  32,  64,  128,
+                                                   256, 512, 1024};
+constexpr std::int32_t kSplitMaxDepth = 4;
+constexpr std::size_t kTablesPerBucket = 24;
+
+/// One random single table with its own arena, so the timed loop only
+/// counts.
+struct SplitTable {
+  ScratchArena arena;
+  TableBuildContext context;
+  std::vector<VarId> z;
+  std::size_t cz = 1;
+  std::vector<Count> cells;
+};
+
+/// Times count_split against count_one_copy, each over the cell index
+/// the scalar kernel uses for the table (with_cell_index), per depth and
+/// cell-count bucket, on random (x, y, z) tables drawn from `data`.
+void add_split_rows(TablePrinter& table, const DiscreteDataset& data,
+                    double min_total) {
+  const auto m = static_cast<std::size_t>(data.num_samples());
+  const auto num_vars = static_cast<std::uint64_t>(data.num_vars());
+  std::array<std::array<std::deque<SplitTable>, kSplitBuckets.size()>,
+             kSplitMaxDepth + 1>
+      buckets;
+  Rng rng(2026);
+  for (int trial = 0; trial < 100000; ++trial) {
+    const auto a = static_cast<VarId>(rng.next_below(num_vars));
+    const auto b = static_cast<VarId>(rng.next_below(num_vars));
+    if (a == b) continue;
+    const VarId x = std::min(a, b);
+    const VarId y = std::max(a, b);
+    const auto depth = static_cast<std::int32_t>(
+        rng.next_below(static_cast<std::uint64_t>(kSplitMaxDepth) + 1));
+    const std::vector<VarId> z = random_sets(data, x, y, depth, 1, rng)[0];
+    std::size_t cz = 1;
+    for (const VarId v : z) cz *= static_cast<std::size_t>(data.cardinality(v));
+    const std::size_t cells = static_cast<std::size_t>(data.cardinality(x)) *
+                              static_cast<std::size_t>(data.cardinality(y)) *
+                              cz;
+    const auto bucket = static_cast<std::size_t>(
+        std::lower_bound(kSplitBuckets.begin(), kSplitBuckets.end(), cells) -
+        kSplitBuckets.begin());
+    if (bucket == kSplitBuckets.size() ||
+        buckets[depth][bucket].size() == kTablesPerBucket) {
+      continue;
+    }
+    SplitTable& added = buckets[depth][bucket].emplace_back();
+    added.context =
+        make_table_context(data, x, y, /*row_major=*/false, added.arena);
+    added.z = z;
+    added.cz = cz;
+    added.cells.assign(cells, 0);
+  }
+
+  std::vector<Count> partial(4 * kSplitBuckets.back());
+  const auto count_all = [&](std::deque<SplitTable>& tables, bool split) {
+    for (SplitTable& t : tables) {
+      const TableJob job{t.z, t.cz, t.cells};
+      table_detail::with_cell_index(t.context, job, [&](auto index) {
+        if (split) {
+          table_detail::count_split(m, job.cells, index, partial.data());
+        } else {
+          table_detail::count_one_copy(m, job.cells, index);
+        }
+      });
+    }
+  };
+  for (std::int32_t depth = 0; depth <= kSplitMaxDepth; ++depth) {
+    for (std::size_t b = 0; b < kSplitBuckets.size(); ++b) {
+      std::deque<SplitTable>& tables = buckets[depth][b];
+      if (tables.empty()) continue;
+      const std::vector<double> best =
+          best_seconds({[&] { count_all(tables, true); },
+                        [&] { count_all(tables, false); }},
+                       min_total);
+      const double split_seconds = best[0];
+      const double one_seconds = best[1];
+      const auto n = static_cast<double>(tables.size());
+      const std::string lower =
+          b == 0 ? std::string("1") : std::to_string(kSplitBuckets[b - 1] + 1);
+      table.add_row({"munin1", std::to_string(depth),
+                     lower + "-" + std::to_string(kSplitBuckets[b]),
+                     std::to_string(tables.size()), std::to_string(m),
+                     TablePrinter::num(split_seconds / n * 1e6, 2),
+                     TablePrinter::num(one_seconds / n * 1e6, 2),
+                     TablePrinter::num(split_seconds / one_seconds, 3)});
+    }
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args("bench_table_builder",
-                 "TableBuilder kernels on large-n same-shape runs: scalar "
-                 "vs batched vs SIMD");
-  args.add_flag("samples", "samples in the synthetic dataset", "2000000");
+                 "TableBuilder kernels, single tables and same-shape runs, "
+                 "on uniform and munin1-analog columns: scalar vs batched "
+                 "vs SIMD");
+  args.add_flag("samples", "samples in the synthetic uniform data set",
+                "2000000");
+  args.add_flag("munin-samples", "forward samples of the munin1 analog",
+                "20000");
   args.add_flag("min-seconds", "measurement budget per cell", "0.3");
   if (!args.parse(argc, argv)) return 1;
 
-  const Count samples = args.get_int("samples");
   const double min_total = std::stod(args.get("min-seconds"));
-
-  std::printf("TableBuilder kernel bench (m=%lld, fanout=%zu)\n",
-              static_cast<long long>(samples), kFanout);
   std::printf("SIMD dispatch: detected=%s active=%s\n",
               std::string(to_string(detected_simd_tier())).c_str(),
               std::string(to_string(active_simd_tier())).c_str());
 
-  const DiscreteDataset data = synthetic_dataset(samples);
-  ScratchArena scratch;
-  const TableBuildContext context =
-      make_table_context(data, 0, 1, /*row_major=*/false, scratch);
+  TablePrinter table({"data", "kernel", "depth", "samples", "fanout",
+                      "best(ms)", "us/table", "Msamples*tables/s",
+                      "vs batched"});
 
-  TablePrinter table({"kernel", "depth", "samples", "fanout", "best(ms)",
-                      "Msamples*tables/s", "vs batched"});
-
-  for (const std::int32_t depth : {1, 2, 3}) {
-    const std::vector<std::vector<VarId>> sets =
-        shape_run_sets(kNumVars, depth, kFanout);
-    std::size_t cz_total = 1;
-    for (std::int32_t i = 0; i < depth; ++i) {
-      cz_total *= static_cast<std::size_t>(kCard);
-    }
-    const std::size_t cells_per_table =
-        static_cast<std::size_t>(kCard) * kCard * cz_total;
-
-    std::vector<std::vector<Count>> storage(sets.size());
-    std::vector<TableJob> jobs;
-    for (std::size_t j = 0; j < sets.size(); ++j) {
-      storage[j].assign(cells_per_table, 0);
-      jobs.push_back(TableJob{sets[j], cz_total, storage[j]});
-    }
-
-    double batched_seconds = 0.0;
-    for (const std::string name : {"scalar", "batched", "simd"}) {
-      const std::unique_ptr<TableBuilder> kernel = make_table_builder(name);
-      const double seconds =
-          best_build_seconds(*kernel, context, jobs, min_total);
-      if (name == "batched") batched_seconds = seconds;
-      const double throughput = static_cast<double>(samples) *
-                                static_cast<double>(sets.size()) /
-                                seconds / 1e6;
-      const double vs_batched =
-          name == "scalar" || batched_seconds == 0.0
-              ? 0.0
-              : batched_seconds / seconds;
-      table.add_row({name, std::to_string(depth),
-                     std::to_string(samples),
-                     std::to_string(sets.size()),
-                     TablePrinter::num(seconds * 1e3, 3),
-                     TablePrinter::num(throughput, 1),
-                     name == "scalar" ? std::string("-")
-                                      : TablePrinter::num(vs_batched, 2)});
+  const DiscreteDataset uniform = synthetic_dataset(args.get_int("samples"));
+  for (const std::size_t fanout : {std::size_t{1}, std::size_t{8}}) {
+    for (std::int32_t depth = fanout == 1 ? 0 : 1; depth <= 3; ++depth) {
+      const std::vector<Group> groups{
+          Group{0, 1, shape_run_sets(kNumVars, depth, fanout)}};
+      add_kernel_rows(table, "uniform3", uniform, groups, depth, fanout,
+                      min_total);
     }
   }
 
-  emit_table("TableBuilder kernels: same-shape run counting",
+  const Workload munin = make_workload(
+      "munin1", args.get_int("munin-samples"), DataLayout::kColumnMajor);
+  const DiscreteDataset& data = munin.data.discrete();
+  const std::vector<std::pair<VarId, VarId>> edges =
+      munin.network.dag().edges();
+  for (const std::size_t fanout : {std::size_t{1}, std::size_t{8}}) {
+    for (std::int32_t depth = fanout == 1 ? 0 : 1; depth <= 3; ++depth) {
+      Rng rng(1000 + static_cast<std::uint64_t>(depth));
+      std::vector<Group> groups;
+      for (std::size_t g = 0; g < kMuninGroups; ++g) {
+        const auto& [from, to] = edges[g * edges.size() / kMuninGroups];
+        const VarId x = std::min(from, to);
+        const VarId y = std::max(from, to);
+        groups.push_back(
+            Group{x, y, random_sets(data, x, y, depth, fanout, rng)});
+      }
+      add_kernel_rows(table, "munin1", data, groups, depth, fanout,
+                      min_total);
+    }
+  }
+
+  ScratchArena arena;
+  const double codes_seconds = best_seconds(
+      {[&] {
+        for (std::size_t g = 0; g < kMuninGroups; ++g) {
+          const auto& [x, y] = edges[g * edges.size() / kMuninGroups];
+          (void)make_table_context(data, x, y, /*row_major=*/false, arena);
+        }
+      }},
+      min_total)[0];
+  table.add_row({"munin1", "endpoint codes", "-",
+                 std::to_string(data.num_samples()), "-",
+                 TablePrinter::num(codes_seconds * 1e3, 3),
+                 TablePrinter::num(codes_seconds / kMuninGroups * 1e6, 2),
+                 "-", "-"});
+
+  emit_table("TableBuilder kernels: single tables and same-shape runs",
              "table_builder", table);
   std::printf(
-      "\nShape check: simd >= 1.5x batched at depth >= 2 on AVX2 hardware\n"
-      "(the acceptance bar of the SIMD counting data path).\n");
+      "\nShape check: simd >= 1.5x batched at depth >= 2 in the fanout-8 "
+      "rows on AVX2\nhardware (the acceptance bar of the SIMD counting data "
+      "path).\n");
+
+  TablePrinter split({"data", "depth", "cells", "tables", "samples",
+                      "split us/table", "one copy us/table",
+                      "split / one copy"});
+  add_split_rows(split, data, min_total);
+  emit_table("Single-table loops: split vs one copy, by table size",
+             "table_builder_split", split);
+  std::printf(
+      "\nShape check: split / one copy < 1 at depths 0 and 1 (all within "
+      "kSplitCells = %zu\ncells, the tables count_single_scalar splits); "
+      "about 1, within noise, deeper.\n",
+      table_detail::kSplitCells);
   return 0;
 }

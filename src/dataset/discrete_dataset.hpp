@@ -82,7 +82,7 @@ class DiscreteDataset {
   /// this many samples, so full-width vector loads near the tail never
   /// cross the allocation (padding is zero and is never counted). The
   /// guarantee covers the dataset's codes8 columns and the ScratchArena
-  /// xy_codes8 mirror, which pads to the same boundary; today's kernels
+  /// xy_codes8 stream, which pads to the same boundary; today's kernels
   /// tail-guard and process the tail scalar, so the padding is headroom
   /// for full-width-tail kernels, not a current dependency.
   static constexpr std::size_t kCodes8Pad = 64;

@@ -54,8 +54,7 @@ std::size_t DiscreteCiTest::conditioning_cells(VarId x, VarId y,
 }
 
 void DiscreteCiTest::refresh_context(VarId x, VarId y) {
-  context_ = make_table_context(*data_, x, y, options_.use_row_major, scratch_,
-                                main_builder_->wants_packed_xy());
+  context_ = make_table_context(*data_, x, y, options_.use_row_major, scratch_);
   cx_ = context_.cx;
   cy_ = context_.cy;
 }

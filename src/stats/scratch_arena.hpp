@@ -29,9 +29,9 @@ class ScratchArena {
     return grow(xy_codes_, n);
   }
 
-  /// Packed uint8 mirror of xy_codes, for groups whose combined endpoint
-  /// cardinality fits a byte — 4x less bandwidth on the hottest stream.
-  /// The allocation extends to a kVectorPad boundary with zeroed padding
+  /// Combined endpoint codes as one byte per sample, for column groups
+  /// whose combined endpoint cardinality fits a byte. The allocation
+  /// extends to a kVectorPad boundary with zeroed padding
   /// (mirroring DiscreteDataset::kCodes8Pad), so full-width vector loads
   /// near the tail never cross it; the span covers only the n samples.
   [[nodiscard]] std::span<std::uint8_t> xy_codes8(std::size_t n) {

@@ -7,9 +7,9 @@
 // is a Horner chain over byte-wide code columns, and AVX2 evaluates it
 // for 8 samples per instruction (SSE4.2 for 4). The kernel therefore
 // composes a block of indices vectorized, then retires the increments
-// scalar; on the shape-runs of one endpoint group the composed xy codes
-// are streamed once per block from the packed uint8 mirror (4x less
-// bandwidth than the int32 codes) and shared across the run's tables.
+// scalar; on the shape-runs of one endpoint group the xy codes are
+// streamed once per block — as bytes whenever cx * cy <= 255, a quarter
+// of the int32 stream's bandwidth — and shared across the run's tables.
 //
 // Everything is compiled behind per-function target attributes so the
 // library builds without -mavx2 and dispatches at runtime
@@ -38,9 +38,9 @@ using table_detail::ZPlan;
 /// packed code streams of one run stay L1-resident.
 constexpr std::size_t kBlockSamples = 4096;
 
-/// One job's flattened composition inputs: the shared xy codes (packed
-/// mirror preferred) and the job's conditioning columns with their
-/// Horner multipliers.
+/// One job's flattened composition inputs: the shared xy codes (the
+/// stream the context carries) and the job's conditioning columns with
+/// their Horner multipliers.
 struct ComposeArgs {
   const std::int32_t* xy32 = nullptr;
   const std::uint8_t* xy8 = nullptr;  ///< non-null when cx * cy <= 255
@@ -63,8 +63,8 @@ inline std::uint32_t compose_one(const ComposeArgs& a, std::size_t s) {
 
 using ComposeFn = void (*)(const ComposeArgs&, std::size_t, std::size_t,
                            std::uint32_t*);
-/// Half-width variant: indices are known to fit 16 bits and the packed
-/// xy mirror is available — twice the lanes, half the index traffic.
+/// Half-width variant: indices are known to fit 16 bits and the xy codes
+/// are bytes — twice the lanes, half the index traffic.
 using Compose16Fn = void (*)(const ComposeArgs&, std::size_t, std::size_t,
                              std::uint16_t*);
 
@@ -205,10 +205,6 @@ Compose16Fn compose16_for(SimdTier tier) {
 
 class SimdTableBuilder final : public TableBuilder {
  public:
-  [[nodiscard]] bool wants_packed_xy() const noexcept override {
-    return true;
-  }
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "simd";
   }
@@ -244,9 +240,11 @@ class SimdTableBuilder final : public TableBuilder {
     // Vectorization only pays past depth 1: a d=1 pass is a single
     // load-add per sample, and the index round-trip costs more than it
     // vectorizes away (measured in bench_table_builder: below 1.0x at
-    // d=1 before this fallback; the committed BENCH_table_builder.json
-    // shows 1.6x/4.5x at d=2/3), so d<=1 runs take the batched scalar
-    // pass.
+    // d=1 before this fallback), so d<=1 runs take the scalar passes —
+    // a single small table the split loop (count_split). The committed
+    // BENCH_table_builder.json (4-vCPU x86-64, AVX2) shows this pass at
+    // 1.6x/3.9x the batched pass at d=2/3 on 8-table uniform runs, and
+    // 2.8x/3.9x the scalar pass on single munin1-analog tables.
     const bool vectorizable =
         tier != SimdTier::kScalar && !context.row_major && d >= 2 &&
         (narrow ||

@@ -15,16 +15,39 @@ void TableBuilder::build_batch(const TableBuildContext& context,
 
 TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
                                      VarId y, bool row_major,
-                                     ScratchArena& scratch, bool want_packed) {
+                                     ScratchArena& scratch,
+                                     bool /*want_packed*/) {
   const std::int32_t cx = data.cardinality(x);
   const std::int32_t cy = data.cardinality(y);
   const auto m = static_cast<std::size_t>(data.num_samples());
-  const std::span<std::int32_t> codes = scratch.xy_codes(m);
+  TableBuildContext context;
+  context.data = &data;
+  context.cx = cx;
+  context.cy = cy;
+  context.row_major = row_major;
+  context.scratch = &scratch;
+
+  if (!row_major && cx * cy <= 255 && data.has_codes8(x) &&
+      data.has_codes8(y)) {
+    // The codes8 columns are already clamped into [0, cx) and [0, cy), so
+    // every x8*cy + y8 lands in [0, cx*cy) and fits a byte.
+    const std::uint8_t* xs = data.codes8(x).data();
+    const std::uint8_t* ys = data.codes8(y).data();
+    const std::span<std::uint8_t> codes = scratch.xy_codes8(m);
+    for (std::size_t s = 0; s < m; ++s) {
+      codes[s] = static_cast<std::uint8_t>(xs[s] * cy + ys[s]);
+    }
+    context.xy_codes8 = codes;
+    return context;
+  }
+
   // The raw buffers keep malformed values as-is (values_in_range is the
   // detector), so the endpoint codes clamp into [0, cx*cy) here: the
   // kernels increment cells through these codes without bounds checks,
   // and the clamp is what keeps even bad data inside the cell buffer —
-  // the same guarantee the dataset's codes8 columns give the z streams.
+  // the same guarantee the dataset's codes8 columns give the byte stream
+  // and the z streams.
+  const std::span<std::int32_t> codes = scratch.xy_codes(m);
   if (row_major) {
     // Cache-unfriendly path: stride across the sample rows.
     const auto n = static_cast<std::size_t>(data.num_vars());
@@ -42,28 +65,7 @@ TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
                  std::min<std::int32_t>(ys[s], cy - 1);
     }
   }
-
-  TableBuildContext context;
-  context.data = &data;
   context.xy_codes = codes;
-  context.cx = cx;
-  context.cy = cy;
-  context.row_major = row_major;
-  context.scratch = &scratch;
-  if (want_packed && cx * cy <= 255 && !row_major &&
-      active_simd_tier() != SimdTier::kScalar) {
-    // Every combined code fits a byte: materialize the packed mirror the
-    // SIMD kernel streams instead of the int32 codes. Only the vector
-    // narrow path reads it, so kernels that never consume it
-    // (want_packed = wants_packed_xy() of the selected builder),
-    // row-major contexts and scalar-tier runs (no vector hardware,
-    // FASTBNS_SIMD=off) skip the extra O(m) packing pass entirely.
-    const std::span<std::uint8_t> packed = scratch.xy_codes8(m);
-    for (std::size_t s = 0; s < m; ++s) {
-      packed[s] = static_cast<std::uint8_t>(codes[s]);
-    }
-    context.xy_codes8 = packed;
-  }
   return context;
 }
 
@@ -72,29 +74,14 @@ namespace table_detail {
 void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job) {
   const std::size_t m = num_samples(context);
-  std::fill(job.cells.begin(), job.cells.end(), Count{0});
-  Count* cells = job.cells.data();
-  const std::int32_t* codes = context.xy_codes.data();
-
-  if (job.z.empty()) {
-    // Marginal table: the xy code is the cell index.
-    for (std::size_t s = 0; s < m; ++s) ++cells[codes[s]];
-    return;
-  }
-  const ZPlan plan(context, job);
-  if (context.row_major) {
-    const DataValue* base = row_base(context);
-    const auto n = static_cast<std::size_t>(context.data->num_vars());
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t zc = plan.code_row(base + s * n);
-      ++cells[static_cast<std::size_t>(codes[s]) * job.cz_total + zc];
+  with_cell_index(context, job, [&](auto index) {
+    if (job.cells.size() <= kSplitCells) {
+      std::array<Count, 4 * kSplitCells> partial{};
+      count_split(m, job.cells, index, partial.data());
+    } else {
+      count_one_copy(m, job.cells, index);
     }
-  } else {
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t zc = plan.code_column(s);
-      ++cells[static_cast<std::size_t>(codes[s]) * job.cz_total + zc];
-    }
-  }
+  });
 }
 
 void count_run_scalar(const TableBuildContext& context,
@@ -116,61 +103,61 @@ void count_run_scalar(const TableBuildContext& context,
     std::fill(jobs[j].cells.begin(), jobs[j].cells.end(), Count{0});
     plans.emplace_back(context, jobs[j]);
   }
-  const std::int32_t* codes = context.xy_codes.data();
   const std::size_t k = run.size();
-
-  // Depth-specialized column paths: flattened pointer arrays so the
-  // per-sample inner loop is the same two-load multiply-add the scalar
-  // kernel runs, with the codes read shared across the run's tables.
-  if (!context.row_major && (d == 1 || d == 2)) {
-    std::array<Count*, kMaxFanout> out{};
-    std::array<const std::uint8_t*, kMaxFanout> col0{};
-    std::array<const std::uint8_t*, kMaxFanout> col1{};
-    std::array<std::size_t, kMaxFanout> card1{};
-    for (std::size_t j = 0; j < k; ++j) {
-      out[j] = jobs[run[j]].cells.data();
-      col0[j] = plans[j].cols[0];
-      if (d == 2) {
-        col1[j] = plans[j].cols[1];
-        card1[j] = static_cast<std::size_t>(plans[j].cards[1]);
+  with_xy_codes(context, [&](const auto* codes) {
+    // Depth-specialized column paths: flattened pointer arrays so the
+    // per-sample inner loop is the same two-load multiply-add the scalar
+    // kernel runs, with the codes read shared across the run's tables.
+    if (!context.row_major && (d == 1 || d == 2)) {
+      std::array<Count*, kMaxFanout> out{};
+      std::array<const std::uint8_t*, kMaxFanout> col0{};
+      std::array<const std::uint8_t*, kMaxFanout> col1{};
+      std::array<std::size_t, kMaxFanout> card1{};
+      for (std::size_t j = 0; j < k; ++j) {
+        out[j] = jobs[run[j]].cells.data();
+        col0[j] = plans[j].cols[0];
+        if (d == 2) {
+          col1[j] = plans[j].cols[1];
+          card1[j] = static_cast<std::size_t>(plans[j].cards[1]);
+        }
       }
+      if (d == 1) {
+        for (std::size_t s = 0; s < m; ++s) {
+          const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
+          for (std::size_t j = 0; j < k; ++j) {
+            ++out[j][xy + col0[j][s]];
+          }
+        }
+      } else {
+        for (std::size_t s = 0; s < m; ++s) {
+          const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
+          for (std::size_t j = 0; j < k; ++j) {
+            ++out[j][xy + col0[j][s] * card1[j] + col1[j][s]];
+          }
+        }
+      }
+      return;
     }
-    if (d == 1) {
+
+    if (context.row_major) {
+      const DataValue* base = row_base(context);
+      const auto n = static_cast<std::size_t>(context.data->num_vars());
       for (std::size_t s = 0; s < m; ++s) {
+        const DataValue* row = base + s * n;
         const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
         for (std::size_t j = 0; j < k; ++j) {
-          ++out[j][xy + col0[j][s]];
+          ++jobs[run[j]].cells[xy + plans[j].code_row(row)];
         }
       }
     } else {
       for (std::size_t s = 0; s < m; ++s) {
         const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
         for (std::size_t j = 0; j < k; ++j) {
-          ++out[j][xy + col0[j][s] * card1[j] + col1[j][s]];
+          ++jobs[run[j]].cells[xy + plans[j].code_column(s)];
         }
       }
     }
-    return;
-  }
-
-  if (context.row_major) {
-    const DataValue* base = row_base(context);
-    const auto n = static_cast<std::size_t>(context.data->num_vars());
-    for (std::size_t s = 0; s < m; ++s) {
-      const DataValue* row = base + s * n;
-      const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
-      for (std::size_t j = 0; j < k; ++j) {
-        ++jobs[run[j]].cells[xy + plans[j].code_row(row)];
-      }
-    }
-  } else {
-    for (std::size_t s = 0; s < m; ++s) {
-      const auto xy = static_cast<std::size_t>(codes[s]) * cz_total;
-      for (std::size_t j = 0; j < k; ++j) {
-        ++jobs[run[j]].cells[xy + plans[j].code_column(s)];
-      }
-    }
-  }
+  });
 }
 
 }  // namespace table_detail
@@ -199,31 +186,31 @@ class SampleParallelTableBuilder final : public TableBuilder {
         static_cast<std::int64_t>(table_detail::num_samples(context));
     std::fill(job.cells.begin(), job.cells.end(), Count{0});
     Count* cells = job.cells.data();
-    const std::int32_t* codes = context.xy_codes.data();
-
-    if (job.z.empty()) {
-#pragma omp parallel for schedule(static)
-      for (std::int64_t s = 0; s < m; ++s) {
-#pragma omp atomic
-        ++cells[codes[s]];
-      }
-      return;
-    }
     const table_detail::ZPlan plan(context, job);
     const DataValue* base = table_detail::row_base(context);
     const auto n = static_cast<std::size_t>(context.data->num_vars());
     const bool row_major = context.row_major;
     const std::size_t cz_total = job.cz_total;
+    table_detail::with_xy_codes(context, [&](const auto* codes) {
+      if (job.z.empty()) {
 #pragma omp parallel for schedule(static)
-    for (std::int64_t s = 0; s < m; ++s) {
-      const auto u = static_cast<std::size_t>(s);
-      const std::size_t zc =
-          row_major ? plan.code_row(base + u * n) : plan.code_column(u);
-      const std::size_t idx =
-          static_cast<std::size_t>(codes[u]) * cz_total + zc;
+        for (std::int64_t s = 0; s < m; ++s) {
 #pragma omp atomic
-      ++cells[idx];
-    }
+          ++cells[codes[s]];
+        }
+        return;
+      }
+#pragma omp parallel for schedule(static)
+      for (std::int64_t s = 0; s < m; ++s) {
+        const auto u = static_cast<std::size_t>(s);
+        const std::size_t zc =
+            row_major ? plan.code_row(base + u * n) : plan.code_column(u);
+        const std::size_t idx =
+            static_cast<std::size_t>(codes[u]) * cz_total + zc;
+#pragma omp atomic
+        ++cells[idx];
+      }
+    });
   }
 };
 

@@ -30,16 +30,16 @@ namespace fastbns {
 /// Inputs shared by every table of one endpoint group: the dataset, the
 /// fixed endpoint pair's cardinalities, and the precomputed combined
 /// codes x*|Y| + y per sample (the group protocol's "reuse Vi and Vj").
+/// Exactly one of the two code streams is set; kernels read whichever
+/// is non-empty.
 struct TableBuildContext {
   const DiscreteDataset* data = nullptr;
-  std::span<const std::int32_t> xy_codes;  ///< per sample: x*cy + y
-  /// Packed uint8 mirror of xy_codes; non-empty only when cx * cy <= 255
-  /// (every code fits a byte), the context streams columns, a vector
-  /// dispatch tier is active, and the selected kernel consumes the
-  /// mirror (wants_packed_xy) — nothing else reads it, so every other
-  /// configuration skips the packing pass. The SIMD kernel streams this
-  /// instead of the int32 codes — a 4x memory-bandwidth cut on the
-  /// hottest stream.
+  /// Per sample x*cy + y as int32: the stream for row-major contexts,
+  /// pairs with cx * cy > 255, and endpoints without a codes8 column.
+  std::span<const std::int32_t> xy_codes;
+  /// Per sample x*cy + y as one byte: the stream for column contexts
+  /// whose cx * cy <= 255 (every code fits) — a quarter of the int32
+  /// stream's bytes on the hottest stream.
   std::span<const std::uint8_t> xy_codes8;
   std::int32_t cx = 0;                     ///< cardinality of X
   std::int32_t cy = 0;                     ///< cardinality of Y
@@ -52,19 +52,18 @@ struct TableBuildContext {
 };
 
 /// Centralized endpoint-code precomputation — the one helper every
-/// builder call site uses (DiscreteCiTest, the kernel tests and benches
-/// previously each rolled their own): fills the per-sample combined
-/// codes x*|Y| + y into `scratch` (clamped into [0, cx*cy) so malformed
-/// raw values can never index outside a cell buffer, plus the packed
-/// uint8 mirror when cx * cy <= 255 and a vector tier can consume it)
-/// and returns a context wired to those buffers and to `scratch`. The
-/// spans stay valid until the next xy_codes/xy_codes8 request on the
+/// builder call site uses: fills one code stream into `scratch` and
+/// returns a context wired to it and to `scratch`. Column contexts with
+/// cx * cy <= 255 whose endpoints both have codes8 columns get the byte
+/// stream, composed straight from those (already clamped) columns;
+/// everything else gets the int32 stream, clamped into [0, cx*cy) here
+/// so malformed raw values can never index outside a cell buffer. The
+/// span stays valid until the next request for the same buffer on the
 /// same arena.
-[[nodiscard]] TableBuildContext make_table_context(const DiscreteDataset& data,
-                                                   VarId x, VarId y,
-                                                   bool row_major,
-                                                   ScratchArena& scratch,
-                                                   bool want_packed = true);
+[[nodiscard]] TableBuildContext make_table_context(
+    const DiscreteDataset& data, VarId x, VarId y, bool row_major,
+    ScratchArena& scratch,
+    bool want_packed = true);  // ignored; kept only for perfbench/perfbench.cpp
 
 /// One table to count: the conditioning set, its combined cardinality,
 /// and the output cells laid out [xy][zc] (size cx * cy * cz_total).
@@ -92,12 +91,8 @@ class TableBuilder {
   virtual void build_batch(const TableBuildContext& context,
                            std::span<TableJob> jobs);
 
-  /// Whether this kernel can consume TableBuildContext::xy_codes8 — lets
-  /// make_table_context skip the O(m) packing pass for kernels that only
-  /// read the int32 codes (everything but the SIMD kernel).
-  [[nodiscard]] virtual bool wants_packed_xy() const noexcept {
-    return false;
-  }
+  /// Always true and unused here; kept only for perfbench/perfbench.cpp.
+  [[nodiscard]] bool wants_packed_xy() const noexcept { return true; }
 };
 
 /// Serial scan — the paper's optimized sequential kernel. One pass per

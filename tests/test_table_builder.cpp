@@ -1,6 +1,7 @@
 // The CI-kernel contract: every TableBuilder counts the same table —
 // bit-identical cells across the scalar, sample-parallel, batched and
-// SIMD kernels, on randomized shapes, cardinalities and layouts. This is
+// SIMD kernels, on randomized shapes, cardinalities and layouts, and
+// equal to an independent count taken straight from the dataset. This is
 // what lets DiscreteCiTest treat the builder as pluggable and lets
 // engines pick the kernel per edge without changing any result.
 #include "stats/table_builder.hpp"
@@ -16,9 +17,26 @@
 #include "common/rng.hpp"
 #include "stats/discrete_ci_test.hpp"
 #include "stats/simd_dispatch.hpp"
+#include "stats/table_builder_detail.hpp"
 
 namespace fastbns {
 namespace {
+
+/// Uniformly random values for the given cardinalities, in both layouts.
+DiscreteDataset dataset_with_cards(std::vector<std::int32_t> cards, Count m,
+                                   std::uint64_t seed) {
+  const auto n = static_cast<VarId>(cards.size());
+  DiscreteDataset data(n, m, cards, DataLayout::kBoth);
+  Rng rng(seed);
+  for (Count s = 0; s < m; ++s) {
+    for (VarId v = 0; v < n; ++v) {
+      data.set(s, v,
+               static_cast<DataValue>(
+                   rng.next_below(static_cast<std::uint64_t>(cards[v]))));
+    }
+  }
+  return data;
+}
 
 DiscreteDataset random_dataset(VarId n, Count m, std::int32_t max_card,
                                std::uint64_t seed) {
@@ -29,16 +47,7 @@ DiscreteDataset random_dataset(VarId n, Count m, std::int32_t max_card,
         2 + static_cast<std::int32_t>(card_rng.next_below(
                 static_cast<std::uint64_t>(max_card - 1))));
   }
-  DiscreteDataset data(n, m, cards, DataLayout::kBoth);
-  Rng rng(seed + 1);
-  for (Count s = 0; s < m; ++s) {
-    for (VarId v = 0; v < n; ++v) {
-      data.set(s, v,
-               static_cast<DataValue>(
-                   rng.next_below(static_cast<std::uint64_t>(cards[v]))));
-    }
-  }
-  return data;
+  return dataset_with_cards(std::move(cards), m, seed + 1);
 }
 
 std::vector<std::int32_t> xy_codes(const DiscreteDataset& data, VarId x,
@@ -59,21 +68,60 @@ std::size_t cz_product(const DiscreteDataset& data,
   return cz;
 }
 
-/// One randomized batch of jobs for the endpoint pair (x, y): `count`
-/// conditioning sets of size `depth` drawn (without the endpoints) from
-/// the remaining variables. Returns per-job z vectors; cells buffers are
-/// owned by `cells_storage`.
+/// Independent reference count of the (x, y, z) table, read through
+/// DiscreteDataset::value() with the clamp every kernel applies (values
+/// capped at cardinality - 1). Shares no code with the kernels or with
+/// make_table_context, so a bug common to all of them still shows.
+std::vector<Count> reference_table(const DiscreteDataset& data, VarId x,
+                                   VarId y, const std::vector<VarId>& z) {
+  const auto clamped = [&data](Count s, VarId v) {
+    return std::min(static_cast<std::size_t>(data.value(s, v)),
+                    static_cast<std::size_t>(data.cardinality(v) - 1));
+  };
+  const auto cy = static_cast<std::size_t>(data.cardinality(y));
+  const std::size_t cz = cz_product(data, z);
+  std::vector<Count> cells(
+      static_cast<std::size_t>(data.cardinality(x)) * cy * cz, 0);
+  for (Count s = 0; s < data.num_samples(); ++s) {
+    std::size_t zc = 0;
+    for (const VarId v : z) {
+      zc = zc * static_cast<std::size_t>(data.cardinality(v)) + clamped(s, v);
+    }
+    ++cells[(clamped(s, x) * cy + clamped(s, y)) * cz + zc];
+  }
+  return cells;
+}
+
+/// Table jobs with the sets and cell buffers their spans point into.
 struct JobBatch {
   std::vector<std::vector<VarId>> zs;
   std::vector<std::vector<Count>> cells_storage;
   std::vector<TableJob> jobs;
 };
 
-JobBatch make_jobs(const DiscreteDataset& data, VarId x, VarId y,
-                   std::size_t count, std::int32_t depth, Rng& rng) {
+/// Jobs for the given conditioning sets, cells poisoned.
+JobBatch jobs_for(const DiscreteDataset& data, VarId x, VarId y,
+                  std::vector<std::vector<VarId>> zs) {
   JobBatch batch;
+  batch.zs = std::move(zs);
   const auto xy =
       static_cast<std::size_t>(data.cardinality(x) * data.cardinality(y));
+  for (const auto& z : batch.zs) {
+    batch.cells_storage.emplace_back(xy * cz_product(data, z), Count{-1});
+  }
+  for (std::size_t j = 0; j < batch.zs.size(); ++j) {
+    batch.jobs.push_back(TableJob{batch.zs[j], cz_product(data, batch.zs[j]),
+                                  batch.cells_storage[j]});
+  }
+  return batch;
+}
+
+/// One randomized batch of jobs for the endpoint pair (x, y): `count`
+/// conditioning sets of size `depth` drawn (without the endpoints) from
+/// the remaining variables.
+JobBatch make_jobs(const DiscreteDataset& data, VarId x, VarId y,
+                   std::size_t count, std::int32_t depth, Rng& rng) {
+  std::vector<std::vector<VarId>> zs;
   for (std::size_t j = 0; j < count; ++j) {
     std::vector<VarId> z;
     while (static_cast<std::int32_t>(z.size()) < depth) {
@@ -84,17 +132,9 @@ JobBatch make_jobs(const DiscreteDataset& data, VarId x, VarId y,
       z.push_back(v);
     }
     std::sort(z.begin(), z.end());
-    batch.zs.push_back(std::move(z));
+    zs.push_back(std::move(z));
   }
-  for (std::size_t j = 0; j < count; ++j) {
-    batch.cells_storage.emplace_back(
-        xy * cz_product(data, batch.zs[j]), Count{-1});  // poisoned
-  }
-  for (std::size_t j = 0; j < count; ++j) {
-    batch.jobs.push_back(TableJob{batch.zs[j], cz_product(data, batch.zs[j]),
-                                  batch.cells_storage[j]});
-  }
-  return batch;
+  return jobs_for(data, x, y, std::move(zs));
 }
 
 TEST(TableBuilder, KernelsAreBitIdenticalOnRandomizedShapes) {
@@ -123,27 +163,103 @@ TEST(TableBuilder, KernelsAreBitIdenticalOnRandomizedShapes) {
     // More jobs than the batched kernel's per-pass fanout, so the
     // shape-run chunking is exercised, with repeated sets so same-shape
     // runs actually occur.
-    JobBatch reference = make_jobs(data, x, y, 12, depth, rng);
-    for (std::size_t j = 0; j < reference.jobs.size(); ++j) {
-      scalar->build(context, reference.jobs[j]);
-    }
+    const std::vector<std::vector<VarId>> zs =
+        make_jobs(data, x, y, 12, depth, rng).zs;
 
-    for (TableBuilder* kernel :
-         {sample_parallel.get(), batched.get(), simd.get()}) {
-      JobBatch probe;
-      probe.zs = reference.zs;
-      for (std::size_t j = 0; j < probe.zs.size(); ++j) {
-        probe.cells_storage.emplace_back(reference.cells_storage[j].size(),
-                                         Count{-1});
-        probe.jobs.push_back(TableJob{probe.zs[j],
-                                      cz_product(data, probe.zs[j]),
-                                      probe.cells_storage[j]});
-      }
+    for (TableBuilder* kernel : {scalar.get(), sample_parallel.get(),
+                                 batched.get(), simd.get()}) {
+      JobBatch probe = jobs_for(data, x, y, zs);
       kernel->build_batch(context, probe.jobs);
       for (std::size_t j = 0; j < probe.jobs.size(); ++j) {
-        EXPECT_EQ(probe.cells_storage[j], reference.cells_storage[j])
+        EXPECT_EQ(probe.cells_storage[j],
+                  reference_table(data, x, y, probe.zs[j]))
             << kernel->name() << " round=" << round << " job=" << j
             << " depth=" << depth;
+      }
+    }
+  }
+}
+
+TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
+  // Shapes random draws rarely hit, checked for every kernel through
+  // build() one table at a time and through build_batch(): a constant
+  // column and one that is 95% a single value (forward-sampled networks
+  // are skewed like this), tables just under and just over the
+  // single-table split limit, every sample count remainder mod 4, runs
+  // of 1-8 tables at depths 0-3, a pair whose codes need int32, a
+  // row-major context, and values above the cardinality.
+  enum : VarId { kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY };
+  // With cx*cy = 16, one conditioning variable of card `under` fills the
+  // limit exactly and one of card `under + 1` exceeds it; at depth 2 the
+  // two binary columns give a 64-cell table, split through the general
+  // column index.
+  const auto under =
+      static_cast<std::int32_t>(table_detail::kSplitCells / 16);
+  ASSERT_GE(under, 2);
+  const std::vector<VarId> pool{kConst, kSkewed, kUnder, kOver};
+  const std::unique_ptr<TableBuilder> kernels[] = {
+      make_scalar_table_builder(), make_batched_table_builder(),
+      make_simd_table_builder(), make_sample_parallel_table_builder()};
+
+  for (const Count m : {Count{1001}, Count{1002}, Count{1003}}) {
+    DiscreteDataset data = dataset_with_cards(
+        {4, 4, 2, 2, under, under + 1, 17, 16}, m,
+        static_cast<std::uint64_t>(m));
+    Rng rng(static_cast<std::uint64_t>(m) + 1);
+    for (Count s = 0; s < m; ++s) {
+      data.set(s, kConst, 1);
+      data.set(s, kSkewed, rng.next_below(20) == 0 ? 0 : 1);
+    }
+    data.set(3, kX, 9);
+    data.set(m - 1, kY, 200);
+    data.set(m / 2, kUnder, static_cast<DataValue>(under + 3));
+    ASSERT_FALSE(data.values_in_range());
+
+    ScratchArena arena;
+    const struct {
+      VarId x;
+      VarId y;
+      bool row_major;
+      const char* label;
+    } pairs[] = {{kX, kY, false, "bytes"},
+                 {kX, kY, true, "row-major"},
+                 {kWideX, kWideY, false, "int32"}};
+    for (const auto& pair : pairs) {
+      const TableBuildContext context =
+          make_table_context(data, pair.x, pair.y, pair.row_major, arena);
+      for (std::int32_t depth = 0; depth <= 3; ++depth) {
+        for (std::size_t run = 1; run <= 8; ++run) {
+          std::vector<std::vector<VarId>> zs;
+          std::vector<std::vector<Count>> expected;
+          for (std::size_t j = 0; j < run; ++j) {
+            std::vector<VarId> z;
+            for (std::int32_t i = 0; i < depth; ++i) {
+              z.push_back(pool[(j + static_cast<std::size_t>(i)) %
+                               pool.size()]);
+            }
+            std::sort(z.begin(), z.end());
+            expected.push_back(reference_table(data, pair.x, pair.y, z));
+            zs.push_back(std::move(z));
+          }
+          for (const auto& kernel : kernels) {
+            for (const bool batch : {false, true}) {
+              JobBatch probe = jobs_for(data, pair.x, pair.y, zs);
+              if (batch) {
+                kernel->build_batch(context, probe.jobs);
+              } else {
+                for (const TableJob& job : probe.jobs) {
+                  kernel->build(context, job);
+                }
+              }
+              for (std::size_t j = 0; j < run; ++j) {
+                EXPECT_EQ(probe.cells_storage[j], expected[j])
+                    << pair.label << ' ' << kernel->name()
+                    << (batch ? " build_batch" : " build") << " m=" << m
+                    << " depth=" << depth << " run=" << run << " job=" << j;
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -248,55 +364,63 @@ TEST(TableBuilder, MarginalTablesNeedNoConditioningColumns) {
 }
 
 TEST(TableBuilder, ContextHelperMatchesManualCodes) {
-  // The centralized make_table_context must produce exactly the codes
-  // every call site used to compute by hand, plus the packed mirror when
-  // the combined endpoint cardinality fits a byte and a vector tier can
-  // consume it.
+  // make_table_context fills exactly one endpoint-code stream with the
+  // codes every call site used to compute by hand: bytes for a column
+  // context whose cx*cy fits a byte and whose endpoints have codes8
+  // columns — on every dispatch tier — and int32 codes otherwise.
   const DiscreteDataset data = random_dataset(6, 333, 4, 11);
   ScratchArena arena;
-  const TableBuildContext context =
-      make_table_context(data, 2, 4, /*row_major=*/false, arena);
   const std::vector<std::int32_t> expected = xy_codes(data, 2, 4);
-  ASSERT_EQ(context.xy_codes.size(), expected.size());
-  EXPECT_EQ(context.cx, data.cardinality(2));
-  EXPECT_EQ(context.cy, data.cardinality(4));
-  EXPECT_EQ(context.scratch, &arena);
-  if (active_simd_tier() != SimdTier::kScalar) {
-    // cards <= 5 -> cx*cy <= 25, so a vector tier gets the mirror.
-    ASSERT_FALSE(context.xy_codes8.empty());
+  for (const SimdTier tier : {SimdTier::kScalar, detected_simd_tier()}) {
+    const ScopedSimdTierOverride guard(tier);
+    const TableBuildContext context =
+        make_table_context(data, 2, 4, /*row_major=*/false, arena);
+    EXPECT_EQ(context.cx, data.cardinality(2));
+    EXPECT_EQ(context.cy, data.cardinality(4));
+    EXPECT_EQ(context.scratch, &arena);
+    EXPECT_TRUE(context.xy_codes.empty());
+    ASSERT_EQ(context.xy_codes8.size(), expected.size());
     for (std::size_t s = 0; s < expected.size(); ++s) {
-      EXPECT_EQ(context.xy_codes8[s], expected[s]) << s;
+      ASSERT_EQ(context.xy_codes8[s], expected[s]) << s;
     }
   }
-  for (std::size_t s = 0; s < expected.size(); ++s) {
-    EXPECT_EQ(context.xy_codes[s], expected[s]) << s;
-  }
 
-  // On the scalar tier nothing reads the packed mirror, so the helper
-  // must not pay the packing pass.
-  {
-    const ScopedSimdTierOverride guard(SimdTier::kScalar);
-    const TableBuildContext scalar_context =
-        make_table_context(data, 2, 4, /*row_major=*/false, arena);
-    EXPECT_TRUE(scalar_context.xy_codes8.empty());
-  }
+  const auto expect_int32_stream = [](const TableBuildContext& context,
+                                      const std::vector<std::int32_t>& codes,
+                                      const char* label) {
+    EXPECT_TRUE(context.xy_codes8.empty()) << label;
+    ASSERT_EQ(context.xy_codes.size(), codes.size()) << label;
+    for (std::size_t s = 0; s < codes.size(); ++s) {
+      ASSERT_EQ(context.xy_codes[s], codes[s]) << label << " sample " << s;
+    }
+  };
 
-  // Same when the selected kernel declares it never reads the mirror
-  // (want_packed = wants_packed_xy(); only the SIMD kernel consumes it).
-  EXPECT_TRUE(make_simd_table_builder()->wants_packed_xy());
-  EXPECT_FALSE(make_batched_table_builder()->wants_packed_xy());
-  const TableBuildContext unpacked = make_table_context(
-      data, 2, 4, /*row_major=*/false, arena, /*want_packed=*/false);
-  EXPECT_TRUE(unpacked.xy_codes8.empty());
+  // Row-major contexts stride across the rows.
+  expect_int32_stream(
+      make_table_context(data, 2, 4, /*row_major=*/true, arena), expected,
+      "row-major");
 
-  // Row-major contexts compute the same codes through the row stride
-  // and never carry the packed mirror (the SIMD pass requires columns).
-  const TableBuildContext row_context =
-      make_table_context(data, 2, 4, /*row_major=*/true, arena);
-  EXPECT_TRUE(row_context.xy_codes8.empty());
-  for (std::size_t s = 0; s < expected.size(); ++s) {
-    ASSERT_EQ(row_context.xy_codes[s], expected[s]) << s;
+  // A pair whose combined code needs more than a byte.
+  const DiscreteDataset wide = dataset_with_cards({17, 16}, 300, 12);
+  expect_int32_stream(
+      make_table_context(wide, 0, 1, /*row_major=*/false, arena),
+      xy_codes(wide, 0, 1), "cx*cy > 255");
+
+  // Endpoints without codes8 columns: a view of a column buffer given
+  // without its packed mirror.
+  std::vector<DataValue> columns;
+  for (VarId v = 0; v < data.num_vars(); ++v) {
+    const std::span<const DataValue> column = data.column(v);
+    columns.insert(columns.end(), column.begin(), column.end());
   }
+  ExternalDataBuffers buffers;
+  buffers.cols = columns;
+  const DiscreteDataset view(data.num_vars(), data.num_samples(),
+                             data.cardinalities(), buffers);
+  ASSERT_FALSE(view.has_codes8(2));
+  expect_int32_stream(
+      make_table_context(view, 2, 4, /*row_major=*/false, arena), expected,
+      "no codes8");
 }
 
 TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
@@ -321,13 +445,21 @@ TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
   data.set(256, 3, 77);  // past the widest vector block
   ASSERT_FALSE(data.values_in_range());
 
-  ScratchArena arena;
+  ScratchArena column_arena;
+  ScratchArena row_arena;
   const TableBuildContext context =
-      make_table_context(data, 0, 1, /*row_major=*/false, arena);
+      make_table_context(data, 0, 1, /*row_major=*/false, column_arena);
+  const TableBuildContext row_context =
+      make_table_context(data, 0, 1, /*row_major=*/true, row_arena);
   const auto in_range = [&](std::int32_t code) {
     return code >= 0 && code < data.cardinality(0) * data.cardinality(1);
   };
-  for (const std::int32_t code : context.xy_codes) {
+  ASSERT_FALSE(context.xy_codes8.empty());  // cx*cy = 6 fits a byte
+  for (const std::uint8_t code : context.xy_codes8) {
+    ASSERT_TRUE(in_range(code));
+  }
+  ASSERT_FALSE(row_context.xy_codes.empty());
+  for (const std::int32_t code : row_context.xy_codes) {
     ASSERT_TRUE(in_range(code));
   }
 
@@ -341,8 +473,6 @@ TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
   for (const Count c : reference) total += c;
   EXPECT_EQ(total, data.num_samples());  // every sample landed in a cell
 
-  const TableBuildContext row_context =
-      make_table_context(data, 0, 1, /*row_major=*/true, arena);
   const auto batched = make_batched_table_builder();
   const auto simd = make_simd_table_builder();
   const struct {
