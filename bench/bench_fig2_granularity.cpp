@@ -1,18 +1,10 @@
 // Figure 2: execution time of the three parallelism granularities
 // (CI-level, edge-level, sample-level) across thread counts, all built on
-// the optimized sequential kernel (Section V-C), plus the hybrid
-// edge+sample extension that switches granularity per edge by predicted
-// workload.
+// the optimized sequential kernel (Section V-C).
 //
 // Shapes to reproduce: CI-level is the fastest at every thread count;
 // sample-level is the slowest (atomics + overhead); edge-level sits in
-// between, trailing CI-level by its load imbalance. The hybrid column
-// should close most of edge-level's gap to CI-level by taking the
-// straggler edges off the static partition. The async column shares
-// CI-level's pool but spends the depth tail preparing the next depth's
-// work list, so at high thread counts (t >= 8, where the tail is the
-// dominant idle source) it should match or beat CI-level and clearly
-// beat edge-level.
+// between, trailing CI-level by its load imbalance.
 #include <cstdio>
 
 #include "bench_util/reporting.hpp"
@@ -26,17 +18,16 @@ using namespace fastbns;
 
 EngineRunConfig scheme_config(const std::string& scheme, int threads,
                               const std::string& builder) {
-  // "ci", "edge", "sample" and "hybrid" are registry aliases of the
-  // granularities; engine_config_from_name also sets the sample-parallel
-  // test knob for the sample-level scheme.
+  // "ci", "edge" and "sample" are registry aliases of the granularities;
+  // engine_config_from_name also sets the sample-parallel test knob for
+  // the sample-level scheme.
   EngineRunConfig config = engine_config_from_name(scheme, threads);
   config.table_builder = builder;
-  if (scheme == "ci" || scheme == "async") {
+  if (scheme == "ci") {
     // The practical group size (Figure 4): one endpoint-code pass per 8
     // CI tests, amortizing the pool's per-group work the way the paper's
     // tuned configuration does; first-accept early stop keeps the larger
-    // group from paying redundant tests (see EXPERIMENTS.md). The async
-    // engine schedules through the same pool, so the same tuning applies.
+    // group from paying redundant tests (see EXPERIMENTS.md).
     config.group_size = 8;
     config.eager_group_stop = true;
   }
@@ -81,7 +72,7 @@ int main(int argc, char** argv) {
       "sample-level needs atomics and has tiny per-thread workloads.\n");
 
   TablePrinter table({"Data set", "threads", "CI-level(s)", "edge-level(s)",
-                      "sample-level(s)", "hybrid(s)", "async(s)"});
+                      "sample-level(s)"});
 
   for (const std::string& name : networks) {
     Count samples = args.get_int("samples");
@@ -99,17 +90,9 @@ int main(int argc, char** argv) {
       const double sample_time =
           run_skeleton_best(workload, scheme_config("sample", t, builder))
               .seconds;
-      const double hybrid_time =
-          run_skeleton_best(workload, scheme_config("hybrid", t, builder))
-              .seconds;
-      const double async_time =
-          run_skeleton_best(workload, scheme_config("async", t, builder))
-              .seconds;
       table.add_row({name, std::to_string(t), TablePrinter::num(ci_time, 4),
                      TablePrinter::num(edge_time, 4),
-                     TablePrinter::num(sample_time, 4),
-                     TablePrinter::num(hybrid_time, 4),
-                     TablePrinter::num(async_time, 4)});
+                     TablePrinter::num(sample_time, 4)});
     }
   }
 

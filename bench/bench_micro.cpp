@@ -176,10 +176,11 @@ void BM_WorkPoolPushPop(benchmark::State& state) {
   std::vector<std::int64_t> initial(1024);
   for (std::int64_t i = 0; i < 1024; ++i) initial[i] = i;
   WorkPool pool(std::move(initial), 1 << 30);
+  std::vector<std::int64_t> claimed;
   for (auto _ : state) {
-    const auto index = pool.try_pop();
-    benchmark::DoNotOptimize(index);
-    pool.push(*index);
+    pool.try_pop_batch(1, claimed);
+    benchmark::DoNotOptimize(claimed.data());
+    pool.push_batch(claimed);
   }
 }
 BENCHMARK(BM_WorkPoolPushPop);

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Data set", "n", "baseline-seq(s)", "FastBNS-seq(s)",
                       "seq speedup", "baseline-par(s)", "FastBNS-par(s)",
-                      "par speedup", "hybrid(s)", "best t", "hyb t"});
+                      "par speedup", "best t"});
 
   for (const std::string& name : networks) {
     Count samples = args.get_int("samples");
@@ -88,15 +88,10 @@ int main(int argc, char** argv) {
 
     int best_t_fast = 1;
     int best_t_base = 1;
-    int best_t_hybrid = 1;
     const double baseline_par = best_time_over_threads(
         workload, threads, baseline_par_config, &best_t_base);
     const double fast_par = best_time_over_threads(
         workload, threads, fastbns_par_config, &best_t_fast);
-    const double hybrid_par = best_time_over_threads(
-        workload, threads,
-        [](int t) { return engine_config_from_name("hybrid", t); },
-        &best_t_hybrid);
 
     table.add_row({name, std::to_string(workload.data.num_vars()),
                    TablePrinter::num(baseline_seq.seconds, 4),
@@ -105,9 +100,7 @@ int main(int argc, char** argv) {
                    TablePrinter::num(baseline_par, 4),
                    TablePrinter::num(fast_par, 4),
                    TablePrinter::num(baseline_par / fast_par, 2),
-                   TablePrinter::num(hybrid_par, 4),
-                   std::to_string(best_t_fast),
-                   std::to_string(best_t_hybrid)});
+                   std::to_string(best_t_fast)});
   }
 
   emit_table("Table III: overall comparison", "table3_overall", table);

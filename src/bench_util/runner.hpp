@@ -41,7 +41,7 @@ struct EngineRunConfig {
   /// Extension: first-accept early stop inside a gs-group (see PcOptions).
   bool eager_group_stop = false;
   /// NUMA placement policy (see PcOptions::numa_policy): "auto", "off",
-  /// or "forced". Consumed by the hybrid and process engines.
+  /// or "forced". Consumed by the process engine.
   std::string numa_policy = PcOptions{}.numa_policy;
   /// Process-engine knobs (see PcOptions::rank_count/rank_threads):
   /// forked worker ranks and the std::thread team inside each; ignored

@@ -16,6 +16,39 @@
 namespace fastbns {
 namespace {
 
+/// Depth 0: a static edge-level partition is optimal (the paper's
+/// prescription for depth zero). Returns the number of CI tests executed.
+std::int64_t run_depth_zero_edge_parallel(
+    std::vector<EdgeWork>& works,
+    std::vector<std::unique_ptr<CiTest>>& clones) {
+  std::int64_t tests = 0;
+#pragma omp parallel reduction(+ : tests)
+  {
+    CiTest& test = *clones[current_thread()];
+    std::vector<VarId> z;
+#pragma omp for schedule(static)
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
+         ++i) {
+      tests += run_edge_tests(works[i], /*depth=*/0, 1, test,
+                              /*early_stop=*/false, z);
+    }
+  }
+  return tests;
+}
+
+/// Indices of the works with pending tests — the pool's initial stack;
+/// its size is also the pool's outstanding count (works without tests
+/// never enter the pool).
+std::vector<std::int64_t> pending_work_indices(
+    const std::vector<EdgeWork>& works) {
+  std::vector<std::int64_t> indices;
+  indices.reserve(works.size());
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
+    if (works[i].total_tests() > 0) indices.push_back(i);
+  }
+  return indices;
+}
+
 class CiParallelEngine final : public ClonePoolEngine {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -28,8 +61,6 @@ class CiParallelEngine final : public ClonePoolEngine {
     const int max_threads = hardware_threads();
     std::vector<std::unique_ptr<CiTest>>& clones =
         tests_.acquire(prototype, static_cast<std::size_t>(max_threads));
-
-    std::int64_t tests = 0;
 
     if (depth == 0) {
       return run_depth_zero_edge_parallel(works, clones);
@@ -45,11 +76,13 @@ class CiParallelEngine final : public ClonePoolEngine {
     // that the tail of a depth still load-balances.
     constexpr std::size_t kClaimBatch = 8;
 
+    std::int64_t tests = 0;
 #pragma omp parallel reduction(+ : tests)
     {
       CiTest& test = *clones[current_thread()];
       std::vector<std::int64_t> claimed;
       std::vector<std::int64_t> keep;
+      std::vector<VarId> z;
       while (!pool.all_complete()) {
         if (pool.try_pop_batch(kClaimBatch, claimed) == 0) {
           // Pool momentarily dry but some edges are still being processed
@@ -61,12 +94,8 @@ class CiParallelEngine final : public ClonePoolEngine {
         for (const std::int64_t index : claimed) {
           EdgeWork& work = works[index];
           // The holder owns `work` exclusively: no atomics on its fields.
-          tests += options.eager_group_stop
-                       ? process_work_tests_early_stop(
-                             work, depth, gs, test,
-                             /*use_group_protocol=*/true)
-                       : process_work_tests(work, depth, gs, test,
-                                            /*use_group_protocol=*/true);
+          tests += run_edge_tests(work, depth, gs, test,
+                                  options.eager_group_stop, z);
           if (work.finished()) {
             pool.mark_complete();
           } else {

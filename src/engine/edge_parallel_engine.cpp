@@ -23,17 +23,20 @@ class EdgeParallelEngine final : public ClonePoolEngine {
         tests_.acquire(prototype, static_cast<std::size_t>(max_threads));
 
     std::int64_t tests = 0;
-    // schedule(static) deliberately mirrors the paper's |Ed|/t block
-    // partition — the load imbalance it exhibits is the phenomenon the
-    // CI-level engine fixes.
-#pragma omp parallel for schedule(static) reduction(+ : tests)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
-         ++i) {
-      EdgeWork& work = works[i];
-      if (work.total_tests() == 0) continue;
+#pragma omp parallel reduction(+ : tests)
+    {
       CiTest& test = *clones[current_thread()];
-      tests += process_work_tests_early_stop(work, depth, work.total_tests(),
-                                             test, /*use_group_protocol=*/true);
+      std::vector<VarId> z;
+      // schedule(static) deliberately mirrors the paper's |Ed|/t block
+      // partition — the load imbalance it exhibits is the phenomenon the
+      // CI-level engine fixes.
+#pragma omp for schedule(static)
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
+           ++i) {
+        EdgeWork& work = works[i];
+        tests += run_edge_tests(work, depth, work.total_tests(), test,
+                                /*early_stop=*/true, z);
+      }
     }
     return tests;
   }

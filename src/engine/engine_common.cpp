@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <typeinfo>
 
-#include "common/omp_utils.hpp"
-
 namespace fastbns {
 namespace {
 
@@ -36,31 +34,6 @@ void ThreadLocalTests::reset() noexcept {
   clones_.clear();
   cloned_from_ = nullptr;
   cloned_fingerprint_ = 0;
-}
-
-std::int64_t run_depth_zero_edge_parallel(
-    std::vector<EdgeWork>& works,
-    std::vector<std::unique_ptr<CiTest>>& clones) {
-  std::int64_t tests = 0;
-#pragma omp parallel for schedule(static) reduction(+ : tests)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
-    EdgeWork& work = works[i];
-    if (work.total_tests() == 0) continue;
-    tests += process_work_tests(work, /*depth=*/0, 1,
-                                *clones[current_thread()],
-                                /*use_group_protocol=*/true);
-  }
-  return tests;
-}
-
-std::vector<std::int64_t> pending_work_indices(
-    const std::vector<EdgeWork>& works) {
-  std::vector<std::int64_t> indices;
-  indices.reserve(works.size());
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
-    if (works[i].total_tests() > 0) indices.push_back(i);
-  }
-  return indices;
 }
 
 std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
@@ -105,6 +78,7 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
                                   bool grouped, bool materialized,
                                   bool use_group_protocol) {
   std::int64_t tests = 0;
+  std::vector<VarId> z;
   for (std::size_t i = 0; i < works.size(); ++i) {
     EdgeWork& work = works[i];
     if (work.total_tests() == 0) continue;
@@ -123,8 +97,8 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
     if (materialized) {
       tests += process_materialized(work, depth, test, use_group_protocol);
     } else {
-      tests += process_work_tests_early_stop(work, depth, work.total_tests(),
-                                             test, use_group_protocol);
+      tests += run_edge_tests(work, depth, work.total_tests(), test,
+                              /*early_stop=*/true, z);
     }
   }
   return tests;

@@ -41,37 +41,13 @@ class ThreadLocalTests {
 
 /// Base of the engines that keep per-thread CiTest clones: wires the
 /// driver's prepare_run() to the cache reset so no engine can forget it.
-/// Engines with additional per-run state (the async engine's next-depth
-/// handoff) drop it in on_prepare_run().
 class ClonePoolEngine : public SkeletonEngine {
  public:
-  void prepare_run() final {
-    tests_.reset();
-    on_prepare_run();
-  }
+  void prepare_run() final { tests_.reset(); }
 
  protected:
-  /// Run-start hook for derived engines; the clone cache is already
-  /// reset when it runs.
-  virtual void on_prepare_run() {}
-
   ThreadLocalTests tests_;
 };
-
-/// Depth 0 for the pool engines: each edge needs exactly one marginal
-/// test, so the workload is known and balanced up front and a static
-/// edge-level partition is optimal (the paper's prescription for depth
-/// zero). Shared by the CI-level and async engines. Returns the number
-/// of CI tests executed.
-std::int64_t run_depth_zero_edge_parallel(
-    std::vector<EdgeWork>& works,
-    std::vector<std::unique_ptr<CiTest>>& clones);
-
-/// Indices of the works with pending tests — the dynamic pool's initial
-/// stack; its size is also the pool's outstanding count (works without
-/// tests never enter the pool).
-[[nodiscard]] std::vector<std::int64_t> pending_work_indices(
-    const std::vector<EdgeWork>& works);
 
 /// Materialized-set inner loop: conditioning sets are enumerated into a
 /// flat buffer before any test runs (extra memory + an extra enumeration
@@ -90,7 +66,8 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
 /// (x, y) equals this work's (y, x) — so reordered or filtered work lists
 /// can never skip an unrelated edge (or run a removed edge's second
 /// direction). `materialized` selects the flat-buffer strategy over
-/// on-the-fly unranking.
+/// on-the-fly unranking (run_edge_tests, always through the group
+/// protocol); `use_group_protocol` applies to the flat-buffer strategy.
 std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
                                   std::int32_t depth, CiTest& test,
                                   bool grouped, bool materialized,

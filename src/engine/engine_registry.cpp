@@ -49,24 +49,10 @@ EngineRegistry::EngineRegistry() {
                   make_sample_parallel_engine);
   register_engine({EngineKind::kCiParallel,
                    "fastbns-par(ci-level)",
-                   {"ci", "ci-parallel", "fastbns-par"},
+                   {"ci", "ci-parallel", "fastbns-par", "auto"},
                    "CI-level parallelism over the dynamic work pool "
                    "(Section IV-B)"},
                   make_ci_parallel_engine);
-  register_engine({EngineKind::kHybrid,
-                   "hybrid(edge+sample)",
-                   {"hybrid", "auto"},
-                   "per-edge granularity by predicted workload: straggler "
-                   "edges get sample-parallel builds, light edges run "
-                   "edge-parallel over the batched table kernel"},
-                  make_hybrid_engine);
-  register_engine({EngineKind::kAsync,
-                   "async(depth-overlap)",
-                   {"async", "overlap"},
-                   "CI-level dynamic pool whose idle tail threads prepare "
-                   "the next depth's work list (settled-edge candidate sets "
-                   "+ records) instead of spinning at the depth barrier"},
-                  make_async_engine);
   register_engine({EngineKind::kProcess,
                    "process(rank-partition)",
                    {"process", "mpp"},

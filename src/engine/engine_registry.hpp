@@ -38,7 +38,7 @@ struct EngineInfo {
 class EngineRegistry {
  public:
   /// A standalone registry pre-populated with the builtin engines (the
-  /// five paper engines plus the hybrid extension). Most callers want the
+  /// five paper engines plus the process extension). Most callers want the
   /// process-wide instance() instead; standalone registries exist for
   /// tests and sandboxed extension experiments.
   EngineRegistry();

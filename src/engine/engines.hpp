@@ -1,5 +1,5 @@
 // Factories for the builtin engines: the five paper engines plus the
-// hybrid, async and process extensions. Each is defined in its own
+// process extension. Each is defined in its own
 // translation unit under src/engine/; the EngineRegistry constructor is
 // their only in-tree caller — everything else selects engines by name or
 // EngineKind through the registry.
@@ -29,17 +29,6 @@ namespace fastbns {
 /// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
 /// work pool.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_ci_parallel_engine();
-
-/// Hybrid edge+sample extension: per-edge granularity by predicted
-/// workload — straggler edges get sample-parallel table builds, light
-/// edges run edge-parallel over the batched TableBuilder kernel.
-[[nodiscard]] std::unique_ptr<SkeletonEngine> make_hybrid_engine();
-
-/// Async depth-overlap extension: CI-level pool scheduling where threads
-/// idling in a depth's tail prepare the next depth's work list
-/// (per-settled-edge candidate sets + EdgeWork records), handed to the
-/// driver through take_prepared_depth_works.
-[[nodiscard]] std::unique_ptr<SkeletonEngine> make_async_engine();
 
 /// Multi-process rank-partition extension: forked worker ranks over a
 /// MAP_SHARED dataset segment, each owning the edges whose lower endpoint

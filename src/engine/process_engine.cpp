@@ -174,12 +174,11 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
   const auto worker = [&](std::size_t t) {
     try {
       CiTest& test = *clones[t];
+      std::vector<VarId> z;
       for (std::size_t p = t; p < mine.size(); p += threads) {
         EdgeWork& work = works[static_cast<std::size_t>(mine[p])];
-        if (work.total_tests() == 0) continue;
-        tests[t] += process_work_tests_early_stop(work, depth,
-                                                  work.total_tests(), test,
-                                                  /*use_group_protocol=*/true);
+        tests[t] += run_edge_tests(work, depth, work.total_tests(), test,
+                                   /*early_stop=*/true, z);
       }
     } catch (...) {
       errors[t] = std::current_exception();

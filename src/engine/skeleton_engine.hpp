@@ -43,14 +43,8 @@ class SkeletonEngine {
                                  std::int32_t depth, const CiTest& prototype,
                                  const PcOptions& options) = 0;
 
-  /// Depth-handoff seam for engines that overlap next-depth work-list
-  /// construction with the current depth's tail (the async engine). The
-  /// driver calls it right before it would snapshot `depth`'s work list;
-  /// an engine that prepared the list during the previous run_depth fills
-  /// `works` — it must equal build_depth_works(graph, depth, grouped)
-  /// exactly, because `graph` already has the previous depth's removals
-  /// committed — and returns true. The default (every synchronous
-  /// engine) returns false and the driver builds from scratch.
+  /// Benchmark stub: perfbench times the driver's call to it as the start
+  /// of each depth's work-list build. No engine overrides it.
   [[nodiscard]] virtual bool take_prepared_depth_works(
       std::int32_t depth, const UndirectedGraph& graph, bool grouped,
       std::vector<EdgeWork>& works) {
@@ -74,16 +68,15 @@ class SkeletonEngine {
   /// Whether CI tests should be constructed with sample-level parallel
   /// contingency-table builds (the sample-parallel scheme of Section
   /// IV-A). Consulted by learn_structure and the bench runner when they
-  /// configure the test for this engine.
+  /// configure the test for this engine, and by the driver's up-front
+  /// sanity check: capping every permitted table below the thread count
+  /// would make such builds pure atomic contention.
   [[nodiscard]] virtual bool wants_sample_parallel_test() const noexcept {
     return false;
   }
 
-  /// Whether the engine may build tables sample-parallel at all —
-  /// through its test configuration (above) or by retargeting the test
-  /// per edge (the hybrid engine's heavy route). Consulted by the
-  /// driver's up-front sanity check: capping every permitted table below
-  /// the thread count would make such builds pure atomic contention.
+  /// Benchmark stub: perfbench's TracingEngine overrides it. Nothing in
+  /// the library calls it.
   [[nodiscard]] virtual bool uses_sample_parallel_builds() const noexcept {
     return wants_sample_parallel_test();
   }

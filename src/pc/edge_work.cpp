@@ -16,8 +16,8 @@ void snapshot_candidates(const UndirectedGraph& graph, VarId v, VarId excluded,
   if (it != out.end()) out.erase(it);
 }
 
-}  // namespace
-
+/// The work unit of one edge (x, y) at depth `d`. Grouped works cover
+/// both directions; ungrouped works carry direction (x, y) only.
 EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x, VarId y,
                          std::int32_t depth, bool group_endpoints) {
   EdgeWork work;
@@ -38,6 +38,8 @@ EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x, VarId y,
   }
   return work;
 }
+
+}  // namespace
 
 std::vector<EdgeWork> build_depth_works(const UndirectedGraph& graph,
                                         std::int32_t depth,
@@ -80,98 +82,28 @@ void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
   }
 }
 
-namespace {
+std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
+                            std::uint64_t budget, CiTest& test,
+                            bool early_stop, std::vector<VarId>& z) {
+  if (work.finished() || budget == 0) return 0;
+  test.begin_group(work.x, work.y);
 
-template <bool kEarlyStop>
-std::int64_t process_impl(EdgeWork& work, std::int32_t depth,
-                          std::uint64_t max_tests, CiTest& test,
-                          bool use_group_protocol) {
-  if (work.finished() || max_tests == 0) return 0;
-  if (use_group_protocol) test.begin_group(work.x, work.y);
-
-  const std::uint64_t total = work.total_tests();
-  const std::uint64_t end = std::min<std::uint64_t>(
-      total, work.progress + max_tests);
-
+  const std::uint64_t end =
+      std::min<std::uint64_t>(work.total_tests(), work.progress + budget);
   std::int64_t executed = 0;
-  std::vector<VarId> z;
-  bool found = false;
   for (std::uint64_t r = work.progress; r < end; ++r) {
     conditioning_set_for(work, depth, r, z);
-    const CiResult result = use_group_protocol
-                                ? test.test_in_group(z)
-                                : test.test(work.x, work.y, z);
+    const CiResult result = test.test_in_group(z);
     ++executed;
-    if (result.independent && !found) {
+    if (result.independent && !work.removed) {
       // Lowest-rank accepting set defines the sepset (determinism across
       // engines and thread counts).
-      found = true;
       work.removed = true;
       work.sepset = z;
-      if constexpr (kEarlyStop) break;
+      if (early_stop) break;
     }
   }
   work.progress = end;
-  return executed;
-}
-
-}  // namespace
-
-std::int64_t process_work_tests(EdgeWork& work, std::int32_t depth,
-                                std::uint64_t max_tests, CiTest& test,
-                                bool use_group_protocol) {
-  return process_impl<false>(work, depth, max_tests, test, use_group_protocol);
-}
-
-std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
-                                           std::uint64_t max_tests,
-                                           CiTest& test,
-                                           bool use_group_protocol) {
-  return process_impl<true>(work, depth, max_tests, test, use_group_protocol);
-}
-
-std::int64_t process_work_tests_batched(EdgeWork& work, std::int32_t depth,
-                                        std::uint64_t max_tests,
-                                        std::size_t batch_size, CiTest& test) {
-  if (batch_size == 0) {
-    throw std::invalid_argument(
-        "process_work_tests_batched: batch_size must be >= 1");
-  }
-  if (work.finished() || max_tests == 0) return 0;
-  test.begin_group(work.x, work.y);
-
-  const auto d = static_cast<std::size_t>(depth);
-  const std::uint64_t total = work.total_tests();
-  const std::uint64_t end =
-      std::min<std::uint64_t>(total, work.progress + max_tests);
-
-  std::int64_t executed = 0;
-  std::vector<VarId> flat;
-  std::vector<VarId> z;
-  std::vector<CiResult> results;
-  while (work.progress < end) {
-    const auto count = static_cast<std::size_t>(std::min<std::uint64_t>(
-        batch_size, end - work.progress));
-    flat.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      conditioning_set_for(work, depth, work.progress + i, z);
-      flat.insert(flat.end(), z.begin(), z.end());
-    }
-    results.assign(count, CiResult{});
-    test.test_batch_in_group(flat, depth, results);
-    executed += static_cast<std::int64_t>(count);
-    work.progress += count;
-
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!results[i].independent) continue;
-      // Lowest rank of the batch wins — identical outcome to the
-      // one-test-at-a-time loops.
-      work.removed = true;
-      work.sepset.assign(flat.begin() + static_cast<std::ptrdiff_t>(i * d),
-                         flat.begin() + static_cast<std::ptrdiff_t>((i + 1) * d));
-      return executed;
-    }
-  }
   return executed;
 }
 

@@ -29,13 +29,6 @@ struct EdgeWork {
   std::uint64_t total2 = 0;  ///< C(|candidates2|, d); 0 when ungrouped
   std::uint64_t progress = 0;  ///< next CI-test rank r
 
-  // Workload-prediction slots — filled by engines that cost edges before
-  // scheduling them (see the hybrid engine and perfmodel/workload_model):
-  // predicted cost of the remaining tests in effective streamed values,
-  // and the table-build route the prediction chose.
-  double predicted_cost = 0.0;
-  bool sample_parallel_route = false;
-
   // Outcome slots — written by exactly one thread (the current holder).
   bool removed = false;
   std::vector<VarId> sepset;
@@ -47,17 +40,6 @@ struct EdgeWork {
     return removed || progress >= total_tests();
   }
 };
-
-/// Builds the work unit of one edge (x, y) at depth `d` from the current
-/// graph snapshot — the per-edge core of build_depth_works, exposed so
-/// engines that prepare the next depth's work list concurrently with the
-/// current depth's tail (the async engine) can construct records
-/// per-edge. Thread-safe: it only reads `graph`. Grouped works cover
-/// both directions; ungrouped works carry direction (x, y) only. Depth 0
-/// is the single-marginal-test special case of Section IV-B.
-[[nodiscard]] EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x,
-                                       VarId y, std::int32_t depth,
-                                       bool group_endpoints);
 
 /// Builds the works of depth `d` from the current graph snapshot.
 /// Grouped: one work per undirected edge covering both directions.
@@ -73,34 +55,17 @@ struct EdgeWork {
 void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
                           std::uint64_t r, std::vector<VarId>& z_out);
 
-/// Runs up to `max_tests` CI tests of `work` starting at its progress
-/// cursor, in canonical rank order, using `test` via the group protocol
-/// (`use_group_protocol`) or plain test() calls. Implements the paper's
-/// group decision rule: if any test in the batch accepts independence, the
-/// work is marked removed with the *lowest-rank* accepting set; every test
-/// of the batch is still executed (the gs redundancy of Section IV-B).
-/// Returns the number of CI tests executed.
-std::int64_t process_work_tests(EdgeWork& work, std::int32_t depth,
-                                std::uint64_t max_tests, CiTest& test,
-                                bool use_group_protocol);
-
-/// Like process_work_tests but stops immediately at the first accepting
-/// test (sequential engines, where no batch redundancy exists).
-std::int64_t process_work_tests_early_stop(EdgeWork& work, std::int32_t depth,
-                                           std::uint64_t max_tests, CiTest& test,
-                                           bool use_group_protocol);
-
-/// Runs up to `max_tests` CI tests of `work` in batches of `batch_size`
-/// through CiTest::test_batch_in_group (always via the group protocol),
-/// stopping after the first batch that contains an accepting test. The
-/// lowest-rank accepting set of that batch defines the sepset, so the
-/// outcome is identical to process_work_tests at any batch size; only the
-/// executed-test count carries the batch's redundancy (at most
-/// batch_size - 1 extra tests, mirroring the gs redundancy of Section
-/// IV-B). Returns the number of CI tests executed.
-std::int64_t process_work_tests_batched(EdgeWork& work, std::int32_t depth,
-                                        std::uint64_t max_tests,
-                                        std::size_t batch_size, CiTest& test);
+/// Runs up to `budget` CI tests of `work` from its progress cursor, in
+/// canonical rank order, through the group protocol. The first accepting
+/// test marks the work removed with its set as the sepset, so the
+/// lowest-rank accepting set wins at any budget. With `early_stop` the
+/// run ends there; without it the rest of the budget still executes (the
+/// gs redundancy of Section IV-B). Conditioning sets are written into
+/// `z`, a buffer the caller owns and reuses across calls. Returns the
+/// number of CI tests executed.
+std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
+                            std::uint64_t budget, CiTest& test,
+                            bool early_stop, std::vector<VarId>& z);
 
 /// Materializes all conditioning sets of `work` (flattened, each of size
 /// `depth`) — the naive baseline's memory-hungry strategy. Throws

@@ -8,7 +8,7 @@
 namespace fastbns {
 
 /// The builtin skeleton engines: the five of the paper's evaluation plus
-/// the hybrid, async and process extensions.
+/// the process extension.
 enum class EngineKind : std::uint8_t {
   /// bnlearn-like baseline: ordered edge directions processed separately,
   /// conditioning sets materialized ahead of time, no endpoint-code reuse.
@@ -25,15 +25,6 @@ enum class EngineKind : std::uint8_t {
   /// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
   /// work pool.
   kCiParallel,
-  /// Hybrid edge+sample extension: per-edge granularity by predicted
-  /// workload (heavy edges sample-parallel, light edges batched
-  /// edge-parallel).
-  kHybrid,
-  /// Async depth-overlap extension: the CI-level dynamic pool, with
-  /// threads that find the pool momentarily dry materializing the next
-  /// depth's work list for already-settled edges instead of spinning —
-  /// the depth barrier shrinks to the truly last straggler.
-  kAsync,
   /// Multi-process rank-partition extension: the driver forks rank_count
   /// worker processes over a MAP_SHARED dataset segment, each rank owns
   /// the edges whose lower endpoint maps to its variable shard, and the
@@ -101,9 +92,8 @@ struct PcOptions {
   /// only when the detected topology (or its FASTBNS_NUMA override) has
   /// more than one domain; "off" never does; "forced" always does — the
   /// tests/CI setting that exercises the machinery under simulated
-  /// topologies. Consumed by the process engine (pinning + placement) and
-  /// the hybrid engine (locality-extended cost model); placement never
-  /// changes results, only where threads and pages live.
+  /// topologies. Consumed by the process engine (pinning + placement);
+  /// placement never changes results, only where threads and pages live.
   std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by

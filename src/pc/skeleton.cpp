@@ -52,7 +52,7 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
   const std::size_t cell_cap = prototype.table_cell_cap() != 0
                                    ? prototype.table_cell_cap()
                                    : options.max_table_cells;
-  if (engine.uses_sample_parallel_builds() &&
+  if (engine.wants_sample_parallel_test() &&
       cell_cap < static_cast<std::size_t>(hardware_threads())) {
     throw std::invalid_argument(
         "learn_skeleton: the table cell cap is below the effective thread "
@@ -73,12 +73,9 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
     if (options.max_depth >= 0 && depth > options.max_depth) break;
     if (result.graph.num_edges() == 0) break;
 
-    // Depth-overlap handoff: an engine that materialized (part of) this
-    // depth's work list while the previous depth drained its tail hands
-    // it over here instead of the driver rebuilding from scratch. The
-    // handoff contract (take_prepared_depth_works) pins the result to be
-    // exactly what build_depth_works would produce from the committed
-    // graph, so the snapshot semantics of PC-stable are unchanged.
+    // No library engine hands a prepared list over, so the driver always
+    // builds; the call stays because perfbench times it as the start of
+    // the work-list build.
     std::vector<EdgeWork> works;
     if (!engine.take_prepared_depth_works(depth, result.graph, grouped,
                                           works)) {

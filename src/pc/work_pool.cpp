@@ -10,83 +10,26 @@ WorkPool::WorkPool(std::vector<std::int64_t> initial, std::int64_t outstanding)
   std::reverse(stack_.begin(), stack_.end());
 }
 
-std::int64_t WorkPool::pop_locked() noexcept {
-  const std::int64_t index = stack_.back();
-  stack_.pop_back();
-  return index;
-}
-
-std::optional<std::int64_t> WorkPool::try_pop() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stack_.empty()) return std::nullopt;
-  return pop_locked();
-}
-
 std::size_t WorkPool::try_pop_batch(std::size_t max_items,
                                     std::vector<std::int64_t>& out) {
   out.clear();
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t count = std::min(max_items, stack_.size());
   for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(pop_locked());
+    out.push_back(stack_.back());
+    stack_.pop_back();
   }
   return count;
 }
 
-std::optional<std::int64_t> WorkPool::pop_or_prep(const PrepHook& prep) {
-  while (true) {
-    std::uint64_t seen_version = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!stack_.empty()) return pop_locked();
-      seen_version = version_;
-    }
-    if (all_complete()) return std::nullopt;
-    // Dry but not done: the tail of the depth. Prefer useful work over
-    // sleeping; prep runs outside the lock.
-    if (prep && prep()) continue;
-    // Nothing to prepare either — block until a push or a completed work
-    // changes the picture. The version counter closes the window between
-    // dropping the lock above and waiting (no lost wakeup).
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] {
-      return version_ != seen_version || !stack_.empty() || all_complete();
-    });
-    if (!stack_.empty()) return pop_locked();
-    if (all_complete()) return std::nullopt;
-    // Version moved (an edge settled): loop around and re-try prep.
-  }
-}
-
-void WorkPool::push(std::int64_t index) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stack_.push_back(index);
-    ++version_;
-  }
-  cv_.notify_one();
-}
-
 void WorkPool::push_batch(const std::vector<std::int64_t>& indices) {
   if (indices.empty()) return;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stack_.insert(stack_.end(), indices.begin(), indices.end());
-    ++version_;
-  }
-  cv_.notify_all();
+  const std::lock_guard<std::mutex> lock(mutex_);
+  stack_.insert(stack_.end(), indices.begin(), indices.end());
 }
 
 void WorkPool::mark_complete() noexcept {
   outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-  {
-    // The version bump is what lets pop_or_prep sleepers re-try their
-    // prep hook: a completed work is new preparation input even though
-    // the stack did not change.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++version_;
-  }
-  cv_.notify_all();
 }
 
 bool WorkPool::all_complete() const noexcept {

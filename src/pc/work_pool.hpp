@@ -1,67 +1,39 @@
 // The dynamic work pool (Section IV-B).
 //
 // A mutex-guarded LIFO stack of work indices plus an outstanding-work
-// counter. Threads pop an edge, run the next gs CI tests while holding
-// exclusive ownership of its EdgeWork record (so the record needs no
-// atomics), then either mark it complete or push it back with an advanced
-// progress cursor. Pool operations are amortized over gs contingency-table
-// builds, which is what keeps the synchronization cost negligible.
-//
-// Two waiting disciplines coexist: try_pop / try_pop_batch return
-// immediately (callers spin-yield on all_complete, the paper's scheme),
-// while pop_or_prep hands a dry moment to a caller-supplied preparation
-// hook — the async engine materializes the next depth's work list there —
-// and otherwise blocks on a condition variable until work returns or the
-// depth completes, so the tail of a depth never busy-spins.
+// counter. Threads pop a few edges, run the next gs CI tests of each while
+// holding exclusive ownership of its EdgeWork record (so the record needs
+// no atomics), then mark finished edges complete and push the rest back
+// with advanced progress cursors. Pool operations are amortized over gs
+// contingency-table builds, which is what keeps the synchronization cost
+// negligible. Pops return immediately; callers spin-yield on
+// all_complete, the paper's scheme.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 namespace fastbns {
 
 class WorkPool {
  public:
-  /// Invoked by pop_or_prep while the stack is momentarily dry; returns
-  /// whether it made progress (when false the caller blocks until the
-  /// pool changes instead of being invoked again back-to-back).
-  using PrepHook = std::function<bool()>;
-
   /// `initial` holds the work indices initially available (pushed so the
   /// lowest index is popped first); `outstanding` is the number of works
   /// that will eventually be marked complete.
   WorkPool(std::vector<std::int64_t> initial, std::int64_t outstanding);
 
-  /// Pops one work index; std::nullopt when the stack is momentarily
-  /// empty (the caller must re-check all_complete() before exiting —
-  /// another thread may push its edge back).
-  [[nodiscard]] std::optional<std::int64_t> try_pop();
-
   /// Pops up to `max_items` indices under one lock into `out` (cleared
   /// first). Amortizes synchronization the same way the paper's
-  /// "pop t edges at a time" does. Returns the number popped.
+  /// "pop t edges at a time" does. Returns the number popped; 0 when the
+  /// stack is momentarily empty (the caller must re-check all_complete()
+  /// before exiting — another thread may push its edges back).
   std::size_t try_pop_batch(std::size_t max_items,
                             std::vector<std::int64_t>& out);
 
-  /// Pops one work index, treating a dry stack as an invitation to do
-  /// something else: while works are outstanding but none are poppable,
-  /// `prep` (may be empty) runs outside the lock; when it reports no
-  /// progress the calling thread blocks until another thread pushes an
-  /// edge back or settles one (mark_complete wakes sleepers so they can
-  /// re-try `prep` — a settled edge is new preparation input). Returns
-  /// std::nullopt only once every work is complete. This is the async
-  /// engine's replacement for the try_pop / yield spin.
-  [[nodiscard]] std::optional<std::int64_t> pop_or_prep(const PrepHook& prep);
-
-  /// Returns an edge whose processing is not finished to the pool.
-  void push(std::int64_t index);
-
-  /// Returns several unfinished edges under one lock.
+  /// Returns unfinished edges to the pool under one lock; the last index
+  /// pushed pops first.
   void push_batch(const std::vector<std::int64_t>& indices);
 
   /// Declares one work finished (removed or out of CI tests).
@@ -70,16 +42,8 @@ class WorkPool {
   [[nodiscard]] bool all_complete() const noexcept;
 
  private:
-  /// Pops under an already-held lock; the stack must not be empty.
-  [[nodiscard]] std::int64_t pop_locked() noexcept;
-
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  std::mutex mutex_;
   std::vector<std::int64_t> stack_;
-  /// Bumped (under mutex_) whenever the pool's state changes in a way a
-  /// pop_or_prep sleeper cares about: a push or a completed work. Lets
-  /// sleepers wait for "anything changed" without lost wakeups.
-  std::uint64_t version_ = 0;
   std::atomic<std::int64_t> outstanding_;
 };
 

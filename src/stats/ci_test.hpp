@@ -46,17 +46,16 @@ class CiTest {
   /// set. Semantically identical to calling test_in_group once per set in
   /// packing order; implementations may build the counts of the whole
   /// batch together (the batched TableBuilder kernel). Default loops
-  /// test_in_group.
+  /// test_in_group. No engine calls it; perfbench's count_frac replay
+  /// and the kernel tests do.
   virtual void test_batch_in_group(std::span<const VarId> flat_sets,
                                    std::int32_t depth,
                                    std::span<CiResult> results);
 
-  /// Hint from engines that pick table-build granularity per edge (the
-  /// hybrid engine): when supported, subsequent tables are counted
-  /// sample-parallel (true) or serially (false). Returns false when the
-  /// test has no such distinction (the d-separation oracle). The getter
-  /// reports the mode currently in force, so engines can save and
-  /// restore it around a retargeted phase.
+  /// Switches subsequent table builds to sample-parallel (true) or serial
+  /// (false) counting; the process engine forces serial builds in its
+  /// forked ranks. Returns false when the test has no such distinction
+  /// (the d-separation oracle). The getter reports the mode in force.
   virtual bool set_sample_parallel(bool enabled) {
     (void)enabled;
     return false;
@@ -65,9 +64,8 @@ class CiTest {
     return false;
   }
 
-  /// Workload metadata for cost-predicting engines: the number of samples
-  /// one test streams and the state count of a variable. Data-free tests
-  /// return 0, which routes every edge to the light path.
+  /// Benchmark stubs: perfbench's TracingCiTest overrides these. Nothing
+  /// in the library reads them.
   [[nodiscard]] virtual Count workload_samples() const noexcept { return 0; }
   [[nodiscard]] virtual std::int64_t workload_states(VarId v) const noexcept {
     (void)v;
@@ -98,12 +96,8 @@ class CiTest {
   }
 
   /// Name of the TableBuilder kernel batched counting goes through
-  /// ("simd", "batched", ...). Tests that build no contingency tables —
-  /// the oracle, the Fisher-z test — report "n/a", which
-  /// builder_throughput_scale maps to the neutral 1.0 exactly like an
-  /// empty name, so cost-predicting engines degrade to the uniform model
-  /// instead of assuming a discrete kernel exists
-  /// (perfmodel/workload_model.hpp).
+  /// ("simd", "batched", ...), for reports. Tests that build no
+  /// contingency tables — the oracle, the Fisher-z test — report "n/a".
   [[nodiscard]] virtual std::string_view table_builder_name() const noexcept {
     return "n/a";
   }

@@ -103,14 +103,6 @@ bool DiscreteCiTest::set_sample_parallel(bool enabled) {
   return true;
 }
 
-Count DiscreteCiTest::workload_samples() const noexcept {
-  return data_->num_samples();
-}
-
-std::int64_t DiscreteCiTest::workload_states(VarId v) const noexcept {
-  return data_->cardinality(v);
-}
-
 CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
                                   std::size_t cz_total,
                                   Count sample_count) const {

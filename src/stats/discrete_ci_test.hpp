@@ -16,9 +16,7 @@
 //  * workspace reuse: one allocation-free contingency buffer per test
 //    instance (engines clone one instance per thread);
 //  * an optional sample-parallel build (OpenMP + atomics), which exists to
-//    reproduce the paper's *negative* result for sample-level parallelism
-//    — and which cost-predicting engines re-enable per edge through
-//    set_sample_parallel() when one edge's tests dominate a depth.
+//    reproduce the paper's *negative* result for sample-level parallelism.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +52,7 @@ struct CiTestOptions {
   /// Build the contingency table with a row-major (cache-unfriendly) scan.
   bool use_row_major = false;
   /// Parallelize the contingency build over samples (atomics). Emulates
-  /// the sample-level granularity of Section IV-A. Engines can retarget
+  /// the sample-level granularity of Section IV-A. Engines can switch
   /// this at runtime through set_sample_parallel().
   bool sample_parallel = false;
   /// TableBuilder kernel serial builds and the batch entry go through —
@@ -88,8 +86,6 @@ class DiscreteCiTest final : public CiTest {
     return sample_parallel_build_;
   }
 
-  [[nodiscard]] Count workload_samples() const noexcept override;
-  [[nodiscard]] std::int64_t workload_states(VarId v) const noexcept override;
   /// The buffer a test of `v` actually streams (the dataset's packed
   /// codes8 column or value column) — the NUMA first-touch surface.
   [[nodiscard]] std::span<const std::byte> workload_column_bytes(

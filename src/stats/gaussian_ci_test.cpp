@@ -155,18 +155,6 @@ std::unique_ptr<CiTest> GaussianCiTest::clone() const {
   return copy;
 }
 
-Count GaussianCiTest::workload_samples() const noexcept {
-  return stats_->num_samples;
-}
-
-std::int64_t GaussianCiTest::workload_states(VarId v) const noexcept {
-  (void)v;
-  // Continuous variables have no state count; 2 ranks every edge equally
-  // in the hybrid cost model (which only compares relative costs) while
-  // keeping its clamped products meaningful.
-  return 2;
-}
-
 std::span<const std::byte> GaussianCiTest::workload_column_bytes(
     VarId v) const noexcept {
   return data_->column_bytes(v);

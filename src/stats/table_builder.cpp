@@ -252,15 +252,13 @@ std::unique_ptr<TableBuilder> make_table_builder(std::string_view name) {
   if (name == "sample-parallel") {
     // Installing the sample-parallel kernel as the *main* builder would
     // nest its OpenMP team inside every edge-parallel worker and serialize
-    // batch entries into contended atomic builds; sample-parallel routing
-    // is owned by the engines (EngineRunConfig::sample_parallel, the
-    // hybrid engine's heavy route), which flip CiTest::set_sample_parallel
-    // onto the dedicated builder instead.
+    // batch entries into contended atomic builds; sample-parallel builds
+    // belong to the sample-parallel engine (EngineRunConfig::
+    // sample_parallel), which puts the test on the dedicated builder.
     throw std::invalid_argument(
         "table builder \"sample-parallel\" is not name-selectable: "
-        "sample-parallel builds are routed by the engines (--engine sample "
-        "or the hybrid engine's heavy route), not configured as the main "
-        "kernel");
+        "sample-parallel builds come from --engine sample, not from the "
+        "main kernel");
   }
   if (name == "batched") return make_batched_table_builder();
   if (name == "simd") return make_simd_table_builder();
@@ -283,9 +281,9 @@ std::unique_ptr<TableBuilder> make_table_builder(std::string_view name) {
 }
 
 std::vector<std::string> list_table_builders() {
-  // "sample-parallel" is deliberately absent: that kernel exists as the
-  // engines' routing target (CiTest::set_sample_parallel), never as a
-  // name-selected main builder.
+  // "sample-parallel" is deliberately absent: that kernel is switched on
+  // through CiTestOptions::sample_parallel (CiTest::set_sample_parallel),
+  // never as a name-selected main builder.
   return {"auto", "batched", "scalar", "simd"};
 }
 

@@ -7,8 +7,7 @@
 // arXiv:1406.7648) all live in *how* N_xyz is counted, never in the G^2 /
 // X^2 / MI formula evaluated afterwards. A TableBuilder owns exactly that
 // counting pass; DiscreteCiTest is a thin statistic layer over a
-// pluggable builder, and engines that know their workload (the hybrid
-// edge+sample engine) pick the kernel per edge.
+// pluggable builder.
 //
 // All builders are bit-identical in counts: a contingency table is a sum,
 // so every kernel must produce byte-equal cell buffers for the same job
@@ -101,9 +100,8 @@ class TableBuilder {
 [[nodiscard]] std::unique_ptr<TableBuilder> make_scalar_table_builder();
 
 /// Sample-parallel scan (Section IV-A): all OpenMP threads fill one table
-/// with atomics. Exists both to reproduce the paper's negative result and
-/// as the hybrid engine's heavy-edge route, where one edge's tests
-/// dominate a depth and edge-level partitioning cannot split them.
+/// with atomics. Exists to reproduce the paper's negative result; the
+/// sample-parallel engine counts through it.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_sample_parallel_table_builder();
 
 /// Batched kernel: groups the same-shape (cx, cy, cz) tables of one
@@ -126,9 +124,9 @@ class TableBuilder {
 /// Kernel factory by name — the counting-path analogue of the engine
 /// registry: "scalar", "batched", "simd", or "auto" (simd when the CPU
 /// dispatch tier is vectorized, batched otherwise). "sample-parallel" is
-/// rejected with an explanation: that kernel is the engines' routing
-/// target (set_sample_parallel), and installing it as the main builder
-/// would nest OpenMP teams. Throws std::invalid_argument listing the
+/// rejected with an explanation: that kernel is switched on through
+/// CiTestOptions::sample_parallel (set_sample_parallel), and installing
+/// it as the main builder would nest OpenMP teams. Throws std::invalid_argument listing the
 /// valid names for anything unknown.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_table_builder(
     std::string_view name);

@@ -1,6 +1,5 @@
 #include "topology/placement.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -86,23 +85,6 @@ std::string ShardPlacement::describe() const {
   std::string text = out.str();
   if (!text.empty() && text.back() == ' ') text.pop_back();
   return text;
-}
-
-std::vector<std::int32_t> contiguous_var_domains(std::int32_t num_vars,
-                                                 std::int32_t num_domains) {
-  if (num_vars < 0 || num_domains < 1) {
-    throw std::invalid_argument(
-        "contiguous_var_domains: need num_vars >= 0 and num_domains >= 1, "
-        "got " +
-        std::to_string(num_vars) + " / " + std::to_string(num_domains));
-  }
-  std::vector<std::int32_t> domains(static_cast<std::size_t>(num_vars));
-  for (std::int32_t v = 0; v < num_vars; ++v) {
-    domains[static_cast<std::size_t>(v)] =
-        static_cast<std::int32_t>(static_cast<std::int64_t>(v) * num_domains /
-                                  std::max<std::int32_t>(num_vars, 1));
-  }
-  return domains;
 }
 
 }  // namespace fastbns

@@ -90,74 +90,108 @@ Dag chain_dag() {
   return dag;
 }
 
-TEST(ProcessWorkTests, EarlyStopFindsFirstAcceptingSet) {
-  const Dag dag = chain_dag();
-  DSeparationOracle oracle(dag);
+/// Depth-1 works of the triangle 0-1-2, whose edge (0, 2) the chain
+/// oracle separates given {1}.
+std::vector<EdgeWork> triangle_depth_one_works() {
   UndirectedGraph g(5);
   g.add_edge(0, 2);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  auto works = build_depth_works(g, 1, true);
-  EdgeWork* edge02 = nullptr;
-  for (auto& work : works) {
-    if (work.x == 0 && work.y == 2) edge02 = &work;
+  return build_depth_works(g, 1, true);
+}
+
+EdgeWork& work_for(std::vector<EdgeWork>& works, VarId x, VarId y) {
+  for (EdgeWork& work : works) {
+    if (work.x == x && work.y == y) return work;
   }
-  ASSERT_NE(edge02, nullptr);
-  const std::int64_t executed = process_work_tests_early_stop(
-      *edge02, 1, edge02->total_tests(), oracle, true);
-  EXPECT_TRUE(edge02->removed);
-  EXPECT_EQ(edge02->sepset, (std::vector<VarId>{1}));
+  throw std::logic_error("no work for the requested edge");
+}
+
+TEST(RunEdgeTests, EarlyStopFindsFirstAcceptingSet) {
+  const Dag dag = chain_dag();
+  DSeparationOracle oracle(dag);
+  auto works = triangle_depth_one_works();
+  EdgeWork& edge02 = work_for(works, 0, 2);
+  std::vector<VarId> z;
+  const std::int64_t executed = run_edge_tests(
+      edge02, 1, edge02.total_tests(), oracle, /*early_stop=*/true, z);
+  EXPECT_TRUE(edge02.removed);
+  EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}));
   EXPECT_EQ(executed, 1);  // {1} is the first candidate in cand1
 }
 
-TEST(ProcessWorkTests, BatchRunsAllTestsEvenAfterAccept) {
-  // The gs-group redundancy: the full batch executes even when an early
+TEST(RunEdgeTests, WithoutEarlyStopTheBudgetRunsEvenAfterAccept) {
+  // The gs-group redundancy: the full budget executes even when an early
   // test accepts, but the lowest-rank accepting set still wins.
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  UndirectedGraph g(5);
-  g.add_edge(0, 2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  auto works = build_depth_works(g, 1, true);
-  EdgeWork* edge02 = nullptr;
-  for (auto& work : works) {
-    if (work.x == 0 && work.y == 2) edge02 = &work;
-  }
-  ASSERT_NE(edge02, nullptr);
-  const std::uint64_t total = edge02->total_tests();
+  auto works = triangle_depth_one_works();
+  EdgeWork& edge02 = work_for(works, 0, 2);
+  const std::uint64_t total = edge02.total_tests();
+  std::vector<VarId> z;
   const std::int64_t executed =
-      process_work_tests(*edge02, 1, total, oracle, true);
+      run_edge_tests(edge02, 1, total, oracle, /*early_stop=*/false, z);
   EXPECT_EQ(executed, static_cast<std::int64_t>(total));  // no early break
-  EXPECT_TRUE(edge02->removed);
-  EXPECT_EQ(edge02->sepset, (std::vector<VarId>{1}));
+  EXPECT_TRUE(edge02.removed);
+  EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}));
 }
 
-TEST(ProcessWorkTests, ProgressAdvancesAcrossBatches) {
+TEST(RunEdgeTests, ProgressAdvancesAcrossBudgets) {
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  UndirectedGraph g = UndirectedGraph::complete(5);
-  auto works = build_depth_works(g, 1, true);
-  EdgeWork& work = works[0];
-  const std::uint64_t total = work.total_tests();
-  ASSERT_GT(total, 2u);
-  process_work_tests(work, 1, 2, oracle, true);
-  EXPECT_EQ(work.progress, 2u);
-  process_work_tests(work, 1, 2, oracle, true);
-  EXPECT_EQ(work.progress, std::min<std::uint64_t>(4, total));
+  for (const bool early_stop : {false, true}) {
+    auto works = build_depth_works(UndirectedGraph::complete(5), 1, true);
+    EdgeWork& work = works[0];  // (0, 1): adjacent in the chain, never cut
+    const std::uint64_t total = work.total_tests();
+    ASSERT_GT(total, 2u);
+    std::vector<VarId> z;
+    EXPECT_EQ(run_edge_tests(work, 1, 2, oracle, early_stop, z), 2);
+    EXPECT_EQ(work.progress, 2u) << "early_stop=" << early_stop;
+    run_edge_tests(work, 1, 2, oracle, early_stop, z);
+    EXPECT_EQ(work.progress, std::min<std::uint64_t>(4, total))
+        << "early_stop=" << early_stop;
+    EXPECT_FALSE(work.removed);
+  }
 }
 
-TEST(ProcessWorkTests, FinishedWorkIsNoOp) {
+TEST(RunEdgeTests, FinishedWorkIsNoOp) {
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  UndirectedGraph g(5);
-  g.add_edge(0, 4);  // d-separated at depth 0? no: chain connects them.
-  auto works = build_depth_works(g, 0, true);
-  EdgeWork& work = works[0];
-  process_work_tests(work, 0, 1, oracle, true);
-  EXPECT_TRUE(work.finished());
-  const std::int64_t executed = process_work_tests(work, 0, 1, oracle, true);
-  EXPECT_EQ(executed, 0);
+  for (const bool early_stop : {false, true}) {
+    UndirectedGraph g(5);
+    g.add_edge(0, 4);  // marginally dependent: the chain connects them
+    auto works = build_depth_works(g, 0, true);
+    EdgeWork& work = works[0];
+    std::vector<VarId> z;
+    EXPECT_EQ(run_edge_tests(work, 0, 1, oracle, early_stop, z), 1);
+    EXPECT_TRUE(work.finished());
+    EXPECT_EQ(run_edge_tests(work, 0, 1, oracle, early_stop, z), 0)
+        << "early_stop=" << early_stop;
+  }
+}
+
+TEST(RunEdgeTests, ReusedBufferFromADeeperCallYieldsTheShallowSepset) {
+  // Engines keep one conditioning-set buffer per thread across works and
+  // depths, so a call may start with a longer set left in it. The sepset
+  // and the test count must not notice.
+  const Dag dag = chain_dag();
+  DSeparationOracle oracle(dag);
+  for (const bool early_stop : {false, true}) {
+    std::vector<VarId> z;
+    auto deep = build_depth_works(UndirectedGraph::complete(5), 2, true);
+    run_edge_tests(deep[0], 2, 1, oracle, early_stop, z);
+    ASSERT_EQ(z.size(), 2u);
+    auto works = triangle_depth_one_works();
+    EdgeWork& edge02 = work_for(works, 0, 2);
+    const std::int64_t executed = run_edge_tests(
+        edge02, 1, edge02.total_tests(), oracle, early_stop, z);
+    EXPECT_TRUE(edge02.removed);
+    EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}))
+        << "early_stop=" << early_stop;
+    EXPECT_EQ(executed, early_stop
+                            ? 1
+                            : static_cast<std::int64_t>(edge02.total_tests()));
+  }
 }
 
 TEST(MaterializeConditioningSets, EnumeratesAllSetsInOrder) {

@@ -13,14 +13,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/omp_utils.hpp"
 #include "common/rng.hpp"
-#include "engine/engine_registry.hpp"
 #include "graph/dag.hpp"
-#include "perfmodel/workload_model.hpp"
 #include "stats/discrete_ci_test.hpp"
 #include "stats/oracle_test.hpp"
 
@@ -183,7 +179,7 @@ TEST(RunSequentialDepth, PairSkipMatchesPartnerByIdsNotLayout) {
   const std::int64_t tests =
       run_sequential_depth(works, /*depth=*/0, oracle, /*grouped=*/false,
                            /*materialized=*/false,
-                           /*use_group_protocol=*/false);
+                           /*use_group_protocol=*/true);
   EXPECT_TRUE(works[0].removed);
   EXPECT_EQ(tests, 2);  // the unrelated second work ran
   EXPECT_EQ(works[1].progress, 1u);
@@ -201,7 +197,7 @@ TEST(RunSequentialDepth, PairSkipStillSkipsTheTruePartner) {
   const std::int64_t tests =
       run_sequential_depth(works, /*depth=*/0, oracle, /*grouped=*/false,
                            /*materialized=*/false,
-                           /*use_group_protocol=*/false);
+                           /*use_group_protocol=*/true);
   EXPECT_TRUE(works[0].removed);
   EXPECT_EQ(tests, 1);  // the reverse direction never ran
   EXPECT_EQ(works[1].progress, 0u);
@@ -220,82 +216,6 @@ class ProbePoolEngine final : public ClonePoolEngine {
     return "probe";
   }
 };
-
-/// Crafted works for one depth: a straggler edge whose pending tests
-/// dominate the depth, plus light edges. This is the distribution the
-/// hybrid engine's routing exists for; built directly (EdgeWork is a
-/// plain snapshot struct) because organic small graphs spread cost too
-/// evenly to ever cross the straggler threshold.
-std::vector<EdgeWork> skewed_depth_works(VarId num_vars, std::int32_t depth) {
-  std::vector<EdgeWork> works;
-  EdgeWork heavy;
-  heavy.x = 0;
-  heavy.y = 1;
-  for (VarId v = 2; v < num_vars; ++v) heavy.candidates1.push_back(v);
-  heavy.total1 = binomial(static_cast<std::int64_t>(heavy.candidates1.size()),
-                          depth);
-  works.push_back(std::move(heavy));
-  for (VarId v = 2; v + 1 < num_vars; ++v) {
-    EdgeWork light;
-    light.x = v;
-    light.y = static_cast<VarId>(v + 1);
-    light.candidates1 = {0, 1};
-    light.total1 = binomial(2, depth);
-    works.push_back(std::move(light));
-  }
-  return works;
-}
-
-TEST(HybridEngine, HeavyRouteEngagesOnStragglerAndMatchesSequential) {
-  // Enough samples to clear the workload model's sample-parallel floor,
-  // which scales with the light path's builder throughput (the default
-  // "auto" kernel resolves through the runtime SIMD dispatch tier).
-  const VarId n = 12;
-  const Count m = static_cast<Count>(
-                      static_cast<double>(kMinSampleParallelSamples) *
-                      builder_throughput_scale("auto")) +
-                  1000;
-  DiscreteDataset data(n, m, std::vector<std::int32_t>(n, 2),
-                       DataLayout::kBoth);
-  Rng rng(7);
-  for (Count s = 0; s < m; ++s) {
-    const auto x = static_cast<DataValue>(rng.next_below(2));
-    data.set(s, 0, x);
-    // v1 tracks v0 so the heavy edge survives its many tests.
-    data.set(s, 1, rng.next_double() < 0.9
-                       ? x
-                       : static_cast<DataValue>(1 - x));
-    for (VarId v = 2; v < n; ++v) {
-      data.set(s, v, static_cast<DataValue>(rng.next_below(2)));
-    }
-  }
-  const DiscreteCiTest prototype(data, {});
-  const std::int32_t depth = 2;
-  PcOptions options;
-
-  const ScopedNumThreads thread_guard(4);
-  std::vector<EdgeWork> reference_works = skewed_depth_works(n, depth);
-  const std::unique_ptr<SkeletonEngine> sequential =
-      EngineRegistry::instance().create("fastbns-seq");
-  sequential->prepare_run();
-  sequential->run_depth(reference_works, depth, prototype, options);
-
-  std::vector<EdgeWork> hybrid_works = skewed_depth_works(n, depth);
-  const std::unique_ptr<SkeletonEngine> hybrid =
-      EngineRegistry::instance().create("hybrid");
-  hybrid->prepare_run();
-  hybrid->run_depth(hybrid_works, depth, prototype, options);
-
-  // The crafted straggler must actually take the sample-parallel route —
-  // otherwise this test would pass vacuously through the light path.
-  EXPECT_TRUE(hybrid_works.front().sample_parallel_route);
-  EXPECT_GT(hybrid_works.front().predicted_cost, 0.0);
-  ASSERT_EQ(hybrid_works.size(), reference_works.size());
-  for (std::size_t i = 0; i < hybrid_works.size(); ++i) {
-    EXPECT_EQ(hybrid_works[i].removed, reference_works[i].removed) << i;
-    EXPECT_EQ(hybrid_works[i].sepset, reference_works[i].sepset) << i;
-  }
-}
 
 TEST(ClonePoolEngine, PrepareRunResetsTheCloneCache) {
   const DiscreteDataset data = tiny_dataset();

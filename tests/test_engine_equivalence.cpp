@@ -67,7 +67,12 @@ using EngineThreadsGs = std::tuple<std::string, int, std::int32_t>;
 
 /// Registry-driven parameter grid: every registered engine runs at a
 /// small thread/gs grid; the CI-level engine additionally sweeps the
-/// group sizes the paper's Figure 4 studies.
+/// group sizes the paper's Figure 4 studies across thread counts, where
+/// the work pool's claim races differ but the result may not. threads = 0
+/// keeps the OpenMP runtime default, which is what lets the CI workflow's
+/// OMP_NUM_THREADS=1/2/nproc sweep actually vary the concurrency these
+/// configurations run at — every pinned thread count overrides the
+/// environment.
 std::vector<EngineThreadsGs> registry_param_grid() {
   std::vector<EngineThreadsGs> params;
   for (const std::string& name : list_engines()) {
@@ -76,19 +81,9 @@ std::vector<EngineThreadsGs> registry_param_grid() {
     params.emplace_back(name, 4, 4);
   }
   for (const auto& [threads, gs] :
-       {std::pair<int, std::int32_t>{2, 4}, {4, 6}, {3, 8}, {2, 16}}) {
+       {std::pair<int, std::int32_t>{2, 4}, {4, 6}, {3, 8}, {2, 16}, {2, 8},
+        {3, 4}, {4, 16}, {0, 1}, {0, 8}}) {
     params.emplace_back("fastbns-par(ci-level)", threads, gs);
-  }
-  // The async engine races next-depth preparation against the depth tail,
-  // so sweep it across thread counts too (different races, same result).
-  // threads = 0 keeps the OpenMP runtime default, which is what lets the
-  // CI workflow's OMP_NUM_THREADS=1/2/nproc sweep actually vary the
-  // concurrency these configurations run at — every pinned thread count
-  // overrides the environment.
-  for (const auto& [threads, gs] :
-       {std::pair<int, std::int32_t>{2, 8}, {3, 4}, {4, 16}, {0, 1},
-        {0, 8}}) {
-    params.emplace_back("async(depth-overlap)", threads, gs);
   }
   return params;
 }
@@ -147,39 +142,33 @@ TEST(EngineEquivalence, NumaForcedPlacementIsResultIdentical) {
   // sched_setaffinity under the "2" affinity-split form, no-ops under the
   // synthetic "2x2" form — both swept here), and the one-time first-touch
   // prefault of each rank's column slices. None of it may change a bit
-  // of the result, for the process engine (at rank counts equal to and
-  // above the domain count) or for the hybrid engine's locality-extended
-  // cost routing.
+  // of the result for the process engine, at rank counts equal to and
+  // above the domain count.
   static const SkeletonResult reference = reference_result();
   const VarId n = fixture().data.num_vars();
   for (const char* topology : {"2", "2x2"}) {
     setenv("FASTBNS_NUMA", topology, 1);
-    for (const std::string engine : {"hybrid", "process"}) {
-      for (const char* policy : {"auto", "off", "forced"}) {
-        for (const std::int32_t ranks :
-             engine == "process" ? std::vector<std::int32_t>{2, 5}
-                                 : std::vector<std::int32_t>{0}) {
-          PcOptions options;
-          options.engine = engine_from_string(engine);
-          options.engine_name = engine;
-          options.num_threads = 2;
-          options.rank_count = ranks;
-          options.numa_policy = policy;
-          const DiscreteCiTest test(fixture().data, {});
-          const SkeletonResult result = learn_skeleton(n, test, options);
-          const std::string label = std::string("FASTBNS_NUMA=") + topology +
-                                    " " + engine + " numa=" + policy +
-                                    " ranks=" + std::to_string(ranks);
-          EXPECT_TRUE(result.graph == reference.graph) << label;
-          for (VarId u = 0; u < n; ++u) {
-            for (VarId v = u + 1; v < n; ++v) {
-              const auto* expected = reference.sepsets.find(u, v);
-              const auto* actual = result.sepsets.find(u, v);
-              ASSERT_EQ(expected == nullptr, actual == nullptr)
-                  << label << ": " << u << "," << v;
-              if (expected != nullptr) {
-                EXPECT_EQ(*expected, *actual) << label << ": " << u << "," << v;
-              }
+    for (const char* policy : {"auto", "off", "forced"}) {
+      for (const std::int32_t ranks : {2, 5}) {
+        PcOptions options;
+        options.engine = EngineKind::kProcess;
+        options.num_threads = 2;
+        options.rank_count = ranks;
+        options.numa_policy = policy;
+        const DiscreteCiTest test(fixture().data, {});
+        const SkeletonResult result = learn_skeleton(n, test, options);
+        const std::string label = std::string("FASTBNS_NUMA=") + topology +
+                                  " process numa=" + policy +
+                                  " ranks=" + std::to_string(ranks);
+        EXPECT_TRUE(result.graph == reference.graph) << label;
+        for (VarId u = 0; u < n; ++u) {
+          for (VarId v = u + 1; v < n; ++v) {
+            const auto* expected = reference.sepsets.find(u, v);
+            const auto* actual = result.sepsets.find(u, v);
+            ASSERT_EQ(expected == nullptr, actual == nullptr)
+                << label << ": " << u << "," << v;
+            if (expected != nullptr) {
+              EXPECT_EQ(*expected, *actual) << label << ": " << u << "," << v;
             }
           }
         }
@@ -317,30 +306,30 @@ TEST(EngineEquivalence, LargerGroupSizeNeverReducesTests) {
 
 TEST(EngineEquivalence, EagerGroupStopIsResultIdentical) {
   // The eager extension must change only the executed-test count, never
-  // the skeleton or the sepsets, at any gs and thread count — for both
-  // engines that schedule through the pool (bench_fig2 runs the async
-  // scheme with gs=8 + eager stop, so that combination must be pinned).
+  // the skeleton or the sepsets, at any gs and thread count (bench_fig2
+  // runs the CI-level scheme with gs=8 + eager stop, so that combination
+  // must be pinned).
   static const SkeletonResult reference = reference_result();
-  for (const EngineKind engine : {EngineKind::kCiParallel, EngineKind::kAsync}) {
-    for (const std::int32_t gs : {2, 8}) {
-      for (const int threads : {1, 3}) {
-        PcOptions options;
-        options.engine = engine;
-        options.num_threads = threads;
-        options.group_size = gs;
-        options.eager_group_stop = true;
-        const DiscreteCiTest test(fixture().data, {});
-        const SkeletonResult result =
-            learn_skeleton(fixture().data.num_vars(), test, options);
-        EXPECT_TRUE(result.graph == reference.graph)
-            << to_string(engine) << " gs=" << gs << " t=" << threads;
-        const VarId n = fixture().data.num_vars();
-        for (VarId u = 0; u < n; ++u) {
-          for (VarId v = u + 1; v < n; ++v) {
-            const auto* expected = reference.sepsets.find(u, v);
-            const auto* actual = result.sepsets.find(u, v);
-            ASSERT_EQ(expected == nullptr, actual == nullptr);
-            if (expected != nullptr) EXPECT_EQ(*expected, *actual);
+  for (const std::int32_t gs : {2, 8}) {
+    for (const int threads : {1, 3}) {
+      PcOptions options;
+      options.engine = EngineKind::kCiParallel;
+      options.num_threads = threads;
+      options.group_size = gs;
+      options.eager_group_stop = true;
+      const DiscreteCiTest test(fixture().data, {});
+      const SkeletonResult result =
+          learn_skeleton(fixture().data.num_vars(), test, options);
+      EXPECT_TRUE(result.graph == reference.graph)
+          << "gs=" << gs << " t=" << threads;
+      const VarId n = fixture().data.num_vars();
+      for (VarId u = 0; u < n; ++u) {
+        for (VarId v = u + 1; v < n; ++v) {
+          const auto* expected = reference.sepsets.find(u, v);
+          const auto* actual = result.sepsets.find(u, v);
+          ASSERT_EQ(expected == nullptr, actual == nullptr);
+          if (expected != nullptr) {
+            EXPECT_EQ(*expected, *actual);
           }
         }
       }
@@ -367,52 +356,6 @@ TEST(EngineEquivalence, EagerGroupStopNeverExecutesMoreTests) {
   const SkeletonResult baseline =
       learn_skeleton(fixture().data.num_vars(), test, gs1);
   EXPECT_EQ(stopped.total_ci_tests, baseline.total_ci_tests);
-}
-
-TEST(EngineEquivalence, HybridHeavyRouteIsResultIdentical) {
-  // The main fixture's 1200 samples stay under the workload model's
-  // sample-parallel floor, so the hybrid engine's heavy route never
-  // engages there. This fixture crosses it, forcing straggler edges
-  // through sample-parallel table builds — the results must still be
-  // identical to the sequential reference.
-  RandomNetworkConfig config;
-  config.num_nodes = 14;
-  config.num_edges = 22;
-  config.seed = 101;
-  const BayesianNetwork network = generate_random_network(config);
-  Rng rng(102);
-  const DiscreteDataset data =
-      forward_sample(network, 9000, rng, DataLayout::kBoth);
-
-  PcOptions reference_options;
-  reference_options.engine = engine_from_string("fastbns-seq");
-  const DiscreteCiTest reference_test(data, {});
-  const SkeletonResult reference =
-      learn_skeleton(data.num_vars(), reference_test, reference_options);
-
-  for (const int threads : {2, 4}) {
-    PcOptions options;
-    options.engine = engine_from_string("hybrid");
-    options.engine_name = "hybrid";
-    options.num_threads = threads;
-    const DiscreteCiTest test(data, {});
-    const SkeletonResult result =
-        learn_skeleton(data.num_vars(), test, options);
-    EXPECT_TRUE(result.graph == reference.graph) << "t=" << threads;
-    const VarId n = data.num_vars();
-    for (VarId u = 0; u < n; ++u) {
-      for (VarId v = u + 1; v < n; ++v) {
-        const auto* expected = reference.sepsets.find(u, v);
-        const auto* actual = result.sepsets.find(u, v);
-        ASSERT_EQ(expected == nullptr, actual == nullptr)
-            << "t=" << threads << ": " << u << "," << v;
-        if (expected != nullptr) {
-          EXPECT_EQ(*expected, *actual) << "t=" << threads << ": " << u << ","
-                                        << v;
-        }
-      }
-    }
-  }
 }
 
 TEST(EngineEquivalence, GaussianSkeletonIdenticalAcrossRegisteredEngines) {

@@ -81,9 +81,8 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
     // data: pool group sizes cycle 1..8.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
     // NUMA placement swaps rank pinning and first-touch in and out (and,
-    // under FASTBNS_NUMA, the rank->domain deal and the hybrid engine's
-    // locality term) — none of which may perturb a single bit of the
-    // result.
+    // under FASTBNS_NUMA, the rank->domain deal) — none of which may
+    // perturb a single bit of the result.
     const char* numa_policy = seed % 2 == 0 ? "auto" : "forced";
     // The process engine forks this many worker ranks per configuration;
     // cycling 1/2/4 (with a 1-or-2 thread team inside each) exercises

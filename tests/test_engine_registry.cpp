@@ -16,13 +16,12 @@ namespace {
 
 TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   const std::vector<std::string> names = list_engines();
-  ASSERT_GE(names.size(), 8u);
+  ASSERT_GE(names.size(), 6u);
   // list_engines() is the stable, sorted order CLI help enumerates.
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
   for (const char* expected :
        {"naive-seq", "fastbns-seq", "edge-parallel", "sample-parallel",
-        "fastbns-par(ci-level)", "hybrid(edge+sample)",
-        "async(depth-overlap)", "process(rank-partition)"}) {
+        "fastbns-par(ci-level)", "process(rank-partition)"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -32,12 +31,10 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
   // sorts.
   const std::vector<std::string> registration_order =
       EngineRegistry{}.names();
-  ASSERT_EQ(registration_order.size(), 8u);
+  ASSERT_EQ(registration_order.size(), 6u);
   EXPECT_EQ(registration_order[0], "naive-seq");
   EXPECT_EQ(registration_order[4], "fastbns-par(ci-level)");
-  EXPECT_EQ(registration_order[5], "hybrid(edge+sample)");
-  EXPECT_EQ(registration_order[6], "async(depth-overlap)");
-  EXPECT_EQ(registration_order[7], "process(rank-partition)");
+  EXPECT_EQ(registration_order[5], "process(rank-partition)");
 }
 
 TEST(EngineRegistry, CanonicalNamesRoundTrip) {
@@ -50,8 +47,7 @@ TEST(EngineRegistry, KindsRoundTripThroughNames) {
   for (const EngineKind kind :
        {EngineKind::kNaiveSequential, EngineKind::kFastSequential,
         EngineKind::kEdgeParallel, EngineKind::kSampleParallel,
-        EngineKind::kCiParallel, EngineKind::kHybrid, EngineKind::kAsync,
-        EngineKind::kProcess}) {
+        EngineKind::kCiParallel, EngineKind::kProcess}) {
     EXPECT_EQ(engine_from_string(to_string(kind)), kind);
   }
 }
@@ -63,10 +59,7 @@ TEST(EngineRegistry, AliasesResolve) {
   EXPECT_EQ(engine_from_string("sample"), EngineKind::kSampleParallel);
   EXPECT_EQ(engine_from_string("ci"), EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("fastbns-par"), EngineKind::kCiParallel);
-  EXPECT_EQ(engine_from_string("hybrid"), EngineKind::kHybrid);
-  EXPECT_EQ(engine_from_string("auto"), EngineKind::kHybrid);
-  EXPECT_EQ(engine_from_string("async"), EngineKind::kAsync);
-  EXPECT_EQ(engine_from_string("overlap"), EngineKind::kAsync);
+  EXPECT_EQ(engine_from_string("auto"), EngineKind::kCiParallel);
   EXPECT_EQ(engine_from_string("process"), EngineKind::kProcess);
   EXPECT_EQ(engine_from_string("mpp"), EngineKind::kProcess);
 }

@@ -307,30 +307,5 @@ TEST(ShardPlacement, DescribeRendersTheBlockDeal) {
   EXPECT_EQ(inactive.describe(), "inactive, 1 node (1 cpus), shards 0->node0");
 }
 
-TEST(ShardPlacement, ContiguousVarDomainsMatchTheShardDeal) {
-  EXPECT_EQ(contiguous_var_domains(6, 2),
-            (std::vector<std::int32_t>{0, 0, 0, 1, 1, 1}));
-  EXPECT_EQ(contiguous_var_domains(5, 2),
-            (std::vector<std::int32_t>{0, 0, 0, 1, 1}));
-  EXPECT_EQ(contiguous_var_domains(0, 2), (std::vector<std::int32_t>{}));
-  EXPECT_THROW((void)contiguous_var_domains(4, 0), std::invalid_argument);
-  EXPECT_THROW((void)contiguous_var_domains(-1, 2), std::invalid_argument);
-  // The variable->domain map must agree with the shard->domain deal when
-  // shards partition variables contiguously: every variable's domain via
-  // contiguous_var_domains equals its owning shard's planned domain.
-  const std::int32_t num_vars = 12;
-  const std::int32_t shards = 4;
-  const ShardPlacement placement = plan_shard_placement(
-      NumaPolicy::kForced, shards, NumaTopology::simulated(2, 1));
-  const std::vector<std::int32_t> var_domains =
-      contiguous_var_domains(num_vars, 2);
-  for (std::int32_t v = 0; v < num_vars; ++v) {
-    const auto shard = static_cast<std::size_t>(v * shards / num_vars);
-    EXPECT_EQ(var_domains[static_cast<std::size_t>(v)],
-              placement.shard_domain[shard])
-        << "v=" << v;
-  }
-}
-
 }  // namespace
 }  // namespace fastbns

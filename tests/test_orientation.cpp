@@ -49,8 +49,8 @@ TEST(OrientVStructures, EmptySepsetIsRecordedNotMissing) {
   // distinguishable from "recorded, empty" — the orientation rule reads
   // both through separates_with (every non-adjacent PC pair has a
   // record, so the distinction never decides a collider there), but
-  // consumers that branch on whether a pair *was* separated (bootstrap
-  // aggregation, result diffing) rely on find() telling them apart.
+  // consumers that branch on whether a pair *was* separated (result
+  // diffing) rely on find() telling them apart.
   SepsetStore missing;
   EXPECT_EQ(missing.find(0, 2), nullptr);
   EXPECT_FALSE(missing.separates_with(0, 2, 1));

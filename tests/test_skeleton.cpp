@@ -237,17 +237,13 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
   contention.num_threads = 64;
   contention.max_table_cells = 32;
   EXPECT_NO_THROW(contention.validate());  // fields are individually fine
-  for (const EngineKind kind :
-       {EngineKind::kSampleParallel, EngineKind::kHybrid}) {
-    contention.engine = kind;
-    EXPECT_THROW(learn_skeleton(3, oracle, contention),
-                 std::invalid_argument);
-  }
+  contention.engine = EngineKind::kSampleParallel;
+  EXPECT_THROW(learn_skeleton(3, oracle, contention), std::invalid_argument);
   contention.engine = EngineKind::kCiParallel;
   EXPECT_NO_THROW((void)learn_skeleton(3, oracle, contention));
   // By-name selection must not bypass the guard: construction prefers
   // engine_name, and the driver checks the engine it actually resolved.
-  contention.engine_name = "hybrid";
+  contention.engine_name = "sample";
   EXPECT_THROW(learn_skeleton(3, oracle, contention), std::invalid_argument);
   contention.engine_name.clear();
   // The same engines pass once the cap clears the thread count.

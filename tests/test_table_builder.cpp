@@ -589,10 +589,18 @@ TEST(TableBuilder, FactoryResolvesKernelNames) {
     }
   }
   EXPECT_THROW((void)make_table_builder("vectorized"), std::invalid_argument);
-  // The sample-parallel kernel is the engines' routing target, never a
-  // name-selected main builder (that would nest OpenMP teams).
+  // The sample-parallel kernel belongs to the sample-parallel engine,
+  // never a name-selected main builder (that would nest OpenMP teams),
+  // and the message points at the one engine that uses it.
   EXPECT_THROW((void)make_table_builder("sample-parallel"),
                std::invalid_argument);
+  try {
+    (void)make_table_builder("sample-parallel");
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--engine sample"), std::string::npos) << message;
+    EXPECT_EQ(message.find("hybrid"), std::string::npos) << message;
+  }
   for (const std::string& name : list_table_builders()) {
     EXPECT_NE(name, "sample-parallel");
   }

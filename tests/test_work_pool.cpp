@@ -2,28 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <optional>
 #include <thread>
 #include <vector>
+
+#include "common/omp_utils.hpp"
 
 namespace fastbns {
 namespace {
 
+using Indices = std::vector<std::int64_t>;
+
+/// Pops at most one index; empty when the stack is momentarily dry.
+Indices pop_one(WorkPool& pool) {
+  Indices out;
+  pool.try_pop_batch(1, out);
+  return out;
+}
+
 TEST(WorkPool, PopsLowestIndexFirst) {
   WorkPool pool({0, 1, 2}, 3);
-  EXPECT_EQ(pool.try_pop(), 0);
-  EXPECT_EQ(pool.try_pop(), 1);
-  EXPECT_EQ(pool.try_pop(), 2);
-  EXPECT_EQ(pool.try_pop(), std::nullopt);
+  EXPECT_EQ(pop_one(pool), Indices{0});
+  EXPECT_EQ(pop_one(pool), Indices{1});
+  EXPECT_EQ(pop_one(pool), Indices{2});
+  EXPECT_EQ(pop_one(pool), Indices{});
 }
 
 TEST(WorkPool, PushReturnsWorkLifo) {
   WorkPool pool({0, 1}, 2);
-  ASSERT_EQ(pool.try_pop(), 0);
-  pool.push(0);
-  EXPECT_EQ(pool.try_pop(), 0);  // most recently pushed pops first
+  ASSERT_EQ(pop_one(pool), Indices{0});
+  pool.push_batch({0});
+  EXPECT_EQ(pop_one(pool), Indices{0});  // most recently pushed pops first
 }
 
 TEST(WorkPool, AllCompleteTracksOutstanding) {
@@ -37,12 +47,12 @@ TEST(WorkPool, AllCompleteTracksOutstanding) {
 
 TEST(WorkPool, EmptyPoolWithOutstandingWorkIsNotComplete) {
   WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
+  ASSERT_EQ(pop_one(pool), Indices{0});
   // Stack empty but the edge is in flight.
-  EXPECT_EQ(pool.try_pop(), std::nullopt);
+  EXPECT_EQ(pop_one(pool), Indices{});
   EXPECT_FALSE(pool.all_complete());
-  pool.push(0);
-  EXPECT_EQ(pool.try_pop(), 0);
+  pool.push_batch({0});
+  EXPECT_EQ(pop_one(pool), Indices{0});
   pool.mark_complete();
   EXPECT_TRUE(pool.all_complete());
 }
@@ -50,7 +60,7 @@ TEST(WorkPool, EmptyPoolWithOutstandingWorkIsNotComplete) {
 TEST(WorkPool, ZeroWorkIsImmediatelyComplete) {
   WorkPool pool({}, 0);
   EXPECT_TRUE(pool.all_complete());
-  EXPECT_EQ(pool.try_pop(), std::nullopt);
+  EXPECT_EQ(pop_one(pool), Indices{});
 }
 
 TEST(WorkPool, BatchPopTakesUpToRequested) {
@@ -75,240 +85,73 @@ TEST(WorkPool, BatchPushReturnsAllItems) {
   EXPECT_EQ(pool.try_pop_batch(1, out), 0u);
 }
 
-TEST(WorkPool, PopOrPrepPopsWithoutTouchingThePrepHook) {
-  WorkPool pool({0, 1}, 2);
-  int preps = 0;
-  const WorkPool::PrepHook prep = [&] {
-    ++preps;
-    return false;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), 0);
-  EXPECT_EQ(pool.pop_or_prep(prep), 1);
-  EXPECT_EQ(preps, 0);  // work available: prep is tail-only
-}
-
-TEST(WorkPool, PopOrPrepReturnsNulloptOnZeroWork) {
-  WorkPool pool({}, 0);
-  EXPECT_EQ(pool.pop_or_prep({}), std::nullopt);
-}
-
-TEST(WorkPool, PopOrPrepRunsPrepWhileDryAndPopsWhatItProduces) {
-  // Dry pool, one outstanding work: the hook runs (outside the lock)
-  // until it stops reporting progress or feeds the stack. Here it
-  // "prepares" twice and then pushes the held edge back.
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  int preps = 0;
-  const WorkPool::PrepHook prep = [&] {
-    ++preps;
-    if (preps == 3) pool.push(0);
-    return true;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), 0);
-  EXPECT_EQ(preps, 3);
-}
-
-TEST(WorkPool, PopOrPrepSeesCompletionReportedFromThePrepHook) {
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  const WorkPool::PrepHook prep = [&] {
-    pool.mark_complete();
-    return true;
-  };
-  EXPECT_EQ(pool.pop_or_prep(prep), std::nullopt);
-  EXPECT_TRUE(pool.all_complete());
-}
-
-TEST(WorkPool, PopOrPrepBlocksUntilWorkIsPushedBack) {
-  // The no-busy-spin wait: a thread with nothing to pop and nothing to
-  // prepare blocks until another thread pushes its edge back.
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  std::optional<std::int64_t> got;
-  std::thread waiter([&] { got = pool.pop_or_prep({}); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.push(0);
-  waiter.join();
-  EXPECT_EQ(got, 0);
-}
-
-TEST(WorkPool, PopOrPrepWakesOnFinalCompletion) {
-  WorkPool pool({0}, 1);
-  ASSERT_EQ(pool.try_pop(), 0);
-  std::optional<std::int64_t> got = 123;
-  std::thread waiter([&] { got = pool.pop_or_prep({}); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  pool.mark_complete();
-  waiter.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(WorkPool, PopOrPrepWakesSleepersToRetryPrepWhenAnEdgeSettles) {
-  // mark_complete with works still outstanding must wake a sleeping
-  // pop_or_prep so it can re-try its hook: a settled edge is new
-  // preparation input even though the stack did not grow.
-  WorkPool pool({0, 1}, 2);
-  ASSERT_EQ(pool.try_pop(), 0);
-  ASSERT_EQ(pool.try_pop(), 1);
-  std::atomic<int> preps{0};
-  std::optional<std::int64_t> got = 123;
-  std::thread waiter([&] {
-    got = pool.pop_or_prep([&] {
-      ++preps;
-      return false;  // nothing preppable yet: sleep
-    });
-  });
-  const auto wait_for_preps = [&](int at_least) {
-    for (int i = 0; i < 2000 && preps.load() < at_least; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return preps.load();
-  };
-  ASSERT_GE(wait_for_preps(1), 1);  // hook ran once, waiter now asleep
-  pool.mark_complete();             // edge 0 settles; 1 still outstanding
-  EXPECT_GE(wait_for_preps(2), 2);  // hook re-tried after the wake
-  pool.mark_complete();
-  waiter.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(WorkPool, ContendedPopOrPrepTinyDepthsNoLostWakeupsNoDuplicatePreps) {
-  // Contention stress for pop_or_prep: many threads fight over pools far
-  // smaller than the team (tiny depths), so almost every pop lands in the
-  // dry tail — the regime where a lost wakeup would deadlock a sleeper
-  // and a racy prep gate would prepare an edge twice. Each round models
-  // the async engine's tail: an item is popped, briefly held (forcing the
-  // others dry), pushed back once and then completed; a completed item
-  // becomes preparation input that exactly one prep hook may claim.
-  //
-  // The assertions: every item delivered to one holder at a time (no
-  // duplicate delivery), visited exactly twice, prepared exactly once
-  // after settling, and every thread's pop_or_prep returns nullopt
-  // (threads joining at all is the no-lost-wakeup check — a sleeper the
-  // completion notify misses would hang the test into the ctest timeout).
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 150;
-  for (int round = 0; round < kRounds; ++round) {
-    const std::int64_t items = 1 + round % 3;  // depths of 1–3 edges
-    std::vector<std::int64_t> initial(static_cast<std::size_t>(items));
-    for (std::int64_t i = 0; i < items; ++i) initial[static_cast<std::size_t>(i)] = i;
-    WorkPool pool(std::move(initial), items);
-
-    std::vector<std::atomic<bool>> held(static_cast<std::size_t>(items));
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(items));
-    std::vector<std::atomic<bool>> settled(static_cast<std::size_t>(items));
-    std::vector<std::atomic<int>> preps(static_cast<std::size_t>(items));
-    std::atomic<bool> duplicate_delivery{false};
-
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&] {
-        const WorkPool::PrepHook prep = [&] {
-          // Claim one settled-but-unprepared edge, like the async
-          // engine's next-depth preparation; the per-edge counter is the
-          // duplicate-prep detector.
-          for (std::int64_t i = 0; i < items; ++i) {
-            const auto index = static_cast<std::size_t>(i);
-            if (!settled[index].load(std::memory_order_acquire)) continue;
-            if (preps[index].fetch_add(1, std::memory_order_acq_rel) == 0) {
-              return true;  // claimed: report progress, retry for more
-            }
-            preps[index].fetch_sub(1, std::memory_order_acq_rel);
-          }
-          return false;  // nothing claimable: sleep until the pool moves
-        };
-        while (true) {
-          const auto popped = pool.pop_or_prep(prep);
-          if (!popped.has_value()) break;  // depth complete
-          const auto index = static_cast<std::size_t>(*popped);
-          if (held[index].exchange(true)) duplicate_delivery = true;
-          const int visit = visits[index].fetch_add(1) + 1;
-          std::this_thread::yield();  // hold the edge: everyone else is dry
-          held[index].store(false);
-          if (visit == 1) {
-            pool.push(*popped);
-          } else {
-            settled[index].store(true, std::memory_order_release);
-            pool.mark_complete();
-          }
+/// Drains `pool` the way the CI-level engine's team does: each thread
+/// claims up to `claim` indices, visits each (`visit` returns true once
+/// that work is finished), marks the finished ones complete and pushes
+/// the rest back. The team follows OMP_NUM_THREADS like the engine's, but
+/// has at least two threads so the pool is always contended.
+template <typename Visit>
+void drain_like_the_engine(WorkPool& pool, std::size_t claim, Visit visit) {
+  const auto worker = [&] {
+    std::vector<std::int64_t> claimed;
+    std::vector<std::int64_t> keep;
+    while (!pool.all_complete()) {
+      if (pool.try_pop_batch(claim, claimed) == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      keep.clear();
+      for (const std::int64_t index : claimed) {
+        if (visit(index)) {
+          pool.mark_complete();
+        } else {
+          keep.push_back(index);
         }
-      });
+      }
+      pool.push_batch(keep);
     }
-    for (auto& thread : threads) thread.join();
-
-    EXPECT_FALSE(duplicate_delivery.load()) << "round " << round;
-    EXPECT_TRUE(pool.all_complete()) << "round " << round;
-    for (std::int64_t i = 0; i < items; ++i) {
-      const auto index = static_cast<std::size_t>(i);
-      EXPECT_EQ(visits[index].load(), 2)
-          << "round " << round << " item " << i;
-      // Settled edges are preparation input for the threads still inside
-      // pop_or_prep; whether one got to claim before the depth drained is
-      // timing, but a double claim is a bug at any timing.
-      EXPECT_LE(preps[index].load(), 1)
-          << "round " << round << " item " << i << " prepared twice";
-    }
+  };
+  std::vector<std::thread> team;
+  for (int t = 0; t < std::max(2, hardware_threads()); ++t) {
+    team.emplace_back(worker);
   }
+  for (std::thread& thread : team) thread.join();
 }
 
 TEST(WorkPool, ConcurrentDrainProcessesEveryItemExactlyOnce) {
   constexpr std::int64_t kItems = 2000;
-  std::vector<std::int64_t> initial(kItems);
-  for (std::int64_t i = 0; i < kItems; ++i) initial[i] = i;
-  WorkPool pool(std::move(initial), kItems);
+  for (const std::size_t claim : {1, 8}) {
+    std::vector<std::int64_t> initial(kItems);
+    for (std::int64_t i = 0; i < kItems; ++i) initial[i] = i;
+    WorkPool pool(std::move(initial), kItems);
 
-  std::vector<std::atomic<int>> seen(kItems);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      while (!pool.all_complete()) {
-        const auto index = pool.try_pop();
-        if (!index.has_value()) {
-          std::this_thread::yield();
-          continue;
-        }
-        seen[*index].fetch_add(1);
-        pool.mark_complete();
-      }
+    std::vector<std::atomic<int>> seen(kItems);
+    drain_like_the_engine(pool, claim, [&](std::int64_t index) {
+      seen[index].fetch_add(1);
+      return true;
     });
+    for (std::int64_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(seen[i].load(), 1) << "claim " << claim << " item " << i;
+    }
+    EXPECT_TRUE(pool.all_complete());
   }
-  for (auto& thread : threads) thread.join();
-  for (std::int64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[i].load(), 1) << "item " << i;
-  }
-  EXPECT_TRUE(pool.all_complete());
 }
 
 TEST(WorkPool, ConcurrentPushBackRetainsWork) {
   // Each item is pushed back twice before completing (progress simulation).
   constexpr std::int64_t kItems = 500;
-  std::vector<std::int64_t> initial(kItems);
-  for (std::int64_t i = 0; i < kItems; ++i) initial[i] = i;
-  WorkPool pool(std::move(initial), kItems);
+  for (const std::size_t claim : {1, 8}) {
+    std::vector<std::int64_t> initial(kItems);
+    for (std::int64_t i = 0; i < kItems; ++i) initial[i] = i;
+    WorkPool pool(std::move(initial), kItems);
 
-  std::vector<std::atomic<int>> visits(kItems);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      while (!pool.all_complete()) {
-        const auto index = pool.try_pop();
-        if (!index.has_value()) {
-          std::this_thread::yield();
-          continue;
-        }
-        const int visit = visits[*index].fetch_add(1) + 1;
-        if (visit < 3) {
-          pool.push(*index);
-        } else {
-          pool.mark_complete();
-        }
-      }
+    std::vector<std::atomic<int>> visits(kItems);
+    drain_like_the_engine(pool, claim, [&](std::int64_t index) {
+      return visits[index].fetch_add(1) + 1 == 3;
     });
-  }
-  for (auto& thread : threads) thread.join();
-  for (std::int64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(visits[i].load(), 3) << "item " << i;
+    for (std::int64_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(visits[i].load(), 3) << "claim " << claim << " item " << i;
+    }
   }
 }
 
