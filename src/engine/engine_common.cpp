@@ -46,10 +46,7 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
                                 ? test.test_in_group(empty_set)
                                 : test.test(work.x, work.y, empty_set);
     ++executed;
-    if (result.independent) {
-      work.removed = true;
-      work.sepset.clear();
-    }
+    if (result.independent) work.accepted = 0;
     work.progress = 1;
     return executed;
   }
@@ -64,8 +61,7 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
                                 : test.test(work.x, work.y, z);
     ++executed;
     if (result.independent) {
-      work.removed = true;
-      work.sepset = z;
+      work.accepted = r;
       break;
     }
   }
@@ -90,7 +86,8 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
     // because its predecessor happened to be removed.
     if (!grouped && i > 0) {
       const EdgeWork& previous = works[i - 1];
-      if (previous.removed && previous.x == work.y && previous.y == work.x) {
+      if (previous.removed() && previous.x == work.y &&
+          previous.y == work.x) {
         continue;
       }
     }

@@ -22,10 +22,11 @@
 //  - The per-depth commit barrier is an allreduce rooted at the driver:
 //    RUN_DEPTH(depth, previous depth's union removal set) goes out to
 //    every rank; each rank applies the removals to its replica, runs its
-//    works, and replies with its removal set + sepsets + test count; the
-//    driver merges the replies into the works vector (the same outcome
-//    slots every engine fills) and carries the union forward to the next
-//    broadcast.
+//    works, and replies with its removal set (each removal's accepting
+//    test rank) + test count; the driver merges the replies into the
+//    works vector (the same outcome slot every engine fills), unranks
+//    each sepset from its own identical list for the checkpoint log, and
+//    carries the union forward to the next broadcast.
 //
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
@@ -210,6 +211,9 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
     }
     RankFaultInjector injector(config.schedule, config.rank);
     UndirectedGraph replica = UndirectedGraph::complete(config.num_vars);
+    // Rebuilt by each depth's build_depth_works; that depth's works point
+    // into it.
+    AdjacencySnapshot snapshot;
     const VariableShards shards(config.num_vars, config.rank_count);
     std::vector<std::unique_ptr<CiTest>> clones;
     bool placed = !config.prefault_columns;
@@ -315,7 +319,8 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
         ::_exit(43);
       }
       const WallTimer compute_timer;
-      std::vector<EdgeWork> works = build_depth_works(replica, depth, grouped);
+      std::vector<EdgeWork> works =
+          build_depth_works(replica, depth, grouped, snapshot);
       std::vector<std::int64_t> mine;
       if (explicit_only) {
         mine = std::move(listed);
@@ -368,16 +373,16 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
           static_cast<std::int64_t>(compute_timer.seconds() * 1e6));
       std::uint32_t removed = 0;
       for (const std::int64_t index : mine) {
-        if (works[static_cast<std::size_t>(index)].removed) ++removed;
+        if (works[static_cast<std::size_t>(index)].removed()) ++removed;
       }
       writer.put_u32(removed);
       for (const std::int64_t index : mine) {
         const EdgeWork& work = works[static_cast<std::size_t>(index)];
-        if (!work.removed) continue;
+        if (!work.removed()) continue;
         writer.put_u64(static_cast<std::uint64_t>(index));
         writer.put_i32(work.x);
         writer.put_i32(work.y);
-        writer.put_vars(work.sepset);
+        writer.put_u64(work.accepted);
       }
       last_reply = encode_frame(kTagDepthResult, writer.payload());
       const FaultEvent* frame_fault = injector.take_frame_fault(depth);
@@ -704,7 +709,8 @@ class ProcessEngine final : public SkeletonEngine {
                     std::to_string(reply_depth) + ", seq " +
                     std::to_string(reply_seq) + ")";
         } else {
-          merge_reply(works, reader, rank, total_tests, max_rank_seconds);
+          merge_reply(works, depth, reader, rank, total_tests,
+                      max_rank_seconds);
           return Gather::kMerged;
         }
       } else if (status == FrameReadStatus::kBadTag) {
@@ -836,8 +842,9 @@ class ProcessEngine final : public SkeletonEngine {
 
   /// Merges one validated DepthResult payload (cursor past depth + seq)
   /// into the works vector and the pending-removal set.
-  void merge_reply(std::vector<EdgeWork>& works, WireReader& reader, int rank,
-                   std::int64_t& total_tests, double& max_rank_seconds) {
+  void merge_reply(std::vector<EdgeWork>& works, std::int32_t depth,
+                   WireReader& reader, int rank, std::int64_t& total_tests,
+                   double& max_rank_seconds) {
     total_tests += reader.get_i64();
     max_rank_seconds = std::max(
         max_rank_seconds, static_cast<double>(reader.get_i64()) * 1e-6);
@@ -846,7 +853,7 @@ class ProcessEngine final : public SkeletonEngine {
       const auto index = static_cast<std::size_t>(reader.get_u64());
       const VarId x = reader.get_i32();
       const VarId y = reader.get_i32();
-      std::vector<VarId> sepset = reader.get_vars();
+      const std::uint64_t accepted = reader.get_u64();
       // The index addresses the rank's replica-built list; it is only
       // meaningful if that list matches the driver's. The endpoint
       // check turns a divergent replica into a loud protocol error.
@@ -860,11 +867,26 @@ class ProcessEngine final : public SkeletonEngine {
             "), which does not match the driver's work list — replica "
             "divergence");
       }
-      works[index].removed = true;
-      works[index].sepset = std::move(sepset);
-      // The sepset rides into the checkpoint log so a future respawn
-      // replays the complete committed record, not just the edge list.
-      pending_removals_.push_back({x, y, works[index].sepset});
+      EdgeWork& work = works[index];
+      // A rank past the work's tests cannot come from an identical list;
+      // checked before unranking, which only asserts the bound.
+      if (accepted >= work.total_tests()) {
+        group_.shutdown();
+        throw std::runtime_error(
+            "process engine: rank " + std::to_string(rank) +
+            " removed work #" + std::to_string(index) + " (" +
+            std::to_string(x) + ", " + std::to_string(y) + ") at test rank " +
+            std::to_string(accepted) + ", but the driver's work has " +
+            std::to_string(work.total_tests()) +
+            " tests — replica divergence");
+      }
+      work.accepted = accepted;
+      // The sepset, unranked from the driver's own list, rides into the
+      // checkpoint log so a future respawn replays the complete committed
+      // record, not just the edge list.
+      DepthCheckpoint::Removal removal{x, y, {}};
+      conditioning_set_for(work, depth, accepted, removal.sepset);
+      pending_removals_.push_back(std::move(removal));
     }
   }
 

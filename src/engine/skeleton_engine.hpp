@@ -34,9 +34,10 @@ class SkeletonEngine {
   virtual void prepare_run() {}
 
   /// Runs the pending CI tests of one depth over `works` (built by
-  /// build_depth_works from the driver's graph snapshot). The engine owns
-  /// only test execution: it marks works removed and fills their sepsets;
-  /// the driver commits those outcomes to the graph afterwards.
+  /// build_depth_works from the driver's graph). The engine owns only
+  /// test execution: it records each work's first accepting rank in
+  /// `accepted`; the driver commits those outcomes to the graph and the
+  /// sepsets afterwards.
   /// `prototype` is cloned per worker thread on first use. Returns the
   /// number of CI tests executed.
   virtual std::int64_t run_depth(std::vector<EdgeWork>& works,

@@ -45,17 +45,12 @@ bool UndirectedGraph::remove_edge(VarId u, VarId v) noexcept {
 
 std::vector<VarId> UndirectedGraph::neighbors(VarId v) const {
   std::vector<VarId> result;
-  neighbors_into(v, result);
-  return result;
-}
-
-void UndirectedGraph::neighbors_into(VarId v, std::vector<VarId>& out) const {
-  out.clear();
-  out.reserve(static_cast<std::size_t>(degree_[v]));
+  result.reserve(static_cast<std::size_t>(degree_[v]));
   const std::uint8_t* row = adj_.data() + index(v, 0);
   for (VarId u = 0; u < n_; ++u) {
-    if (row[u] != 0) out.push_back(u);
+    if (row[u] != 0) result.push_back(u);
   }
+  return result;
 }
 
 std::vector<std::pair<VarId, VarId>> UndirectedGraph::edges() const {

@@ -40,10 +40,6 @@ class UndirectedGraph {
   /// Neighbors of v in ascending order (allocates; snapshot semantics).
   [[nodiscard]] std::vector<VarId> neighbors(VarId v) const;
 
-  /// Appends neighbors of v to `out` in ascending order (no allocation churn
-  /// in per-depth snapshot loops).
-  void neighbors_into(VarId v, std::vector<VarId>& out) const;
-
   /// All edges as ordered pairs (u < v), lexicographically sorted.
   [[nodiscard]] std::vector<std::pair<VarId, VarId>> edges() const;
 

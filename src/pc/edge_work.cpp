@@ -7,53 +7,69 @@
 #include <string>
 
 namespace fastbns {
-namespace {
 
-void snapshot_candidates(const UndirectedGraph& graph, VarId v, VarId excluded,
-                         std::vector<VarId>& out) {
-  graph.neighbors_into(v, out);
-  const auto it = std::find(out.begin(), out.end(), excluded);
-  if (it != out.end()) out.erase(it);
-}
-
-/// The work unit of one edge (x, y) at depth `d`. Grouped works cover
-/// both directions; ungrouped works carry direction (x, y) only.
-EdgeWork build_edge_work(const UndirectedGraph& graph, VarId x, VarId y,
-                         std::int32_t depth, bool group_endpoints) {
-  EdgeWork work;
-  work.x = x;
-  work.y = y;
-  if (depth == 0) {
-    // Single marginal test I(x, y | {}): no candidate snapshot needed.
-    work.total1 = 1;
-    return work;
+void AdjacencySnapshot::assign(const UndirectedGraph& graph) {
+  const VarId n = graph.num_nodes();
+  offsets_.resize(static_cast<std::size_t>(n) + 1);
+  neighbors_.resize(2 * static_cast<std::size_t>(graph.num_edges()));
+  std::size_t next = 0;
+  for (VarId v = 0; v < n; ++v) {
+    offsets_[static_cast<std::size_t>(v)] = next;
+    for (VarId u = 0; u < n; ++u) {
+      if (graph.has_edge(v, u)) neighbors_[next++] = u;
+    }
   }
-  snapshot_candidates(graph, x, y, work.candidates1);
-  work.total1 =
-      binomial(static_cast<std::int64_t>(work.candidates1.size()), depth);
-  if (group_endpoints) {
-    snapshot_candidates(graph, y, x, work.candidates2);
-    work.total2 =
-        binomial(static_cast<std::int64_t>(work.candidates2.size()), depth);
-  }
-  return work;
+  offsets_[static_cast<std::size_t>(n)] = next;
 }
-
-}  // namespace
 
 std::vector<EdgeWork> build_depth_works(const UndirectedGraph& graph,
                                         std::int32_t depth,
-                                        bool group_endpoints) {
+                                        bool group_endpoints,
+                                        AdjacencySnapshot& snapshot) {
+  const VarId n = graph.num_nodes();
+  const auto edges = static_cast<std::size_t>(graph.num_edges());
   std::vector<EdgeWork> works;
-  const auto edges = graph.edges();
-  works.reserve(group_endpoints ? edges.size() : 2 * edges.size());
+  works.reserve(group_endpoints ? edges : 2 * edges);
 
-  for (const auto& [u, v] : edges) {
-    // Grouped: one work covering both directions. Ungrouped: the classic
-    // ordered-pair traversal, (u, v) then (v, u), direction 1 only.
-    works.push_back(build_edge_work(graph, u, v, depth, group_endpoints));
-    if (!group_endpoints) {
-      works.push_back(build_edge_work(graph, v, u, depth, group_endpoints));
+  if (depth == 0) {
+    // Single marginal test I(x, y | {}) per work: no snapshot needed.
+    for (VarId u = 0; u < n; ++u) {
+      for (VarId v = u + 1; v < n; ++v) {
+        if (!graph.has_edge(u, v)) continue;
+        works.push_back({.x = u, .y = v, .total1 = 1});
+        if (!group_endpoints) works.push_back({.x = v, .y = u, .total1 = 1});
+      }
+    }
+    return works;
+  }
+
+  snapshot.assign(graph);
+  // C(|adj(v)| - 1, d): the test count of every direction v owns.
+  std::vector<std::uint64_t> pool_tests(static_cast<std::size_t>(n));
+  for (VarId v = 0; v < n; ++v) {
+    pool_tests[static_cast<std::size_t>(v)] = binomial(
+        static_cast<std::int64_t>(snapshot.row(v).size()) - 1, depth);
+  }
+  for (VarId u = 0; u < n; ++u) {
+    const std::span<const VarId> row = snapshot.row(u);
+    const std::uint64_t total_u = pool_tests[static_cast<std::size_t>(u)];
+    // The neighbours above u, ascending: edges in (u < v) order.
+    for (auto it = std::upper_bound(row.begin(), row.end(), u);
+         it != row.end(); ++it) {
+      const VarId v = *it;
+      const std::uint64_t total_v = pool_tests[static_cast<std::size_t>(v)];
+      // Grouped: one work covering both directions. Ungrouped: the
+      // classic ordered-pair traversal, (u, v) then (v, u), direction 1
+      // only.
+      if (group_endpoints) {
+        works.push_back({.x = u, .y = v, .snapshot = &snapshot,
+                         .total1 = total_u, .total2 = total_v});
+      } else {
+        works.push_back(
+            {.x = u, .y = v, .snapshot = &snapshot, .total1 = total_u});
+        works.push_back(
+            {.x = v, .y = u, .snapshot = &snapshot, .total1 = total_v});
+      }
     }
   }
   return works;
@@ -67,18 +83,21 @@ void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
   assert(depth <= static_cast<std::int32_t>(indices.size()));
   const std::span<std::int32_t> index_span(indices.data(),
                                            static_cast<std::size_t>(depth));
-  const std::vector<VarId>* pool = nullptr;
-  if (r < work.total1) {
-    pool = &work.candidates1;
-    unrank_combination(static_cast<std::int32_t>(work.candidates1.size()),
-                       depth, r, index_span);
-  } else {
-    pool = &work.candidates2;
-    unrank_combination(static_cast<std::int32_t>(work.candidates2.size()),
-                       depth, r - work.total1, index_span);
-  }
+  // Direction 1 draws from adj(x)\{y}, direction 2 from adj(y)\{x}: the
+  // owner's row with the other endpoint's position skipped.
+  const bool first = r < work.total1;
+  const std::span<const VarId> row =
+      work.snapshot->row(first ? work.x : work.y);
+  const VarId excluded = first ? work.y : work.x;
+  const auto skip = static_cast<std::int32_t>(
+      std::lower_bound(row.begin(), row.end(), excluded) - row.begin());
+  assert(static_cast<std::size_t>(skip) < row.size() &&
+         row[static_cast<std::size_t>(skip)] == excluded);
+  unrank_combination(static_cast<std::int32_t>(row.size()) - 1, depth,
+                     first ? r : r - work.total1, index_span);
   for (std::int32_t i = 0; i < depth; ++i) {
-    z_out[i] = (*pool)[indices[i]];
+    const std::int32_t index = indices[i];
+    z_out[i] = row[static_cast<std::size_t>(index < skip ? index : index + 1)];
   }
 }
 
@@ -95,11 +114,10 @@ std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
     conditioning_set_for(work, depth, r, z);
     const CiResult result = test.test_in_group(z);
     ++executed;
-    if (result.independent && !work.removed) {
+    if (result.independent && !work.removed()) {
       // Lowest-rank accepting set defines the sepset (determinism across
       // engines and thread counts).
-      work.removed = true;
-      work.sepset = z;
+      work.accepted = r;
       if (early_stop) break;
     }
   }

@@ -1,13 +1,19 @@
 // Per-depth work units of skeleton discovery.
 //
-// An EdgeWork is one entry of the dynamic work pool: the edge's endpoints,
-// the depth-snapshot candidate pools of its two directions, how many CI
-// tests it has in total, and a progress cursor `r`. Conditioning sets are
-// recovered from `r` by lexicographic unranking — the pool itself stores
-// no set indices (Section IV-C, "generating conditioning sets on-the-fly").
+// An EdgeWork is one entry of the dynamic work pool: a flat 48-byte
+// record of the edge's endpoints, a pointer to the depth's adjacency
+// snapshot, how many CI tests each direction has, a progress cursor `r`
+// and one outcome slot, the rank of the first accepting test. The
+// candidate pools adj(x)\{y} and adj(y)\{x} are read off the snapshot,
+// never copied, and conditioning sets are recovered from ranks by
+// lexicographic unranking: the pool stores no set indices (Section IV-C,
+// "generating conditioning sets on-the-fly"), and the commit unranks
+// each removal's sepset from its accepting rank the same way.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "combinatorics/combination.hpp"
@@ -18,51 +24,91 @@
 
 namespace fastbns {
 
+/// One depth's adjacency in CSR form: the ascending neighbour ids of
+/// every node, concatenated, plus an offset per node. A depth's works
+/// point into one snapshot instead of each copying its candidate pools.
+class AdjacencySnapshot {
+ public:
+  /// Rebuilds the snapshot from `graph` in one pass over its rows,
+  /// reusing the buffers of the previous depth.
+  void assign(const UndirectedGraph& graph);
+
+  /// The neighbours of `v`, ascending.
+  [[nodiscard]] std::span<const VarId> row(VarId v) const noexcept {
+    const auto i = static_cast<std::size_t>(v);
+    return {neighbors_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;  ///< num_nodes + 1 entries
+  std::vector<VarId> neighbors_;      ///< 2 * num_edges entries
+};
+
+/// `EdgeWork::accepted` while no test of the work has accepted. No rank
+/// can take this value: ranks stay below total_tests() <= 2^64 - 1.
+inline constexpr std::uint64_t kNotRemoved = ~std::uint64_t{0};
+
 struct EdgeWork {
   VarId x = kInvalidVar;  ///< first endpoint (the tested ordered direction)
   VarId y = kInvalidVar;  ///< second endpoint
-  /// Snapshot candidates adj(x)\{y}; ascending.
-  std::vector<VarId> candidates1;
-  /// Snapshot candidates adj(y)\{x}; ascending. Empty for ungrouped works.
-  std::vector<VarId> candidates2;
-  std::uint64_t total1 = 0;  ///< C(|candidates1|, d)
-  std::uint64_t total2 = 0;  ///< C(|candidates2|, d); 0 when ungrouped
+  /// The depth's adjacency: direction 1 draws from adj(x)\{y}, direction
+  /// 2 from adj(y)\{x}. Null at depth 0, whose one test conditions on {}.
+  const AdjacencySnapshot* snapshot = nullptr;
+  std::uint64_t total1 = 0;  ///< C(|adj(x)\{y}|, d)
+  std::uint64_t total2 = 0;  ///< C(|adj(y)\{x}|, d); 0 when ungrouped
   std::uint64_t progress = 0;  ///< next CI-test rank r
+  /// Outcome slot, written by exactly one thread (the current holder):
+  /// the rank of the first accepting test, kNotRemoved while the edge
+  /// stands.
+  std::uint64_t accepted = kNotRemoved;
 
-  // Outcome slots — written by exactly one thread (the current holder).
-  bool removed = false;
-  std::vector<VarId> sepset;
-
+  [[nodiscard]] bool removed() const noexcept {
+    return accepted != kNotRemoved;
+  }
+  /// total1 + total2, saturating like binomial(): a saturated count
+  /// means more work than will ever finish.
   [[nodiscard]] std::uint64_t total_tests() const noexcept {
-    return total1 + total2;
+    return total2 > kBinomialSaturated - total1 ? kBinomialSaturated
+                                                : total1 + total2;
   }
   [[nodiscard]] bool finished() const noexcept {
-    return removed || progress >= total_tests();
+    return removed() || progress >= total_tests();
   }
 };
+static_assert(std::is_trivially_copyable_v<EdgeWork> &&
+                  sizeof(EdgeWork) <= 48,
+              "EdgeWork is a flat record: depth 0 builds one per edge of "
+              "the complete graph");
 
-/// Builds the works of depth `d` from the current graph snapshot.
+/// Builds the works of depth `d` from `graph`, walking its edges u < v
+/// in lexicographic order.
 /// Grouped: one work per undirected edge covering both directions.
-/// Ungrouped: two works per edge, (x, y) then (y, x), direction-1 only —
+/// Ungrouped: two works per edge, (u, v) then (v, u), direction-1 only —
 /// the classic PC-stable ordered-pair traversal.
 /// Depth 0 is special-cased to a single marginal test per work (grouped)
-/// per the paper's Section IV-B.
+/// per the paper's Section IV-B; its works need no snapshot. At depth
+/// >= 1 `snapshot` is rebuilt from `graph` and every work points into it,
+/// so it must outlive the works and the commit that unranks their
+/// sepsets.
 [[nodiscard]] std::vector<EdgeWork> build_depth_works(
-    const UndirectedGraph& graph, std::int32_t depth, bool group_endpoints);
+    const UndirectedGraph& graph, std::int32_t depth, bool group_endpoints,
+    AdjacencySnapshot& snapshot);
 
 /// Reconstructs the conditioning set of test rank `r` of `work` at depth
-/// `d` into `z_out` (ascending variable ids).
+/// `d` into `z_out` (ascending variable ids): the rank's subset of the
+/// owner's snapshot row with the other endpoint skipped. Requires
+/// r < work.total_tests().
 void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
                           std::uint64_t r, std::vector<VarId>& z_out);
 
 /// Runs up to `budget` CI tests of `work` from its progress cursor, in
 /// canonical rank order, through the group protocol. The first accepting
-/// test marks the work removed with its set as the sepset, so the
-/// lowest-rank accepting set wins at any budget. With `early_stop` the
-/// run ends there; without it the rest of the budget still executes (the
-/// gs redundancy of Section IV-B). Conditioning sets are written into
-/// `z`, a buffer the caller owns and reuses across calls. Returns the
-/// number of CI tests executed.
+/// test's rank is recorded in `accepted`, so the lowest-rank accepting
+/// set wins at any budget. With `early_stop` the run ends there; without
+/// it the rest of the budget still executes (the gs redundancy of
+/// Section IV-B). Conditioning sets are written into `z`, a buffer the
+/// caller owns and reuses across calls, so the loop allocates nothing.
+/// Returns the number of CI tests executed.
 std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
                             std::uint64_t budget, CiTest& test,
                             bool early_stop, std::vector<VarId>& z);

@@ -1,5 +1,11 @@
 // Separating-set storage: SepSet(Vi, Vj) from Algorithm 1, consumed by the
 // v-structure phase.
+//
+// Two storage kinds behind one read API. Every depth-0 separation has an
+// empty set, and depth 0 removes most edges, so empty sets are one bit
+// per unordered pair in a triangular index over n(n-1)/2 pairs, paged so
+// memory follows the highest pair touched. Non-empty sets are kept in a
+// map keyed by the pair.
 #pragma once
 
 #include <cstdint>
@@ -12,22 +18,33 @@ namespace fastbns {
 
 class SepsetStore {
  public:
-  /// Records the separating set of the unordered pair {x, y}; keeps the
-  /// first recorded set if called twice (engines commit in canonical order,
-  /// so this pins sepsets to the lexicographically first accepting test).
+  /// Records the separating set of the unordered pair {x, y}, x != y;
+  /// keeps the first recorded set if called twice, whichever kind either
+  /// set is (engines commit in canonical order, so this pins sepsets to
+  /// the lexicographically first accepting test).
   void set(VarId x, VarId y, std::vector<VarId> sepset);
 
-  /// nullptr when the pair was never separated.
+  /// The sepset of {x, y}, x != y; nullptr when the pair was never
+  /// separated. A pair separated by the empty set yields one shared empty
+  /// vector.
   [[nodiscard]] const std::vector<VarId>* find(VarId x, VarId y) const;
 
   /// True iff the pair has a sepset and it contains v.
   [[nodiscard]] bool separates_with(VarId x, VarId y, VarId v) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return map_.size(); }
+  /// Separated pairs of both kinds.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return sets_.size() + empty_count_;
+  }
 
  private:
   [[nodiscard]] static std::uint64_t key(VarId x, VarId y) noexcept;
-  std::unordered_map<std::uint64_t, std::vector<VarId>> map_;
+  [[nodiscard]] bool has_empty(std::uint64_t pair) const noexcept;
+
+  std::unordered_map<std::uint64_t, std::vector<VarId>> sets_;
+  /// Bit pages of the triangular pair index; an unused page is empty.
+  std::vector<std::vector<std::uint64_t>> empty_pages_;
+  std::size_t empty_count_ = 0;
 };
 
 }  // namespace fastbns

@@ -21,16 +21,22 @@ namespace {
 /// realistic dataset supports conditioning sets anywhere near this deep.
 constexpr std::int32_t kDepthLimit = 31;
 
-void commit_depth(std::vector<EdgeWork>& works, UndirectedGraph& graph,
-                  SepsetStore& sepsets, DepthStats& stats) {
-  for (auto& work : works) {
-    if (!work.removed) continue;
+/// Removes each removed work's edge and records its sepset, unranked from
+/// the accepting rank against the snapshot the works point into (the
+/// graph itself changes under the walk). Walking the list in order keeps
+/// the first write: for ungrouped works the (x, y) direction precedes
+/// (y, x), pinning the canonical sepset.
+void commit_depth(const std::vector<EdgeWork>& works, std::int32_t depth,
+                  UndirectedGraph& graph, SepsetStore& sepsets,
+                  DepthStats& stats) {
+  std::vector<VarId> z;
+  for (const EdgeWork& work : works) {
+    if (!work.removed()) continue;
     if (graph.remove_edge(work.x, work.y)) {
       ++stats.edges_removed;
     }
-    // try_emplace semantics keep the first commit: for ungrouped works the
-    // (x, y) direction precedes (y, x), pinning the canonical sepset.
-    sepsets.set(work.x, work.y, std::move(work.sepset));
+    conditioning_set_for(work, depth, work.accepted, z);
+    sepsets.set(work.x, work.y, z);
   }
 }
 
@@ -68,6 +74,8 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
 
   const bool grouped =
       options.group_endpoints && engine.supports_endpoint_grouping();
+  // Each depth >= 1 rebuilds it; the depth's works and commit read it.
+  AdjacencySnapshot snapshot;
 
   for (std::int32_t depth = 0; depth <= kDepthLimit; ++depth) {
     if (options.max_depth >= 0 && depth > options.max_depth) break;
@@ -79,7 +87,7 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
     std::vector<EdgeWork> works;
     if (!engine.take_prepared_depth_works(depth, result.graph, grouped,
                                           works)) {
-      works = build_depth_works(result.graph, depth, grouped);
+      works = build_depth_works(result.graph, depth, grouped, snapshot);
     }
     const bool any_tests =
         std::any_of(works.begin(), works.end(),
@@ -93,7 +101,7 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
 
     stats.ci_tests = engine.run_depth(works, depth, prototype, options);
 
-    commit_depth(works, result.graph, result.sepsets, stats);
+    commit_depth(works, depth, result.graph, result.sepsets, stats);
     stats.seconds = depth_timer.seconds();
     result.total_ci_tests += stats.ci_tests;
     result.max_depth_reached = depth;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/dag.hpp"
@@ -23,32 +26,72 @@ UndirectedGraph small_graph() {
   return g;
 }
 
+/// The set unranked from a removed work's accepting rank: what the commit
+/// records as its sepset.
+std::vector<VarId> accepted_set(const EdgeWork& work, std::int32_t depth) {
+  std::vector<VarId> z;
+  conditioning_set_for(work, depth, work.accepted, z);
+  return z;
+}
+
 TEST(BuildDepthWorks, DepthZeroGroupedHasOneTestPerEdge) {
-  const auto works = build_depth_works(small_graph(), 0, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 0, true, snapshot);
   ASSERT_EQ(works.size(), 5u);
   for (const EdgeWork& work : works) {
     EXPECT_EQ(work.total_tests(), 1u);
     EXPECT_EQ(work.progress, 0u);
-    EXPECT_FALSE(work.removed);
+    EXPECT_FALSE(work.removed());
+    EXPECT_EQ(work.accepted, kNotRemoved);
+    EXPECT_EQ(work.snapshot, nullptr);  // one marginal test, no pools
   }
 }
 
 TEST(BuildDepthWorks, DepthZeroUngroupedHasTwoWorksPerEdge) {
-  const auto works = build_depth_works(small_graph(), 0, false);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 0, false, snapshot);
   ASSERT_EQ(works.size(), 10u);
   // Ordered directions alternate: (x,y) then (y,x).
   EXPECT_EQ(works[0].x, works[1].y);
   EXPECT_EQ(works[0].y, works[1].x);
 }
 
+TEST(BuildDepthWorks, WalksEdgesInLexicographicOrder) {
+  // The order every engine's work indices, pair skips and the process
+  // engine's wire protocol rely on: (u, v) with u < v, lexicographic,
+  // identical at depth 0 (graph rows) and depth >= 1 (snapshot rows).
+  const UndirectedGraph g = small_graph();
+  for (const std::int32_t depth : {0, 1}) {
+    AdjacencySnapshot snapshot;
+    const auto grouped = build_depth_works(g, depth, true, snapshot);
+    const auto edges = g.edges();
+    ASSERT_EQ(grouped.size(), edges.size()) << "depth " << depth;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      EXPECT_EQ(grouped[i].x, edges[i].first) << "depth " << depth;
+      EXPECT_EQ(grouped[i].y, edges[i].second) << "depth " << depth;
+    }
+    const auto ungrouped = build_depth_works(g, depth, false, snapshot);
+    ASSERT_EQ(ungrouped.size(), 2 * edges.size()) << "depth " << depth;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      EXPECT_EQ(ungrouped[2 * i].x, edges[i].first);
+      EXPECT_EQ(ungrouped[2 * i].y, edges[i].second);
+      EXPECT_EQ(ungrouped[2 * i + 1].x, edges[i].second);
+      EXPECT_EQ(ungrouped[2 * i + 1].y, edges[i].first);
+      EXPECT_EQ(ungrouped[2 * i + 1].total2, 0u);
+    }
+  }
+}
+
 TEST(BuildDepthWorks, DepthOneTotalsMatchAdjacency) {
-  const auto works = build_depth_works(small_graph(), 1, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 1, true, snapshot);
   // Edge (0,1): adj(0)\{1} = {2} -> C(1,1)=1; adj(1)\{0} = {2} -> 1.
   const EdgeWork& edge01 = works[0];
   EXPECT_EQ(edge01.x, 0);
   EXPECT_EQ(edge01.y, 1);
   EXPECT_EQ(edge01.total1, 1u);
   EXPECT_EQ(edge01.total2, 1u);
+  EXPECT_EQ(edge01.snapshot, &snapshot);
   // Edge (2,3): adj(2)\{3} = {0,1} -> C(2,1)=2; adj(3)\{2} = {4} -> 1.
   const EdgeWork& edge23 = works[3];
   EXPECT_EQ(edge23.x, 2);
@@ -57,15 +100,28 @@ TEST(BuildDepthWorks, DepthOneTotalsMatchAdjacency) {
 }
 
 TEST(BuildDepthWorks, DepthTwoSkipsUndersizedPools) {
-  const auto works = build_depth_works(small_graph(), 2, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 2, true, snapshot);
   // Edge (3,4): adj(3)\{4} = {2} (1 < 2) and adj(4)\{3} = {} -> 0 tests.
   const EdgeWork& edge34 = works[4];
   EXPECT_EQ(edge34.total_tests(), 0u);
 }
 
+TEST(EdgeWork, TotalTestsSaturatesInsteadOfWrapping) {
+  // binomial() saturates at kBinomialSaturated ("more work than we will
+  // ever finish"); the sum of two directions must keep that meaning
+  // instead of wrapping to a tiny count (here: 2).
+  EdgeWork work;
+  work.total1 = kBinomialSaturated;
+  work.total2 = 3;
+  EXPECT_EQ(work.total_tests(), kBinomialSaturated);
+  EXPECT_FALSE(work.finished());
+}
+
 TEST(ConditioningSetFor, MapsRankThroughBothDirections) {
-  const auto works = build_depth_works(small_graph(), 1, true);
-  const EdgeWork& edge23 = works[3];  // cand1={0,1}, cand2={4}
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 1, true, snapshot);
+  const EdgeWork& edge23 = works[3];  // adj(2)\{3}={0,1}, adj(3)\{2}={4}
   std::vector<VarId> z;
   conditioning_set_for(edge23, 1, 0, z);
   EXPECT_EQ(z, (std::vector<VarId>{0}));
@@ -76,10 +132,93 @@ TEST(ConditioningSetFor, MapsRankThroughBothDirections) {
 }
 
 TEST(ConditioningSetFor, DepthZeroIsEmpty) {
-  const auto works = build_depth_works(small_graph(), 0, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 0, true, snapshot);
   std::vector<VarId> z{99};
   conditioning_set_for(works[0], 0, 0, z);
   EXPECT_TRUE(z.empty());
+}
+
+/// Every q-subset of `pool` (ascending), in lexicographic order.
+std::vector<std::vector<VarId>> brute_force_subsets(
+    const std::vector<VarId>& pool, std::int32_t q) {
+  std::vector<std::vector<VarId>> subsets;
+  for (std::uint32_t mask = 0; mask < (1u << pool.size()); ++mask) {
+    if (std::popcount(mask) != q) continue;
+    std::vector<VarId> subset;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if ((mask >> i & 1u) != 0) subset.push_back(pool[i]);
+    }
+    subsets.push_back(std::move(subset));
+  }
+  std::sort(subsets.begin(), subsets.end());
+  return subsets;
+}
+
+/// adj(owner)\{excluded}, read from the graph rather than a snapshot.
+std::vector<VarId> pool_of(const UndirectedGraph& g, VarId owner,
+                           VarId excluded) {
+  std::vector<VarId> pool = g.neighbors(owner);
+  pool.erase(std::find(pool.begin(), pool.end(), excluded));
+  return pool;
+}
+
+TEST(ConditioningSetFor, EveryRankMatchesBruteForceAroundTheSkippedEndpoint) {
+  // 7 nodes, complete minus {0-6, 2-4, 3-5}: rows of different lengths in
+  // which the excluded endpoint sits first, in the middle or last.
+  UndirectedGraph g = UndirectedGraph::complete(7);
+  g.remove_edge(0, 6);
+  g.remove_edge(2, 4);
+  g.remove_edge(3, 5);
+  int first = 0;
+  int middle = 0;
+  int last = 0;
+  for (const std::int32_t depth : {1, 2, 3}) {
+    for (const bool grouped : {true, false}) {
+      AdjacencySnapshot snapshot;
+      const auto works = build_depth_works(g, depth, grouped, snapshot);
+      ASSERT_EQ(works.size(), static_cast<std::size_t>(
+                                  grouped ? g.num_edges() : 2 * g.num_edges()));
+      std::vector<VarId> z;
+      for (const EdgeWork& work : works) {
+        // Direction 1 owns adj(x)\{y}; grouped works continue with
+        // direction 2, adj(y)\{x}.
+        std::vector<std::vector<VarId>> expected =
+            brute_force_subsets(pool_of(g, work.x, work.y), depth);
+        ASSERT_EQ(work.total1, expected.size());
+        if (grouped) {
+          const auto second =
+              brute_force_subsets(pool_of(g, work.y, work.x), depth);
+          ASSERT_EQ(work.total2, second.size());
+          expected.insert(expected.end(), second.begin(), second.end());
+        } else {
+          ASSERT_EQ(work.total2, 0u);
+        }
+        for (std::uint64_t r = 0; r < work.total_tests(); ++r) {
+          conditioning_set_for(work, depth, r, z);
+          EXPECT_EQ(z, expected[r])
+              << "depth " << depth << (grouped ? " grouped" : " ungrouped")
+              << " work (" << work.x << ", " << work.y << ") rank " << r;
+        }
+        // Where the excluded endpoint sits in each owner's row.
+        for (const auto& [owner, excluded] :
+             {std::pair{work.x, work.y}, std::pair{work.y, work.x}}) {
+          if (!grouped && owner == work.y) continue;
+          const std::vector<VarId> row = g.neighbors(owner);
+          if (excluded == row.front()) {
+            ++first;
+          } else if (excluded == row.back()) {
+            ++last;
+          } else {
+            ++middle;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(first, 0);
+  EXPECT_GT(middle, 0);
+  EXPECT_GT(last, 0);
 }
 
 /// Oracle over chain 0 -> 1 -> 2 -> 3 -> 4; at depth 1 the edge (0, 2)
@@ -91,13 +230,13 @@ Dag chain_dag() {
 }
 
 /// Depth-1 works of the triangle 0-1-2, whose edge (0, 2) the chain
-/// oracle separates given {1}.
-std::vector<EdgeWork> triangle_depth_one_works() {
+/// oracle separates given {1}. The works point into `snapshot`.
+std::vector<EdgeWork> triangle_depth_one_works(AdjacencySnapshot& snapshot) {
   UndirectedGraph g(5);
   g.add_edge(0, 2);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  return build_depth_works(g, 1, true);
+  return build_depth_works(g, 1, true, snapshot);
 }
 
 EdgeWork& work_for(std::vector<EdgeWork>& works, VarId x, VarId y) {
@@ -110,14 +249,16 @@ EdgeWork& work_for(std::vector<EdgeWork>& works, VarId x, VarId y) {
 TEST(RunEdgeTests, EarlyStopFindsFirstAcceptingSet) {
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  auto works = triangle_depth_one_works();
+  AdjacencySnapshot snapshot;
+  auto works = triangle_depth_one_works(snapshot);
   EdgeWork& edge02 = work_for(works, 0, 2);
   std::vector<VarId> z;
   const std::int64_t executed = run_edge_tests(
       edge02, 1, edge02.total_tests(), oracle, /*early_stop=*/true, z);
-  EXPECT_TRUE(edge02.removed);
-  EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}));
-  EXPECT_EQ(executed, 1);  // {1} is the first candidate in cand1
+  EXPECT_TRUE(edge02.removed());
+  EXPECT_EQ(edge02.accepted, 0u);
+  EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}));
+  EXPECT_EQ(executed, 1);  // {1} is the first candidate of adj(0)\{2}
 }
 
 TEST(RunEdgeTests, WithoutEarlyStopTheBudgetRunsEvenAfterAccept) {
@@ -125,22 +266,25 @@ TEST(RunEdgeTests, WithoutEarlyStopTheBudgetRunsEvenAfterAccept) {
   // test accepts, but the lowest-rank accepting set still wins.
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  auto works = triangle_depth_one_works();
+  AdjacencySnapshot snapshot;
+  auto works = triangle_depth_one_works(snapshot);
   EdgeWork& edge02 = work_for(works, 0, 2);
   const std::uint64_t total = edge02.total_tests();
   std::vector<VarId> z;
   const std::int64_t executed =
       run_edge_tests(edge02, 1, total, oracle, /*early_stop=*/false, z);
   EXPECT_EQ(executed, static_cast<std::int64_t>(total));  // no early break
-  EXPECT_TRUE(edge02.removed);
-  EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}));
+  EXPECT_TRUE(edge02.removed());
+  EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}));
 }
 
 TEST(RunEdgeTests, ProgressAdvancesAcrossBudgets) {
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
   for (const bool early_stop : {false, true}) {
-    auto works = build_depth_works(UndirectedGraph::complete(5), 1, true);
+    AdjacencySnapshot snapshot;
+    auto works =
+        build_depth_works(UndirectedGraph::complete(5), 1, true, snapshot);
     EdgeWork& work = works[0];  // (0, 1): adjacent in the chain, never cut
     const std::uint64_t total = work.total_tests();
     ASSERT_GT(total, 2u);
@@ -150,7 +294,7 @@ TEST(RunEdgeTests, ProgressAdvancesAcrossBudgets) {
     run_edge_tests(work, 1, 2, oracle, early_stop, z);
     EXPECT_EQ(work.progress, std::min<std::uint64_t>(4, total))
         << "early_stop=" << early_stop;
-    EXPECT_FALSE(work.removed);
+    EXPECT_FALSE(work.removed());
   }
 }
 
@@ -160,7 +304,8 @@ TEST(RunEdgeTests, FinishedWorkIsNoOp) {
   for (const bool early_stop : {false, true}) {
     UndirectedGraph g(5);
     g.add_edge(0, 4);  // marginally dependent: the chain connects them
-    auto works = build_depth_works(g, 0, true);
+    AdjacencySnapshot snapshot;
+    auto works = build_depth_works(g, 0, true, snapshot);
     EdgeWork& work = works[0];
     std::vector<VarId> z;
     EXPECT_EQ(run_edge_tests(work, 0, 1, oracle, early_stop, z), 1);
@@ -172,21 +317,24 @@ TEST(RunEdgeTests, FinishedWorkIsNoOp) {
 
 TEST(RunEdgeTests, ReusedBufferFromADeeperCallYieldsTheShallowSepset) {
   // Engines keep one conditioning-set buffer per thread across works and
-  // depths, so a call may start with a longer set left in it. The sepset
-  // and the test count must not notice.
+  // depths, so a call may start with a longer set left in it. The
+  // accepted set and the test count must not notice.
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
   for (const bool early_stop : {false, true}) {
     std::vector<VarId> z;
-    auto deep = build_depth_works(UndirectedGraph::complete(5), 2, true);
+    AdjacencySnapshot deep_snapshot;
+    auto deep = build_depth_works(UndirectedGraph::complete(5), 2, true,
+                                  deep_snapshot);
     run_edge_tests(deep[0], 2, 1, oracle, early_stop, z);
     ASSERT_EQ(z.size(), 2u);
-    auto works = triangle_depth_one_works();
+    AdjacencySnapshot snapshot;
+    auto works = triangle_depth_one_works(snapshot);
     EdgeWork& edge02 = work_for(works, 0, 2);
     const std::int64_t executed = run_edge_tests(
         edge02, 1, edge02.total_tests(), oracle, early_stop, z);
-    EXPECT_TRUE(edge02.removed);
-    EXPECT_EQ(edge02.sepset, (std::vector<VarId>{1}))
+    EXPECT_TRUE(edge02.removed());
+    EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}))
         << "early_stop=" << early_stop;
     EXPECT_EQ(executed, early_stop
                             ? 1
@@ -195,7 +343,8 @@ TEST(RunEdgeTests, ReusedBufferFromADeeperCallYieldsTheShallowSepset) {
 }
 
 TEST(MaterializeConditioningSets, EnumeratesAllSetsInOrder) {
-  const auto works = build_depth_works(small_graph(), 1, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 1, true, snapshot);
   const EdgeWork& edge23 = works[3];  // totals 2 + 1
   const std::vector<VarId> flat = materialize_conditioning_sets(edge23, 1);
   EXPECT_EQ(flat, (std::vector<VarId>{0, 1, 4}));
@@ -203,7 +352,8 @@ TEST(MaterializeConditioningSets, EnumeratesAllSetsInOrder) {
 
 TEST(MaterializeConditioningSets, LimitGuard) {
   UndirectedGraph g = UndirectedGraph::complete(40);
-  const auto works = build_depth_works(g, 3, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(g, 3, true, snapshot);
   EXPECT_THROW(materialize_conditioning_sets(works[0], 3, /*limit=*/10),
                std::runtime_error);
 }
@@ -246,7 +396,8 @@ TEST(ShardWorkIndices, GroupsByLowerEndpointAscendingAndKeepsTestlessWorks) {
   // small_graph edges: (0,1) (0,2) (1,2) (2,3) (3,4); at depth 1 the work
   // for (3,4) has pending tests via candidates of 3; every work lands in
   // the shard of its lower endpoint regardless of test counts.
-  const auto works = build_depth_works(small_graph(), 1, true);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(small_graph(), 1, true, snapshot);
   ASSERT_EQ(works.size(), 5u);
   const VariableShards shards(5, 2);  // 0-2 | 3-4
   const auto by_shard = shard_work_indices(works, shards);
@@ -265,7 +416,9 @@ TEST(ShardWorkIndices, GroupsByLowerEndpointAscendingAndKeepsTestlessWorks) {
   EXPECT_EQ(total, works.size());  // nothing dropped, nothing duplicated
   // Ungrouped lists put both directions of an edge in one shard: the
   // (4, 3) direction still belongs to the shard owning variable 3.
-  const auto ungrouped = build_depth_works(small_graph(), 1, false);
+  AdjacencySnapshot ungrouped_snapshot;
+  const auto ungrouped =
+      build_depth_works(small_graph(), 1, false, ungrouped_snapshot);
   const auto ungrouped_by_shard = shard_work_indices(ungrouped, shards);
   for (const std::int64_t index : ungrouped_by_shard[1]) {
     const EdgeWork& work = ungrouped[static_cast<std::size_t>(index)];

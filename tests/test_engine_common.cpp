@@ -180,10 +180,11 @@ TEST(RunSequentialDepth, PairSkipMatchesPartnerByIdsNotLayout) {
       run_sequential_depth(works, /*depth=*/0, oracle, /*grouped=*/false,
                            /*materialized=*/false,
                            /*use_group_protocol=*/true);
-  EXPECT_TRUE(works[0].removed);
+  EXPECT_TRUE(works[0].removed());
+  EXPECT_EQ(works[0].accepted, 0u);  // the marginal test accepted
   EXPECT_EQ(tests, 2);  // the unrelated second work ran
   EXPECT_EQ(works[1].progress, 1u);
-  EXPECT_FALSE(works[1].removed);
+  EXPECT_FALSE(works[1].removed());
 }
 
 TEST(RunSequentialDepth, PairSkipStillSkipsTheTruePartner) {
@@ -198,9 +199,11 @@ TEST(RunSequentialDepth, PairSkipStillSkipsTheTruePartner) {
       run_sequential_depth(works, /*depth=*/0, oracle, /*grouped=*/false,
                            /*materialized=*/false,
                            /*use_group_protocol=*/true);
-  EXPECT_TRUE(works[0].removed);
+  EXPECT_TRUE(works[0].removed());
+  EXPECT_EQ(works[0].accepted, 0u);
   EXPECT_EQ(tests, 1);  // the reverse direction never ran
   EXPECT_EQ(works[1].progress, 0u);
+  EXPECT_FALSE(works[1].removed());
 }
 
 class ProbePoolEngine final : public ClonePoolEngine {

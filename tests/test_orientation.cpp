@@ -26,11 +26,11 @@ TEST(OrientVStructures, ColliderOriented) {
 }
 
 TEST(OrientVStructures, EmptySepsetIsRecordedNotMissing) {
-  // Depth-0 removals record an *empty* sepset (engine_common's depth-0
-  // branch clears work.sepset on acceptance). The orientation phase must
-  // read that as "recorded, and the middle node is not in it" — the
-  // v-structure fires — and never conflate it with "no sepset found",
-  // which (unseparated pair) suppresses the collider.
+  // Depth-0 removals record an *empty* sepset (the store keeps it as one
+  // bit per pair and find() returns a shared empty vector). The
+  // orientation phase must read that as "recorded, and the middle node is
+  // not in it" — the v-structure fires — and never conflate it with "no
+  // sepset found", which (unseparated pair) suppresses the collider.
   UndirectedGraph skeleton(3);
   skeleton.add_edge(0, 1);
   skeleton.add_edge(1, 2);

@@ -219,8 +219,14 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
   const struct {
     const char* schedule;
     bool expect_events;
+    /// The depth a respawn must be recorded at; -1 checks none.
+    std::int32_t respawn_depth = -1;
   } cases[] = {
       {"kill@rank=1,depth=1", true},
+      // Past depth 1 the replayed log holds depth-1 removals, whose
+      // sepsets the driver unranks from the ranks' accepted ranks. The
+      // instance reaches depth 3, so the kill must fire at depth 2.
+      {"kill@rank=1,depth=2", true, 2},
       {"kill@rank=0,depth=0", true},
       {"wedge@rank=0,depth=1", true},
       {"corrupt-frame@rank=1,depth=0;seed=7", true},
@@ -252,6 +258,16 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
       EXPECT_EQ(!run.events.empty(), fault.expect_events)
           << "schedule=" << fault.schedule << " ranks=" << ranks << "\n"
           << describe_events(run.events);
+      if (fault.respawn_depth >= 0) {
+        EXPECT_TRUE(std::any_of(
+            run.events.begin(), run.events.end(),
+            [&](const RecoveryEvent& event) {
+              return event.action == RecoveryAction::kRespawn &&
+                     event.depth == fault.respawn_depth;
+            }))
+            << "schedule=" << fault.schedule << " ranks=" << ranks << "\n"
+            << describe_events(run.events);
+      }
     }
   }
 }

@@ -53,15 +53,6 @@ TEST(UndirectedGraph, NeighborsAscending) {
   EXPECT_EQ(g.neighbors(1), std::vector<VarId>{});
 }
 
-TEST(UndirectedGraph, NeighborsIntoReusesBuffer) {
-  UndirectedGraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 3);
-  std::vector<VarId> buffer{99, 99, 99, 99};
-  g.neighbors_into(0, buffer);
-  EXPECT_EQ(buffer, (std::vector<VarId>{1, 3}));
-}
-
 TEST(UndirectedGraph, EdgesSortedAndOrdered) {
   UndirectedGraph g(4);
   g.add_edge(2, 1);
