@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       EngineRunConfig config = fastbns_seq_config();
       config.group_endpoints = variant.grouping;
       config.row_major = !variant.column_major;
-      config.materialize_sets = !variant.on_the_fly;
+      config.on_the_fly_sets = variant.on_the_fly;
       if (!variant.grouping && !variant.column_major && !variant.on_the_fly) {
         config = baseline_seq_config();
       }

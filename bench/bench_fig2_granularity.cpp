@@ -19,8 +19,8 @@ using namespace fastbns;
 EngineRunConfig scheme_config(const std::string& scheme, int threads,
                               const std::string& builder) {
   // "ci", "edge" and "sample" are registry aliases of the granularities;
-  // engine_config_from_name also sets the sample-parallel test knob for
-  // the sample-level scheme.
+  // run_skeleton gives the sample-level scheme's engine the
+  // sample-parallel table builds it asks for.
   EngineRunConfig config = engine_config_from_name(scheme, threads);
   config.table_builder = builder;
   if (scheme == "ci") {

@@ -51,7 +51,6 @@ std::vector<TracedCiCall> record_trace(const Workload& workload) {
       trace);
   PcOptions options;
   options.engine = EngineKind::kFastSequential;
-  options.engine_name = "fastbns-seq";
   (void)learn_skeleton(workload.data.num_vars(), prototype, options);
   return trace->snapshot();
 }

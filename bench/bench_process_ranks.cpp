@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
     const DiscreteCiTest test(segment.view(), CiTestOptions{});
     PcOptions options;
     options.engine = EngineKind::kProcess;
-    options.engine_name = "process(rank-partition)";
     options.rank_count = ranks;
     options.rank_threads = rank_threads;
     (void)learn_skeleton(segment.view().num_vars(), test, options, *engine);

@@ -22,15 +22,14 @@ namespace {
 using namespace fastbns;
 
 std::vector<TracedCiCall> record_trace(const Workload& workload,
-                                       const std::string& engine_name) {
+                                       const std::string& engine) {
   auto trace = std::make_shared<CiTrace>();
   const TracingCiTest prototype(
       std::make_unique<DiscreteCiTest>(workload.data.discrete(),
                                        CiTestOptions{}),
       trace);
   PcOptions options;
-  options.engine = engine_from_string(engine_name);
-  options.engine_name = engine_name;
+  options.engine = engine_from_string(engine);
   (void)learn_skeleton(workload.data.num_vars(), prototype, options);
   return trace->snapshot();
 }

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   PcOptions options;
   try {
     options.engine = engine_from_string(args.get("engine"));
-    options.engine_name = args.get("engine");
   } catch (const std::exception& error) {
     std::fprintf(stderr, "gene_network: %s\n", error.what());
     return 1;
@@ -82,8 +81,7 @@ int main(int argc, char** argv) {
   // 5. Contrast with the sequential engine on the same problem, to show
   //    why the parallel work pool matters at this dimensionality.
   PcOptions sequential = options;
-  sequential.engine = engine_from_string("fastbns-seq");
-  sequential.engine_name = "fastbns-seq";
+  sequential.engine = EngineKind::kFastSequential;
   const WallTimer seq_timer;
   (void)learn_structure(profiles, sequential);
   const double seq_seconds = seq_timer.seconds();

@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
   PcOptions options;
   try {
     options.engine = engine_from_string(args.get("engine"));
-    options.engine_name = args.get("engine");
   } catch (const std::exception& error) {
     std::fprintf(stderr, "quickstart: %s\n", error.what());
     return 1;

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  NamedData input = [&] {
+  const NamedData input = [&] {
     try {
       return load_csv_auto(data_path);
     } catch (const std::exception& error) {
@@ -124,27 +124,22 @@ int main(int argc, char** argv) {
   PcOptions options;
   try {
     options.engine = engine_from_string(args.get("engine"));
-    options.engine_name = args.get("engine");
     options.table_builder = args.get("builder");
     // Fail fast with the known-kernels message, like --engine does.
     (void)make_table_builder(options.table_builder);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "structure_tool: %s\n", error.what());
-    return 1;
-  }
-  options.num_threads = static_cast<int>(args.get_int("threads"));
-  options.group_size = static_cast<std::int32_t>(args.get_int("gs"));
-  options.numa_policy = args.get("numa");
-  options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
-  options.rank_threads =
-      static_cast<std::int32_t>(args.get_int("rank-threads"));
-  options.max_rank_restarts =
-      static_cast<std::int32_t>(args.get_int("max-rank-restarts"));
-  options.fault_schedule = args.get("fault-schedule");
-  options.ci_test = args.get("ci-test");
-  options.alpha = args.get_double("alpha");
-  options.max_depth = static_cast<std::int32_t>(args.get_int("max-depth"));
-  try {
+    // A malformed number ("abc", "2x") throws naming flag and value.
+    options.num_threads = static_cast<int>(args.get_int("threads"));
+    options.group_size = static_cast<std::int32_t>(args.get_int("gs"));
+    options.numa_policy = args.get("numa");
+    options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
+    options.rank_threads =
+        static_cast<std::int32_t>(args.get_int("rank-threads"));
+    options.max_rank_restarts =
+        static_cast<std::int32_t>(args.get_int("max-rank-restarts"));
+    options.fault_schedule = args.get("fault-schedule");
+    options.ci_test = args.get("ci-test");
+    options.alpha = args.get_double("alpha");
+    options.max_depth = static_cast<std::int32_t>(args.get_int("max-depth"));
     // Fail fast with the offending value (rank counts, NUMA policies,
     // alpha, ...) instead of surfacing mid-run from the driver.
     options.validate();
@@ -158,15 +153,6 @@ int main(int argc, char** argv) {
   std::printf("ci test %s%s\n",
               resolve_ci_test_name(options.ci_test, input.data).c_str(),
               options.ci_test == "auto" ? " (auto)" : "");
-  if (options.engine == EngineKind::kNaiveSequential &&
-      input.data.is_discrete()) {
-    // The naive baseline walks rows; give it the row-major mirror. The
-    // Dataset holds its store const, so rebuild around a relaid copy.
-    DiscreteDataset relaid = input.data.discrete();
-    relaid.ensure_layout(DataLayout::kBoth);
-    input.data = Dataset(std::move(relaid));
-  }
-
   // Echo the process engine's resolved rank/thread split and NUMA
   // placement before the run, computed from the same single sources of
   // truth the engine uses (resolve_rank_count + plan_shard_placement, with

@@ -1,5 +1,6 @@
 #include "bench_util/runner.hpp"
 
+#include <memory>
 #include <optional>
 
 #include "common/timer.hpp"
@@ -9,22 +10,17 @@
 
 namespace fastbns {
 
-EngineRunConfig engine_config_from_name(const std::string& engine_name,
+EngineRunConfig engine_config_from_name(const std::string& engine,
                                         int threads) {
   EngineRunConfig config;
-  // Throws the known-names message for unknown engines; find() is then
-  // guaranteed to succeed.
-  config.engine = engine_from_string(engine_name);
-  const EngineInfo& info = *EngineRegistry::instance().find(engine_name);
-  config.engine_name = info.name;
-  config.threads = threads;
-  config.sample_parallel = info.sample_parallel_test;
-  if (info.name == "naive-seq") {
+  config.engine = engine_from_string(engine);
+  config.num_threads = threads;
+  if (config.engine == EngineKind::kNaiveSequential) {
     // The bnlearn-like data path belongs to the naive baseline
     // specifically — not to every engine that happens to forgo endpoint
     // grouping.
     config.row_major = true;
-    config.materialize_sets = true;
+    config.on_the_fly_sets = false;
     config.group_endpoints = false;
   }
   return config;
@@ -69,12 +65,14 @@ EngineRunResult run_skeleton_best(const Workload& workload,
 
 EngineRunResult run_skeleton(const Workload& workload,
                              const EngineRunConfig& config) {
+  const std::unique_ptr<SkeletonEngine> engine =
+      EngineRegistry::instance().create(config);
   CiTestRequest request;
   request.ci_test = config.ci_test;
   request.alpha = config.alpha;
   request.max_cells = config.max_table_cells;
   request.use_row_major = config.row_major;
-  request.sample_parallel = config.sample_parallel;
+  request.sample_parallel = engine->wants_sample_parallel_test();
   request.table_builder = config.table_builder;
   request.covariance_builder = config.covariance_builder;
   // Mirror learn_structure: the process engine's ranks stream the
@@ -88,26 +86,9 @@ EngineRunResult run_skeleton(const Workload& workload,
   }
   const std::unique_ptr<CiTest> test = make_ci_test(*data, request);
 
-  PcOptions options;
-  options.engine = config.engine;
-  options.engine_name = config.engine_name;
-  options.num_threads = config.threads;
-  options.group_size = config.group_size;
-  options.group_endpoints = config.group_endpoints;
-  options.on_the_fly_sets = !config.materialize_sets;
-  options.eager_group_stop = config.eager_group_stop;
-  options.alpha = config.alpha;
-  options.max_table_cells = config.max_table_cells;
-  options.table_builder = config.table_builder;
-  options.numa_policy = config.numa_policy;
-  options.ci_test = config.ci_test;
-  options.rank_count = config.rank_count;
-  options.rank_threads = config.rank_threads;
-  options.max_rank_restarts = config.max_rank_restarts;
-  options.fault_schedule = config.fault_schedule;
-
   const WallTimer timer;
-  SkeletonResult skeleton = learn_skeleton(data->num_vars(), *test, options);
+  SkeletonResult skeleton =
+      learn_skeleton(data->num_vars(), *test, config, *engine);
   EngineRunResult result;
   result.seconds = timer.seconds();
   result.ci_tests = skeleton.total_ci_tests;

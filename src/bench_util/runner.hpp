@@ -10,50 +10,15 @@
 
 namespace fastbns {
 
-struct EngineRunConfig {
-  EngineKind engine = EngineKind::kCiParallel;
-  /// Registry name driving engine construction when non-empty (see
-  /// PcOptions::engine_name); set by engine_config_from_name.
-  std::string engine_name;
-  int threads = 0;
-  std::int32_t group_size = 1;
-  double alpha = 0.05;
-  /// Contingency-table cell cap; defaults to the library default so
-  /// bench runs can never silently diverge from PcOptions.
-  std::size_t max_table_cells = PcOptions{}.max_table_cells;
-  /// TableBuilder kernel name ("auto" = CPU-dispatched SIMD); forwarded
-  /// to CiTestOptions::table_builder like PcOptions does.
-  std::string table_builder = PcOptions{}.table_builder;
-  /// Statistic name (see PcOptions::ci_test): "auto" matches the
-  /// workload's dataset kind, so discrete benches keep the G^2 test and
-  /// the Gaussian bench gets Fisher-z without per-bench wiring.
-  std::string ci_test = PcOptions{}.ci_test;
-  /// Covariance-builder kernel of the Gaussian statistic ("auto" =
-  /// blocked); ignored by discrete runs, mirroring table_builder.
-  std::string covariance_builder = "auto";
-  /// Baseline knobs (bnlearn-style): strided data access, materialized
-  /// conditioning sets, ungrouped edge directions.
+/// One bench run: the PcOptions learn_structure takes, plus the two
+/// knobs it does not — the data layout and the Gaussian statistic's
+/// covariance kernel.
+struct EngineRunConfig : PcOptions {
+  /// Strided row-major data access (the bnlearn-like baseline).
   bool row_major = false;
-  bool materialize_sets = false;
-  bool group_endpoints = true;
-  /// Build contingency tables sample-parallel (sample-level scheme).
-  bool sample_parallel = false;
-  /// Extension: first-accept early stop inside a gs-group (see PcOptions).
-  bool eager_group_stop = false;
-  /// NUMA placement policy (see PcOptions::numa_policy): "auto", "off",
-  /// or "forced". Consumed by the process engine.
-  std::string numa_policy = PcOptions{}.numa_policy;
-  /// Process-engine knobs (see PcOptions::rank_count/rank_threads):
-  /// forked worker ranks and the std::thread team inside each; ignored
-  /// by every other engine.
-  std::int32_t rank_count = 0;
-  std::int32_t rank_threads = 0;
-  /// Fault-tolerance knobs (see PcOptions::max_rank_restarts /
-  /// fault_schedule): the recovery-overhead rows inject deterministic
-  /// rank deaths and measure the respawn+replay cost against the clean
-  /// run at the same configuration.
-  std::int32_t max_rank_restarts = PcOptions{}.max_rank_restarts;
-  std::string fault_schedule;
+  /// Covariance-builder kernel of the Gaussian statistic ("auto" =
+  /// blocked); ignored by discrete runs.
+  std::string covariance_builder = "auto";
 };
 
 struct EngineRunResult {
@@ -64,14 +29,13 @@ struct EngineRunResult {
   SkeletonResult skeleton{};
 };
 
-/// Resolves `engine_name` through the EngineRegistry (canonical names or
-/// CLI aliases — see list_engines()) and returns a config with the
-/// engine-appropriate companion knobs: the naive baseline gets the
-/// bnlearn-like strided/materialized/ungrouped data path, sample-parallel
-/// gets sample-level contingency-table builds. Throws
+/// Resolves `engine` through the EngineRegistry (canonical names or CLI
+/// aliases — see list_engines()) and returns a config at `threads`
+/// threads; the naive baseline also gets the bnlearn-like
+/// strided/materialized/ungrouped data path. Throws
 /// std::invalid_argument for unknown names.
 [[nodiscard]] EngineRunConfig engine_config_from_name(
-    const std::string& engine_name, int threads = 0);
+    const std::string& engine, int threads = 0);
 
 /// The Fast-BNS-seq configuration (optimized sequential).
 [[nodiscard]] EngineRunConfig fastbns_seq_config();
@@ -82,7 +46,9 @@ struct EngineRunResult {
 /// The bnlearn-par-like baseline (edge-level over the naive data path).
 [[nodiscard]] EngineRunConfig baseline_par_config(int threads);
 
-/// Runs the skeleton phase once and reports wall time and counters.
+/// Runs the skeleton phase once and reports wall time and counters. The
+/// CI test builds its tables sample-parallel when the engine asks for
+/// it, as learn_structure does.
 [[nodiscard]] EngineRunResult run_skeleton(const Workload& workload,
                                            const EngineRunConfig& config);
 

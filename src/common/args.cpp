@@ -1,11 +1,35 @@
 #include "common/args.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <type_traits>
 
 namespace fastbns {
+namespace {
+
+/// Parses all of `text` as a T. Trailing text, no digits or a value out
+/// of T's range throws std::invalid_argument naming the flag and value.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error == std::errc::result_out_of_range) {
+    throw std::invalid_argument("--" + flag + ": \"" + text +
+                                "\" is out of range");
+  }
+  if (error != std::errc{} || stop != end) {
+    throw std::invalid_argument(
+        "--" + flag + ": \"" + text + "\" is not " +
+        (std::is_integral_v<T> ? "an integer" : "a number"));
+  }
+  return value;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -73,11 +97,11 @@ std::string ArgParser::get(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_number<std::int64_t>(name, get(name));
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_number<double>(name, get(name));
 }
 
 bool ArgParser::get_bool(const std::string& name) const {
@@ -88,7 +112,7 @@ bool ArgParser::get_bool(const std::string& name) const {
 std::vector<std::int64_t> ArgParser::get_int_list(const std::string& name) const {
   std::vector<std::int64_t> values;
   for (const auto& item : get_list(name)) {
-    values.push_back(std::stoll(item));
+    values.push_back(parse_number<std::int64_t>(name, item));
   }
   return values;
 }

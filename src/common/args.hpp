@@ -26,11 +26,15 @@ class ArgParser {
   [[nodiscard]] bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Numeric getters parse the whole value: trailing text, no digits or
+  /// an out-of-range value throws std::invalid_argument naming the flag
+  /// and the value.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
-  /// Comma-separated integer list, e.g. --threads=1,2,4,8.
+  /// Comma-separated integer list, e.g. --threads=1,2,4,8; each item is
+  /// parsed like get_int.
   [[nodiscard]] std::vector<std::int64_t> get_int_list(const std::string& name) const;
   /// Comma-separated string list.
   [[nodiscard]] std::vector<std::string> get_list(const std::string& name) const;

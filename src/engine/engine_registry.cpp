@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "engine/engines.hpp"
 
 namespace fastbns {
 namespace {
 
-std::string known_names_message(const EngineRegistry& registry) {
-  std::vector<std::string> names = registry.names();
-  std::sort(names.begin(), names.end());
+std::string known_names_message() {
   std::string message = "known engines:";
-  for (const std::string& name : names) {
+  for (const std::string& name : list_engines()) {
     message += ' ';
     message += name;
   }
@@ -22,79 +19,30 @@ std::string known_names_message(const EngineRegistry& registry) {
 
 }  // namespace
 
-EngineRegistry::EngineRegistry() {
-  register_engine({EngineKind::kNaiveSequential,
-                   "naive-seq",
-                   {"naive"},
-                   "bnlearn-like sequential baseline (ordered directions, "
-                   "materialized sets, no code reuse)"},
-                  make_naive_sequential_engine);
-  register_engine({EngineKind::kFastSequential,
-                   "fastbns-seq",
-                   {"seq", "fast-seq"},
-                   "optimized sequential kernel (endpoint grouping, "
-                   "on-the-fly sets, group code reuse)"},
-                  make_fast_sequential_engine);
-  register_engine({EngineKind::kEdgeParallel,
-                   "edge-parallel",
-                   {"edge"},
-                   "static per-depth edge partition over the optimized "
-                   "kernel (Section IV-A)"},
-                  make_edge_parallel_engine);
-  register_engine({EngineKind::kSampleParallel,
-                   "sample-parallel",
-                   {"sample"},
-                   "sequential edge loop with sample-parallel contingency "
-                   "tables (Section IV-A)"},
-                  make_sample_parallel_engine);
-  register_engine({EngineKind::kCiParallel,
-                   "fastbns-par(ci-level)",
-                   {"ci", "ci-parallel", "fastbns-par", "auto"},
-                   "CI-level parallelism over the dynamic work pool "
-                   "(Section IV-B)"},
-                  make_ci_parallel_engine);
-  register_engine({EngineKind::kProcess,
-                   "process(rank-partition)",
-                   {"process", "mpp"},
-                   "multi-process rank partition: forked worker ranks over "
-                   "a MAP_SHARED dataset segment, removal sets + sepsets "
-                   "allreduced over pipe frames at each depth barrier (see "
-                   "PcOptions::rank_count/rank_threads)"},
-                  make_process_engine);
-}
+// One row per EngineKind, in enum order; engines.hpp documents each.
+EngineRegistry::EngineRegistry()
+    : entries_{
+          {{EngineKind::kNaiveSequential, "naive-seq", {"naive"}},
+           make_naive_sequential_engine},
+          {{EngineKind::kFastSequential, "fastbns-seq", {"seq", "fast-seq"}},
+           make_fast_sequential_engine},
+          {{EngineKind::kEdgeParallel, "edge-parallel", {"edge"}},
+           make_edge_parallel_engine},
+          {{EngineKind::kSampleParallel, "sample-parallel", {"sample"}},
+           make_sample_parallel_engine},
+          {{EngineKind::kCiParallel,
+            "fastbns-par(ci-level)",
+            {"ci", "ci-parallel", "fastbns-par", "auto"}},
+           make_ci_parallel_engine},
+          {{EngineKind::kProcess,
+            "process(rank-partition)",
+            {"process", "mpp"}},
+           make_process_engine},
+      } {}
 
-EngineRegistry& EngineRegistry::instance() {
-  static EngineRegistry registry;
+const EngineRegistry& EngineRegistry::instance() {
+  static const EngineRegistry registry;
   return registry;
-}
-
-void EngineRegistry::register_engine(EngineInfo info, EngineFactory factory) {
-  if (info.name.empty()) {
-    throw std::invalid_argument("engine registration requires a name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("engine registration requires a factory");
-  }
-  if (entry_for(info.name) != nullptr) {
-    throw std::invalid_argument("engine name already registered: " +
-                                info.name);
-  }
-  for (const std::string& alias : info.aliases) {
-    if (entry_for(alias) != nullptr) {
-      throw std::invalid_argument("engine alias already registered: " + alias);
-    }
-  }
-  // Probe one instance: the behavioural virtuals are the single source of
-  // the EngineInfo traits, and the engine must agree on its own name.
-  const std::unique_ptr<SkeletonEngine> probe = factory();
-  if (probe == nullptr || probe->name() != info.name) {
-    throw std::invalid_argument("engine factory for \"" + info.name +
-                                "\" built an engine reporting a different "
-                                "name");
-  }
-  info.sample_parallel_test = probe->wants_sample_parallel_test();
-  info.supports_endpoint_grouping = probe->supports_endpoint_grouping();
-  entries_.push_back({std::move(info), std::move(factory)});
 }
 
 const EngineRegistry::Entry* EngineRegistry::entry_for(
@@ -108,11 +56,20 @@ const EngineRegistry::Entry* EngineRegistry::entry_for(
   return nullptr;
 }
 
-std::unique_ptr<SkeletonEngine> EngineRegistry::create(EngineKind kind) const {
+const EngineRegistry::Entry* EngineRegistry::entry_for(
+    EngineKind kind) const noexcept {
   for (const Entry& entry : entries_) {
-    if (entry.info.kind == kind) return entry.factory();
+    if (entry.info.kind == kind) return &entry;
   }
-  throw std::invalid_argument("no engine registered for this EngineKind");
+  return nullptr;
+}
+
+std::unique_ptr<SkeletonEngine> EngineRegistry::create(EngineKind kind) const {
+  const Entry* entry = entry_for(kind);
+  if (entry == nullptr) {
+    throw std::invalid_argument("no engine for this EngineKind");
+  }
+  return entry->factory();
 }
 
 std::unique_ptr<SkeletonEngine> EngineRegistry::create(
@@ -120,16 +77,14 @@ std::unique_ptr<SkeletonEngine> EngineRegistry::create(
   const Entry* entry = entry_for(name);
   if (entry == nullptr) {
     throw std::invalid_argument("unknown engine \"" + std::string(name) +
-                                "\"; " + known_names_message(*this));
+                                "\"; " + known_names_message());
   }
   return entry->factory();
 }
 
 std::unique_ptr<SkeletonEngine> EngineRegistry::create(
     const PcOptions& options) const {
-  return options.engine_name.empty()
-             ? create(options.engine)
-             : create(std::string_view(options.engine_name));
+  return create(options.engine);
 }
 
 const EngineInfo* EngineRegistry::find(std::string_view name) const noexcept {
@@ -138,10 +93,8 @@ const EngineInfo* EngineRegistry::find(std::string_view name) const noexcept {
 }
 
 const EngineInfo* EngineRegistry::find(EngineKind kind) const noexcept {
-  for (const Entry& entry : entries_) {
-    if (entry.info.kind == kind) return &entry.info;
-  }
-  return nullptr;
+  const Entry* entry = entry_for(kind);
+  return entry == nullptr ? nullptr : &entry->info;
 }
 
 std::vector<std::string> EngineRegistry::names() const {
@@ -152,19 +105,17 @@ std::vector<std::string> EngineRegistry::names() const {
 }
 
 EngineKind engine_from_string(std::string_view name) {
-  const EngineRegistry& registry = EngineRegistry::instance();
-  const EngineInfo* info = registry.find(name);
+  const EngineInfo* info = EngineRegistry::instance().find(name);
   if (info == nullptr) {
     throw std::invalid_argument("unknown engine \"" + std::string(name) +
-                                "\"; " + known_names_message(registry));
+                                "\"; " + known_names_message());
   }
   return info->kind;
 }
 
 std::vector<std::string> list_engines() {
   // Sorted so CLI help, logs and registry-driven tests see one stable
-  // order regardless of registration sequence (extensions register at
-  // startup in arbitrary order).
+  // alphabetical order.
   std::vector<std::string> names = EngineRegistry::instance().names();
   std::sort(names.begin(), names.end());
   return names;

@@ -5,11 +5,11 @@
 //
 // Topology of a run:
 //  - The driver process (this engine) forks rank_count worker ranks at
-//    the first run_depth (never at construction — the registry probes a
-//    factory instance, which must stay fork-free). Each rank inherits
-//    the CiTest prototype copy-on-write and the dataset through the
-//    MAP_SHARED segment learn_structure mounts (ipc/shared_dataset.hpp):
-//    mapped once, zero copies per rank.
+//    the first run_depth (never at construction, so building an engine
+//    stays fork-free). Each rank inherits the CiTest prototype
+//    copy-on-write and the dataset through the MAP_SHARED segment
+//    learn_structure mounts (ipc/shared_dataset.hpp): mapped once, zero
+//    copies per rank.
 //  - Every rank keeps a full replica of the skeleton graph and derives
 //    each depth's work list itself with the same build_depth_works the
 //    driver uses — identical inputs give identical lists, so a work is
@@ -31,7 +31,7 @@
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
 //  1. Retransmit — a reply that fails its CRC or its per-frame deadline
-//     is re-requested up to frame_retry_limit times with linear backoff;
+//     is re-requested up to kRetransmitLimit times with linear backoff;
 //     ranks buffer their last encoded reply and resend it verbatim, and
 //     per-command sequence numbers make duplicate replies (a late
 //     original racing its own retransmission) harmlessly discardable.
@@ -102,10 +102,17 @@ constexpr std::uint32_t kTagError = 3;       ///< rank → parent (fatal)
 constexpr std::uint32_t kTagReplay = 4;      ///< parent → respawned rank
 constexpr std::uint32_t kTagRetransmit = 5;  ///< parent → rank (resend)
 
+/// Per-frame receive deadline; FASTBNS_RANK_TIMEOUT_MS overrides it (the
+/// fault sweeps tighten it so wedges surface in seconds).
 constexpr int kDefaultRankTimeoutMs = 120000;
+/// Retransmit requests per reply that fails its CRC or its deadline
+/// before the rank enters the respawn rung.
+constexpr int kRetransmitLimit = 2;
+/// Backoff step between retransmit requests; attempt k waits k steps.
+constexpr int kRetransmitBackoffMs = 10;
 /// Stale replies (duplicates of already-merged frames left over from a
 /// retransmit race) tolerated per gather before the rank is declared
-/// failed: a sane rank can queue at most retry-limit duplicates.
+/// failed: a sane rank can queue at most kRetransmitLimit duplicates.
 constexpr int kMaxStaleReplies = 32;
 
 /// Strictly-parsed positive int from the environment; `fallback` when
@@ -725,7 +732,7 @@ class ProcessEngine final : public SkeletonEngine {
             "a logic bug, not wire corruption)");
       } else if ((status == FrameReadStatus::kCorrupt ||
                   status == FrameReadStatus::kTimeout) &&
-                 attempt < retry_limit_) {
+                 attempt < kRetransmitLimit) {
         // Rung 1: ask for the buffered reply again, with linear backoff.
         ++attempt;
         record_event(depth, rank, RecoveryAction::kRetransmit,
@@ -734,10 +741,10 @@ class ProcessEngine final : public SkeletonEngine {
                                          ? "failed the frame checksum"
                                          : "missed the frame deadline") +
                          "; retransmit request " + std::to_string(attempt) +
-                         "/" + std::to_string(retry_limit_));
+                         "/" + std::to_string(kRetransmitLimit));
         if (group_.try_send(rank, kTagRetransmit, {})) {
           std::this_thread::sleep_for(
-              std::chrono::milliseconds(attempt * backoff_ms_));
+              std::chrono::milliseconds(attempt * kRetransmitBackoffMs));
           continue;
         }
         failure = "its command pipe broke when asked to retransmit — the "
@@ -932,12 +939,7 @@ class ProcessEngine final : public SkeletonEngine {
                     ? FaultSchedule::from_env()
                     : FaultSchedule::parse(options.fault_schedule);
     deadline_ms_ =
-        options.frame_deadline_ms > 0
-            ? options.frame_deadline_ms
-            : env_positive_int("FASTBNS_RANK_TIMEOUT_MS",
-                               kDefaultRankTimeoutMs);
-    retry_limit_ = options.frame_retry_limit;
-    backoff_ms_ = options.frame_retry_backoff_ms;
+        env_positive_int("FASTBNS_RANK_TIMEOUT_MS", kDefaultRankTimeoutMs);
     max_restarts_ = options.max_rank_restarts;
     // The variable domain comes from the first depth's works — depth 0's
     // complete graph covers every variable — so the partition never
@@ -1009,8 +1011,6 @@ class ProcessEngine final : public SkeletonEngine {
   VarId num_vars_ = 0;
   FaultSchedule schedule_;
   int deadline_ms_ = kDefaultRankTimeoutMs;
-  std::int32_t retry_limit_ = 2;
-  std::int32_t backoff_ms_ = 10;
   std::int32_t max_restarts_ = 1;
   /// Per-command sequence numbers, echoed in replies: the duplicate
   /// detector of the retransmit rung.

@@ -177,34 +177,18 @@ FaultSchedule FaultSchedule::parse(std::string_view text) {
 }
 
 FaultSchedule FaultSchedule::from_env() {
-  FaultSchedule schedule;
-  if (const char* text = std::getenv("FASTBNS_FAULT_SCHEDULE")) {
-    try {
-      schedule = parse(text);
-    } catch (const std::exception& error) {
-      // Env-injected schedules degrade to "no faults" on parse errors —
-      // but loudly: a CI sweep with a typoed schedule must be
-      // diagnosable from its log.
-      std::fprintf(stderr, "FASTBNS_FAULT_SCHEDULE ignored: %s\n",
-                   error.what());
-      schedule = FaultSchedule{};
-    }
+  const char* text = std::getenv("FASTBNS_FAULT_SCHEDULE");
+  if (text == nullptr) return {};
+  try {
+    return parse(text);
+  } catch (const std::exception& error) {
+    // Env-injected schedules degrade to "no faults" on parse errors —
+    // but loudly: a CI sweep with a typoed schedule must be diagnosable
+    // from its log.
+    std::fprintf(stderr, "FASTBNS_FAULT_SCHEDULE ignored: %s\n",
+                 error.what());
+    return {};
   }
-  if (const char* spec = std::getenv("FASTBNS_PROCESS_DIE_AT_DEPTH")) {
-    // Legacy "rank:depth" kill injection; anything else is ignored,
-    // exactly like the pre-fault-subsystem hook.
-    int rank = -1;
-    int depth = -1;
-    if (std::sscanf(spec, "%d:%d", &rank, &depth) == 2 && rank >= 0 &&
-        depth >= 0) {
-      FaultEvent event;
-      event.kind = FaultKind::kKill;
-      event.rank = rank;
-      event.depth = depth;
-      schedule.events.push_back(event);
-    }
-  }
-  return schedule;
 }
 
 bool FaultSchedule::spawn_should_fail(std::int32_t rank,

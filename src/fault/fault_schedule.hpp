@@ -1,12 +1,11 @@
 // Deterministic, seedable fault schedules for the multi-process engine.
 //
 // A schedule is a semicolon-separated list of fault events parsed from
-// PcOptions::fault_schedule or FASTBNS_FAULT_SCHEDULE (the legacy
-// FASTBNS_PROCESS_DIE_AT_DEPTH="rank:depth" form maps to a single kill
-// event). Each event names a kind, a target rank (or any), the depth it
-// arms at, the rank generation it applies to (0 = the initially forked
-// rank, g = the g-th respawn — so a schedule can kill a respawned rank
-// mid-replay), and a millisecond parameter for the delay kinds:
+// PcOptions::fault_schedule or FASTBNS_FAULT_SCHEDULE. Each event names
+// a kind, a target rank (or any), the depth it arms at, the rank
+// generation it applies to (0 = the initially forked rank, g = the g-th
+// respawn — so a schedule can kill a respawned rank mid-replay), and a
+// millisecond parameter for the delay kinds:
 //
 //   schedule := entry (';' entry)*
 //   entry    := kind ('@' kv (',' kv)*)?  |  'seed=' N
@@ -87,8 +86,7 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kKill;
   /// Target rank; -1 matches every rank.
   std::int32_t rank = -1;
-  /// The event arms at this depth (fires at the first depth >= it, like
-  /// the legacy FASTBNS_PROCESS_DIE_AT_DEPTH).
+  /// The event arms at this depth (fires at the first depth >= it).
   std::int32_t depth = 0;
   /// Rank generation the event applies to: 0 = the initially forked
   /// process, g = the rank's g-th respawn.
@@ -114,12 +112,9 @@ struct FaultSchedule {
   /// fault sweep must fail the sweep, not skip the injection).
   [[nodiscard]] static FaultSchedule parse(std::string_view text);
 
-  /// FASTBNS_FAULT_SCHEDULE, with the legacy
-  /// FASTBNS_PROCESS_DIE_AT_DEPTH="rank:depth" appended as a kill event
-  /// (malformed legacy values are ignored, as before). Environment
-  /// parse errors are ignored too — an env-injected schedule must never
-  /// turn a production run into a crash; PcOptions::fault_schedule is
-  /// the validated path.
+  /// FASTBNS_FAULT_SCHEDULE. Parse errors are reported on stderr and
+  /// ignored — an env-injected schedule must never turn a production
+  /// run into a crash; PcOptions::fault_schedule is the validated path.
   [[nodiscard]] static FaultSchedule from_env();
 
   /// True when any event declares the fork of `rank` at `generation`

@@ -76,26 +76,6 @@ void PcOptions::validate() const {
         "); each restart forks, replays and re-runs a depth, so this is "
         "almost certainly a typo");
   }
-  if (frame_deadline_ms < 0 || frame_deadline_ms > kMaxFrameDeadlineMs) {
-    throw std::invalid_argument(
-        "PcOptions::frame_deadline_ms must be in [0, " +
-        std::to_string(kMaxFrameDeadlineMs) +
-        "] (0 = the FASTBNS_RANK_TIMEOUT_MS default), got " +
-        std::to_string(frame_deadline_ms));
-  }
-  if (frame_retry_limit < 0 || frame_retry_limit > kMaxFrameRetries) {
-    throw std::invalid_argument(
-        "PcOptions::frame_retry_limit must be in [0, " +
-        std::to_string(kMaxFrameRetries) + "], got " +
-        std::to_string(frame_retry_limit));
-  }
-  if (frame_retry_backoff_ms < 0 ||
-      frame_retry_backoff_ms > kMaxFrameBackoffMs) {
-    throw std::invalid_argument(
-        "PcOptions::frame_retry_backoff_ms must be in [0, " +
-        std::to_string(kMaxFrameBackoffMs) + "], got " +
-        std::to_string(frame_retry_backoff_ms));
-  }
   // Parses the fault-schedule grammar, so a typoed injection fails the
   // run up front with the offending entry named instead of silently
   // skipping the fault (FaultSchedule::parse throws invalid_argument).

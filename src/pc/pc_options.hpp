@@ -34,18 +34,15 @@ enum class EngineKind : std::uint8_t {
   kProcess,
 };
 
-/// Canonical engine name as registered in the EngineRegistry (defined in
+/// Canonical engine name from the EngineRegistry's table (defined in
 /// engine/engine_registry.cpp — the single source of the names the CLI
 /// parsers accept; see also engine_from_string / list_engines there).
 [[nodiscard]] std::string to_string(EngineKind kind);
 
 struct PcOptions {
+  /// The one engine selector: learn_structure, learn_skeleton and the
+  /// bench runner construct this kind through the EngineRegistry.
   EngineKind engine = EngineKind::kCiParallel;
-  /// When non-empty, the engine is constructed from this registry name
-  /// (canonical or alias) instead of `engine` — the path that keeps
-  /// registered out-of-tree backends selectable even when they share an
-  /// EngineKind with a builtin. CLI parsers set both.
-  std::string engine_name;
   /// OpenMP threads for parallel engines; 0 keeps the runtime default.
   int num_threads = 0;
   /// gs — CI tests a thread runs per work-pool hold (kCiParallel only).
@@ -114,19 +111,6 @@ struct PcOptions {
   /// re-partition). Either way the run completes with the bit-identical
   /// result; only the recovery cost differs.
   std::int32_t max_rank_restarts = 1;
-  /// Supervisor-side deadline for each received frame, in milliseconds
-  /// (kProcess only) — per frame, not per depth, so one slow rank
-  /// cannot consume the whole barrier budget of its siblings. 0 = the
-  /// FASTBNS_RANK_TIMEOUT_MS environment override, default 120000.
-  std::int32_t frame_deadline_ms = 0;
-  /// Bounded retransmit attempts when a received frame fails its CRC or
-  /// its deadline (kProcess only): the supervisor asks the rank to
-  /// resend its buffered reply up to this many times before declaring
-  /// the rank failed and entering the recovery ladder.
-  std::int32_t frame_retry_limit = 2;
-  /// Backoff between retransmit attempts, in milliseconds, scaled
-  /// linearly by the attempt number (kProcess only).
-  std::int32_t frame_retry_backoff_ms = 10;
   /// Rank IPC channel of the multi-process engine (kProcess only):
   /// "auto" or "pipe", which both name the one channel it has — a
   /// fork-inherited pipe pair per rank over the anonymous MAP_SHARED
@@ -149,13 +133,6 @@ struct PcOptions {
   /// Largest accepted max_rank_restarts: each restart forks, replays
   /// and re-runs a depth, so a budget beyond this is a typo, not a plan.
   static constexpr std::int32_t kMaxRankRestarts = 64;
-  /// Largest accepted frame_deadline_ms: one day. A deadline is the
-  /// wedge detector; disabling it by overflow must fail loudly.
-  static constexpr std::int32_t kMaxFrameDeadlineMs = 86'400'000;
-  /// Largest accepted frame_retry_limit.
-  static constexpr std::int32_t kMaxFrameRetries = 64;
-  /// Largest accepted frame_retry_backoff_ms (one minute per step).
-  static constexpr std::int32_t kMaxFrameBackoffMs = 60'000;
 
   /// Throws std::invalid_argument when any field is out of range:
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads

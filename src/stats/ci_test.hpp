@@ -1,7 +1,7 @@
 // Conditional-independence test interface.
 //
-// Skeleton engines are generic over the test: statistical tests (G^2,
-// Pearson chi-square, mutual information) run on data, while the
+// Skeleton engines are generic over the test: statistical tests (G^2 on
+// discrete data, Fisher-z on continuous data) run on data, while the
 // d-separation oracle answers from a ground-truth DAG (used to property-
 // test the whole pipeline). Tests are stateful (they own workspaces), so
 // parallel engines give each thread its own clone().

@@ -15,8 +15,8 @@
 namespace fastbns {
 
 /// Everything a statistic's constructor might need, extracted from
-/// PcOptions / EngineRunConfig by the callers. Discrete-only knobs are
-/// ignored by the Gaussian branch and vice versa.
+/// PcOptions (or an EngineRunConfig) by the callers. Discrete-only knobs
+/// are ignored by the Gaussian branch and vice versa.
 struct CiTestRequest {
   /// "auto" (match the dataset kind), "discrete" (G^2 family),
   /// "gaussian" (Fisher-z), or "oracle" (rejected here — the

@@ -1,6 +1,5 @@
 #include "stats/discrete_ci_test.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -86,8 +85,6 @@ std::uint64_t DiscreteCiTest::config_token() const noexcept {
   static_assert(sizeof(alpha_bits) == sizeof(options_.alpha));
   std::memcpy(&alpha_bits, &options_.alpha, sizeof(alpha_bits));
   mix(alpha_bits);
-  mix(static_cast<std::uint64_t>(options_.statistic));
-  mix(static_cast<std::uint64_t>(options_.df_mode));
   mix(static_cast<std::uint64_t>(options_.max_cells));
   mix(static_cast<std::uint64_t>(options_.use_row_major));
   mix(static_cast<std::uint64_t>(options_.sample_parallel));
@@ -104,8 +101,7 @@ bool DiscreteCiTest::set_sample_parallel(bool enabled) {
 }
 
 CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
-                                  std::size_t cz_total,
-                                  Count sample_count) const {
+                                  std::size_t cz_total) const {
   const auto cx = static_cast<std::size_t>(cx_);
   const auto cy = static_cast<std::size_t>(cy_);
 
@@ -124,65 +120,29 @@ CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
     }
   }
 
-  // Statistic.
+  // G^2 = 2 sum N log(N * Nz / (Nxz * Nyz)).
   double statistic = 0.0;
-  if (options_.statistic == StatisticKind::kPearsonChiSquare) {
-    for (std::size_t x = 0; x < cx; ++x) {
-      for (std::size_t y = 0; y < cy; ++y) {
-        const Count* row = cells.data() + (x * cy + y) * cz_total;
-        for (std::size_t zc = 0; zc < cz_total; ++zc) {
-          const Count nz = margin_z_[zc];
-          if (nz == 0) continue;
-          const double expected =
-              static_cast<double>(margin_xz_[x * cz_total + zc]) *
-              static_cast<double>(margin_yz_[y * cz_total + zc]) /
-              static_cast<double>(nz);
-          if (expected <= 0.0) continue;
-          const double diff = static_cast<double>(row[zc]) - expected;
-          statistic += diff * diff / expected;
-        }
+  for (std::size_t x = 0; x < cx; ++x) {
+    for (std::size_t y = 0; y < cy; ++y) {
+      const Count* row = cells.data() + (x * cy + y) * cz_total;
+      for (std::size_t zc = 0; zc < cz_total; ++zc) {
+        const Count nxyz = row[zc];
+        if (nxyz == 0) continue;
+        const double num = static_cast<double>(nxyz) *
+                           static_cast<double>(margin_z_[zc]);
+        const double den =
+            static_cast<double>(margin_xz_[x * cz_total + zc]) *
+            static_cast<double>(margin_yz_[y * cz_total + zc]);
+        statistic += 2.0 * static_cast<double>(nxyz) * std::log(num / den);
       }
     }
-  } else {
-    // G^2 = 2 sum N log(N * Nz / (Nxz * Nyz)); MI uses the same sum.
-    for (std::size_t x = 0; x < cx; ++x) {
-      for (std::size_t y = 0; y < cy; ++y) {
-        const Count* row = cells.data() + (x * cy + y) * cz_total;
-        for (std::size_t zc = 0; zc < cz_total; ++zc) {
-          const Count nxyz = row[zc];
-          if (nxyz == 0) continue;
-          const double num = static_cast<double>(nxyz) *
-                             static_cast<double>(margin_z_[zc]);
-          const double den =
-              static_cast<double>(margin_xz_[x * cz_total + zc]) *
-              static_cast<double>(margin_yz_[y * cz_total + zc]);
-          statistic += 2.0 * static_cast<double>(nxyz) * std::log(num / den);
-        }
-      }
-    }
-    if (statistic < 0.0) statistic = 0.0;  // guard tiny negative round-off
   }
+  if (statistic < 0.0) statistic = 0.0;  // guard tiny negative round-off
 
-  // Degrees of freedom.
-  std::int64_t df = 0;
-  if (options_.df_mode == DfMode::kStandard) {
-    df = static_cast<std::int64_t>(cx - 1) * static_cast<std::int64_t>(cy - 1) *
-         static_cast<std::int64_t>(cz_total);
-  } else {
-    for (std::size_t zc = 0; zc < cz_total; ++zc) {
-      if (margin_z_[zc] == 0) continue;
-      std::int64_t rows = 0;
-      std::int64_t columns = 0;
-      for (std::size_t x = 0; x < cx; ++x) {
-        if (margin_xz_[x * cz_total + zc] > 0) ++rows;
-      }
-      for (std::size_t y = 0; y < cy; ++y) {
-        if (margin_yz_[y * cz_total + zc] > 0) ++columns;
-      }
-      df += std::max<std::int64_t>(rows - 1, 0) *
-            std::max<std::int64_t>(columns - 1, 0);
-    }
-  }
+  // Standard degrees of freedom: (|X|-1)(|Y|-1) * prod |Z_i|.
+  const std::int64_t df = static_cast<std::int64_t>(cx - 1) *
+                          static_cast<std::int64_t>(cy - 1) *
+                          static_cast<std::int64_t>(cz_total);
 
   CiResult result;
   result.degrees_of_freedom = df;
@@ -194,17 +154,9 @@ CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
     return result;
   }
 
-  const double g2_like = statistic;
-  result.p_value = chi_square_survival(g2_like, static_cast<double>(df));
+  result.statistic = statistic;
+  result.p_value = chi_square_survival(statistic, static_cast<double>(df));
   result.independent = result.p_value > options_.alpha;
-  if (options_.statistic == StatisticKind::kMutualInformation) {
-    // Report MI in nats; the decision used 2*m*MI == G^2.
-    result.statistic =
-        sample_count > 0 ? g2_like / (2.0 * static_cast<double>(sample_count))
-                         : 0.0;
-  } else {
-    result.statistic = g2_like;
-  }
   return result;
 }
 
@@ -220,7 +172,7 @@ CiResult DiscreteCiTest::test(VarId x, VarId y, std::span<const VarId> z) {
                 cz_total);
   active_builder().build(context_, TableJob{z, cz_total, cells_});
   ++tests_performed_;
-  return evaluate(cells_, cz_total, data_->num_samples());
+  return evaluate(cells_, cz_total);
 }
 
 void DiscreteCiTest::begin_group(VarId x, VarId y) {
@@ -245,7 +197,7 @@ CiResult DiscreteCiTest::test_in_group(std::span<const VarId> z) {
                 cz_total);
   active_builder().build(context_, TableJob{z, cz_total, cells_});
   ++tests_performed_;
-  return evaluate(cells_, cz_total, data_->num_samples());
+  return evaluate(cells_, cz_total);
 }
 
 void DiscreteCiTest::test_batch_in_group(std::span<const VarId> flat_sets,
@@ -297,8 +249,8 @@ void DiscreteCiTest::test_batch_in_group(std::span<const VarId> flat_sets,
     const std::span<TableJob> chunk(batch_jobs_.data() + j0, j1 - j0);
     main_builder_->build_batch(context_, chunk);
     for (std::size_t j = j0; j < j1; ++j) {
-      results[batch_slots_[j]] = evaluate(
-          batch_jobs_[j].cells, batch_jobs_[j].cz_total, data_->num_samples());
+      results[batch_slots_[j]] =
+          evaluate(batch_jobs_[j].cells, batch_jobs_[j].cz_total);
     }
     j0 = j1;
   }

@@ -1,8 +1,8 @@
-// Statistical CI tests on discrete complete data: G^2 (the paper's test),
-// Pearson chi-square, and mutual information.
+// The G^2 conditional-independence test on discrete complete data (the
+// paper's test).
 //
 // The class is a thin statistic layer: it owns the endpoint codes, the
-// marginals and the G^2 / X^2 / MI evaluation, while the counting pass
+// marginals and the G^2 evaluation, while the counting pass
 // that fills N_xyz lives behind the pluggable TableBuilder kernel
 // (stats/table_builder.hpp). The paper's data-path optimizations map onto
 // that split:
@@ -31,21 +31,8 @@
 
 namespace fastbns {
 
-enum class StatisticKind : std::uint8_t {
-  kG2,                 ///< likelihood-ratio G^2 (paper default)
-  kPearsonChiSquare,   ///< Pearson X^2
-  kMutualInformation,  ///< MI; equivalent decision rule via 2*m*MI ~ chi2
-};
-
-enum class DfMode : std::uint8_t {
-  kStandard,  ///< (|X|-1)(|Y|-1) * prod |Z_i|   (pcalg-style)
-  kAdjusted,  ///< per-stratum, dropping empty rows/columns (bnlearn-style)
-};
-
 struct CiTestOptions {
   double alpha = 0.05;
-  StatisticKind statistic = StatisticKind::kG2;
-  DfMode df_mode = DfMode::kStandard;
   /// Tests whose contingency table exceeds this many cells are not run;
   /// the edge is conservatively kept (result: dependent, p = 0).
   std::size_t max_cells = std::size_t{1} << 24;
@@ -120,8 +107,7 @@ class DiscreteCiTest final : public CiTest {
   /// builder, or sample-parallel when the option / runtime hint says so.
   [[nodiscard]] TableBuilder& active_builder() const noexcept;
   [[nodiscard]] CiResult evaluate(std::span<const Count> cells,
-                                  std::size_t cz_total,
-                                  Count sample_count) const;
+                                  std::size_t cz_total) const;
 
   const DiscreteDataset* data_;
   CiTestOptions options_;
@@ -156,7 +142,7 @@ class DiscreteCiTest final : public CiTest {
 };
 
 /// Convenience factory matching the paper's default configuration
-/// (G^2, alpha = 0.05, standard df, column-major).
+/// (G^2, alpha = 0.05, column-major).
 [[nodiscard]] std::unique_ptr<CiTest> make_g2_test(const DiscreteDataset& data,
                                                    double alpha = 0.05);
 

@@ -36,7 +36,7 @@ enum class SimdTier : std::uint8_t {
 
 /// Clamps active_simd_tier() to `tier` until cleared with std::nullopt.
 /// Not thread-safe; intended for test setup and single-threaded CLI
-/// startup, like engine registration.
+/// startup.
 void set_simd_tier_override(std::optional<SimdTier> tier) noexcept;
 
 /// RAII override for tests that pin the fallback paths.

@@ -253,8 +253,8 @@ std::unique_ptr<TableBuilder> make_table_builder(std::string_view name) {
     // Installing the sample-parallel kernel as the *main* builder would
     // nest its OpenMP team inside every edge-parallel worker and serialize
     // batch entries into contended atomic builds; sample-parallel builds
-    // belong to the sample-parallel engine (EngineRunConfig::
-    // sample_parallel), which puts the test on the dedicated builder.
+    // belong to the sample-parallel engine, whose
+    // wants_sample_parallel_test() puts the test on the dedicated builder.
     throw std::invalid_argument(
         "table builder \"sample-parallel\" is not name-selectable: "
         "sample-parallel builds come from --engine sample, not from the "

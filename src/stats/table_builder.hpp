@@ -4,8 +4,8 @@
 // The paper's data-path speedups (sample-parallel builds of Section IV-A,
 // the cache-friendly column streaming of Section IV-C) and the batching
 // directions of the follow-on work (Scutari's bnlearn parallelisation,
-// arXiv:1406.7648) all live in *how* N_xyz is counted, never in the G^2 /
-// X^2 / MI formula evaluated afterwards. A TableBuilder owns exactly that
+// arXiv:1406.7648) all live in *how* N_xyz is counted, never in the G^2
+// formula evaluated afterwards. A TableBuilder owns exactly that
 // counting pass; DiscreteCiTest is a thin statistic layer over a
 // pluggable builder.
 //

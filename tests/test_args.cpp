@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
 namespace fastbns {
 namespace {
 
@@ -97,6 +101,73 @@ TEST(ArgParser, UndeclaredFlagLookupThrows) {
   const char* argv[] = {"prog"};
   ASSERT_TRUE(parser.parse(1, argv));
   EXPECT_THROW(parser.get("nope"), std::invalid_argument);
+}
+
+/// Parses `--<flag>=<value>` and expects `read` to throw
+/// std::invalid_argument naming the flag and the offending text (the
+/// value, or the bad item of a list).
+void expect_rejected(const std::string& flag, const std::string& value,
+                     const std::string& offending,
+                     const std::function<void(const ArgParser&)>& read) {
+  ArgParser parser = make_parser();
+  const std::string token = "--" + flag + "=" + value;
+  const char* argv[] = {"prog", token.c_str()};
+  ASSERT_TRUE(parser.parse(2, argv));
+  try {
+    read(parser);
+    ADD_FAILURE() << "expected std::invalid_argument for " << token;
+  } catch (const std::invalid_argument& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("--" + flag), std::string::npos) << message;
+    EXPECT_NE(message.find('"' + offending + '"'), std::string::npos)
+        << message;
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << token << " threw a non-invalid_argument: "
+                  << error.what();
+  }
+}
+
+TEST(ArgParser, GetIntRejectsMalformedNumbers) {
+  const auto read = [](const ArgParser& parser) {
+    (void)parser.get_int("threads");
+  };
+  expect_rejected("threads", "2x", "2x", read);
+  expect_rejected("threads", "", "", read);
+  expect_rejected("threads", "abc", "abc", read);
+  expect_rejected("threads", "99999999999999999999", "99999999999999999999",
+                  read);
+  expect_rejected("threads", "1.5", "1.5", read);
+}
+
+TEST(ArgParser, GetDoubleRejectsMalformedNumbers) {
+  const auto read = [](const ArgParser& parser) {
+    (void)parser.get_double("alpha");
+  };
+  expect_rejected("alpha", "0.05abc", "0.05abc", read);
+  expect_rejected("alpha", "", "", read);
+  expect_rejected("alpha", "abc", "abc", read);
+  expect_rejected("alpha", "1e999", "1e999", read);
+}
+
+TEST(ArgParser, GetIntListRejectsABadItem) {
+  const auto read = [](const ArgParser& parser) {
+    (void)parser.get_int_list("names");
+  };
+  expect_rejected("names", "1,2x,4", "2x", read);
+  expect_rejected("names", "1,abc", "abc", read);
+  expect_rejected("names", "1,99999999999999999999", "99999999999999999999",
+                  read);
+}
+
+TEST(ArgParser, NumericGettersAcceptWholeNumbers) {
+  ArgParser parser = make_parser();
+  const char* argv[] = {"prog", "--threads=-1", "--alpha=1e-3",
+                        "--names=-2,0,16"};
+  ASSERT_TRUE(parser.parse(4, argv));
+  EXPECT_EQ(parser.get_int("threads"), -1);
+  EXPECT_DOUBLE_EQ(parser.get_double("alpha"), 1e-3);
+  EXPECT_EQ(parser.get_int_list("names"),
+            (std::vector<std::int64_t>{-2, 0, 16}));
 }
 
 }  // namespace

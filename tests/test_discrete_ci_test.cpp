@@ -119,33 +119,9 @@ TEST(DiscreteCiTest, SampleParallelMatchesSerial) {
   EXPECT_EQ(a.independent, b.independent);
 }
 
-TEST(DiscreteCiTest, PearsonChiSquareAgreesOnDecision) {
-  // Same draw as IndependentOfUnrelatedVariable so the w column is known
-  // to fall on the accept side of alpha for both statistics.
-  const auto data = correlated_dataset(4000, 11);
-  CiTestOptions x2_options;
-  x2_options.statistic = StatisticKind::kPearsonChiSquare;
-  DiscreteCiTest x2_test(data, x2_options);
-  EXPECT_FALSE(x2_test.test(0, 1, {}).independent);
-  EXPECT_TRUE(x2_test.test(0, 2, {}).independent);
-}
-
-TEST(DiscreteCiTest, MutualInformationReportsNats) {
-  const auto data = correlated_dataset(4000, 29);
-  CiTestOptions mi_options;
-  mi_options.statistic = StatisticKind::kMutualInformation;
-  DiscreteCiTest mi_test(data, mi_options);
-  DiscreteCiTest g2_test(data, {});
-  const CiResult mi = mi_test.test(0, 1, {});
-  const CiResult g2 = g2_test.test(0, 1, {});
-  EXPECT_NEAR(mi.statistic,
-              g2.statistic / (2.0 * static_cast<double>(data.num_samples())),
-              1e-12);
-  EXPECT_EQ(mi.independent, g2.independent);  // same decision rule
-}
-
-TEST(DiscreteCiTest, AdjustedDfDropsEmptyStrata) {
-  // Constant z column: only one stratum is populated out of two.
+TEST(DiscreteCiTest, StandardDfCountsEveryStratum) {
+  // Constant z column: only one stratum is populated out of two, and the
+  // df still counts both, (2-1)(2-1)*2 (pcalg-style).
   DiscreteDataset data(3, 100, {2, 2, 2}, DataLayout::kBoth);
   Rng rng(31);
   for (Count s = 0; s < 100; ++s) {
@@ -154,13 +130,8 @@ TEST(DiscreteCiTest, AdjustedDfDropsEmptyStrata) {
     data.set(s, 2, 0);
   }
   const std::vector<VarId> z{2};
-  CiTestOptions standard;
-  DiscreteCiTest standard_test(data, standard);
-  EXPECT_EQ(standard_test.test(0, 1, z).degrees_of_freedom, 2);
-  CiTestOptions adjusted;
-  adjusted.df_mode = DfMode::kAdjusted;
-  DiscreteCiTest adjusted_test(data, adjusted);
-  EXPECT_EQ(adjusted_test.test(0, 1, z).degrees_of_freedom, 1);
+  DiscreteCiTest test(data, {});
+  EXPECT_EQ(test.test(0, 1, z).degrees_of_freedom, 2);
 }
 
 TEST(DiscreteCiTest, OversizedTableIsConservativelyDependent) {

@@ -52,6 +52,15 @@ const Fixture& fixture() {
   return instance;
 }
 
+/// The test options learn_structure would build for `kind`: sample-parallel
+/// table builds when the engine asks for them.
+CiTestOptions test_options_for(EngineKind kind) {
+  CiTestOptions options;
+  options.sample_parallel =
+      EngineRegistry::instance().create(kind)->wants_sample_parallel_test();
+  return options;
+}
+
 SkeletonResult reference_result() {
   PcOptions options;
   options.engine = EngineKind::kFastSequential;
@@ -91,24 +100,19 @@ std::vector<EngineThreadsGs> registry_param_grid() {
 class EngineEquivalence : public ::testing::TestWithParam<EngineThreadsGs> {};
 
 TEST_P(EngineEquivalence, SkeletonAndSepsetsMatchReference) {
-  const auto [engine_name, threads, gs] = GetParam();
+  const auto [name, threads, gs] = GetParam();
   PcOptions options;
-  options.engine = engine_from_string(engine_name);
-  options.engine_name = engine_name;  // by-name path: kind-sharing
-                                      // backends run themselves
+  options.engine = engine_from_string(name);
   options.num_threads = threads;
   options.group_size = gs;
 
-  CiTestOptions test_options;
-  test_options.sample_parallel =
-      EngineRegistry::instance().find(engine_name)->sample_parallel_test;
-  const DiscreteCiTest test(fixture().data, test_options);
+  const DiscreteCiTest test(fixture().data, test_options_for(options.engine));
   const SkeletonResult result =
       learn_skeleton(fixture().data.num_vars(), test, options);
 
   static const SkeletonResult reference = reference_result();
   EXPECT_TRUE(result.graph == reference.graph)
-      << "engine=" << engine_name << " t=" << threads << " gs=" << gs;
+      << "engine=" << name << " t=" << threads << " gs=" << gs;
 
   // Sepsets must match pair by pair.
   const VarId n = fixture().data.num_vars();
@@ -208,13 +212,10 @@ TEST(EngineEquivalence, NumaForcedRunLeavesThreadAffinityUnchanged) {
     const AffinitySnapshot before = affinity_snapshot();
     PcOptions options;
     options.engine = engine_from_string(name);
-    options.engine_name = name;
     options.num_threads = 4;
     options.numa_policy = "forced";
-    CiTestOptions test_options;
-    test_options.sample_parallel =
-        EngineRegistry::instance().find(name)->sample_parallel_test;
-    const DiscreteCiTest test(fixture().data, test_options);
+    const DiscreteCiTest test(fixture().data,
+                              test_options_for(options.engine));
     (void)learn_skeleton(fixture().data.num_vars(), test, options);
     const AffinitySnapshot after = affinity_snapshot();
     EXPECT_EQ(after.caller, before.caller) << name;
@@ -235,13 +236,10 @@ TEST(EngineEquivalence, CpdagIdenticalAcrossRegisteredEnginesOnSampledData) {
   for (const std::string& name : list_engines()) {
     PcOptions options;
     options.engine = engine_from_string(name);
-    options.engine_name = name;
     options.num_threads = 2;
     options.group_size = 4;
-    CiTestOptions test_options;
-    test_options.sample_parallel =
-        EngineRegistry::instance().find(name)->sample_parallel_test;
-    const DiscreteCiTest test(fixture().data, test_options);
+    const DiscreteCiTest test(fixture().data,
+                              test_options_for(options.engine));
     const PcStableResult result =
         pc_stable(fixture().data.num_vars(), test, options);
     EXPECT_TRUE(result.cpdag == reference.cpdag) << name;
@@ -391,7 +389,6 @@ TEST(EngineEquivalence, GaussianSkeletonIdenticalAcrossRegisteredEngines) {
                                         : std::vector<std::int32_t>{0}) {
       PcOptions options;
       options.engine = engine_from_string(name);
-      options.engine_name = name;
       options.num_threads = 2;
       options.group_size = 4;
       options.ci_test = "gaussian";
@@ -452,7 +449,6 @@ TEST(EngineEquivalence, OracleRunsAgreeAcrossRegisteredEngines) {
   for (const std::string& name : list_engines()) {
     PcOptions options;
     options.engine = engine_from_string(name);
-    options.engine_name = name;
     options.num_threads = 2;
     options.group_size = 4;
     const PcStableResult result = pc_stable(alarm.num_nodes(), oracle, options);

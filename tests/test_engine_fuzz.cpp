@@ -69,7 +69,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
 
     PcOptions reference_options;
     reference_options.engine = engine_from_string("fastbns-seq");
-    reference_options.engine_name = "fastbns-seq";
     reference_options.table_builder = "scalar";
     CiTestOptions reference_test_options;
     reference_test_options.table_builder = "scalar";
@@ -96,7 +95,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
       for (const std::string& builder : builders) {
         PcOptions options;
         options.engine = engine_from_string(engine);
-        options.engine_name = engine;
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
         options.numa_policy = numa_policy;
@@ -105,7 +103,7 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         options.table_builder = builder;
         CiTestOptions test_options;
         test_options.sample_parallel =
-            registry.find(engine)->sample_parallel_test;
+            registry.create(options.engine)->wants_sample_parallel_test();
         test_options.table_builder = builder;
         const DiscreteCiTest test(instance.data, test_options);
         const fuzz::SkeletonFingerprint actual =

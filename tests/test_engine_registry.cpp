@@ -1,7 +1,8 @@
 // The EngineRegistry contract: canonical names round-trip through
 // engine_from_string / to_string, aliases resolve, unknown names fail
-// loudly, and every registered factory builds an engine that agrees on
-// its own name.
+// loudly, every kind builds the one engine that agrees on its own name,
+// and a backend outside the table runs through learn_skeleton's engine
+// overload.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,9 @@
 
 #include "engine/engine_registry.hpp"
 #include "engine/skeleton_engine.hpp"
+#include "graph/dag.hpp"
+#include "pc/skeleton.hpp"
+#include "stats/oracle_test.hpp"
 
 namespace fastbns {
 namespace {
@@ -25,16 +29,13 @@ TEST(EngineRegistry, ListsTheBuiltinEnginesSorted) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
-  // names() keeps registration order: the paper's five engines first.
-  // Pinned on a standalone registry — the global instance may have
-  // grown extension registrations, which is exactly why list_engines()
-  // sorts.
-  const std::vector<std::string> registration_order =
-      EngineRegistry{}.names();
-  ASSERT_EQ(registration_order.size(), 6u);
-  EXPECT_EQ(registration_order[0], "naive-seq");
-  EXPECT_EQ(registration_order[4], "fastbns-par(ci-level)");
-  EXPECT_EQ(registration_order[5], "process(rank-partition)");
+  // names() keeps table order: the paper's five engines first.
+  const std::vector<std::string> table_order =
+      EngineRegistry::instance().names();
+  ASSERT_EQ(table_order.size(), 6u);
+  EXPECT_EQ(table_order[0], "naive-seq");
+  EXPECT_EQ(table_order[4], "fastbns-par(ci-level)");
+  EXPECT_EQ(table_order[5], "process(rank-partition)");
 }
 
 TEST(EngineRegistry, CanonicalNamesRoundTrip) {
@@ -86,92 +87,64 @@ TEST(EngineRegistry, FactoriesBuildEnginesThatKnowTheirNames) {
   }
 }
 
-TEST(EngineRegistry, MetadataMatchesEngineBehaviour) {
-  const EngineRegistry& registry = EngineRegistry::instance();
+TEST(EngineRegistry, EnginesDeclareTheirTraits) {
   // Only the naive baseline forbids endpoint grouping; only the
-  // sample-parallel engine wants sample-parallel tests. The EngineInfo
-  // trait mirrors must agree with the engines' behavioural virtuals.
+  // sample-parallel engine wants sample-parallel tests.
+  const EngineRegistry& registry = EngineRegistry::instance();
   for (const std::string& name : list_engines()) {
-    const EngineInfo* info = registry.find(name);
-    ASSERT_NE(info, nullptr) << name;
     const std::unique_ptr<SkeletonEngine> engine = registry.create(name);
     EXPECT_EQ(engine->supports_endpoint_grouping(), name != "naive-seq")
         << name;
     EXPECT_EQ(engine->wants_sample_parallel_test(), name == "sample-parallel")
         << name;
-    EXPECT_EQ(info->supports_endpoint_grouping,
-              engine->supports_endpoint_grouping())
-        << name;
-    EXPECT_EQ(info->sample_parallel_test, engine->wants_sample_parallel_test())
-        << name;
   }
 }
 
-TEST(EngineRegistry, CreateByKindReturnsFirstRegistration) {
-  const std::unique_ptr<SkeletonEngine> engine =
-      EngineRegistry::instance().create(EngineKind::kCiParallel);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "fastbns-par(ci-level)");
+TEST(EngineRegistry, EachKindBuildsItsOneEngine) {
+  const EngineRegistry& registry = EngineRegistry::instance();
+  for (const EngineKind kind :
+       {EngineKind::kNaiveSequential, EngineKind::kFastSequential,
+        EngineKind::kEdgeParallel, EngineKind::kSampleParallel,
+        EngineKind::kCiParallel, EngineKind::kProcess}) {
+    ASSERT_NE(registry.find(kind), nullptr);
+    EXPECT_EQ(registry.find(kind)->kind, kind);
+    EXPECT_EQ(registry.create(kind)->name(), to_string(kind));
+    PcOptions options;
+    options.engine = kind;
+    EXPECT_EQ(registry.create(options)->name(), to_string(kind));
+  }
 }
 
-// A minimal out-of-tree backend: registration makes it constructible by
-// name, while kind-based lookups keep resolving to the builtin. Runs
-// against a standalone registry so the process-wide singleton stays
-// pristine for the other tests (and under --gtest_repeat/shuffle).
-class NullEngine final : public SkeletonEngine {
+// A backend outside the table: it accepts the first test of every work,
+// so a run that used it removes every edge at depth 0.
+class RemoveAllEngine final : public SkeletonEngine {
  public:
-  std::int64_t run_depth(std::vector<EdgeWork>&, std::int32_t, const CiTest&,
-                         const PcOptions&) override {
-    return 0;
+  std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t,
+                         const CiTest&, const PcOptions&) override {
+    ++depths_run;
+    for (EdgeWork& work : works) work.accepted = 0;
+    return static_cast<std::int64_t>(works.size());
   }
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "null-test-engine";
+    return "remove-all";
   }
+  int depths_run = 0;
 };
 
-TEST(EngineRegistry, ExtensionEnginesRegisterAndRejectDuplicates) {
-  EngineRegistry registry;  // standalone, pre-populated with the builtins
-  registry.register_engine(
-      {EngineKind::kCiParallel, "null-test-engine", {"null"}, "test dummy"},
-      [] { return std::make_unique<NullEngine>(); });
-
-  EXPECT_EQ(registry.create("null-test-engine")->name(), "null-test-engine");
-  ASSERT_NE(registry.find("null"), nullptr);
-  EXPECT_EQ(registry.find("null")->name, "null-test-engine");
-  const std::vector<std::string> names = registry.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "null-test-engine"),
-            names.end());
-  // kCiParallel still resolves to the builtin registered first.
-  EXPECT_EQ(registry.find(EngineKind::kCiParallel)->name,
-            "fastbns-par(ci-level)");
-  EXPECT_EQ(registry.create(EngineKind::kCiParallel)->name(),
-            "fastbns-par(ci-level)");
-  // ...but by-name selection through PcOptions::engine_name reaches the
-  // extension even though it shares the builtin's kind.
-  PcOptions options;
-  options.engine = EngineKind::kCiParallel;
-  options.engine_name = "null-test-engine";
-  EXPECT_EQ(registry.create(options)->name(), "null-test-engine");
-
-  // Duplicate canonical names and aliases are rejected.
-  EXPECT_THROW(registry.register_engine({EngineKind::kCiParallel,
-                                         "null-test-engine",
-                                         {},
-                                         "dup"},
-                                        [] {
-                                          return std::make_unique<NullEngine>();
-                                        }),
-               std::invalid_argument);
-  EXPECT_THROW(registry.register_engine({EngineKind::kCiParallel,
-                                         "other-name",
-                                         {"ci"},
-                                         "alias clash"},
-                                        [] {
-                                          return std::make_unique<NullEngine>();
-                                        }),
-               std::invalid_argument);
-  // The process-wide singleton never saw the extension.
-  EXPECT_EQ(EngineRegistry::instance().find("null-test-engine"), nullptr);
+TEST(EngineRegistry, OutOfTableBackendsRunThroughTheEngineOverload) {
+  Dag dag(4);
+  for (VarId v = 0; v + 1 < 4; ++v) dag.add_edge(v, v + 1);
+  const DSeparationOracle oracle(dag);
+  RemoveAllEngine engine;
+  // options.engine names a builtin; the caller's engine runs instead.
+  const PcOptions options;
+  const SkeletonResult result = learn_skeleton(4, oracle, options, engine);
+  EXPECT_EQ(engine.depths_run, 1);
+  EXPECT_EQ(result.graph.num_edges(), 0);
+  EXPECT_EQ(result.total_ci_tests, 6);
+  // The table never learns the backend's name.
+  EXPECT_EQ(EngineRegistry::instance().find("remove-all"), nullptr);
+  EXPECT_THROW((void)engine_from_string("remove-all"), std::invalid_argument);
 }
 
 }  // namespace

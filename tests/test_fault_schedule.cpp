@@ -1,6 +1,6 @@
 // The deterministic fault-injection subsystem in isolation: the schedule
-// grammar (including its offending-entry error messages), the legacy
-// FASTBNS_PROCESS_DIE_AT_DEPTH mapping, generation-scoped event matching
+// grammar (including its offending-entry error messages), the
+// FASTBNS_FAULT_SCHEDULE environment path, generation-scoped event matching
 // (a gen-0 kill must not re-fire on the respawned gen-1 process), the
 // one-shot claim semantics of frame faults, spawn-fail queries, and the
 // seed-determinism of the corrupting writer.
@@ -14,6 +14,7 @@
 
 #include "fault/fault_schedule.hpp"
 #include "ipc/wire.hpp"
+#include "scoped_env.hpp"
 
 namespace fastbns {
 namespace {
@@ -76,22 +77,22 @@ TEST(FaultSchedule, RejectionsNameTheOffendingEntry) {
   EXPECT_TRUE(FaultSchedule::parse(" ; ; ").empty());
 }
 
-TEST(FaultSchedule, EnvironmentPathMapsTheLegacyKillHook) {
-  setenv("FASTBNS_PROCESS_DIE_AT_DEPTH", "1:2", 1);
-  unsetenv("FASTBNS_FAULT_SCHEDULE");
-  const FaultSchedule legacy = FaultSchedule::from_env();
-  ASSERT_EQ(legacy.events.size(), 1u);
-  EXPECT_EQ(legacy.events[0].kind, FaultKind::kKill);
-  EXPECT_EQ(legacy.events[0].rank, 1);
-  EXPECT_EQ(legacy.events[0].depth, 2);
-  // Malformed legacy values are ignored, exactly like the old hook.
-  setenv("FASTBNS_PROCESS_DIE_AT_DEPTH", "nonsense", 1);
-  EXPECT_TRUE(FaultSchedule::from_env().empty());
+TEST(FaultSchedule, EnvironmentPathParsesTheSchedule) {
+  {
+    const ScopedEnv unset("FASTBNS_FAULT_SCHEDULE", nullptr);
+    EXPECT_TRUE(FaultSchedule::from_env().empty());
+  }
+  {
+    const ScopedEnv env("FASTBNS_FAULT_SCHEDULE", "kill@rank=1,depth=2");
+    const FaultSchedule schedule = FaultSchedule::from_env();
+    ASSERT_EQ(schedule.events.size(), 1u);
+    EXPECT_EQ(schedule.events[0].kind, FaultKind::kKill);
+    EXPECT_EQ(schedule.events[0].rank, 1);
+    EXPECT_EQ(schedule.events[0].depth, 2);
+  }
   // A typoed env schedule degrades to no faults instead of crashing.
-  setenv("FASTBNS_FAULT_SCHEDULE", "explode@rank=1", 1);
-  unsetenv("FASTBNS_PROCESS_DIE_AT_DEPTH");
+  const ScopedEnv typo("FASTBNS_FAULT_SCHEDULE", "explode@rank=1");
   EXPECT_TRUE(FaultSchedule::from_env().empty());
-  unsetenv("FASTBNS_FAULT_SCHEDULE");
 }
 
 TEST(FaultSchedule, InjectorMatchesByRankDepthAndGeneration) {

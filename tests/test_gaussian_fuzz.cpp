@@ -72,7 +72,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
 
     PcOptions reference_options;
     reference_options.engine = engine_from_string("fastbns-seq");
-    reference_options.engine_name = "fastbns-seq";
     reference_options.ci_test = "gaussian";
     GaussianCiTestOptions reference_test_options;
     reference_test_options.covariance_builder = "scalar";
@@ -92,7 +91,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
       for (const std::string& builder : builders) {
         PcOptions options;
         options.engine = engine_from_string(engine);
-        options.engine_name = engine;
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
         options.numa_policy = numa_policy;
@@ -244,7 +242,6 @@ TEST(GaussianGolden, LinearGaussianSemMatchesCommittedDigestAtRanks1And2) {
     SCOPED_TRACE("ranks=" + std::to_string(ranks));
     PcOptions options;
     options.engine = EngineKind::kProcess;
-    options.engine_name = "process(rank-partition)";
     options.rank_count = ranks;
     options.ci_test = "gaussian";
     options.alpha = kGoldenAlpha;

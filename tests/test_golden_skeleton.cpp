@@ -197,7 +197,6 @@ TEST(GoldenSkeleton, ProcessEngineReproducesTheCommittedDigests) {
   }
   PcOptions options;
   options.engine = EngineKind::kProcess;
-  options.engine_name = "process(rank-partition)";
   options.rank_count = ranks;
   for (const GoldenCase& which : kCases) {
     SCOPED_TRACE(std::string(which.file) + " ranks=" + std::to_string(ranks));

@@ -16,43 +16,13 @@
 #include <thread>
 #include <vector>
 
+#include "scoped_env.hpp"
 #include "topology/placement.hpp"
 
 namespace fastbns {
 namespace {
 
 // -- Environment + fixture plumbing -----------------------------------
-
-/// setenv/unsetenv guard: FASTBNS_NUMA leaks into NumaTopology::detect()
-/// everywhere, so every test that sets it must restore the prior value
-/// even on assertion failure.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* previous = std::getenv(name);
-    if (previous != nullptr) saved_ = previous;
-    had_value_ = previous != nullptr;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      setenv(name_.c_str(), saved_.c_str(), 1);
-    } else {
-      unsetenv(name_.c_str());
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  std::string name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 /// Temp directory styled like /sys/devices/system/node: node<k>/cpulist
 /// files with caller-chosen contents. Removed on destruction.

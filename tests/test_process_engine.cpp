@@ -30,6 +30,7 @@
 #include "network/standard_networks.hpp"
 #include "pc/pc_stable.hpp"
 #include "pc/skeleton.hpp"
+#include "scoped_env.hpp"
 #include "stats/discrete_ci_test.hpp"
 
 namespace fastbns {
@@ -38,7 +39,6 @@ namespace {
 PcOptions process_options(std::int32_t ranks, std::int32_t rank_threads = 1) {
   PcOptions options;
   options.engine = EngineKind::kProcess;
-  options.engine_name = "process(rank-partition)";
   options.rank_count = ranks;
   options.rank_threads = rank_threads;
   return options;
@@ -183,21 +183,22 @@ std::string describe_events(const std::vector<RecoveryEvent>& events) {
   return text.empty() ? "(no events)" : text;
 }
 
-TEST(ProcessEngine, LegacyInjectedRankDeathRecoversViaRespawnAndReplay) {
-  // FASTBNS_PROCESS_DIE_AT_DEPTH=rank:depth makes that rank _exit(42)
+TEST(ProcessEngine, EnvInjectedRankDeathRecoversViaRespawnAndReplay) {
+  // FASTBNS_FAULT_SCHEDULE="kill@rank=1,depth=1" makes that rank exit
   // when the depth's command arrives — the deterministic stand-in for an
-  // OOM-killed or crashed worker. Since the fault-tolerance layer this
-  // no longer kills the run: the supervisor respawns the rank, replays
-  // the committed removal log, and the result stays bit-identical. (The
-  // clear-error contract for unsupervised dead ranks is still covered at
-  // the ProcessGroup level in test_ipc.)
-  setenv("FASTBNS_PROCESS_DIE_AT_DEPTH", "1:1", 1);
+  // OOM-killed or crashed worker, reaching the engine through the same
+  // env path CI's fault sweep uses. The supervisor respawns the rank,
+  // replays the committed removal log, and the result stays
+  // bit-identical. (The clear-error contract for unsupervised dead ranks
+  // is covered at the ProcessGroup level in test_ipc.)
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
       sequential_fingerprint(instance, &reference_tests);
-  const FaultRun run = run_process(instance, process_options(2));
-  unsetenv("FASTBNS_PROCESS_DIE_AT_DEPTH");
+  const FaultRun run = [&] {
+    const ScopedEnv schedule("FASTBNS_FAULT_SCHEDULE", "kill@rank=1,depth=1");
+    return run_process(instance, process_options(2));
+  }();
   EXPECT_TRUE(run.fingerprint == reference) << fuzz::describe_divergence(
       reference, run.fingerprint, instance.data.num_vars());
   EXPECT_EQ(run.result.total_ci_tests, reference_tests);
@@ -209,9 +210,10 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
   // The acceptance sweep: with any single injected fault the run must
   // complete with the skeleton fingerprint (adjacency + sepsets +
   // removal depths) and the executed-test count bit-identical to the
-  // sequential reference, at 2 and 4 ranks. Deadlines are tightened so
-  // the wedge/delay/truncate faults trip the per-frame deadline in test
-  // time rather than the 120 s default.
+  // sequential reference, at 2 and 4 ranks. The per-frame deadline is
+  // tightened to 400 ms so the wedge/delay/truncate faults trip it in
+  // test time rather than at the 120 s default.
+  const ScopedEnv deadline("FASTBNS_RANK_TIMEOUT_MS", "400");
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
@@ -245,9 +247,6 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
     for (const std::int32_t ranks : {2, 4}) {
       PcOptions options = process_options(ranks);
       options.fault_schedule = fault.schedule;
-      options.frame_deadline_ms = 400;
-      options.frame_retry_limit = 4;
-      options.frame_retry_backoff_ms = 5;
       const FaultRun run = run_process(instance, options);
       EXPECT_TRUE(run.fingerprint == reference)
           << "schedule=" << fault.schedule << " ranks=" << ranks << ": "

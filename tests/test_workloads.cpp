@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "bench_util/runner.hpp"
+#include "engine/engine_registry.hpp"
+#include "fuzz_util.hpp"
 
 namespace fastbns {
 namespace {
@@ -64,6 +71,57 @@ TEST(Workloads, SmallScaleReducesGrid) {
   EXPECT_LT(networks.size(), 8u);
   EXPECT_EQ(comparison_samples(BenchScale::kSmall, 5000), 2000);
   EXPECT_LE(thread_grid(BenchScale::kSmall).back(), 8);
+}
+
+const Workload& alarm_workload() {
+  static const Workload workload = make_workload("alarm", 1000);
+  return workload;
+}
+
+TEST(RunSkeleton, EveryConfigLearnsTheSequentialResult) {
+  const Workload& workload = alarm_workload();
+  const VarId n = workload.data.num_vars();
+  const EngineRunResult reference =
+      run_skeleton(workload, fastbns_seq_config());
+  const fuzz::SkeletonFingerprint expected =
+      fuzz::fingerprint(reference.skeleton, n);
+
+  std::vector<std::pair<std::string, EngineRunConfig>> configs;
+  for (const std::string& name : list_engines()) {
+    EngineRunConfig config = engine_config_from_name(name, 2);
+    config.rank_count = 2;  // read by the process engine only
+    configs.emplace_back(name, config);
+  }
+  configs.emplace_back("baseline-par", baseline_par_config(2));
+  EngineRunConfig row_major = fastbns_seq_config();
+  row_major.row_major = true;
+  configs.emplace_back("seq row-major", row_major);
+  EngineRunConfig materialized = fastbns_seq_config();
+  materialized.on_the_fly_sets = false;
+  configs.emplace_back("seq materialized", materialized);
+  EngineRunConfig ungrouped = fastbns_seq_config();
+  ungrouped.group_endpoints = false;
+  configs.emplace_back("seq ungrouped", ungrouped);
+
+  for (const auto& [label, config] : configs) {
+    const EngineRunResult run = run_skeleton(workload, config);
+    const fuzz::SkeletonFingerprint actual = fuzz::fingerprint(run.skeleton, n);
+    EXPECT_TRUE(actual == expected)
+        << label << ": " << fuzz::describe_divergence(expected, actual, n);
+    // Ungrouped runs test both directions of an edge separately, so only
+    // the grouped configs must execute exactly the reference's tests.
+    const bool grouped = config.group_endpoints &&
+                         config.engine != EngineKind::kNaiveSequential;
+    if (grouped) EXPECT_EQ(run.ci_tests, reference.ci_tests) << label;
+  }
+}
+
+TEST(RunSkeleton, MaxDepthCapsTheRun) {
+  const Workload& workload = alarm_workload();
+  ASSERT_GT(run_skeleton(workload, fastbns_seq_config()).max_depth, 1);
+  EngineRunConfig capped = fastbns_seq_config();
+  capped.max_depth = 1;
+  EXPECT_EQ(run_skeleton(workload, capped).max_depth, 1);
 }
 
 }  // namespace
