@@ -1,13 +1,14 @@
 // Gaussian CI microbench: the one-pass covariance/correlation build that
-// backs every Fisher-z run — scalar reference pass vs the blocked
-// (tile-pair parallel) kernel, swept over the thread grid, plus the full
-// Fisher-z skeleton learn on the same data so the end-to-end effect of
-// the builder choice is visible next to the kernel numbers.
+// backs every Fisher-z run — the scalar reference pass, the blocked
+// builder's loop (clamped to the scalar SIMD tier) and its AVX2 kernel
+// (the detected tier), swept over the thread grid, plus the full Fisher-z
+// skeleton learn on the same data so the end-to-end effect of the builder
+// choice is visible next to the kernel numbers.
 //
-// The blocked kernel accumulates every matrix entry on exactly one
-// thread in a fixed sample-block order, so the Corr checksum column must
-// be bit-identical down its whole sweep — a divergent checksum is a
-// determinism bug, not a rounding footnote.
+// The blocked builder accumulates every matrix entry on exactly one
+// thread in a fixed sample-block order on either tier, so the Corr
+// checksum must be bit-identical down every "blocked" row — a divergent
+// checksum is a determinism bug, not a rounding footnote.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "network/linear_gaussian.hpp"
 #include "network/random_network.hpp"
 #include "stats/covariance.hpp"
+#include "stats/simd_dispatch.hpp"
 
 namespace {
 
@@ -41,7 +43,7 @@ ContinuousDataset make_data(VarId num_vars, Count num_samples) {
 
 /// Order-independent digest of the correlation entries, printed so the
 /// table itself witnesses scalar/blocked (dis)agreement and the blocked
-/// kernel's thread-count invariance.
+/// builder's tier and thread-count invariance.
 std::uint64_t corr_checksum(const CorrelationMatrix& stats) {
   std::uint64_t hash = 1469598103934665603ull;
   for (const double value : stats.correlation) {
@@ -71,9 +73,9 @@ double best_build_seconds(const CovarianceBuilder& builder,
 
 int main(int argc, char** argv) {
   ArgParser args("bench_gaussian_ci",
-                 "Fisher-z covariance kernel: scalar vs blocked builder "
-                 "across the thread grid, plus the end-to-end Gaussian "
-                 "skeleton learn");
+                 "Fisher-z covariance build: scalar builder, blocked loop "
+                 "and blocked AVX2 kernel across the thread grid, plus the "
+                 "end-to-end Gaussian skeleton learn");
   args.add_flag("vars", "variables in the synthetic SEM", "64");
   args.add_flag("samples", "samples; 0 = scale default", "0");
   if (!args.parse(argc, argv)) return 1;
@@ -91,13 +93,24 @@ int main(int argc, char** argv) {
                            static_cast<double>(samples) * sizeof(double) /
                            1e9;
 
-  TablePrinter table({"Builder", "Threads", "Build s", "GB/s", "Corr checksum",
-                      "Skeleton s", "CI tests"});
+  TablePrinter table({"Builder", "SIMD tier", "Threads", "Build s", "GB/s",
+                      "Corr checksum", "Skeleton s", "CI tests"});
   set_bench_pinning_policy("off");
 
-  for (const char* builder_name : {"scalar", "blocked"}) {
+  // The blocked builder twice: its loop under a scalar-tier clamp, then
+  // at the detected tier (the AVX2 kernel where the CPU has it).
+  struct RowSet {
+    const char* builder;
+    SimdTier clamp;
+  };
+  for (const RowSet row_set : {RowSet{"scalar", SimdTier::kScalar},
+                               RowSet{"blocked", SimdTier::kScalar},
+                               RowSet{"blocked", SimdTier::kAvx2}}) {
+    const char* builder_name = row_set.builder;
     const std::unique_ptr<CovarianceBuilder> builder =
         make_covariance_builder(builder_name);
+    const ScopedSimdTierOverride clamp(row_set.clamp);
+    const std::string tier(to_string(active_simd_tier()));
     for (const int threads : thread_grid(scale)) {
       const ScopedNumThreads limit(threads);
       const double build_seconds = best_build_seconds(*builder, data, repeats);
@@ -116,7 +129,7 @@ int main(int argc, char** argv) {
       config.covariance_builder = builder_name;
       const EngineRunResult run = run_skeleton(workload, config);
 
-      table.add_row({builder_name, std::to_string(threads),
+      table.add_row({builder_name, tier, std::to_string(threads),
                      TablePrinter::num(build_seconds, 4),
                      TablePrinter::num(column_gb / build_seconds, 2),
                      checksum, TablePrinter::num(run.seconds, 4),

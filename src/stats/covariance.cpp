@@ -7,6 +7,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "stats/simd_dispatch.hpp"
+
+// The AVX2 kernel relies on SSE2 scalar doubles for its bit-identity with
+// the blocked loop, so it is built on x86-64 only.
+#if defined(__x86_64__)
+#include <immintrin.h>
+#define FASTBNS_X86_SIMD 1
+#endif
+
 namespace fastbns {
 namespace {
 
@@ -95,18 +104,131 @@ class ScalarCovarianceBuilder final : public CovarianceBuilder {
   }
 };
 
+constexpr std::size_t kTile = 8;           ///< columns per tile
+constexpr std::size_t kSampleBlock = 2048;  ///< samples per block
+
+#if FASTBNS_X86_SIMD
+
+/// One sample of a j tile in the kernel's sample-major scratch: lane l
+/// holds column j_begin + l (0.0 past a ragged tile's last column).
+struct alignas(64) TileRow {
+  double lane[kTile];
+};
+
+constexpr std::size_t kRows = 4;  ///< i rows per register block
+
+/// The blocked loop's exact order of operations, vectorized across matrix
+/// entries instead of across samples: each SIMD lane owns one (i, j) sum.
+/// Per 2,048-sample block, a thread copies its 8-column j tile into a
+/// sample-major scratch (2,048 x 8 doubles, per thread), then runs every
+/// row i < j_end against it, 4 rows x 8 lanes of partials held in
+/// registers. Every partial starts at 0.0, multiplies, then adds in
+/// ascending sample order, and goes into `cross` in ascending block
+/// order, so every bit equals the blocked loop's at any thread count.
+/// Threads take whole j tiles, widest (most rows) first. `sums` is folded
+/// into the same pass: one lane per column of the tile, ascending over
+/// all samples and never reset, which is column_sums' order.
+///
+/// The target must never include "fma": GCC compiles C++ with
+/// -ffp-contract=fast, so with FMA available it fuses the multiply and
+/// the add into one rounding, and the bits no longer match the blocked
+/// loop's.
+__attribute__((target("avx2"))) void accumulate_avx2(
+    const ContinuousDataset& data, std::vector<double>& cross,
+    std::vector<double>& sums) {
+  const auto n = static_cast<std::size_t>(data.num_vars());
+  const auto m = static_cast<std::size_t>(data.num_samples());
+  const std::size_t tiles = (n + kTile - 1) / kTile;
+  const auto num_tiles = static_cast<std::int64_t>(tiles);
+#pragma omp parallel
+  {
+    std::vector<TileRow> scratch(kSampleBlock);
+#pragma omp for schedule(dynamic)
+    for (std::int64_t t = 0; t < num_tiles; ++t) {
+      const std::size_t j_begin =
+          (tiles - 1 - static_cast<std::size_t>(t)) * kTile;
+      const std::size_t width = std::min(kTile, n - j_begin);
+      const std::size_t j_end = j_begin + width;
+      const double* cols[kTile] = {};
+      for (std::size_t l = 0; l < width; ++l) {
+        cols[l] = data.column(static_cast<VarId>(j_begin + l)).data();
+      }
+      __m256d column_lo = _mm256_setzero_pd();
+      __m256d column_hi = _mm256_setzero_pd();
+      for (std::size_t block = 0; block < m; block += kSampleBlock) {
+        const std::size_t len = std::min(kSampleBlock, m - block);
+        for (std::size_t s = 0; s < len; ++s) {
+          for (std::size_t l = 0; l < kTile; ++l) {
+            scratch[s].lane[l] = l < width ? cols[l][block + s] : 0.0;
+          }
+        }
+        for (std::size_t s = 0; s < len; ++s) {
+          column_lo =
+              _mm256_add_pd(column_lo, _mm256_load_pd(scratch[s].lane));
+          column_hi =
+              _mm256_add_pd(column_hi, _mm256_load_pd(scratch[s].lane + 4));
+        }
+        for (std::size_t i = 0; i < j_end; i += kRows) {
+          // A ragged last group re-reads its last row; those lanes are
+          // never written back.
+          const double* rows[kRows];
+          for (std::size_t r = 0; r < kRows; ++r) {
+            const auto row = static_cast<VarId>(std::min(i + r, j_end - 1));
+            rows[r] = data.column(row).data() + block;
+          }
+          __m256d partial_lo[kRows];
+          __m256d partial_hi[kRows];
+          for (std::size_t r = 0; r < kRows; ++r) {
+            partial_lo[r] = _mm256_setzero_pd();
+            partial_hi[r] = _mm256_setzero_pd();
+          }
+          for (std::size_t s = 0; s < len; ++s) {
+            const __m256d lo = _mm256_load_pd(scratch[s].lane);
+            const __m256d hi = _mm256_load_pd(scratch[s].lane + 4);
+            for (std::size_t r = 0; r < kRows; ++r) {
+              const __m256d x = _mm256_broadcast_sd(rows[r] + s);
+              partial_lo[r] =
+                  _mm256_add_pd(partial_lo[r], _mm256_mul_pd(x, lo));
+              partial_hi[r] =
+                  _mm256_add_pd(partial_hi[r], _mm256_mul_pd(x, hi));
+            }
+          }
+          alignas(32) double partial[kRows][kTile];
+          for (std::size_t r = 0; r < kRows; ++r) {
+            _mm256_store_pd(partial[r], partial_lo[r]);
+            _mm256_store_pd(partial[r] + 4, partial_hi[r]);
+          }
+          for (std::size_t r = 0; r < kRows && i + r < j_end; ++r) {
+            const std::size_t row = i + r;
+            double* out = cross.data() + row * n + j_begin;
+            for (std::size_t l = row > j_begin ? row - j_begin : 0; l < width;
+                 ++l) {
+              out[l] += partial[r][l];
+            }
+          }
+        }
+      }
+      alignas(32) double column_sum[kTile];
+      _mm256_store_pd(column_sum, column_lo);
+      _mm256_store_pd(column_sum + 4, column_hi);
+      for (std::size_t l = 0; l < width; ++l) sums[j_begin + l] = column_sum[l];
+    }
+  }
+}
+
+#endif  // FASTBNS_X86_SIMD
+
 /// Cache-blocked variant: the sample stream is cut into blocks that keep
 /// a tile of columns resident, and OpenMP parallelizes across tile
 /// *pairs* — never across the samples of one entry — so each (i, j) sum
 /// is accumulated by exactly one thread in ascending block order and the
-/// matrix is bit-identical at every thread count. The per-block partial
-/// sum also shortens the dependency chain enough for the compiler to
-/// vectorize the inner product.
+/// matrix is bit-identical at every thread count. Each entry's per-block
+/// partial is one serial add chain: without fast-math the compiler may
+/// not reassociate it, so this loop runs one entry at a time. On the AVX2
+/// tier, accumulate_avx2 runs the same order of operations with one SIMD
+/// lane per entry; this loop is the fallback below it and off x86-64.
 class BlockedCovarianceBuilder final : public CovarianceBuilder {
  public:
-  static constexpr std::size_t kTile = 8;          ///< columns per tile
-  static constexpr std::size_t kSampleBlock = 2048; ///< samples per block
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "blocked";
   }
@@ -116,6 +238,14 @@ class BlockedCovarianceBuilder final : public CovarianceBuilder {
     const auto n = static_cast<std::size_t>(data.num_vars());
     const auto m = static_cast<std::size_t>(data.num_samples());
     std::vector<double> cross(n * n, 0.0);
+#if FASTBNS_X86_SIMD
+    if (active_simd_tier() == SimdTier::kAvx2) {
+      std::vector<double> sums(n, 0.0);
+      accumulate_avx2(data, cross, sums);
+      return normalize(data.num_vars(), data.num_samples(), sums,
+                       std::move(cross));
+    }
+#endif
     const std::size_t tiles = (n + kTile - 1) / kTile;
     // Upper-triangular tile pairs, flattened for the parallel loop.
     std::vector<std::pair<std::size_t, std::size_t>> pairs;

@@ -12,13 +12,18 @@
 // Two builders, mirroring the scalar/batched TableBuilder split:
 //  * "scalar": one pair at a time, straight accumulation loop — the
 //    obviously-correct baseline the blocked variant is tested against;
-//  * "blocked": cache-blocked column tiles with OpenMP parallelism
-//    *across* tile pairs. Each (i, j) entry is accumulated by exactly one
-//    thread in a fixed sample-block order, so the result is bit-identical
-//    at every thread count — the determinism contract the differential
-//    fuzz harness pins. ("scalar" and "blocked" may differ from each
-//    other in final ulps; a run's builder choice is part of
-//    config_token(), so mixed-builder comparisons never happen silently.)
+//  * "blocked": 8-column tiles over 2,048-sample blocks, with OpenMP
+//    parallelism *across* tiles. Each (i, j) entry is accumulated by
+//    exactly one thread: a partial restarts at 0.0 per block, multiplies
+//    then adds in ascending sample order, and joins the entry in
+//    ascending block order, so the result is bit-identical at every
+//    thread count — the determinism contract the differential fuzz
+//    harness pins. On the AVX2 dispatch tier (stats/simd_dispatch.hpp) an
+//    AVX2 kernel keeps that order with one SIMD lane per (i, j) entry;
+//    below it, and off x86-64, a loop runs one entry at a time. Both give
+//    the same bits. ("scalar" and "blocked" may differ from each other in
+//    final ulps; a run's builder choice is part of config_token(), so
+//    mixed-builder comparisons never happen silently.)
 #pragma once
 
 #include <cstdint>

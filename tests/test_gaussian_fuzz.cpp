@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include "pc/skeleton.hpp"
 #include "stats/covariance.hpp"
 #include "stats/gaussian_ci_test.hpp"
+#include "stats/simd_dispatch.hpp"
 
 namespace fastbns {
 namespace {
@@ -114,23 +116,80 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
   }
 }
 
-TEST(GaussianFuzz, BlockedBuilderIsThreadCountInvariant) {
-  // The blocked covariance pass parallelizes over column-tile pairs with
-  // each matrix entry accumulated by exactly one thread in a fixed block
-  // order, so the matrix must be bit-identical at any thread count.
-  const fuzz::GaussianFuzzInstance instance = fuzz::make_gaussian_instance(1);
-  const std::unique_ptr<CovarianceBuilder> builder =
-      make_covariance_builder("blocked");
-  const CorrelationMatrix reference = builder->build(instance.data);
-  for (const int threads : {1, 2, 4}) {
-    const ScopedNumThreads limit(threads);
-    const CorrelationMatrix rebuilt = builder->build(instance.data);
-    for (VarId i = 0; i < reference.num_vars; ++i) {
-      for (VarId j = 0; j < reference.num_vars; ++j) {
-        ASSERT_EQ(reference.corr(i, j), rebuilt.corr(i, j))
-            << "threads=" << threads << " entry (" << i << ", " << j << ")";
+/// Normal columns with per-column means and scales; when n >= 3, column
+/// n / 2 is constant, so the degenerate flags take both values.
+ContinuousDataset grid_dataset(VarId n, Count m) {
+  ContinuousDataset data(n, m);
+  Rng rng(7000 + static_cast<std::uint64_t>(n) * 10007 +
+          static_cast<std::uint64_t>(m));
+  for (VarId v = 0; v < n; ++v) {
+    const double mean = 4.0 * rng.next_double() - 2.0;
+    const double scale = 0.5 + rng.next_double();
+    const bool constant = n >= 3 && v == n / 2;
+    for (Count s = 0; s < m; ++s) {
+      data.set(s, v, constant ? 3.25 : mean + scale * rng.normal());
+    }
+  }
+  return data;
+}
+
+/// The first entry whose bits differ, else the first differing
+/// degenerate flag; empty when the matrices are identical.
+std::string first_difference(const CorrelationMatrix& expected,
+                             const CorrelationMatrix& actual) {
+  for (VarId i = 0; i < expected.num_vars; ++i) {
+    for (VarId j = 0; j < expected.num_vars; ++j) {
+      if (std::bit_cast<std::uint64_t>(expected.corr(i, j)) !=
+          std::bit_cast<std::uint64_t>(actual.corr(i, j))) {
+        return "entry (" + std::to_string(i) + ", " + std::to_string(j) + ")";
       }
     }
+  }
+  for (VarId v = 0; v < expected.num_vars; ++v) {
+    if (expected.is_degenerate(v) != actual.is_degenerate(v)) {
+      return "degenerate flag of " + std::to_string(v);
+    }
+  }
+  return {};
+}
+
+TEST(GaussianFuzz, BlockedBuilderKernelMatchesTheBlockedLoopBitForBit) {
+  // The blocked builder runs an AVX2 kernel whose lanes each own one
+  // (i, j) sum in the blocked loop's order, and falls back to that loop
+  // below the AVX2 tier. Both accumulate each entry on one thread, so
+  // every bit must match the loop's at 1 thread, at any thread count and
+  // on either tier. The grid crosses ragged column tiles (n = 1, 3, 9,
+  // 37) with sample counts on both sides of the 2,048-sample block.
+  const std::unique_ptr<CovarianceBuilder> builder =
+      make_covariance_builder("blocked");
+  const bool kernel_runs = active_simd_tier() == SimdTier::kAvx2;
+  for (const VarId n : {1, 3, 8, 9, 37}) {
+    for (const Count m : {1, 2047, 2048, 2049, 5000}) {
+      const ContinuousDataset data = grid_dataset(n, m);
+      const auto build_at = [&](int threads, SimdTier tier) {
+        const ScopedNumThreads limit(threads);
+        const ScopedSimdTierOverride clamp(tier);
+        return builder->build(data);
+      };
+      const CorrelationMatrix loop = build_at(1, SimdTier::kScalar);
+      for (const int threads : {1, 2, 4}) {
+        const std::string where = "n=" + std::to_string(n) +
+                                  " m=" + std::to_string(m) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(first_difference(loop, build_at(threads, SimdTier::kScalar)),
+                  "")
+            << "blocked loop, " << where;
+        if (kernel_runs) {
+          EXPECT_EQ(first_difference(loop, build_at(threads, SimdTier::kAvx2)),
+                    "")
+              << "AVX2 kernel, " << where;
+        }
+      }
+    }
+  }
+  if (!kernel_runs) {
+    GTEST_SKIP() << "SIMD tier is " << to_string(active_simd_tier())
+                 << ", below avx2: only the blocked loop was checked";
   }
 }
 
