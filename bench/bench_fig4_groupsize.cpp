@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   Count samples = args.get_int("samples");
   if (scale == BenchScale::kSmall) samples = std::min<Count>(samples, 4000);
-  int threads = static_cast<int>(args.get_int("threads"));
+  int threads = args.get_int32("threads");
   if (threads == 0) threads = hardware_threads();
 
   std::printf("Figure 4 reproduction (scale=%s, %lld samples, t=%d)\n",

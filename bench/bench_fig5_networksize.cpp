@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
                    : std::vector<std::string>{"alarm", "insurance", "hepar2",
                                               "munin1", "diabetes"};
   }
-  int threads = static_cast<int>(args.get_int("threads"));
+  int threads = args.get_int32("threads");
   if (threads == 0) threads = hardware_threads();
 
   std::printf("Figure 5 reproduction (scale=%s, t=%d)\n", to_string(scale),

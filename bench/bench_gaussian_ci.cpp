@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 1;
 
   const BenchScale scale = bench_scale();
-  const auto num_vars = static_cast<VarId>(args.get_int("vars"));
+  const VarId num_vars = args.get_int32("vars");
   Count samples = args.get_int("samples");
   if (samples == 0) samples = comparison_samples(scale, 50000);
   const int repeats = scale == BenchScale::kPaper ? 5 : 3;
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Builder", "SIMD tier", "Threads", "Build s", "GB/s",
                       "Corr checksum", "Skeleton s", "CI tests"});
-  set_bench_pinning_policy("off");
 
   // The blocked builder twice: its loop under a scalar-tier clamp, then
   // at the detected tier (the AVX2 kernel where the CPU has it).

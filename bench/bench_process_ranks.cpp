@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
 
   const std::vector<std::int32_t> rank_grid = {1, 2, 4};
   const std::vector<std::int32_t> rank_thread_grid = {1, 2};
-  set_bench_pinning_policy("auto");
   set_bench_rank_context(rank_grid.back(), "fork+pipe+shm");
 
   TablePrinter table({"Network", "Config", "Ranks", "Threads/rank", "Depth",

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   // 1. Synthesize the regulatory network: sparse, locally connected,
   //    three expression levels per gene.
   RandomNetworkConfig config;
-  config.num_nodes = static_cast<VarId>(args.get_int("genes"));
+  config.num_nodes = args.get_int32("genes");
   config.num_edges = args.get_int("interactions");
   config.max_parents = 3;               // regulators per gene
   config.min_cardinality = 3;           // low / medium / high expression
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "gene_network: %s\n", error.what());
     return 1;
   }
-  options.num_threads = static_cast<int>(args.get_int("threads"));
+  options.num_threads = args.get_int32("threads");
   options.group_size = 8;
   const WallTimer timer;
   const PcStableResult result = learn_structure(profiles, options);

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "medical_diagnosis: %s\n", error.what());
     return 1;
   }
-  options.num_threads = static_cast<int>(args.get_int("threads"));
+  options.num_threads = args.get_int32("threads");
   options.group_size = 6;
   const PcStableResult result = learn_structure(records, options);
   std::printf("learned the monitor network from %lld records in %.3f s\n",

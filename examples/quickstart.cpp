@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "quickstart: %s\n", error.what());
     return 1;
   }
-  options.num_threads = static_cast<int>(args.get_int("threads"));
+  options.num_threads = args.get_int32("threads");
   options.group_size = 6;  // a good practical gs per the paper
   options.alpha = args.get_double("alpha");
   const PcStableResult result = learn_structure(data, options);

@@ -19,7 +19,6 @@
 #include "pc/pc_stable.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
-#include "topology/placement.hpp"
 
 namespace {
 
@@ -75,10 +74,6 @@ int main(int argc, char** argv) {
                 "auto");
   args.add_flag("threads", "worker threads (0 = all)", "0");
   args.add_flag("gs", "work-pool group size", "6");
-  args.add_flag("numa",
-                "NUMA placement policy (auto/off/forced; auto pins process "
-                "ranks only on multi-domain topologies)",
-                "auto");
   args.add_flag("ranks",
                 "forked worker ranks for --engine process (0 = auto: two "
                 "ranks, one on a single-cpu box)",
@@ -127,21 +122,19 @@ int main(int argc, char** argv) {
     options.table_builder = args.get("builder");
     // Fail fast with the known-kernels message, like --engine does.
     (void)make_table_builder(options.table_builder);
-    // A malformed number ("abc", "2x") throws naming flag and value.
-    options.num_threads = static_cast<int>(args.get_int("threads"));
-    options.group_size = static_cast<std::int32_t>(args.get_int("gs"));
-    options.numa_policy = args.get("numa");
-    options.rank_count = static_cast<std::int32_t>(args.get_int("ranks"));
-    options.rank_threads =
-        static_cast<std::int32_t>(args.get_int("rank-threads"));
-    options.max_rank_restarts =
-        static_cast<std::int32_t>(args.get_int("max-rank-restarts"));
+    // A malformed or out-of-range number ("abc", "2x", "4294967298")
+    // throws naming flag and value.
+    options.num_threads = args.get_int32("threads");
+    options.group_size = args.get_int32("gs");
+    options.rank_count = args.get_int32("ranks");
+    options.rank_threads = args.get_int32("rank-threads");
+    options.max_rank_restarts = args.get_int32("max-rank-restarts");
     options.fault_schedule = args.get("fault-schedule");
     options.ci_test = args.get("ci-test");
     options.alpha = args.get_double("alpha");
-    options.max_depth = static_cast<std::int32_t>(args.get_int("max-depth"));
-    // Fail fast with the offending value (rank counts, NUMA policies,
-    // alpha, ...) instead of surfacing mid-run from the driver.
+    options.max_depth = args.get_int32("max-depth");
+    // Fail fast with the offending value (rank counts, alpha, ...)
+    // instead of surfacing mid-run from the driver.
     options.validate();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "structure_tool: %s\n", error.what());
@@ -153,20 +146,13 @@ int main(int argc, char** argv) {
   std::printf("ci test %s%s\n",
               resolve_ci_test_name(options.ci_test, input.data).c_str(),
               options.ci_test == "auto" ? " (auto)" : "");
-  // Echo the process engine's resolved rank/thread split and NUMA
-  // placement before the run, computed from the same single sources of
-  // truth the engine uses (resolve_rank_count + plan_shard_placement, with
-  // ranks as shards), so the printed rank→domain map is exactly the one
-  // the run acts on.
+  // Echo the process engine's resolved rank/thread split before the run,
+  // computed by the same resolvers the engine uses.
   if (options.engine == EngineKind::kProcess) {
     const std::int32_t ranks = resolve_rank_count(options.rank_count);
-    const ShardPlacement placement = plan_shard_placement(
-        numa_policy_from_string(options.numa_policy), ranks,
-        NumaTopology::detect());
     std::printf(
-        "process ranks: %d x %d threads; numa policy %s: %s\n", ranks,
-        resolve_rank_threads(options.rank_threads, ranks, options.num_threads),
-        options.numa_policy.c_str(), placement.describe().c_str());
+        "process ranks: %d x %d threads\n", ranks,
+        resolve_rank_threads(options.rank_threads, ranks, options.num_threads));
   }
 
   // Hold the engine instance ourselves so post-run telemetry (recovery

@@ -3,11 +3,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 #include <vector>
 
 #include "common/csv_writer.hpp"
 #include "common/omp_utils.hpp"
-#include "topology/numa_topology.hpp"
 
 namespace fastbns {
 namespace {
@@ -76,12 +77,6 @@ void append_json_cell(std::string& out, const std::string& cell) {
   append_json_string(out, cell);
 }
 
-/// set_bench_pinning_policy state; "unset" until a bench declares one.
-std::string& bench_pinning_policy() {
-  static std::string policy = "unset";
-  return policy;
-}
-
 /// set_bench_rank_context state; single-process until a bench declares
 /// a rank sweep.
 int& bench_rank_count() {
@@ -94,11 +89,26 @@ std::string& bench_ipc_transport() {
   return transport;
 }
 
+/// Count of node<k> entries under /sys/devices/system/node; 1 when the
+/// directory is unreadable or lists none.
+int numa_node_count() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/sys/devices/system/node", error);
+  int nodes = 0;
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() > 4 && name.compare(0, 4, "node") == 0 &&
+        name.find_first_not_of("0123456789", 4) == std::string::npos) {
+      ++nodes;
+    }
+  }
+  return nodes > 0 ? nodes : 1;
+}
+
 }  // namespace
 
-void set_bench_pinning_policy(const std::string& policy) {
-  bench_pinning_policy() = policy;
-}
+void set_bench_pinning_policy(const std::string& policy) { (void)policy; }
 
 void set_bench_rank_context(int rank_count, const std::string& transport) {
   bench_rank_count() = rank_count;
@@ -106,23 +116,12 @@ void set_bench_rank_context(int rank_count, const std::string& transport) {
 }
 
 std::string bench_context_json() {
-  const NumaTopology topology = NumaTopology::detect();
   std::string out = "{\"numa_nodes\": ";
-  out += std::to_string(topology.num_domains());
-  out += ", \"cpus_per_node\": [";
-  const std::vector<NumaDomain>& domains = topology.domains();
-  for (std::size_t d = 0; d < domains.size(); ++d) {
-    if (d > 0) out += ", ";
-    out += std::to_string(domains[d].cpus.size());
-  }
-  out += "], \"physical_cpus\": ";
-  out += topology.cpus_are_physical() ? "true" : "false";
+  out += std::to_string(numa_node_count());
   out += ", \"omp_max_threads\": ";
   out += std::to_string(hardware_threads());
   out += ", \"omp_binding_env\": ";
   out += omp_binding_env_active() ? "true" : "false";
-  out += ", \"pinning_policy\": ";
-  append_json_string(out, bench_pinning_policy());
   out += ", \"rank_count\": ";
   out += std::to_string(bench_rank_count());
   out += ", \"ipc_transport\": ";

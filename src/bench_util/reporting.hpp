@@ -24,22 +24,16 @@ void emit_table(const std::string& title, const std::string& stem,
                                      const std::string& stem,
                                      const TablePrinter& table);
 
-/// The machine-context object embedded in every BENCH_*.json: NUMA node
-/// count and per-node cpu counts as detected at call time (honouring the
-/// FASTBNS_NUMA override, so simulated-topology runs are labelled as
-/// such), whether the node cpu ids are physical, the OpenMP default
-/// thread count, whether OMP_PROC_BIND/OMP_PLACES binding is active, and
-/// the pinning policy the bench declared via set_bench_pinning_policy,
-/// and the worker-rank count + IPC transport declared via
-/// set_bench_rank_context. A bench number without its topology is
-/// unreproducible — two runs of bench_numa_placement on different
-/// FASTBNS_NUMA settings must be distinguishable from the JSON alone.
+/// The machine-context object embedded in every BENCH_*.json: the NUMA
+/// node count (the node<k> entries under /sys/devices/system/node, 1
+/// when that directory is unreadable), so a multi-socket run is told
+/// apart; the OpenMP default thread count; whether OMP_PROC_BIND /
+/// OMP_PLACES binding is active; and the worker-rank count + IPC
+/// transport declared via set_bench_rank_context. A bench number without
+/// the machine it ran on is unreproducible.
 [[nodiscard]] std::string bench_context_json();
 
-/// Declares the placement policy in force for subsequent emit_table /
-/// bench_json calls ("auto", "off", "forced", or the default "unset"
-/// when the bench never resolved one). Process-global, like the result
-/// directory convention.
+/// Benchmark stub: perfbench calls it. It records nothing.
 void set_bench_pinning_policy(const std::string& policy);
 
 /// Declares the multi-process configuration for subsequent emit_table /
@@ -48,7 +42,8 @@ void set_bench_pinning_policy(const std::string& policy);
 /// exchanged removal sets over ("none" when single-process; the process
 /// engine's is "fork+pipe+shm"). Emitted as the context block's
 /// `rank_count` / `ipc_transport` fields so a BENCH_*.json records how
-/// it was produced. Process-global, like set_bench_pinning_policy.
+/// it was produced. Process-global, like the result directory
+/// convention.
 void set_bench_rank_context(int rank_count, const std::string& transport);
 
 }  // namespace fastbns

@@ -33,47 +33,4 @@ struct ReplayResult {
 [[nodiscard]] ReplayResult replay_trace(const std::vector<TracedCiCall>& trace,
                                         const ReplayConfig& config);
 
-/// NUMA extension of the replay: domains with private cache hierarchies
-/// over a shared DRAM whose pages have per-variable homes. This is the
-/// machine-checked model behind the placement claim — on a single-socket
-/// CI box it demonstrates (deterministically) that topology-aligned
-/// placement turns remote DRAM traffic into local traffic.
-struct NumaReplayConfig {
-  ReplayConfig base;
-  /// Domains, each with its own base.l1 / base.last_level hierarchy.
-  std::int32_t num_domains = 2;
-  /// Home domain of each variable's column pages (first-touch outcome);
-  /// size base.num_vars, values in [0, num_domains).
-  std::vector<std::int32_t> var_domain;
-  /// Domain of the thread executing each traced call; size = trace
-  /// size, values in [0, num_domains). Placement-style runs derive it
-  /// from the owning rank's domain; placement-off runs deal calls
-  /// round-robin (threads with no affinity land anywhere).
-  std::vector<std::int32_t> exec_domain;
-};
-
-struct NumaReplayResult {
-  CacheStats l1;          ///< summed over the domains' private L1s
-  CacheStats last_level;  ///< summed over the domains' private LLs
-  /// DRAM fallthroughs (both-level misses) split by whether the
-  /// accessed variable's home is the executing domain.
-  std::int64_t local_dram_accesses = 0;
-  std::int64_t remote_dram_accesses = 0;
-  [[nodiscard]] double remote_fraction() const noexcept {
-    const std::int64_t total = local_dram_accesses + remote_dram_accesses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(remote_dram_accesses) /
-                            static_cast<double>(total);
-  }
-};
-
-/// Replays each call on its executing domain's private hierarchy and
-/// charges every DRAM fallthrough to the local or remote counter by the
-/// accessed variable's home. Throws std::invalid_argument when
-/// num_domains < 1, var_domain's size is not base.num_vars,
-/// exec_domain's size is not the trace's, or any domain id is out of
-/// [0, num_domains).
-[[nodiscard]] NumaReplayResult replay_trace_numa(
-    const std::vector<TracedCiCall>& trace, const NumaReplayConfig& config);
-
 }  // namespace fastbns

@@ -46,9 +46,8 @@ void CacheModel::reset() {
 MemoryHierarchy::MemoryHierarchy(CacheConfig l1, CacheConfig last_level)
     : l1_(l1), ll_(last_level) {}
 
-bool MemoryHierarchy::access(std::uint64_t address) {
-  if (l1_.access(address)) return true;
-  return ll_.access(address);
+void MemoryHierarchy::access(std::uint64_t address) {
+  if (!l1_.access(address)) ll_.access(address);
 }
 
 void MemoryHierarchy::reset() {

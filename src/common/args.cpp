@@ -100,6 +100,10 @@ std::int64_t ArgParser::get_int(const std::string& name) const {
   return parse_number<std::int64_t>(name, get(name));
 }
 
+std::int32_t ArgParser::get_int32(const std::string& name) const {
+  return parse_number<std::int32_t>(name, get(name));
+}
+
 double ArgParser::get_double(const std::string& name) const {
   return parse_number<double>(name, get(name));
 }

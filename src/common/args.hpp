@@ -30,6 +30,9 @@ class ArgParser {
   /// an out-of-range value throws std::invalid_argument naming the flag
   /// and the value.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// get_int for flags stored in a 32-bit field: a value outside int32_t
+  /// throws instead of wrapping.
+  [[nodiscard]] std::int32_t get_int32(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 

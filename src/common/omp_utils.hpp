@@ -2,8 +2,6 @@
 // directly and single-threaded builds stay possible.
 #pragma once
 
-#include <string_view>
-
 namespace fastbns {
 
 /// Number of logical processors OpenMP would use by default.
@@ -14,23 +12,9 @@ namespace fastbns {
 
 /// True when the OpenMP runtime's own thread-binding controls are in
 /// force: OMP_PROC_BIND set to anything but "false"/"FALSE", or
-/// OMP_PLACES set non-empty. Those controls and engine-level
-/// sched_setaffinity pinning (topology/numa_topology.hpp) fight over the
-/// same masks — the runtime may re-bind a worker after the engine pins
-/// it, or confine the process so the engine's target cpus are outside
-/// the allowed mask and pinning silently no-ops.
+/// OMP_PLACES set non-empty. Recorded in every bench context block,
+/// since bound threads time differently from unbound ones.
 [[nodiscard]] bool omp_binding_env_active() noexcept;
-
-/// Warns (once per process, LogLevel::kWarn) when omp_binding_env_active
-/// and NUMA placement is about to pin threads anyway; `context` names the
-/// caller in the message (e.g. "process engine"). Returns whether the
-/// conflict exists, so callers can also surface it in their own output.
-/// The engine still attempts its pins — OMP binding usually places
-/// threads compatibly, and pin_current_thread degrades to a no-op when
-/// the runtime's mask excludes the target cpus — but the user should
-/// pick one mechanism: unset OMP_PROC_BIND / OMP_PLACES when using
-/// numa_policy, or set numa_policy=off to let the runtime own binding.
-bool warn_if_omp_binding_conflicts(std::string_view context);
 
 /// RAII override of the OpenMP thread count; restores the prior value.
 /// The paper sweeps t in {1,2,4,8,16,32}, so benches construct one of

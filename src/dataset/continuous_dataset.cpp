@@ -42,12 +42,6 @@ std::span<const double> ContinuousDataset::column(VarId var) const noexcept {
                              static_cast<std::size_t>(num_samples_));
 }
 
-std::span<const std::byte> ContinuousDataset::column_bytes(
-    VarId v) const noexcept {
-  const std::span<const double> col = column(v);
-  return {reinterpret_cast<const std::byte*>(col.data()), col.size_bytes()};
-}
-
 ContinuousDataset ContinuousDataset::head(Count count) const {
   ContinuousDataset prefix(num_vars_, count);
   for (VarId v = 0; v < num_vars_; ++v) {

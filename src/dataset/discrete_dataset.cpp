@@ -1,6 +1,5 @@
 #include "dataset/discrete_dataset.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace fastbns {
@@ -28,8 +27,7 @@ DiscreteDataset::DiscreteDataset(VarId num_vars, Count num_samples,
                    kCodes8Pad * kCodes8Pad;
   // The packed mirror exists for the column-streaming kernels; a
   // row-major-only dataset (the cache-unfriendly ablation path) never
-  // reads it, so don't double its memory. ensure_layout materializes it
-  // when the column-major buffer appears.
+  // reads it, so don't double its memory.
   if (!cols_.empty()) {
     codes8_.assign(static_cast<std::size_t>(num_vars) * codes8_stride_, 0);
   }
@@ -100,19 +98,6 @@ void DiscreteDataset::set(Count sample, VarId var, DataValue value) noexcept {
   }
 }
 
-void DiscreteDataset::materialize_codes8() {
-  codes8_.assign(static_cast<std::size_t>(num_vars_) * codes8_stride_, 0);
-  for (VarId v = 0; v < num_vars_; ++v) {
-    if (!has_codes8(v)) continue;
-    const auto clamp_max = static_cast<DataValue>(cardinalities_[v] - 1);
-    std::uint8_t* column = codes8_.data() +
-                           static_cast<std::size_t>(v) * codes8_stride_;
-    for (Count s = 0; s < num_samples_; ++s) {
-      column[s] = std::min(value(s, v), clamp_max);
-    }
-  }
-}
-
 DataValue DiscreteDataset::value(Count sample, VarId var) const noexcept {
   assert(sample >= 0 && sample < num_samples_ && var >= 0 && var < num_vars_);
   const std::span<const DataValue> cols = cols_span();
@@ -131,23 +116,6 @@ std::span<const DataValue> DiscreteDataset::column(VarId var) const {
                       static_cast<std::size_t>(num_samples_));
 }
 
-std::span<const std::byte> DiscreteDataset::column_bytes(
-    VarId v) const noexcept {
-  if (has_codes8(v)) {
-    // Padded rows included: the pass is page-granular and the padding
-    // shares pages with the samples.
-    return std::as_bytes(codes8_span().subspan(
-        static_cast<std::size_t>(v) * codes8_stride_, codes8_stride_));
-  }
-  const std::span<const DataValue> cols = cols_span();
-  if (!cols.empty()) {
-    return std::as_bytes(
-        cols.subspan(static_cast<std::size_t>(v) * num_samples_,
-                     static_cast<std::size_t>(num_samples_)));
-  }
-  return {};
-}
-
 std::span<const DataValue> DiscreteDataset::row(Count sample) const {
   const std::span<const DataValue> rows = rows_span();
   if (rows.empty()) {
@@ -155,44 +123,6 @@ std::span<const DataValue> DiscreteDataset::row(Count sample) const {
   }
   return rows.subspan(static_cast<std::size_t>(sample) * num_vars_,
                       static_cast<std::size_t>(num_vars_));
-}
-
-void DiscreteDataset::ensure_layout(DataLayout layout) {
-  const auto total =
-      static_cast<std::size_t>(num_vars_) * static_cast<std::size_t>(num_samples_);
-  const bool want_rows =
-      layout == DataLayout::kRowMajor || layout == DataLayout::kBoth;
-  const bool want_cols =
-      layout == DataLayout::kColumnMajor || layout == DataLayout::kBoth;
-  // A missing layout is materialized into *owned* storage — external
-  // buffers are never grown or replaced; they keep serving the layout
-  // they came with (rows_span/cols_span prefer owned only where owned
-  // exists, and owned and external never cover the same layout).
-  if (want_rows && !has_row_major()) {
-    const std::span<const DataValue> cols = cols_span();
-    rows_.resize(total);
-    for (Count s = 0; s < num_samples_; ++s) {
-      for (VarId v = 0; v < num_vars_; ++v) {
-        rows_[static_cast<std::size_t>(s) * num_vars_ + v] =
-            cols[static_cast<std::size_t>(v) * num_samples_ + s];
-      }
-    }
-    layout_ = has_column_major() ? DataLayout::kBoth : DataLayout::kRowMajor;
-  }
-  if (want_cols && !has_column_major()) {
-    const std::span<const DataValue> rows = rows_span();
-    cols_.resize(total);
-    for (Count s = 0; s < num_samples_; ++s) {
-      for (VarId v = 0; v < num_vars_; ++v) {
-        cols_[static_cast<std::size_t>(v) * num_samples_ + s] =
-            rows[static_cast<std::size_t>(s) * num_vars_ + v];
-      }
-    }
-    layout_ = has_row_major() ? DataLayout::kBoth : DataLayout::kColumnMajor;
-  }
-  // The packed mirror rides with the column-major buffer — including an
-  // external cols-only view, whose mirror is then owned.
-  if (has_column_major() && codes8_span().empty()) materialize_codes8();
 }
 
 bool DiscreteDataset::values_in_range() const noexcept {

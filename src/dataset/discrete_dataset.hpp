@@ -4,7 +4,7 @@
 // exactly the column-major (transposed) layout: a CI test on (X, Y, S)
 // streams |S|+2 contiguous value arrays instead of striding row-by-row
 // across the sample matrix. Both layouts are first-class here so the
-// benches can ablate the choice; algorithms request the view they need.
+// benches can ablate the choice; the layout is fixed at construction.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +44,11 @@ class DiscreteDataset {
 
   /// View over caller-owned buffers (see ExternalDataBuffers): no value
   /// storage is allocated and the buffers must outlive the dataset. set()
-  /// writes through; ensure_layout materializes a *missing* layout into
-  /// owned storage without touching the external buffers. Copies of an
-  /// external-view dataset share the external buffers (the spans are
-  /// copied, not the bytes) — exactly the semantics the multi-process
-  /// engine wants for its shared segment. Throws std::invalid_argument
-  /// when a non-empty span's size disagrees with the dimensions.
+  /// writes through. Copies of an external-view dataset share the
+  /// external buffers (the spans are copied, not the bytes) — exactly the
+  /// semantics the multi-process engine wants for its shared segment.
+  /// Throws std::invalid_argument when a non-empty span's size disagrees
+  /// with the dimensions.
   DiscreteDataset(VarId num_vars, Count num_samples,
                   std::vector<std::int32_t> cardinalities,
                   const ExternalDataBuffers& buffers);
@@ -98,9 +97,9 @@ class DiscreteDataset {
   /// Packed per-variable code column for the SIMD counting data path:
   /// one std::uint8_t code per sample, *clamped* into [0, cardinality)
   /// so unchecked vector kernels can never index outside a cell buffer,
-  /// stored in rows padded to kCodes8Pad samples. Materialized whenever
-  /// the column-major buffer is (construction or ensure_layout) and kept
-  /// in sync by set(); variables whose cardinality falls outside
+  /// stored in rows padded to kCodes8Pad samples. Materialized with the
+  /// column-major buffer at construction and kept in sync by set();
+  /// variables whose cardinality falls outside
   /// [1, 255] have no packed column (the span is empty) and kernels
   /// gracefully fall back to column() / row().
   [[nodiscard]] std::span<const std::uint8_t> codes8(VarId v) const noexcept {
@@ -109,20 +108,8 @@ class DiscreteDataset {
             static_cast<std::size_t>(num_samples_)};
   }
 
-  /// Read-only bytes of the buffer a CI test streams for `var`: the
-  /// packed codes8 column when the variable has one (the hot-path
-  /// mirror, padded rows included so page-granular passes cover the
-  /// whole slice), the column-major value column otherwise, empty when
-  /// neither is materialized. This is the NUMA first-touch surface: a
-  /// placement pass prefaults these pages from the thread-group that
-  /// owns the variable's shard before depth 0 runs.
-  [[nodiscard]] std::span<const std::byte> column_bytes(VarId v) const noexcept;
-
   /// Contiguous per-sample values; requires a row-major buffer.
   [[nodiscard]] std::span<const DataValue> row(Count sample) const;
-
-  /// Materializes the requested layout if missing (copies the data).
-  void ensure_layout(DataLayout layout);
 
   /// True iff every stored value is < the cardinality of its variable.
   [[nodiscard]] bool values_in_range() const noexcept;
@@ -132,18 +119,12 @@ class DiscreteDataset {
   [[nodiscard]] DiscreteDataset head(Count count) const;
 
  private:
-  /// Builds the packed mirror from the value buffers (clamped); called
-  /// when the column-major layout appears after construction.
-  void materialize_codes8();
-
   // Active-buffer selection: owned storage when materialized, the
-  // external view otherwise. Owned wins so ensure_layout can materialize
-  // a layout the external buffers lack without aliasing confusion — and
-  // because a dataset never has both for the same layout (the external
-  // constructor allocates nothing). Keeping owned vectors and external
-  // spans in *separate* members keeps the default copy/move special
-  // members correct: vectors deep-copy, spans share, and neither ever
-  // points into the other.
+  // external view otherwise (a dataset has one or the other: the
+  // external constructor allocates nothing). Keeping owned vectors and
+  // external spans in *separate* members keeps the default copy/move
+  // special members correct: vectors deep-copy, spans share, and neither
+  // ever points into the other.
   [[nodiscard]] std::span<const DataValue> rows_span() const noexcept {
     return rows_.empty() ? std::span<const DataValue>(ext_.rows) : rows_;
   }

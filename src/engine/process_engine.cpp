@@ -87,7 +87,6 @@
 #include "fault/fault_schedule.hpp"
 #include "ipc/process_group.hpp"
 #include "ipc/wire.hpp"
-#include "topology/placement.hpp"
 
 namespace fastbns {
 namespace {
@@ -135,10 +134,6 @@ struct RankConfig {
   VarId num_vars = 0;
   std::int32_t rank_count = 1;
   std::int32_t rank_threads = 1;
-  /// Pin the rank to these cpus (its NUMA domain) when non-empty.
-  std::vector<int> pin_cpus;
-  /// First-touch the owned variables' column pages before depth 0.
-  bool prefault_columns = false;
   /// The run's deterministic fault schedule; the rank filters it down to
   /// itself through a RankFaultInjector (fault/fault_schedule.hpp).
   FaultSchedule schedule;
@@ -210,12 +205,6 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
 int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
              int result_fd) {
   try {
-    if (!config.pin_cpus.empty()) {
-      // Pin before any allocation or page fault: the clone workspaces
-      // and the first-touch pass below are then domain-local. Threads
-      // created later inherit this affinity.
-      pin_current_thread(config.pin_cpus);
-    }
     RankFaultInjector injector(config.schedule, config.rank);
     UndirectedGraph replica = UndirectedGraph::complete(config.num_vars);
     // Rebuilt by each depth's build_depth_works; that depth's works point
@@ -223,7 +212,6 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
     AdjacencySnapshot snapshot;
     const VariableShards shards(config.num_vars, config.rank_count);
     std::vector<std::unique_ptr<CiTest>> clones;
-    bool placed = !config.prefault_columns;
     // The last encoded reply, kept verbatim for retransmission: after a
     // corrupt or truncated frame the supervisor asks for these exact
     // bytes again instead of re-running the depth.
@@ -346,18 +334,6 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
               " work list (" + std::to_string(works.size()) +
               " works) — replica divergence");
         }
-      }
-      if (!placed) {
-        // First-touch the owned variables' column slices from this
-        // (pinned) rank: on the MAP_SHARED segment the placement holds
-        // for every process at once.
-        for (VarId v = 0; v < shards.num_vars(); ++v) {
-          if (shards.shard_of(v) != config.rank) continue;
-          const std::span<const std::byte> bytes =
-              prototype.workload_column_bytes(v);
-          if (!bytes.empty()) prefault_readonly(bytes.data(), bytes.size());
-        }
-        placed = true;
       }
       if (clones.empty()) {
         clones.reserve(static_cast<std::size_t>(config.rank_threads));
@@ -951,18 +927,6 @@ class ProcessEngine final : public SkeletonEngine {
     rank_count_ = resolve_rank_count(options.rank_count);
     rank_threads_ = resolve_rank_threads(options.rank_threads, rank_count_,
                                          options.num_threads);
-    // Rank→domain placement: ranks are shards of the placement plan.
-    // Pinning needs physical cpu ids; first-touch follows the plan's
-    // active flag even on simulated topologies (the logic runs, the pin
-    // no-ops — the CI-testable path).
-    const ShardPlacement placement = plan_shard_placement(
-        numa_policy_from_string(options.numa_policy), rank_count_,
-        NumaTopology::detect());
-    if (placement.active) {
-      warn_if_omp_binding_conflicts("process engine");
-    }
-    const bool pin =
-        placement.active && placement.topology.cpus_are_physical();
 
     std::vector<RankConfig> configs(static_cast<std::size_t>(rank_count_));
     for (std::int32_t rank = 0; rank < rank_count_; ++rank) {
@@ -971,13 +935,7 @@ class ProcessEngine final : public SkeletonEngine {
       config.num_vars = num_vars_;
       config.rank_count = rank_count_;
       config.rank_threads = rank_threads_;
-      config.prefault_columns = placement.active;
       config.schedule = schedule_;
-      if (pin) {
-        const auto domain = static_cast<std::size_t>(
-            placement.shard_domain[static_cast<std::size_t>(rank)]);
-        config.pin_cpus = placement.topology.domains()[domain].cpus;
-      }
     }
     const CiTest* prototype_ptr = &prototype;
     rank_main_ = [configs = std::move(configs), prototype_ptr](

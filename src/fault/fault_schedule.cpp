@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -29,8 +30,9 @@ constexpr KindName kKindNames[] = {
     {FaultKind::kPartialWrite, "partial-write"},
 };
 
-/// Strict non-negative integer parse; throws naming `entry` otherwise.
-std::int64_t parse_number(std::string_view text, std::string_view entry) {
+/// Strict parse of an integer in [0, INT32_MAX]; throws naming `entry`
+/// otherwise.
+std::int32_t parse_number(std::string_view text, std::string_view entry) {
   if (text.empty()) {
     throw std::invalid_argument("FaultSchedule: empty number in entry \"" +
                                 std::string(entry) + '"');
@@ -44,13 +46,13 @@ std::int64_t parse_number(std::string_view text, std::string_view entry) {
                                   std::string(entry) + '"');
     }
     value = value * 10 + (c - '0');
-    if (value > (std::int64_t{1} << 31)) {
+    if (value > std::numeric_limits<std::int32_t>::max()) {
       throw std::invalid_argument("FaultSchedule: \"" + std::string(text) +
                                   "\" is out of range in entry \"" +
                                   std::string(entry) + '"');
     }
   }
-  return value;
+  return static_cast<std::int32_t>(value);
 }
 
 std::vector<std::string_view> split(std::string_view text, char sep) {
@@ -153,8 +155,7 @@ FaultSchedule FaultSchedule::parse(std::string_view text) {
           event.rank = -1;
           continue;
         }
-        const auto value =
-            static_cast<std::int32_t>(parse_number(value_text, entry));
+        const std::int32_t value = parse_number(value_text, entry);
         if (key == "rank") {
           event.rank = value;
         } else if (key == "depth") {

@@ -12,6 +12,7 @@
 //   kind     := kill | wedge | slow-rank | delay-frame | corrupt-frame
 //             | truncate-frame | spawn-fail | drop-conn | partial-write
 //   kv       := rank=N | depth=N | gen=N | ms=N
+//   N        := a decimal integer in [0, 2147483647]
 //
 // Two consumers split the kinds: the forked rank's main loop executes
 // kill (exit without replying), wedge (stop responding until the

@@ -8,7 +8,6 @@
 #include "ipc/transport.hpp"
 #include "stats/ci_test_factory.hpp"
 #include "stats/table_builder.hpp"
-#include "topology/placement.hpp"
 
 namespace fastbns {
 
@@ -80,10 +79,9 @@ void PcOptions::validate() const {
   // run up front with the offending entry named instead of silently
   // skipping the fault (FaultSchedule::parse throws invalid_argument).
   if (!fault_schedule.empty()) (void)FaultSchedule::parse(fault_schedule);
-  // Resolve the policy and transport names, each throwing its known-names
-  // message (with the offending value) for anything unknown — same
-  // contract as engines and table builders.
-  (void)numa_policy_from_string(numa_policy);
+  // Resolve the transport name, throwing its known-names message (with
+  // the offending value) for anything unknown — same contract as engines
+  // and table builders.
   (void)resolve_transport_name(ipc_transport);
   const std::vector<std::string> builders = list_table_builders();
   if (std::find(builders.begin(), builders.end(), table_builder) ==

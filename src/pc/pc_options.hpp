@@ -84,13 +84,8 @@ struct PcOptions {
   /// stats/ci_test_factory.hpp the way engines resolve through the
   /// registry.
   std::string ci_test = "auto";
-  /// NUMA placement policy (topology/placement.hpp): "auto" pins each
-  /// process-engine rank to a domain and first-touches its column slices
-  /// only when the detected topology (or its FASTBNS_NUMA override) has
-  /// more than one domain; "off" never does; "forced" always does — the
-  /// tests/CI setting that exercises the machinery under simulated
-  /// topologies. Consumed by the process engine (pinning + placement);
-  /// placement never changes results, only where threads and pages live.
+  /// Benchmark stub: perfbench reads it. Nothing in the library does,
+  /// and validate() does not check it.
   std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by
@@ -137,8 +132,7 @@ struct PcOptions {
   /// Throws std::invalid_argument when any field is out of range:
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads
   /// <= kMaxThreads, 0 <= rank_count <= kMaxRanks, rank_threads likewise
-  /// against kMaxThreads, numa_policy a known policy (auto/off/forced),
-  /// ipc_transport a known transport (auto/pipe),
+  /// against kMaxThreads, ipc_transport a known transport (auto/pipe),
   /// table_builder a known kernel name, ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two

@@ -45,8 +45,7 @@ PcStableResult learn_structure(const Dataset& data, const PcOptions& options,
   request.sample_parallel = engine.wants_sample_parallel_test();
   // The multi-process engine forks worker ranks; mount the dataset in a
   // MAP_SHARED segment first so every rank streams the same physical
-  // pages (mapped once, zero per-rank copies — not even COW duplicates)
-  // and a pinned rank's first-touch places pages for the whole group.
+  // pages (mapped once, zero per-rank copies — not even COW duplicates).
   const EngineInfo* info = EngineRegistry::instance().find(engine.name());
   std::optional<SharedDatasetSegment> shared;
   const Dataset* active = &data;

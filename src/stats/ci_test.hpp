@@ -13,9 +13,6 @@
 #include <span>
 #include <string_view>
 
-// (std::byte comes from <cstddef>; spans of it carry the raw column
-// buffers placement passes touch.)
-
 #include "common/types.hpp"
 
 namespace fastbns {
@@ -71,17 +68,6 @@ class CiTest {
     (void)v;
     return 0;
   }
-
-  /// Read-only bytes of the value column a test of `v` streams (the
-  /// packed codes8 column when materialized, the value column otherwise);
-  /// empty for data-free tests (the oracle). NUMA placement passes
-  /// prefault these pages from the thread-group that owns the variable's
-  /// shard before depth 0 (topology/placement.hpp), so a run's
-  /// steady-state streaming stays domain-local under a first-touch
-  /// policy. The empty default is the degrade-cleanly contract for
-  /// non-discrete tests: every placement pass skips empty spans, so a
-  /// test without per-variable columns gets a no-op prefault, never a
-  /// crash or a bogus touch.
   [[nodiscard]] virtual std::span<const std::byte> workload_column_bytes(
       VarId v) const noexcept {
     (void)v;

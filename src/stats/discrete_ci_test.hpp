@@ -73,12 +73,6 @@ class DiscreteCiTest final : public CiTest {
     return sample_parallel_build_;
   }
 
-  /// The buffer a test of `v` actually streams (the dataset's packed
-  /// codes8 column or value column) — the NUMA first-touch surface.
-  [[nodiscard]] std::span<const std::byte> workload_column_bytes(
-      VarId v) const noexcept override {
-    return data_->column_bytes(v);
-  }
   [[nodiscard]] std::size_t table_cell_cap() const noexcept override {
     return options_.max_cells;
   }

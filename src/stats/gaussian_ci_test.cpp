@@ -155,11 +155,6 @@ std::unique_ptr<CiTest> GaussianCiTest::clone() const {
   return copy;
 }
 
-std::span<const std::byte> GaussianCiTest::workload_column_bytes(
-    VarId v) const noexcept {
-  return data_->column_bytes(v);
-}
-
 std::uint64_t GaussianCiTest::config_token() const noexcept {
   // FNV-1a over every clone-visible knob, same idiom as DiscreteCiTest:
   // the data source, alpha, and the covariance builder choice.

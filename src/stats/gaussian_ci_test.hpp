@@ -50,11 +50,6 @@ class GaussianCiTest final : public CiTest {
   CiResult test(VarId x, VarId y, std::span<const VarId> z) override;
   [[nodiscard]] std::unique_ptr<CiTest> clone() const override;
 
-  /// The doubles column — the NUMA first-touch surface for the one-time
-  /// covariance pass (and any rebuild after the segment moves domains).
-  [[nodiscard]] std::span<const std::byte> workload_column_bytes(
-      VarId v) const noexcept override;
-
   /// Folds the data source, alpha, and the builder choice into the clone
   /// cache fingerprint (see CiTest::config_token).
   [[nodiscard]] std::uint64_t config_token() const noexcept override;

@@ -1,7 +1,7 @@
 // setenv/unsetenv guard for tests that steer the library through its
-// environment variables (FASTBNS_NUMA, FASTBNS_FAULT_SCHEDULE,
-// FASTBNS_RANK_TIMEOUT_MS, ...): the prior value, or its absence, comes
-// back on scope exit even when an assertion fails.
+// environment variables (FASTBNS_FAULT_SCHEDULE, FASTBNS_RANK_TIMEOUT_MS,
+// ...): the prior value, or its absence, comes back on scope exit even
+// when an assertion fails.
 #pragma once
 
 #include <cstdlib>

@@ -5,6 +5,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace fastbns {
 namespace {
@@ -137,6 +138,24 @@ TEST(ArgParser, GetIntRejectsMalformedNumbers) {
   expect_rejected("threads", "99999999999999999999", "99999999999999999999",
                   read);
   expect_rejected("threads", "1.5", "1.5", read);
+}
+
+TEST(ArgParser, GetInt32RejectsValuesPastInt32InsteadOfWrapping) {
+  const auto read = [](const ArgParser& parser) {
+    (void)parser.get_int32("threads");
+  };
+  // 2^32 + 2 would narrow to 2, and 2^31 to INT32_MIN.
+  expect_rejected("threads", "4294967298", "4294967298", read);
+  expect_rejected("threads", "2147483648", "2147483648", read);
+  for (const auto& [text, value] :
+       {std::pair<const char*, std::int32_t>{"2147483647", 2147483647},
+        {"-1", -1}}) {
+    ArgParser parser = make_parser();
+    const std::string token = std::string("--threads=") + text;
+    const char* argv[] = {"prog", token.c_str()};
+    ASSERT_TRUE(parser.parse(2, argv));
+    EXPECT_EQ(parser.get_int32("threads"), value) << token;
+  }
 }
 
 TEST(ArgParser, GetDoubleRejectsMalformedNumbers) {

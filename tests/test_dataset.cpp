@@ -66,24 +66,6 @@ TEST(DiscreteDataset, MissingLayoutThrows) {
   EXPECT_THROW((void)row_only.column(0), std::logic_error);
 }
 
-TEST(DiscreteDataset, EnsureLayoutMaterializesCopy) {
-  auto data = make_small(DataLayout::kColumnMajor);
-  data.ensure_layout(DataLayout::kRowMajor);
-  EXPECT_TRUE(data.has_row_major());
-  EXPECT_TRUE(data.has_column_major());
-  for (Count s = 0; s < 4; ++s) {
-    for (VarId v = 0; v < 3; ++v) {
-      EXPECT_EQ(data.row(s)[v], data.column(v)[s]);
-    }
-  }
-}
-
-TEST(DiscreteDataset, EnsureLayoutIsIdempotent) {
-  auto data = make_small(DataLayout::kBoth);
-  data.ensure_layout(DataLayout::kBoth);
-  EXPECT_TRUE(data.values_in_range());
-}
-
 TEST(DiscreteDataset, SetWritesBothBuffers) {
   DiscreteDataset data(2, 2, {4, 4}, DataLayout::kBoth);
   data.set(1, 0, 3);
@@ -155,12 +137,12 @@ TEST(DiscreteDataset, Codes8ClampsOutOfRangeValues) {
 
 TEST(DiscreteDataset, Codes8RidesWithTheColumnMajorBuffer) {
   // Row-major-only datasets (the cache-unfriendly ablation path) never
-  // stream packed codes, so they don't pay for the mirror; it appears
-  // with the column-major buffer and head() keeps it.
-  auto data = make_small(DataLayout::kRowMajor);
-  EXPECT_FALSE(data.has_codes8(0));
-  EXPECT_TRUE(data.codes8(0).empty());
-  data.ensure_layout(DataLayout::kBoth);
+  // stream packed codes, so they don't pay for the mirror; it comes with
+  // the column-major buffer and head() keeps it.
+  const auto row_only = make_small(DataLayout::kRowMajor);
+  EXPECT_FALSE(row_only.has_codes8(0));
+  EXPECT_TRUE(row_only.codes8(0).empty());
+  const auto data = make_small(DataLayout::kBoth);
   ASSERT_TRUE(data.has_codes8(0));
   for (VarId v = 0; v < data.num_vars(); ++v) {
     for (Count s = 0; s < data.num_samples(); ++s) {
@@ -189,7 +171,6 @@ TEST(ContinuousDataset, StoresAndReadsBackDoubles) {
   EXPECT_EQ(data.value(2, 1), 0.0);
   EXPECT_EQ(data.column(1).size(), 4u);
   EXPECT_EQ(data.column(1)[2], 0.0);
-  EXPECT_EQ(data.column_bytes(0).size(), 4 * sizeof(double));
   const ContinuousDataset head = data.head(2);
   EXPECT_EQ(head.num_samples(), 2);
   EXPECT_EQ(head.value(1, 2), data.value(1, 2));

@@ -6,15 +6,12 @@
 // implementations" and skip accuracy results entirely.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "common/omp_utils.hpp"
 #include "common/rng.hpp"
 #include "dataset/dataset.hpp"
 #include "engine/engine_registry.hpp"
@@ -27,7 +24,6 @@
 #include "pc/skeleton.hpp"
 #include "stats/discrete_ci_test.hpp"
 #include "stats/oracle_test.hpp"
-#include "topology/numa_topology.hpp"
 
 namespace fastbns {
 namespace {
@@ -139,90 +135,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_t" + std::to_string(std::get<1>(param_info.param)) + "_gs" +
              std::to_string(std::get<2>(param_info.param));
     });
-
-TEST(EngineEquivalence, NumaForcedPlacementIsResultIdentical) {
-  // Forced NUMA placement turns on the full machinery even on the
-  // single-socket CI box: the rank->domain deal, per-rank pins (real
-  // sched_setaffinity under the "2" affinity-split form, no-ops under the
-  // synthetic "2x2" form — both swept here), and the one-time first-touch
-  // prefault of each rank's column slices. None of it may change a bit
-  // of the result for the process engine, at rank counts equal to and
-  // above the domain count.
-  static const SkeletonResult reference = reference_result();
-  const VarId n = fixture().data.num_vars();
-  for (const char* topology : {"2", "2x2"}) {
-    setenv("FASTBNS_NUMA", topology, 1);
-    for (const char* policy : {"auto", "off", "forced"}) {
-      for (const std::int32_t ranks : {2, 5}) {
-        PcOptions options;
-        options.engine = EngineKind::kProcess;
-        options.num_threads = 2;
-        options.rank_count = ranks;
-        options.numa_policy = policy;
-        const DiscreteCiTest test(fixture().data, {});
-        const SkeletonResult result = learn_skeleton(n, test, options);
-        const std::string label = std::string("FASTBNS_NUMA=") + topology +
-                                  " process numa=" + policy +
-                                  " ranks=" + std::to_string(ranks);
-        EXPECT_TRUE(result.graph == reference.graph) << label;
-        for (VarId u = 0; u < n; ++u) {
-          for (VarId v = u + 1; v < n; ++v) {
-            const auto* expected = reference.sepsets.find(u, v);
-            const auto* actual = result.sepsets.find(u, v);
-            ASSERT_EQ(expected == nullptr, actual == nullptr)
-                << label << ": " << u << "," << v;
-            if (expected != nullptr) {
-              EXPECT_EQ(*expected, *actual) << label << ": " << u << "," << v;
-            }
-          }
-        }
-      }
-    }
-  }
-  unsetenv("FASTBNS_NUMA");
-}
-
-/// The calling thread's cpu mask, and the masks the members of a
-/// 4-thread OpenMP team observe (sorted: which team slot lands on which
-/// pooled thread is the runtime's business).
-struct AffinitySnapshot {
-  std::vector<int> caller;
-  std::vector<std::vector<int>> team;
-};
-
-AffinitySnapshot affinity_snapshot() {
-  AffinitySnapshot snapshot;
-  snapshot.caller = current_affinity_cpus();
-  snapshot.team.resize(4);
-#pragma omp parallel num_threads(4)
-  snapshot.team[static_cast<std::size_t>(current_thread())] =
-      current_affinity_cpus();
-  std::sort(snapshot.team.begin(), snapshot.team.end());
-  return snapshot;
-}
-
-TEST(EngineEquivalence, NumaForcedRunLeavesThreadAffinityUnchanged) {
-  // "2" splits the real affinity mask into two domains, so forced
-  // placement pins with real sched_setaffinity calls wherever an engine
-  // pins at all. Whatever a run pins must stay inside it: the driver's
-  // calling thread and the OpenMP workers every later depth and run
-  // reuses must see exactly the masks they had before.
-  setenv("FASTBNS_NUMA", "2", 1);
-  for (const std::string& name : list_engines()) {
-    const AffinitySnapshot before = affinity_snapshot();
-    PcOptions options;
-    options.engine = engine_from_string(name);
-    options.num_threads = 4;
-    options.numa_policy = "forced";
-    const DiscreteCiTest test(fixture().data,
-                              test_options_for(options.engine));
-    (void)learn_skeleton(fixture().data.num_vars(), test, options);
-    const AffinitySnapshot after = affinity_snapshot();
-    EXPECT_EQ(after.caller, before.caller) << name;
-    EXPECT_EQ(after.team, before.team) << name;
-  }
-  unsetenv("FASTBNS_NUMA");
-}
 
 TEST(EngineEquivalence, CpdagIdenticalAcrossRegisteredEnginesOnSampledData) {
   // End-to-end: every registered engine yields the byte-identical CPDAG

@@ -9,8 +9,7 @@
 // adjacency, separating sets and removal depths against the optimized
 // sequential reference. On a mismatch the failure message is a complete
 // reproducer: the seed, the engine pair (reference vs subject), the
-// builder and per-seed knobs (gs, NUMA policy, ranks), and the first
-// divergent edge.
+// builder and per-seed knobs (gs, ranks), and the first divergent edge.
 //
 // Seed sweep: FASTBNS_FUZZ_SEEDS overrides the default of 10 seeds (the
 // `fuzz` ctest label's CI leg pins 10 at OMP_NUM_THREADS=nproc; raise it
@@ -79,10 +78,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
     // Per-seed knobs, so the sweep varies scheduling shape as well as
     // data: pool group sizes cycle 1..8.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
-    // NUMA placement swaps rank pinning and first-touch in and out (and,
-    // under FASTBNS_NUMA, the rank->domain deal) — none of which may
-    // perturb a single bit of the result.
-    const char* numa_policy = seed % 2 == 0 ? "auto" : "forced";
     // The process engine forks this many worker ranks per configuration;
     // cycling 1/2/4 (with a 1-or-2 thread team inside each) exercises
     // the degenerate single-rank group, an even split, and more ranks
@@ -97,7 +92,6 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         options.engine = engine_from_string(engine);
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
-        options.numa_policy = numa_policy;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
         options.table_builder = builder;
@@ -112,7 +106,7 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
         ADD_FAILURE() << "seed=" << seed
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
-                      << " gs=" << gs << " numa=" << numa_policy
+                      << " gs=" << gs
                       << " ranks=" << ranks << "x" << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }

@@ -22,8 +22,8 @@ namespace {
 TEST(FaultSchedule, ParsesTheFullGrammar) {
   const FaultSchedule schedule = FaultSchedule::parse(
       "kill@rank=1,depth=2; wedge ; slow-rank@ms=35,depth=1 ;"
-      "corrupt-frame@rank=0,gen=1;seed=99");
-  ASSERT_EQ(schedule.events.size(), 4u);
+      "corrupt-frame@rank=0,gen=1;seed=99;kill@rank=2147483647");
+  ASSERT_EQ(schedule.events.size(), 5u);
   EXPECT_EQ(schedule.seed, 99u);
   EXPECT_EQ(schedule.events[0].kind, FaultKind::kKill);
   EXPECT_EQ(schedule.events[0].rank, 1);
@@ -36,6 +36,7 @@ TEST(FaultSchedule, ParsesTheFullGrammar) {
   EXPECT_EQ(schedule.events[2].depth, 1);
   EXPECT_EQ(schedule.events[3].kind, FaultKind::kCorruptFrame);
   EXPECT_EQ(schedule.events[3].generation, 1);
+  EXPECT_EQ(schedule.events[4].rank, 2147483647);  // INT32_MAX is accepted
   // describe() round-trips through parse() — the echo the structure_tool
   // prints is itself a valid schedule.
   const FaultSchedule reparsed = FaultSchedule::parse(schedule.describe());
@@ -43,6 +44,7 @@ TEST(FaultSchedule, ParsesTheFullGrammar) {
   EXPECT_EQ(reparsed.seed, schedule.seed);
   EXPECT_EQ(reparsed.events[0].rank, 1);
   EXPECT_EQ(reparsed.events[3].generation, 1);
+  EXPECT_EQ(reparsed.events[4].rank, 2147483647);
 }
 
 TEST(FaultSchedule, RejectionsNameTheOffendingEntry) {
@@ -69,6 +71,15 @@ TEST(FaultSchedule, RejectionsNameTheOffendingEntry) {
     const std::string message = error.what();
     EXPECT_NE(message.find("bogus"), std::string::npos) << message;
     EXPECT_NE(message.find("rank depth gen ms"), std::string::npos) << message;
+  }
+  try {
+    // 2^31 would wrap to a negative rank, which means "any rank".
+    (void)FaultSchedule::parse("kill@rank=2147483648");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("kill@rank=2147483648"),
+              std::string::npos)
+        << error.what();
   }
   EXPECT_THROW((void)FaultSchedule::parse("kill@rank"), std::invalid_argument);
   // Empty entries and whitespace are tolerated; an empty schedule is no

@@ -84,7 +84,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
 
     // Same per-seed scheduling knobs as the discrete harness.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
-    const char* numa_policy = seed % 2 == 0 ? "auto" : "forced";
     const std::int32_t rank_count[] = {1, 2, 4};
     const auto ranks = rank_count[seed % 3];
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
@@ -95,7 +94,6 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         options.engine = engine_from_string(engine);
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
-        options.numa_policy = numa_policy;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
         options.ci_test = "gaussian";
@@ -108,7 +106,7 @@ TEST(GaussianFuzz, EveryEngineEveryCovarianceBuilderMatchesTheReference) {
         ADD_FAILURE() << "seed=" << seed
                       << " engine pair fastbns-seq(scalar) vs " << engine
                       << "(" << builder << ")"
-                      << " gs=" << gs << " numa=" << numa_policy
+                      << " gs=" << gs
                       << " ranks=" << ranks << "x" << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);
       }

@@ -84,7 +84,7 @@ TEST(ProcessEngine, ExecutedTestCountsMatchTheReferenceAtEveryRankCount) {
   const DiscreteCiTest reference_test(instance.data, CiTestOptions{});
   const SkeletonResult reference =
       learn_skeleton(n, reference_test, reference_options);
-  for (const std::int32_t ranks : {1, 2, 3, 4}) {
+  for (const std::int32_t ranks : {1, 2, 3, 4, 5}) {
     const DiscreteCiTest test(instance.data, CiTestOptions{});
     const SkeletonResult actual =
         learn_skeleton(n, test, process_options(ranks));

@@ -82,18 +82,22 @@ TEST(BenchJson, MalformedStringsAnywhereStayValidJson) {
 
 TEST(BenchJson, MachineContextBlockIsEmbeddedInEveryBenchJson) {
   // Satellite contract: every BENCH_*.json carries the machine context a
-  // perf number is meaningless without — node count, per-node cpus,
-  // whether those cpus are pinnable, and the declared pinning policy.
+  // perf number is meaningless without — node count, OpenMP threads and
+  // binding, and the declared rank sweep.
   TablePrinter table({"col"});
   table.add_row({"1"});
   const std::string json = bench_json("t", "s", table);
   EXPECT_NE(json.find("\"context\": {"), std::string::npos);
   for (const char* key :
-       {"\"numa_nodes\":", "\"cpus_per_node\":", "\"physical_cpus\":",
-        "\"omp_max_threads\":", "\"omp_binding_env\":",
-        "\"pinning_policy\":", "\"rank_count\":", "\"ipc_transport\":"}) {
+       {"\"numa_nodes\":", "\"omp_max_threads\":", "\"omp_binding_env\":",
+        "\"rank_count\":", "\"ipc_transport\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  // At least one node, also where /sys/devices/system/node is unreadable.
+  const std::string context = bench_context_json();
+  const std::string key = "{\"numa_nodes\": ";
+  ASSERT_EQ(context.compare(0, key.size(), key), 0) << context;
+  EXPECT_GE(std::atoi(context.c_str() + key.size()), 1) << context;
 }
 
 TEST(BenchJson, ContextReflectsTheDeclaredRankSweep) {
@@ -109,25 +113,6 @@ TEST(BenchJson, ContextReflectsTheDeclaredRankSweep) {
   set_bench_rank_context(0, "none");
   EXPECT_NE(context.find("\"rank_count\": 4"), std::string::npos) << context;
   EXPECT_NE(context.find("\"ipc_transport\": \"fork+pipe+shm\""),
-            std::string::npos)
-      << context;
-}
-
-TEST(BenchJson, ContextReflectsTheSimulatedTopologyAndPinningPolicy) {
-  // FASTBNS_NUMA drives the context block through the same detection the
-  // engines use, so a simulated-topology bench run is honest about it:
-  // 2 synthetic nodes of 3 cpus, not pinnable.
-  setenv("FASTBNS_NUMA", "2x3", 1);
-  set_bench_pinning_policy("forced-vs-off");
-  const std::string context = bench_context_json();
-  unsetenv("FASTBNS_NUMA");
-  set_bench_pinning_policy("unset");
-  EXPECT_NE(context.find("\"numa_nodes\": 2"), std::string::npos) << context;
-  EXPECT_NE(context.find("\"cpus_per_node\": [3, 3]"), std::string::npos)
-      << context;
-  EXPECT_NE(context.find("\"physical_cpus\": false"), std::string::npos)
-      << context;
-  EXPECT_NE(context.find("\"pinning_policy\": \"forced-vs-off\""),
             std::string::npos)
       << context;
 }

@@ -137,9 +137,6 @@ TEST(Skeleton, ValidateMessagesNameTheOffendingValue) {
   options.num_threads = PcOptions::kMaxThreads + 1;
   expect_mentions(options, std::to_string(PcOptions::kMaxThreads + 1));
   options = {};
-  options.numa_policy = "diagonal";
-  expect_mentions(options, "diagonal");
-  options = {};
   options.rank_count = -5;
   expect_mentions(options, "-5");
   options = {};
