@@ -1,7 +1,7 @@
-// The multi-process rank-partition engine: a contiguous variable
-// partition with one forked process per shard and an explicit allreduce
-// for the commit barrier — the fork-based first step toward distributed
-// (MPI-style) skeleton learning.
+// The multi-process rank engine: one forked process per rank, a
+// round-robin deal of every depth's works over the ranks, and an explicit
+// allreduce for the commit barrier — the fork-based first step toward
+// distributed (MPI-style) skeleton learning.
 //
 // Topology of a run:
 //  - The driver process (this engine) forks rank_count worker ranks at
@@ -15,10 +15,12 @@
 //    driver uses — identical inputs give identical lists, so a work is
 //    addressed across the process boundary by nothing more than its
 //    index (endpoint ids double-check every reply; a divergent replica
-//    is a protocol error, not silent corruption). Of that list a rank
-//    executes its shard of edges (VariableShards / shard_work_indices —
-//    ranks *are* shards) plus whatever explicit indices its command
-//    names (re-partitioned work inherited from retired ranks).
+//    is a protocol error, not silent corruption). Of that list rank r of
+//    R executes its deal — positions r, r + R, r + 2R, …, which the
+//    driver and every rank compute from the list's length alone — plus
+//    whatever explicit indices its command names (re-partitioned work
+//    inherited from retired ranks). Inside a rank, threads claim the
+//    deal's works one at a time from an atomic cursor.
 //  - The per-depth commit barrier is an allreduce rooted at the driver:
 //    RUN_DEPTH(depth, previous depth's union removal set) goes out to
 //    every rank; each rank applies the removals to its replica, runs its
@@ -47,7 +49,7 @@
 //  3. Re-partition — once a rank's max_rank_restarts budget is spent it
 //     is retired and its works are dealt round-robin onto the surviving
 //     ranks as explicit RUN_DEPTH commands; later depths fold the
-//     retired rank's shard into the survivors' assignments the same way.
+//     retired rank's deal into the survivors' assignments the same way.
 //  4. Degrade — when fork itself fails (initial spawn or a respawn) or
 //     no rank survives, the supervisor finishes the current depth's
 //     unmerged works in-process (std::thread clones with the exact rank
@@ -73,6 +75,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -139,8 +142,22 @@ struct RankConfig {
   FaultSchedule schedule;
 };
 
+/// Rank `rank`'s deal of a depth's `work_count` works: list positions
+/// rank, rank + rank_count, rank + 2 rank_count, … The driver and every
+/// rank compute it from the list's length alone, so the deal costs no
+/// wire traffic; ranks beyond the work count get nothing.
+std::vector<std::int64_t> dealt_works(std::size_t work_count, int rank,
+                                      int rank_count) {
+  std::vector<std::int64_t> indices;
+  for (auto i = static_cast<std::size_t>(rank); i < work_count;
+       i += static_cast<std::size_t>(rank_count)) {
+    indices.push_back(static_cast<std::int64_t>(i));
+  }
+  return indices;
+}
+
 /// The command payload of one depth. `explicit_only` distinguishes the
-/// normal broadcast (the rank runs its own shard plus the listed extra
+/// normal broadcast (the rank runs its own deal plus the listed extra
 /// indices) from recovery commands (the rank runs exactly the listed
 /// indices — respawn re-issues and re-partitioned work).
 void encode_run_depth(WireWriter& writer, std::int32_t depth,
@@ -162,11 +179,13 @@ void encode_run_depth(WireWriter& writer, std::int32_t depth,
   }
 }
 
-/// Runs one rank's shard of a depth with `threads` std::threads (the
-/// calling thread serves stride 0). Works are disjoint across threads,
-/// so no synchronization beyond the joins. Rethrows the first worker
-/// exception after all joins. Also the degrade rung's local executor —
-/// the semantics must stay byte-for-byte those of a rank.
+/// Runs the works `mine` lists with one std::thread per clone (the
+/// calling thread serves clone 0). Each thread claims its next position
+/// in `mine` from one atomic cursor and runs that work whole, so a
+/// preempted thread delays only the work it holds; the joins publish the
+/// works. Rethrows the first worker exception after all joins. Also the
+/// degrade rung's local executor — the semantics must stay byte-for-byte
+/// those of a rank.
 std::int64_t run_shard_works(std::vector<EdgeWork>& works,
                              const std::vector<std::int64_t>& mine,
                              std::int32_t depth,
@@ -174,15 +193,20 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
   const auto threads = clones.size();
   std::vector<std::int64_t> tests(threads, 0);
   std::vector<std::exception_ptr> errors(threads);
+  std::atomic<std::size_t> cursor{0};
   const auto worker = [&](std::size_t t) {
     try {
       CiTest& test = *clones[t];
       std::vector<VarId> z;
-      for (std::size_t p = t; p < mine.size(); p += threads) {
+      std::int64_t executed = 0;
+      for (std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
+           p < mine.size();
+           p = cursor.fetch_add(1, std::memory_order_relaxed)) {
         EdgeWork& work = works[static_cast<std::size_t>(mine[p])];
-        tests[t] += run_edge_tests(work, depth, work.total_tests(), test,
+        executed += run_edge_tests(work, depth, work.total_tests(), test,
                                    /*early_stop=*/true, z);
       }
+      tests[t] = executed;
     } catch (...) {
       errors[t] = std::current_exception();
     }
@@ -210,7 +234,6 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
     // Rebuilt by each depth's build_depth_works; that depth's works point
     // into it.
     AdjacencySnapshot snapshot;
-    const VariableShards shards(config.num_vars, config.rank_count);
     std::vector<std::unique_ptr<CiTest>> clones;
     // The last encoded reply, kept verbatim for retransmission: after a
     // corrupt or truncated frame the supervisor asks for these exact
@@ -320,9 +343,7 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
       if (explicit_only) {
         mine = std::move(listed);
       } else {
-        std::vector<std::vector<std::int64_t>> by_rank =
-            shard_work_indices(works, shards);
-        mine = std::move(by_rank[static_cast<std::size_t>(config.rank)]);
+        mine = dealt_works(works.size(), config.rank, config.rank_count);
         mine.insert(mine.end(), listed.begin(), listed.end());
       }
       for (const std::int64_t index : mine) {
@@ -436,12 +457,9 @@ class ProcessEngine final : public SkeletonEngine {
     }
     const bool grouped = options.group_endpoints;
 
-    // This depth's assignments: the parent derives the same works-index
-    // shards the ranks do; retired ranks' shards are dealt round-robin
-    // onto the survivors as explicit extras.
-    const VariableShards shards(num_vars_, rank_count_);
-    std::vector<std::vector<std::int64_t>> shard_assign =
-        shard_work_indices(works, shards);
+    // This depth's assignments: the parent computes the same deals the
+    // ranks do; retired ranks' deals are dealt round-robin onto the
+    // survivors as explicit extras.
     std::vector<int> active;
     for (int rank = 0; rank < rank_count_; ++rank) {
       if (!state_[static_cast<std::size_t>(rank)].retired) {
@@ -455,20 +473,22 @@ class ProcessEngine final : public SkeletonEngine {
     }
     std::vector<std::vector<std::int64_t>> extras(
         static_cast<std::size_t>(rank_count_));
+    current_assignment_.assign(static_cast<std::size_t>(rank_count_), {});
     std::size_t deal = 0;
     for (int rank = 0; rank < rank_count_; ++rank) {
-      if (!state_[static_cast<std::size_t>(rank)].retired) continue;
-      for (const std::int64_t index :
-           shard_assign[static_cast<std::size_t>(rank)]) {
+      std::vector<std::int64_t> dealt =
+          dealt_works(works.size(), rank, rank_count_);
+      if (!state_[static_cast<std::size_t>(rank)].retired) {
+        current_assignment_[static_cast<std::size_t>(rank)] = std::move(dealt);
+        continue;
+      }
+      for (const std::int64_t index : dealt) {
         extras[static_cast<std::size_t>(active[deal++ % active.size()])]
             .push_back(index);
       }
-      shard_assign[static_cast<std::size_t>(rank)].clear();
     }
-    current_assignment_.assign(static_cast<std::size_t>(rank_count_), {});
     for (const int rank : active) {
       auto& assignment = current_assignment_[static_cast<std::size_t>(rank)];
-      assignment = std::move(shard_assign[static_cast<std::size_t>(rank)]);
       const auto& extra = extras[static_cast<std::size_t>(rank)];
       assignment.insert(assignment.end(), extra.begin(), extra.end());
     }
@@ -501,8 +521,7 @@ class ProcessEngine final : public SkeletonEngine {
     // handled inside gather_rank (retransmit → respawn ladder); what
     // comes back is merged, retired-with-orphans, or a degrade verdict.
     const WallTimer gather_timer;
-    std::int64_t total_tests = 0;
-    double max_rank_seconds = 0.0;
+    DepthTally tally;
     std::vector<std::int64_t> orphans;
     std::vector<char> merged(static_cast<std::size_t>(rank_count_), 0);
     bool degraded = false;
@@ -511,7 +530,7 @@ class ProcessEngine final : public SkeletonEngine {
       switch (gather_rank(works, depth, grouped, rank,
                           seq[static_cast<std::size_t>(rank)],
                           current_assignment_[static_cast<std::size_t>(rank)],
-                          total_tests, max_rank_seconds)) {
+                          tally)) {
         case Gather::kMerged:
           merged[static_cast<std::size_t>(rank)] = 1;
           break;
@@ -572,8 +591,7 @@ class ProcessEngine final : public SkeletonEngine {
         if (degraded) break;
         switch (gather_rank(
             works, depth, grouped, rank, seq[static_cast<std::size_t>(rank)],
-            current_assignment_[static_cast<std::size_t>(rank)], total_tests,
-            max_rank_seconds)) {
+            current_assignment_[static_cast<std::size_t>(rank)], tally)) {
           case Gather::kMerged:
             merged[static_cast<std::size_t>(rank)] = 1;
             break;
@@ -605,14 +623,14 @@ class ProcessEngine final : public SkeletonEngine {
         unmerged.insert(unmerged.end(), assignment.begin(), assignment.end());
       }
       return finish_depth_degraded(works, depth, prototype, unmerged,
-                                   total_tests, depth_timer, events_before);
+                                   tally.tests, depth_timer, events_before);
     }
 
     depth_stats_.push_back(
-        {depth, total_tests, depth_timer.seconds(), gather_timer.seconds(),
-         max_rank_seconds,
+        {depth, tally.tests, depth_timer.seconds(), gather_timer.seconds(),
+         tally.max_rank_seconds, tally.max_rank_tests,
          static_cast<std::int32_t>(events_.size() - events_before)});
-    return total_tests;
+    return tally.tests;
   }
 
   [[nodiscard]] const std::vector<ProcessDepthStats>& depth_stats()
@@ -630,6 +648,13 @@ class ProcessEngine final : public SkeletonEngine {
     kMerged,    ///< reply merged into the works vector
     kRetired,   ///< restart budget spent; caller re-partitions its works
     kDegraded,  ///< fork machinery failed; caller degrades the run
+  };
+
+  /// What the gather has merged of one depth's replies so far.
+  struct DepthTally {
+    std::int64_t tests = 0;           ///< executed tests, summed
+    std::int64_t max_rank_tests = 0;  ///< the busiest reply's tests
+    double max_rank_seconds = 0.0;    ///< the slowest reply's compute
   };
 
   struct RankState {
@@ -657,7 +682,7 @@ class ProcessEngine final : public SkeletonEngine {
   Gather gather_rank(std::vector<EdgeWork>& works, std::int32_t depth,
                      bool grouped, int rank, std::uint32_t seq,
                      const std::vector<std::int64_t>& indices,
-                     std::int64_t& total_tests, double& max_rank_seconds) {
+                     DepthTally& tally) {
     int attempt = 0;
     int stale = 0;
     std::string failure;
@@ -692,8 +717,7 @@ class ProcessEngine final : public SkeletonEngine {
                     std::to_string(reply_depth) + ", seq " +
                     std::to_string(reply_seq) + ")";
         } else {
-          merge_reply(works, depth, reader, rank, total_tests,
-                      max_rank_seconds);
+          merge_reply(works, depth, reader, rank, tally);
           return Gather::kMerged;
         }
       } else if (status == FrameReadStatus::kBadTag) {
@@ -739,8 +763,8 @@ class ProcessEngine final : public SkeletonEngine {
         failure = "its replies kept failing the frame checksum after " +
                   std::to_string(attempt) + " retransmit request(s)";
       }
-      return respawn_ladder(works, depth, grouped, rank, indices, total_tests,
-                            max_rank_seconds, failure);
+      return respawn_ladder(works, depth, grouped, rank, indices, tally,
+                            failure);
     }
   }
 
@@ -751,8 +775,7 @@ class ProcessEngine final : public SkeletonEngine {
   Gather respawn_ladder(std::vector<EdgeWork>& works, std::int32_t depth,
                         bool grouped, int rank,
                         const std::vector<std::int64_t>& indices,
-                        std::int64_t& total_tests, double& max_rank_seconds,
-                        const std::string& reason) {
+                        DepthTally& tally, const std::string& reason) {
     RankState& state = state_[static_cast<std::size_t>(rank)];
     while (state.restarts < max_restarts_) {
       const std::int32_t generation = ++state.restarts;
@@ -808,8 +831,7 @@ class ProcessEngine final : public SkeletonEngine {
       encode_run_depth(command, depth, seq, grouped, /*explicit_only=*/true,
                        {}, indices);
       if (!group_.try_send(rank, kTagRunDepth, command.payload())) continue;
-      return gather_rank(works, depth, grouped, rank, seq, indices,
-                         total_tests, max_rank_seconds);
+      return gather_rank(works, depth, grouped, rank, seq, indices, tally);
     }
     record_event(depth, rank, RecoveryAction::kRepartition,
                  reason + "; restart budget (" +
@@ -826,11 +848,12 @@ class ProcessEngine final : public SkeletonEngine {
   /// Merges one validated DepthResult payload (cursor past depth + seq)
   /// into the works vector and the pending-removal set.
   void merge_reply(std::vector<EdgeWork>& works, std::int32_t depth,
-                   WireReader& reader, int rank, std::int64_t& total_tests,
-                   double& max_rank_seconds) {
-    total_tests += reader.get_i64();
-    max_rank_seconds = std::max(
-        max_rank_seconds, static_cast<double>(reader.get_i64()) * 1e-6);
+                   WireReader& reader, int rank, DepthTally& tally) {
+    const std::int64_t tests = reader.get_i64();
+    tally.tests += tests;
+    tally.max_rank_tests = std::max(tally.max_rank_tests, tests);
+    tally.max_rank_seconds = std::max(
+        tally.max_rank_seconds, static_cast<double>(reader.get_i64()) * 1e-6);
     const std::uint32_t removed = reader.get_u32();
     for (std::uint32_t i = 0; i < removed; ++i) {
       const auto index = static_cast<std::size_t>(reader.get_u64());
@@ -901,6 +924,7 @@ class ProcessEngine final : public SkeletonEngine {
     depth_stats_.push_back(
         {depth, total_so_far + local, depth_timer.seconds(),
          /*gather_seconds=*/0.0, /*max_rank_seconds=*/0.0,
+         /*max_rank_tests=*/0,
          static_cast<std::int32_t>(events_.size() - events_before)});
     return total_so_far + local;
   }
@@ -917,9 +941,9 @@ class ProcessEngine final : public SkeletonEngine {
     deadline_ms_ =
         env_positive_int("FASTBNS_RANK_TIMEOUT_MS", kDefaultRankTimeoutMs);
     max_restarts_ = options.max_rank_restarts;
-    // The variable domain comes from the first depth's works — depth 0's
-    // complete graph covers every variable — so the partition never
-    // re-homes as later depths' work lists shrink.
+    // Every rank's replica starts as the complete graph over the
+    // variables, which the first depth's works (depth 0's complete
+    // graph) name; later depths' shrinking lists could miss some.
     num_vars_ = 0;
     for (const EdgeWork& work : works) {
       num_vars_ = std::max(num_vars_, std::max(work.x, work.y) + 1);
@@ -975,7 +999,7 @@ class ProcessEngine final : public SkeletonEngine {
   std::uint32_t next_seq_ = 1;
   std::vector<RankState> state_;
   /// The works each rank is answerable for in the depth being gathered
-  /// (own shard + inherited extras, or the explicit recovery deal).
+  /// (own deal + inherited extras, or the explicit recovery list).
   std::vector<std::vector<std::int64_t>> current_assignment_;
   /// The committed removal log, one batch per broadcast — the replayable
   /// checkpoint of the respawn rung.

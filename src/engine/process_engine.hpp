@@ -28,6 +28,10 @@ struct ProcessDepthStats {
   /// gather_seconds - max_rank_seconds approximates the pure
   /// serialization + pipe cost of the barrier.
   double max_rank_seconds = 0.0;
+  /// The busiest merged reply's executed tests: how evenly the deal
+  /// spread the depth, ci_tests / rank count at best. Like the gather
+  /// and max-rank seconds, 0 on a depth that ran in-process (degraded).
+  std::int64_t max_rank_tests = 0;
   /// Recovery events (retransmits, respawns, re-partitions, degrades)
   /// the supervisor performed inside this depth; 0 on a clean depth.
   std::int32_t recoveries = 0;
@@ -57,7 +61,7 @@ struct DepthCheckpoint {
 enum class RecoveryAction : std::uint8_t {
   kRetransmit,   ///< asked the rank to resend a corrupt/late frame
   kRespawn,      ///< forked a replacement and replayed the checkpoint
-  kRepartition,  ///< retired the rank; its shard went to the survivors
+  kRepartition,  ///< retired the rank; its works went to the survivors
   kDegrade,      ///< abandoned forked execution for the in-process engine
 };
 

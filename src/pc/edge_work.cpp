@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 namespace fastbns {
 
@@ -123,44 +122,6 @@ std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
   }
   work.progress = end;
   return executed;
-}
-
-VariableShards::VariableShards(VarId num_vars, std::int32_t num_shards)
-    : num_shards_(num_shards) {
-  if (num_vars < 0) {
-    throw std::invalid_argument("VariableShards: num_vars must be >= 0, got " +
-                                std::to_string(num_vars));
-  }
-  if (num_shards < 1) {
-    throw std::invalid_argument(
-        "VariableShards: num_shards must be >= 1, got " +
-        std::to_string(num_shards));
-  }
-  shard_of_.resize(static_cast<std::size_t>(num_vars));
-  // Balanced ranges: the first (num_vars % num_shards) shards own one
-  // extra variable; with more shards than variables the trailing shards
-  // own nothing.
-  const VarId base = num_vars / num_shards;
-  const VarId extra = num_vars % num_shards;
-  VarId next = 0;
-  for (std::int32_t s = 0; s < num_shards && next < num_vars; ++s) {
-    const VarId size = base + (s < extra ? 1 : 0);
-    for (VarId i = 0; i < size; ++i) {
-      shard_of_[static_cast<std::size_t>(next++)] = s;
-    }
-  }
-}
-
-std::vector<std::vector<std::int64_t>> shard_work_indices(
-    const std::vector<EdgeWork>& works, const VariableShards& shards) {
-  std::vector<std::vector<std::int64_t>> result(
-      static_cast<std::size_t>(shards.num_shards()));
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
-    const EdgeWork& work = works[i];
-    const VarId owner = std::min(work.x, work.y);
-    result[static_cast<std::size_t>(shards.shard_of(owner))].push_back(i);
-  }
-  return result;
 }
 
 std::vector<VarId> materialize_conditioning_sets(const EdgeWork& work,

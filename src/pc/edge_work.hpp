@@ -120,38 +120,4 @@ std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
     const EdgeWork& work, std::int32_t depth,
     std::uint64_t limit = std::uint64_t{1} << 27);
 
-/// The variable→shard ownership map of the process engine's ranks:
-/// balanced contiguous id ranges, so adjacent variables share a shard and
-/// a rank streams a compact slice of the dataset. Shards may outnumber
-/// variables (trailing shards own nothing); every variable is owned by
-/// exactly one shard.
-class VariableShards {
- public:
-  /// Throws std::invalid_argument when num_vars < 0 or num_shards < 1.
-  VariableShards(VarId num_vars, std::int32_t num_shards);
-
-  [[nodiscard]] std::int32_t shard_of(VarId v) const noexcept {
-    return shard_of_[static_cast<std::size_t>(v)];
-  }
-  [[nodiscard]] std::int32_t num_shards() const noexcept {
-    return num_shards_;
-  }
-  [[nodiscard]] VarId num_vars() const noexcept {
-    return static_cast<VarId>(shard_of_.size());
-  }
-
- private:
-  std::vector<std::int32_t> shard_of_;
-  std::int32_t num_shards_ = 1;
-};
-
-/// Shard-aware work-list construction: groups the indices of `works` by
-/// the shard owning each work's lower endpoint (min(x, y) — one owner per
-/// undirected edge, so grouped works and both directions of ungrouped
-/// works land in the same shard). result[s] lists shard s's work indices
-/// in ascending order; works without pending tests are included so a
-/// shard's list mirrors its slice of the depth exactly.
-[[nodiscard]] std::vector<std::vector<std::int64_t>> shard_work_indices(
-    const std::vector<EdgeWork>& works, const VariableShards& shards);
-
 }  // namespace fastbns

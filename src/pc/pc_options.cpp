@@ -62,6 +62,16 @@ void PcOptions::validate() const {
         ", exceeding kMaxThreads (" + std::to_string(kMaxThreads) +
         "); this is almost certainly a typo");
   }
+  // The degrade rung runs rank_count x rank_threads std::threads in the
+  // driver process, so the product answers to the same cap.
+  if (rank_count > 0 && rank_threads > 0 &&
+      static_cast<std::int64_t>(rank_count) * rank_threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "PcOptions::rank_count x rank_threads is " +
+        std::to_string(rank_count) + " x " + std::to_string(rank_threads) +
+        ", exceeding kMaxThreads (" + std::to_string(kMaxThreads) +
+        "); a run that degrades in-process starts that many threads");
+  }
   if (max_rank_restarts < 0) {
     throw std::invalid_argument(
         "PcOptions::max_rank_restarts must be >= 0 (0 = never respawn, "

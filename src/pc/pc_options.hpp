@@ -26,11 +26,11 @@ enum class EngineKind : std::uint8_t {
   /// work pool.
   kCiParallel,
   /// Multi-process rank-partition extension: the driver forks rank_count
-  /// worker processes over a MAP_SHARED dataset segment, each rank owns
-  /// the edges whose lower endpoint maps to its variable shard, and the
-  /// per-depth commit barrier becomes an allreduce of removal sets +
-  /// sepsets over length-prefixed pipe frames — the fork-based first step
-  /// of the roadmap's distributed (MPI-style) skeleton learning.
+  /// worker processes over a MAP_SHARED dataset segment, each rank runs a
+  /// round-robin deal of every depth's works, and the per-depth commit
+  /// barrier becomes an allreduce of removal sets + sepsets over
+  /// length-prefixed pipe frames — the fork-based first step of the
+  /// roadmap's distributed (MPI-style) skeleton learning.
   kProcess,
 };
 
@@ -89,8 +89,9 @@ struct PcOptions {
   std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by
-  /// default, degenerating to a single rank on a 1-cpu box). Ranks may
-  /// outnumber variables (trailing ranks own no edges); rank 1 is the
+  /// default, degenerating to a single rank on a 1-cpu box). Rank r runs
+  /// positions r, r + rank_count, … of each depth's work list, so only
+  /// ranks beyond a depth's work count get nothing; rank 1 is the
   /// fork-supervised degenerate case the fuzz harness sweeps.
   std::int32_t rank_count = 0;
   /// Worker threads *inside* each rank (kProcess only): 0 = auto
@@ -101,8 +102,8 @@ struct PcOptions {
   /// Fault tolerance of the multi-process engine (kProcess only): how
   /// many times a dead or wedged rank may be respawned (its graph
   /// replica rebuilt by replaying the committed removal log) before the
-  /// supervisor stops restarting it and re-partitions its shard of edges
-  /// onto the surviving ranks instead. 0 = never respawn (straight to
+  /// supervisor stops restarting it and re-partitions its works onto
+  /// the surviving ranks instead. 0 = never respawn (straight to
   /// re-partition). Either way the run completes with the bit-identical
   /// result; only the recovery cost differs.
   std::int32_t max_rank_restarts = 1;
@@ -132,7 +133,9 @@ struct PcOptions {
   /// Throws std::invalid_argument when any field is out of range:
   /// group_size >= 1, alpha in (0, 1), max_depth >= -1, 0 <= num_threads
   /// <= kMaxThreads, 0 <= rank_count <= kMaxRanks, rank_threads likewise
-  /// against kMaxThreads, ipc_transport a known transport (auto/pipe),
+  /// against kMaxThreads, rank_count x rank_threads <= kMaxThreads when
+  /// both are set (the degrade rung runs every rank's threads in one
+  /// process), ipc_transport a known transport (auto/pipe),
   /// table_builder a known kernel name, ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two

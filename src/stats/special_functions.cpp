@@ -1,5 +1,7 @@
 #include "stats/special_functions.hpp"
 
+#include <math.h>
+
 #include <cmath>
 #include <limits>
 
@@ -47,7 +49,14 @@ double gamma_q_continued_fraction(double a, double x) noexcept {
 
 }  // namespace
 
-double log_gamma(double x) noexcept { return std::lgamma(x); }
+// lgamma_r, not std::lgamma: std::lgamma also stores the sign of
+// Gamma(x) in glibc's global signgam, so concurrent CI tests would race on
+// that int. lgamma_r returns the sign through `sign` and computes the
+// same value.
+double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
 
 double regularized_gamma_p(double a, double x) noexcept {
   if (x <= 0.0) return 0.0;

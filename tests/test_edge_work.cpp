@@ -358,73 +358,5 @@ TEST(MaterializeConditioningSets, LimitGuard) {
                std::runtime_error);
 }
 
-TEST(VariableShards, ContiguousPartitionIsBalancedAndExhaustive) {
-  // 10 variables over 3 shards: balanced ranges 4/3/3, every variable
-  // owned by exactly one shard, ids ascending within a shard.
-  const VariableShards shards(10, 3);
-  EXPECT_EQ(shards.num_shards(), 3);
-  EXPECT_EQ(shards.num_vars(), 10);
-  std::vector<int> sizes(3, 0);
-  std::int32_t previous = 0;
-  for (VarId v = 0; v < 10; ++v) {
-    const std::int32_t s = shards.shard_of(v);
-    ASSERT_GE(s, 0);
-    ASSERT_LT(s, 3);
-    EXPECT_GE(s, previous) << "contiguous ranges must be monotone in id";
-    previous = s;
-    ++sizes[static_cast<std::size_t>(s)];
-  }
-  EXPECT_EQ(sizes, (std::vector<int>{4, 3, 3}));
-}
-
-TEST(VariableShards, MoreShardsThanVariablesLeavesTrailingShardsEmpty) {
-  const VariableShards shards(3, 8);
-  std::vector<int> sizes(8, 0);
-  for (VarId v = 0; v < 3; ++v) {
-    ++sizes[static_cast<std::size_t>(shards.shard_of(v))];
-  }
-  EXPECT_EQ(sizes[0] + sizes[1] + sizes[2], 3);
-  for (std::size_t s = 3; s < 8; ++s) EXPECT_EQ(sizes[s], 0) << s;
-}
-
-TEST(VariableShards, RejectsNonPositiveShardCounts) {
-  EXPECT_THROW(VariableShards(5, 0), std::invalid_argument);
-  EXPECT_THROW(VariableShards(5, -2), std::invalid_argument);
-}
-
-TEST(ShardWorkIndices, GroupsByLowerEndpointAscendingAndKeepsTestlessWorks) {
-  // small_graph edges: (0,1) (0,2) (1,2) (2,3) (3,4); at depth 1 the work
-  // for (3,4) has pending tests via candidates of 3; every work lands in
-  // the shard of its lower endpoint regardless of test counts.
-  AdjacencySnapshot snapshot;
-  const auto works = build_depth_works(small_graph(), 1, true, snapshot);
-  ASSERT_EQ(works.size(), 5u);
-  const VariableShards shards(5, 2);  // 0-2 | 3-4
-  const auto by_shard = shard_work_indices(works, shards);
-  ASSERT_EQ(by_shard.size(), 2u);
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    total += by_shard[s].size();
-    EXPECT_TRUE(std::is_sorted(by_shard[s].begin(), by_shard[s].end())) << s;
-    for (const std::int64_t index : by_shard[s]) {
-      const EdgeWork& work = works[static_cast<std::size_t>(index)];
-      EXPECT_EQ(shards.shard_of(std::min(work.x, work.y)),
-                static_cast<std::int32_t>(s))
-          << "work (" << work.x << ", " << work.y << ")";
-    }
-  }
-  EXPECT_EQ(total, works.size());  // nothing dropped, nothing duplicated
-  // Ungrouped lists put both directions of an edge in one shard: the
-  // (4, 3) direction still belongs to the shard owning variable 3.
-  AdjacencySnapshot ungrouped_snapshot;
-  const auto ungrouped =
-      build_depth_works(small_graph(), 1, false, ungrouped_snapshot);
-  const auto ungrouped_by_shard = shard_work_indices(ungrouped, shards);
-  for (const std::int64_t index : ungrouped_by_shard[1]) {
-    const EdgeWork& work = ungrouped[static_cast<std::size_t>(index)];
-    EXPECT_EQ(std::min(work.x, work.y), 3);
-  }
-}
-
 }  // namespace
 }  // namespace fastbns

@@ -48,7 +48,7 @@ TEST(ProcessEngine, MatchesTheSequentialReferenceAcrossRankCounts) {
   // Three seeds x {1, 2, 4} ranks x {1, 2} threads-per-rank, each
   // fingerprinted against fastbns-seq. One rank pins the degenerate
   // group, four ranks exceed the work some shallow depths have — the
-  // allreduce must stay correct when a rank's shard is empty.
+  // allreduce must stay correct when a rank's deal is empty.
   for (std::uint64_t seed : {0ull, 3ull, 7ull}) {
     const fuzz::FuzzInstance instance = fuzz::make_instance(seed);
     const VarId n = instance.data.num_vars();
@@ -321,7 +321,7 @@ TEST(ProcessEngine, RespawnedRankDyingDuringRecoveryUsesTheNextRestart) {
 
 TEST(ProcessEngine, RestartBudgetExhaustionRepartitionsOntoSurvivors) {
   // max_rank_restarts=0: a dead rank goes straight to re-partition; its
-  // shard runs on the survivor for this and every later depth, and the
+  // deal runs on the survivor for this and every later depth, and the
   // result is still bit-identical.
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
@@ -356,19 +356,30 @@ void expect_one_stats_row_per_depth(const FaultRun& run) {
 TEST(ProcessEngine, InitialSpawnFailureDegradesInProcess) {
   // spawn-fail with gen=0 declares the whole first fork failed: the run
   // must complete in-process (the degrade rung) with identical results.
+  // At 2 ranks x 4 threads, 8 threads claim works from one cursor in the
+  // driver process.
   const fuzz::FuzzInstance instance = fuzz::make_instance(7);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
       sequential_fingerprint(instance, &reference_tests);
-  PcOptions options = process_options(2);
-  options.fault_schedule = "spawn-fail";
-  const FaultRun run = run_process(instance, options);
-  EXPECT_TRUE(run.fingerprint == reference) << fuzz::describe_divergence(
-      reference, run.fingerprint, instance.data.num_vars());
-  EXPECT_EQ(run.result.total_ci_tests, reference_tests);
-  EXPECT_TRUE(has_action(run.events, RecoveryAction::kDegrade))
-      << describe_events(run.events);
-  expect_one_stats_row_per_depth(run);
+  for (const std::int32_t rank_threads : {1, 4}) {
+    PcOptions options = process_options(2, rank_threads);
+    options.fault_schedule = "spawn-fail";
+    const FaultRun run = run_process(instance, options);
+    EXPECT_TRUE(run.fingerprint == reference)
+        << "rank_threads=" << rank_threads << ": "
+        << fuzz::describe_divergence(reference, run.fingerprint,
+                                     instance.data.num_vars());
+    EXPECT_EQ(run.result.total_ci_tests, reference_tests)
+        << "rank_threads=" << rank_threads;
+    EXPECT_TRUE(has_action(run.events, RecoveryAction::kDegrade))
+        << describe_events(run.events);
+    expect_one_stats_row_per_depth(run);
+    // No rank replied, so no depth has a busiest reply.
+    for (const ProcessDepthStats& stats : run.depth_stats) {
+      EXPECT_EQ(stats.max_rank_tests, 0) << "depth " << stats.depth;
+    }
+  }
 }
 
 TEST(ProcessEngine, RespawnFailureMidRunDegradesAndStillFinishes) {
@@ -388,6 +399,32 @@ TEST(ProcessEngine, RespawnFailureMidRunDegradesAndStillFinishes) {
   EXPECT_TRUE(has_action(run.events, RecoveryAction::kDegrade, 1))
       << describe_events(run.events);
   expect_one_stats_row_per_depth(run);
+}
+
+TEST(ProcessEngine, RoundRobinDealSplitsDepthZeroEvenly) {
+  // Depth 0 holds W = n(n-1)/2 works of one marginal test each, and rank
+  // r of R runs list positions r, r + R, r + 2R, ..., so the busiest
+  // rank runs ceil(W / R) tests. At every depth the busiest reply lies
+  // between an even share and the whole depth.
+  const fuzz::FuzzInstance instance = fuzz::make_instance(5);
+  const std::int64_t n = instance.data.num_vars();
+  const std::int64_t works = n * (n - 1) / 2;
+  for (const std::int32_t ranks : {2, 3}) {
+    const FaultRun run = run_process(instance, process_options(ranks));
+    ASSERT_TRUE(run.events.empty()) << describe_events(run.events);
+    ASSERT_FALSE(run.depth_stats.empty());
+    const ProcessDepthStats& first = run.depth_stats.front();
+    EXPECT_EQ(first.depth, 0);
+    EXPECT_EQ(first.ci_tests, works) << "ranks=" << ranks;
+    EXPECT_EQ(first.max_rank_tests, (works + ranks - 1) / ranks)
+        << "ranks=" << ranks;
+    for (const ProcessDepthStats& stats : run.depth_stats) {
+      EXPECT_LE(stats.max_rank_tests, stats.ci_tests)
+          << "ranks=" << ranks << " depth=" << stats.depth;
+      EXPECT_GE(stats.max_rank_tests * ranks, stats.ci_tests)
+          << "ranks=" << ranks << " depth=" << stats.depth;
+    }
+  }
 }
 
 TEST(ProcessEngine, RecoveryEventsAccessorSeesOnlyProcessEngines) {

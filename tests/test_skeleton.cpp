@@ -148,6 +148,20 @@ TEST(Skeleton, ValidateMessagesNameTheOffendingValue) {
   options = {};
   options.rank_threads = PcOptions::kMaxThreads + 4;
   expect_mentions(options, std::to_string(PcOptions::kMaxThreads + 4));
+  // Each field within its own cap, but their product is the thread count
+  // a degraded run starts in one process: both values are named.
+  options = {};
+  options.rank_count = 17;
+  options.rank_threads = 1000;
+  expect_mentions(options, "17 x 1000");
+  options.rank_count = PcOptions::kMaxRanks;
+  options.rank_threads = PcOptions::kMaxThreads;
+  expect_mentions(options, std::to_string(PcOptions::kMaxRanks) + " x " +
+                               std::to_string(PcOptions::kMaxThreads));
+  // A product at the cap still passes.
+  options.rank_count = 2;
+  options.rank_threads = PcOptions::kMaxThreads / 2;
+  EXPECT_NO_THROW(options.validate());
   options = {};
   options.table_builder = "vectorised";
   expect_mentions(options, "vectorised");
