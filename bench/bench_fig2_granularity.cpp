@@ -16,13 +16,11 @@ namespace {
 
 using namespace fastbns;
 
-EngineRunConfig scheme_config(const std::string& scheme, int threads,
-                              const std::string& builder) {
+EngineRunConfig scheme_config(const std::string& scheme, int threads) {
   // "ci", "edge" and "sample" are registry aliases of the granularities;
   // run_skeleton gives the sample-level scheme's engine the
   // sample-parallel table builds it asks for.
   EngineRunConfig config = engine_config_from_name(scheme, threads);
-  config.table_builder = builder;
   if (scheme == "ci") {
     // The practical group size (Figure 4): one endpoint-code pass per 8
     // CI tests, amortizing the pool's per-group work the way the paper's
@@ -43,12 +41,7 @@ int main(int argc, char** argv) {
   args.add_flag("networks", "comma list; empty = scale default", "");
   args.add_flag("samples", "samples per network; 0 = scale default", "0");
   args.add_flag("threads", "thread grid; empty = scale default", "");
-  args.add_flag("builder",
-                "TableBuilder kernel (auto/simd/batched/scalar); auto = CPU "
-                "dispatch",
-                "auto");
   if (!args.parse(argc, argv)) return 1;
-  const std::string builder = args.get("builder");
 
   const BenchScale scale = bench_scale();
   std::vector<std::string> networks = args.get_list("networks");
@@ -83,13 +76,11 @@ int main(int argc, char** argv) {
     const Workload workload = make_workload(name, samples);
     for (const int t : threads) {
       const double ci_time =
-          run_skeleton_best(workload, scheme_config("ci", t, builder)).seconds;
+          run_skeleton_best(workload, scheme_config("ci", t)).seconds;
       const double edge_time =
-          run_skeleton_best(workload, scheme_config("edge", t, builder))
-              .seconds;
+          run_skeleton_best(workload, scheme_config("edge", t)).seconds;
       const double sample_time =
-          run_skeleton_best(workload, scheme_config("sample", t, builder))
-              .seconds;
+          run_skeleton_best(workload, scheme_config("sample", t)).seconds;
       table.add_row({name, std::to_string(t), TablePrinter::num(ci_time, 4),
                      TablePrinter::num(edge_time, 4),
                      TablePrinter::num(sample_time, 4)});

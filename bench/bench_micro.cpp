@@ -1,15 +1,10 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks:
-// contingency-table construction under both layouts, the TableBuilder
-// kernels on same-shape runs (batched scalar vs SIMD), the
-// group-protocol code reuse, combination unranking, d-separation, and
-// work-pool ops.
+// contingency-table construction under both layouts, the group-protocol
+// code reuse, combination unranking, d-separation, and work-pool ops.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
-#include "bench_util/workloads.hpp"
 #include "combinatorics/combination.hpp"
 #include "common/rng.hpp"
 #include "graph/dseparation.hpp"
@@ -17,7 +12,6 @@
 #include "network/standard_networks.hpp"
 #include "pc/work_pool.hpp"
 #include "stats/discrete_ci_test.hpp"
-#include "stats/simd_dispatch.hpp"
 
 namespace {
 
@@ -83,56 +77,6 @@ void BM_CiTestNoGroupReuse(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * sets.size());
 }
 BENCHMARK(BM_CiTestNoGroupReuse);
-
-/// Large-n shape run of one endpoint group: the SIMD data path's target
-/// workload. Arg 0 is the conditioning depth, Arg 1 selects the kernel.
-void BM_TableBuilderShapeRun(benchmark::State& state) {
-  constexpr Count kSamples = 1 << 20;
-  constexpr std::size_t kFanout = 8;
-  static const DiscreteDataset data = [] {
-    DiscreteDataset synthetic(12, kSamples, std::vector<std::int32_t>(12, 3),
-                              DataLayout::kColumnMajor);
-    Rng rng(99);
-    for (Count s = 0; s < kSamples; ++s) {
-      for (VarId v = 0; v < 12; ++v) {
-        synthetic.set(s, v, static_cast<DataValue>(rng.next_below(3)));
-      }
-    }
-    return synthetic;
-  }();
-
-  const auto depth = static_cast<std::int32_t>(state.range(0));
-  const auto kernel =
-      make_table_builder(state.range(1) == 0 ? "batched" : "simd");
-  ScratchArena arena;
-  const TableBuildContext context =
-      make_table_context(data, 0, 1, /*row_major=*/false, arena);
-
-  // Same generator as bench_table_builder, so the micro numbers and the
-  // calibration bench measure one workload.
-  const std::vector<std::vector<VarId>> sets =
-      shape_run_sets(12, depth, kFanout);
-  std::size_t cz_total = 1;
-  for (std::int32_t i = 0; i < depth; ++i) cz_total *= 3;
-  std::vector<std::vector<Count>> storage(kFanout);
-  std::vector<TableJob> jobs;
-  for (std::size_t j = 0; j < kFanout; ++j) {
-    storage[j].assign(9 * cz_total, 0);
-    jobs.push_back(TableJob{sets[j], cz_total, storage[j]});
-  }
-
-  for (auto _ : state) {
-    kernel->build_batch(context, jobs);
-    benchmark::DoNotOptimize(storage.front().data());
-  }
-  state.SetItemsProcessed(state.iterations() * kSamples *
-                          static_cast<std::int64_t>(kFanout));
-  state.SetLabel(std::string(kernel->name()) + "/" +
-                 std::string(to_string(active_simd_tier())));
-}
-BENCHMARK(BM_TableBuilderShapeRun)
-    ->ArgsProduct({{1, 2, 3}, {0, 1}})
-    ->ArgNames({"depth", "simd"});
 
 void BM_UnrankCombination(benchmark::State& state) {
   const auto p = static_cast<std::int32_t>(state.range(0));

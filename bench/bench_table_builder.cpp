@@ -1,24 +1,19 @@
-// TableBuilder kernel bench: the counting pass isolated from the
-// statistic layer, on two data sets and the two call shapes.
+// TableBuilder kernel bench: the serial counting kernel isolated from
+// the statistic layer, one build() per table — the call every engine
+// makes.
 //
-// - Call shapes: fanout 8 is the batched kernel's shared pass over a
-//   same-shape run of one endpoint group (the batch entry); fanout 1 is
-//   one build() per table, the call every default engine makes.
 // - Data: "uniform3" is a synthetic large-n data set of cardinality-3
 //   columns drawn uniformly; "munin1" forward-samples the munin1 analog,
 //   whose skewed columns (cardinality 2-4) are what the benchmark's
-//   munin1 workloads count. Its groups take (x, y) from the network's
+//   munin1 workloads count. Its tables take (x, y) from the network's
 //   edges, the pairs that survive depth 0, with random conditioning
 //   sets.
-//
-// Compares the scalar kernel (one pass per table), the batched scalar
-// kernel (one shared pass per shape run) and the SIMD kernel (shared
-// pass with vectorized index composition) at several conditioning
-// depths, and reports each kernel's speedup over the batched kernel —
-// the acceptance bar for the SIMD path is >= 1.5x at depth >= 2 in the
-// fanout-8 rows on AVX2 hardware. The "endpoint codes" row times
-// make_table_context per munin1 pair. Results land in
-// bench_results/BENCH_table_builder.json.
+// - Tiers: each row set times the kernel clamped to the scalar dispatch
+//   tier (ScopedSimdTierOverride) and at the active tier, in rotation,
+//   and reports the active tier's speedup over the scalar tier. The
+//   vector pass covers |z| >= 2, so depths 0 and 1 should read about
+//   1.0x. The "endpoint codes" row times make_table_context per munin1
+//   pair. Results land in bench_results/BENCH_table_builder.json.
 //
 // A second table times the two single-table loops, count_split and
 // count_one_copy, on random munin1-analog tables bucketed by depth and
@@ -145,48 +140,41 @@ struct Workset {
     }
   }
 
-  /// Fanout 1 counts table by table through build(); wider fanouts go
-  /// through build_batch, as the batch entry does.
-  void count(TableBuilder& kernel, std::size_t fanout) {
+  /// Counts every table through one build() each.
+  void count(TableBuilder& kernel) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (fanout == 1) {
-        for (const TableJob& job : jobs[g]) kernel.build(contexts[g], job);
-      } else {
-        kernel.build_batch(contexts[g], jobs[g]);
-      }
+      for (const TableJob& job : jobs[g]) kernel.build(contexts[g], job);
     }
   }
 };
 
+/// Times the serial kernel over `groups` clamped to the scalar tier and
+/// at the active tier, and adds one row for each.
 void add_kernel_rows(TablePrinter& table, const std::string& label,
                      const DiscreteDataset& data,
                      const std::vector<Group>& groups, std::int32_t depth,
-                     std::size_t fanout, double min_total) {
+                     double min_total) {
   Workset work(data, groups);
+  const std::unique_ptr<TableBuilder> kernel = make_serial_table_builder();
+  const std::vector<double> best = best_seconds(
+      {[&] {
+         const ScopedSimdTierOverride scalar(SimdTier::kScalar);
+         work.count(*kernel);
+       },
+       [&] { work.count(*kernel); }},
+      min_total);
+  const std::string tiers[] = {"scalar",
+                               std::string(to_string(active_simd_tier()))};
   const auto samples = static_cast<double>(data.num_samples());
-  const std::vector<std::string> names{"batched", "scalar", "simd"};
-  std::vector<std::unique_ptr<TableBuilder>> kernels;
-  std::vector<std::function<void()>> fns;
-  for (const std::string& name : names) {
-    kernels.push_back(make_table_builder(name));
-    fns.emplace_back([&work, &kernel = *kernels.back(), fanout] {
-      work.count(kernel, fanout);
-    });
-  }
-  const std::vector<double> best = best_seconds(fns, min_total);
-  const double batched_seconds = best[0];
-  for (std::size_t k = 0; k < names.size(); ++k) {
-    const std::string& name = names[k];
-    const double seconds = best[k];
-    const auto tables = static_cast<double>(work.tables);
-    table.add_row({label, name, std::to_string(depth),
-                   std::to_string(data.num_samples()), std::to_string(fanout),
-                   TablePrinter::num(seconds * 1e3, 3),
-                   TablePrinter::num(seconds / tables * 1e6, 2),
-                   TablePrinter::num(samples * tables / seconds / 1e6, 1),
-                   name == "scalar" ? std::string("-")
-                                    : TablePrinter::num(
-                                          batched_seconds / seconds, 2)});
+  const auto tables = static_cast<double>(work.tables);
+  for (std::size_t k = 0; k < best.size(); ++k) {
+    table.add_row({label, tiers[k], std::to_string(depth),
+                   std::to_string(data.num_samples()),
+                   TablePrinter::num(best[k] * 1e3, 3),
+                   TablePrinter::num(best[k] / tables * 1e6, 2),
+                   TablePrinter::num(samples * tables / best[k] / 1e6, 1),
+                   k == 0 ? std::string("-")
+                          : TablePrinter::num(best[0] / best[k], 2)});
   }
 }
 
@@ -287,9 +275,9 @@ void add_split_rows(TablePrinter& table, const DiscreteDataset& data,
 
 int main(int argc, char** argv) {
   ArgParser args("bench_table_builder",
-                 "TableBuilder kernels, single tables and same-shape runs, "
-                 "on uniform and munin1-analog columns: scalar vs batched "
-                 "vs SIMD");
+                 "the serial TableBuilder kernel, one table per build(), on "
+                 "uniform and munin1-analog columns: scalar vs active SIMD "
+                 "tier");
   args.add_flag("samples", "samples in the synthetic uniform data set",
                 "2000000");
   args.add_flag("munin-samples", "forward samples of the munin1 analog",
@@ -302,18 +290,15 @@ int main(int argc, char** argv) {
               std::string(to_string(detected_simd_tier())).c_str(),
               std::string(to_string(active_simd_tier())).c_str());
 
-  TablePrinter table({"data", "kernel", "depth", "samples", "fanout",
-                      "best(ms)", "us/table", "Msamples*tables/s",
-                      "vs batched"});
+  TablePrinter table({"data", "tier", "depth", "samples", "best(ms)",
+                      "us/table", "Msamples*tables/s", "vs scalar tier"});
 
   const DiscreteDataset uniform = synthetic_dataset(args.get_int("samples"));
-  for (const std::size_t fanout : {std::size_t{1}, std::size_t{8}}) {
-    for (std::int32_t depth = fanout == 1 ? 0 : 1; depth <= 3; ++depth) {
-      const std::vector<Group> groups{
-          Group{0, 1, shape_run_sets(kNumVars, depth, fanout)}};
-      add_kernel_rows(table, "uniform3", uniform, groups, depth, fanout,
-                      min_total);
-    }
+  for (std::int32_t depth = 0; depth <= 3; ++depth) {
+    Rng rng(static_cast<std::uint64_t>(depth));
+    const std::vector<Group> groups{
+        Group{0, 1, random_sets(uniform, 0, 1, depth, 1, rng)}};
+    add_kernel_rows(table, "uniform3", uniform, groups, depth, min_total);
   }
 
   const Workload munin = make_workload(
@@ -321,20 +306,16 @@ int main(int argc, char** argv) {
   const DiscreteDataset& data = munin.data.discrete();
   const std::vector<std::pair<VarId, VarId>> edges =
       munin.network.dag().edges();
-  for (const std::size_t fanout : {std::size_t{1}, std::size_t{8}}) {
-    for (std::int32_t depth = fanout == 1 ? 0 : 1; depth <= 3; ++depth) {
-      Rng rng(1000 + static_cast<std::uint64_t>(depth));
-      std::vector<Group> groups;
-      for (std::size_t g = 0; g < kMuninGroups; ++g) {
-        const auto& [from, to] = edges[g * edges.size() / kMuninGroups];
-        const VarId x = std::min(from, to);
-        const VarId y = std::max(from, to);
-        groups.push_back(
-            Group{x, y, random_sets(data, x, y, depth, fanout, rng)});
-      }
-      add_kernel_rows(table, "munin1", data, groups, depth, fanout,
-                      min_total);
+  for (std::int32_t depth = 0; depth <= 3; ++depth) {
+    Rng rng(1000 + static_cast<std::uint64_t>(depth));
+    std::vector<Group> groups;
+    for (std::size_t g = 0; g < kMuninGroups; ++g) {
+      const auto& [from, to] = edges[g * edges.size() / kMuninGroups];
+      const VarId x = std::min(from, to);
+      const VarId y = std::max(from, to);
+      groups.push_back(Group{x, y, random_sets(data, x, y, depth, 1, rng)});
     }
+    add_kernel_rows(table, "munin1", data, groups, depth, min_total);
   }
 
   ScratchArena arena;
@@ -347,17 +328,16 @@ int main(int argc, char** argv) {
       }},
       min_total)[0];
   table.add_row({"munin1", "endpoint codes", "-",
-                 std::to_string(data.num_samples()), "-",
+                 std::to_string(data.num_samples()),
                  TablePrinter::num(codes_seconds * 1e3, 3),
                  TablePrinter::num(codes_seconds / kMuninGroups * 1e6, 2),
                  "-", "-"});
 
-  emit_table("TableBuilder kernels: single tables and same-shape runs",
+  emit_table("Serial TableBuilder kernel: scalar vs active SIMD tier",
              "table_builder", table);
   std::printf(
-      "\nShape check: simd >= 1.5x batched at depth >= 2 in the fanout-8 "
-      "rows on AVX2\nhardware (the acceptance bar of the SIMD counting data "
-      "path).\n");
+      "\nShape check: about 1.0x at depths 0 and 1 (scalar pass on every "
+      "tier);\nabove 1x at depths 2 and 3 on a vector tier.\n");
 
   TablePrinter split({"data", "depth", "cells", "tables", "samples",
                       "split us/table", "one copy us/table",
@@ -367,8 +347,8 @@ int main(int argc, char** argv) {
              "table_builder_split", split);
   std::printf(
       "\nShape check: split / one copy < 1 at depths 0 and 1 (all within "
-      "kSplitCells = %zu\ncells, the tables count_single_scalar splits); "
-      "about 1, within noise, deeper.\n",
+      "kSplitCells = %zu\ncells, the tables the scalar pass splits); about "
+      "1, within noise, deeper.\n",
       table_detail::kSplitCells);
   return 0;
 }

@@ -18,7 +18,6 @@
 #include "graph/graphviz.hpp"
 #include "pc/pc_stable.hpp"
 #include "stats/ci_test_factory.hpp"
-#include "stats/table_builder.hpp"
 
 namespace {
 
@@ -68,10 +67,6 @@ int main(int argc, char** argv) {
                 "");
   args.add_flag("engine", engine_help(), "ci");
   args.add_flag("ci-test", ci_test_help(), "auto");
-  args.add_flag("builder",
-                "table-counting kernel (auto/simd/batched/scalar; auto = "
-                "runtime CPU dispatch)",
-                "auto");
   args.add_flag("threads", "worker threads (0 = all)", "0");
   args.add_flag("gs", "work-pool group size", "6");
   args.add_flag("ranks",
@@ -119,9 +114,6 @@ int main(int argc, char** argv) {
   PcOptions options;
   try {
     options.engine = engine_from_string(args.get("engine"));
-    options.table_builder = args.get("builder");
-    // Fail fast with the known-kernels message, like --engine does.
-    (void)make_table_builder(options.table_builder);
     // A malformed or out-of-range number ("abc", "2x", "4294967298")
     // throws naming flag and value.
     options.num_threads = args.get_int32("threads");

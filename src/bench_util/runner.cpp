@@ -73,7 +73,6 @@ EngineRunResult run_skeleton(const Workload& workload,
   request.max_cells = config.max_table_cells;
   request.use_row_major = config.row_major;
   request.sample_parallel = engine->wants_sample_parallel_test();
-  request.table_builder = config.table_builder;
   request.covariance_builder = config.covariance_builder;
   // Mirror learn_structure: the process engine's ranks stream the
   // dataset out of one MAP_SHARED segment, so the bench measures the same

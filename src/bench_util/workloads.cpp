@@ -58,35 +58,4 @@ std::vector<int> thread_grid(BenchScale scale) {
   return {1, 2, 4, 8};
 }
 
-std::vector<std::vector<VarId>> shape_run_sets(VarId num_vars,
-                                               std::int32_t depth,
-                                               std::size_t fanout,
-                                               VarId first_var) {
-  const auto pool = static_cast<std::size_t>(num_vars - first_var);
-  std::vector<std::vector<VarId>> sets;
-  for (std::size_t j = 0; j < fanout; ++j) {
-    std::vector<VarId> z;
-    // Rotate through the pool with a per-set offset so consecutive sets
-    // overlap partially — the cache-sharing pattern of one endpoint
-    // group's real conditioning sets.
-    for (std::int32_t i = 0; i < depth; ++i) {
-      const auto candidate = static_cast<VarId>(
-          first_var +
-          (j + static_cast<std::size_t>(i) * 3) % pool);
-      if (std::find(z.begin(), z.end(), candidate) == z.end()) {
-        z.push_back(candidate);
-      }
-    }
-    // Collisions in the rotation leave gaps; fill with the lowest free
-    // variables so every set has exactly `depth` members.
-    for (VarId v = first_var;
-         static_cast<std::int32_t>(z.size()) < depth && v < num_vars; ++v) {
-      if (std::find(z.begin(), z.end(), v) == z.end()) z.push_back(v);
-    }
-    std::sort(z.begin(), z.end());
-    sets.push_back(std::move(z));
-  }
-  return sets;
-}
-
 }  // namespace fastbns

@@ -45,14 +45,4 @@ enum class BenchScale { kSmall, kPaper };
 /// heavy oversubscription noise.
 [[nodiscard]] std::vector<int> thread_grid(BenchScale scale);
 
-/// `fanout` conditioning sets of size `depth`, drawn deterministically
-/// from variables [first_var, num_vars). The TableBuilder kernel benches
-/// (bench_table_builder, bench_micro's shape-run case) share this so
-/// they measure the same same-shape workload; sets repeat once fanout
-/// exhausts the distinct combinations, which is exactly what a shape run
-/// wants. Requires num_vars - first_var >= depth.
-[[nodiscard]] std::vector<std::vector<VarId>> shape_run_sets(
-    VarId num_vars, std::int32_t depth, std::size_t fanout,
-    VarId first_var = 2);
-
 }  // namespace fastbns

@@ -52,22 +52,4 @@ bool next_combination(std::int32_t p, std::span<std::int32_t> combination) noexc
   return true;
 }
 
-CombinationEnumerator::CombinationEnumerator(std::int32_t p, std::int32_t q) noexcept
-    : p_(p), q_(q), total_(binomial(p, q)), rank_(total_), current_(q) {}
-
-void CombinationEnumerator::seek(std::uint64_t rank) noexcept {
-  assert(rank < total_);
-  rank_ = rank;
-  unrank_combination(p_, q_, rank, current_);
-}
-
-void CombinationEnumerator::advance() noexcept {
-  if (done()) return;
-  ++rank_;
-  if (!done()) {
-    [[maybe_unused]] const bool ok = next_combination(p_, current_);
-    assert(ok);
-  }
-}
-
 }  // namespace fastbns

@@ -1,5 +1,5 @@
 // Lexicographic combination unranking (Buckles & Lybanon, ACM TOMS
-// Algorithm 515) and a streaming enumerator.
+// Algorithm 515), ranking and successor.
 //
 // This is the paper's "generating conditioning sets on-the-fly" machinery
 // (Section IV-C): the dynamic work pool stores only (edge, progress r);
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "combinatorics/binomial.hpp"
 
@@ -31,38 +30,5 @@ void unrank_combination(std::int32_t p, std::int32_t q, std::uint64_t rank,
 /// lexicographic successor. Returns false when the input was the last
 /// combination (in which case the contents are unspecified).
 bool next_combination(std::int32_t p, std::span<std::int32_t> combination) noexcept;
-
-/// Streaming enumerator over q-combinations of {0..p-1} starting at an
-/// arbitrary rank. A skeleton engine seeks once per work-pool group (one
-/// unranking) and then advances with O(1) amortized `next_combination`
-/// steps for the remaining gs-1 sets of the group.
-class CombinationEnumerator {
- public:
-  CombinationEnumerator(std::int32_t p, std::int32_t q) noexcept;
-
-  /// Total number of combinations, saturating.
-  [[nodiscard]] std::uint64_t size() const noexcept { return total_; }
-
-  /// Positions the cursor at `rank`; requires rank < size().
-  void seek(std::uint64_t rank) noexcept;
-
-  /// Current combination (ascending); valid after seek() while !done().
-  [[nodiscard]] std::span<const std::int32_t> current() const noexcept {
-    return current_;
-  }
-
-  [[nodiscard]] std::uint64_t rank() const noexcept { return rank_; }
-  [[nodiscard]] bool done() const noexcept { return rank_ >= total_; }
-
-  /// Moves to the next combination; sets done() past the end.
-  void advance() noexcept;
-
- private:
-  std::int32_t p_;
-  std::int32_t q_;
-  std::uint64_t total_;
-  std::uint64_t rank_;
-  std::vector<std::int32_t> current_;
-};
 
 }  // namespace fastbns

@@ -1,6 +1,7 @@
 #include "dataset/dataset_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -52,6 +53,7 @@ bool parse_byte_cell(const std::string& cell, int& value) {
 }
 
 /// Any finite floating-point number. `value` receives the parse.
+/// std::stod also reads "nan" and "inf", which are not data.
 bool parse_double_cell(const std::string& cell, double& value) {
   if (cell.empty()) return false;
   std::size_t consumed = 0;
@@ -60,7 +62,18 @@ bool parse_double_cell(const std::string& cell, double& value) {
   } catch (const std::exception&) {
     return false;
   }
-  return consumed == cell.size();
+  return consumed == cell.size() && std::isfinite(value);
+}
+
+/// A loader's parse error naming the cell as written, its 1-based data
+/// row, its column header and the file.
+std::runtime_error bad_cell(const char* loader, const std::string& path,
+                            const std::vector<std::string>& names,
+                            const std::string& cell, Count row, VarId v,
+                            const char* expected) {
+  return std::runtime_error(std::string(loader) + ": cell \"" + cell +
+                            "\" (row " + std::to_string(row) + ", column " +
+                            names[v] + ") in " + path + " is " + expected);
 }
 
 }  // namespace
@@ -112,17 +125,20 @@ NamedDataset load_csv(const std::string& path, DataLayout layout,
   if (num_vars == 0) throw std::runtime_error("load_csv: no columns in " + path);
 
   std::vector<std::vector<DataValue>> samples;
+  Count row_index = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
+    ++row_index;
     const std::vector<std::string> cells = split_csv_line(line);
     if (static_cast<VarId>(cells.size()) != num_vars) {
       throw std::runtime_error("load_csv: ragged row in " + path);
     }
     std::vector<DataValue> row(static_cast<std::size_t>(num_vars));
     for (VarId v = 0; v < num_vars; ++v) {
-      const int parsed = std::stoi(cells[v]);
-      if (parsed < 0 || parsed > 255) {
-        throw std::runtime_error("load_csv: value out of byte range in " + path);
+      int parsed = 0;
+      if (!parse_byte_cell(cells[v], parsed)) {
+        throw bad_cell("load_csv", path, names, cells[v], row_index, v,
+                       "not an integer in [0, 255]");
       }
       row[v] = static_cast<DataValue>(parsed);
     }
@@ -188,12 +204,8 @@ NamedData load_csv_auto(const std::string& path, DataLayout layout) {
         continue;
       }
       if (!parse_double_cell(cells[v], numeric)) {
-        throw std::runtime_error(
-            "load_csv_auto: cell \"" + cells[v] + "\" (row " +
-            std::to_string(row_index) + ", column " +
-            (static_cast<std::size_t>(v) < names.size() ? names[v]
-                                                        : std::to_string(v)) +
-            ") in " + path + " is not numeric");
+        throw bad_cell("load_csv_auto", path, names, cells[v], row_index, v,
+                       "not numeric");
       }
       discrete = false;
       row[static_cast<std::size_t>(v)] = numeric;

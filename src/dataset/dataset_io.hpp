@@ -34,18 +34,19 @@ bool save_csv(const ContinuousDataset& data,
 
 /// Loads a CSV written by save_csv (or any integer CSV with a header).
 /// Cardinalities are inferred as max(value)+1 per column unless
-/// `cardinalities` is provided. Throws std::runtime_error on parse errors.
+/// `cardinalities` is provided. Throws std::runtime_error on parse errors,
+/// naming the first cell that is not an integer in [0, 255].
 [[nodiscard]] NamedDataset load_csv(
     const std::string& path, DataLayout layout = DataLayout::kColumnMajor,
     const std::vector<std::int32_t>& cardinalities = {});
 
 /// Auto-detecting loader: when every cell parses as an integer in byte
 /// range the file loads as a discrete dataset (identical to load_csv);
-/// when every cell parses as a floating-point number it loads as a
+/// when every cell parses as a finite floating-point number it loads as a
 /// continuous one (any fractional value, exponent, or integer outside
 /// [0, 255] switches the whole file to continuous — columns are never
 /// mixed-kind). Throws std::runtime_error naming the first
-/// non-numeric cell otherwise.
+/// non-numeric cell otherwise ("nan" and "inf" included).
 [[nodiscard]] NamedData load_csv_auto(
     const std::string& path, DataLayout layout = DataLayout::kColumnMajor);
 

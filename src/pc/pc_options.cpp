@@ -7,7 +7,6 @@
 #include "fault/fault_schedule.hpp"
 #include "ipc/transport.hpp"
 #include "stats/ci_test_factory.hpp"
-#include "stats/table_builder.hpp"
 
 namespace fastbns {
 
@@ -91,18 +90,13 @@ void PcOptions::validate() const {
   if (!fault_schedule.empty()) (void)FaultSchedule::parse(fault_schedule);
   // Resolve the transport name, throwing its known-names message (with
   // the offending value) for anything unknown — same contract as engines
-  // and table builders.
+  // and CI tests.
   (void)resolve_transport_name(ipc_transport);
-  const std::vector<std::string> builders = list_table_builders();
-  if (std::find(builders.begin(), builders.end(), table_builder) ==
-      builders.end()) {
-    std::string message = "PcOptions::table_builder \"" + table_builder +
-                          "\" is not a known kernel; known builders:";
-    for (const std::string& known : builders) {
-      message += ' ';
-      message += known;
-    }
-    throw std::invalid_argument(message);
+  if (table_builder != "auto") {
+    throw std::invalid_argument(
+        "PcOptions::table_builder \"" + table_builder +
+        "\" is not accepted: tables count through the one serial kernel "
+        "(\"auto\"); set FASTBNS_SIMD=off to force its scalar passes");
   }
   const std::vector<std::string> tests = list_ci_tests();
   if (std::find(tests.begin(), tests.end(), ci_test) == tests.end()) {

@@ -69,12 +69,9 @@ struct PcOptions {
   /// Forwarded to CiTestOptions::max_cells by learn_structure and the
   /// bench runner.
   std::size_t max_table_cells = std::size_t{1} << 24;
-  /// TableBuilder kernel the CI test counts through — any
-  /// list_table_builders() name ("auto" picks the SIMD kernel when the
-  /// runtime CPU dispatch supports it, the batched scalar kernel
-  /// otherwise). Forwarded to CiTestOptions::table_builder by
-  /// learn_structure and the bench runner, exactly like engines are
-  /// selected by registry name.
+  /// Benchmark stub: perfbench copies it into its CiTestRequest.
+  /// validate() accepts only "auto"; tables always count through the
+  /// serial kernel, and FASTBNS_SIMD=off forces its scalar passes.
   std::string table_builder = "auto";
   /// Statistic the learn_structure() wrappers construct — any
   /// list_ci_tests() name: "auto" matches the dataset kind (discrete
@@ -136,7 +133,7 @@ struct PcOptions {
   /// against kMaxThreads, rank_count x rank_threads <= kMaxThreads when
   /// both are set (the degrade rung runs every rank's threads in one
   /// process), ipc_transport a known transport (auto/pipe),
-  /// table_builder a known kernel name, ci_test a known statistic name
+  /// table_builder "auto", ci_test a known statistic name
   /// (auto/discrete/gaussian/oracle), and max_table_cells
   /// >= 4 (a smaller cap cannot hold even the 2x2 marginal table of two
   /// binary variables, so every test would be skipped and no edge ever

@@ -41,7 +41,6 @@ PcStableResult learn_structure(const Dataset& data, const PcOptions& options,
   request.ci_test = options.ci_test;
   request.alpha = options.alpha;
   request.max_cells = options.max_table_cells;
-  request.table_builder = options.table_builder;
   request.sample_parallel = engine.wants_sample_parallel_test();
   // The multi-process engine forks worker ranks; mount the dataset in a
   // MAP_SHARED segment first so every rank streams the same physical

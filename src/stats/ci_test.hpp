@@ -37,14 +37,11 @@ class CiTest {
   virtual void begin_group(VarId x, VarId y);
   virtual CiResult test_in_group(std::span<const VarId> z);
 
-  /// Batch entry of the group protocol: runs the current group's test for
-  /// each of the `results.size()` conditioning sets packed into
-  /// `flat_sets` (each `depth` ascending ids), writing one CiResult per
-  /// set. Semantically identical to calling test_in_group once per set in
-  /// packing order; implementations may build the counts of the whole
-  /// batch together (the batched TableBuilder kernel). Default loops
-  /// test_in_group. No engine calls it; perfbench's count_frac replay
-  /// and the kernel tests do.
+  /// Runs the current group's test for each of the `results.size()`
+  /// conditioning sets packed into `flat_sets` (each `depth` ascending
+  /// ids) by calling test_in_group once per set in packing order. Kept
+  /// only for perfbench, whose count_frac replay calls it and whose
+  /// TracingCiTest overrides it; no engine calls it.
   virtual void test_batch_in_group(std::span<const VarId> flat_sets,
                                    std::int32_t depth,
                                    std::span<CiResult> results);
@@ -81,9 +78,9 @@ class CiTest {
     return 0;
   }
 
-  /// Name of the TableBuilder kernel batched counting goes through
-  /// ("simd", "batched", ...), for reports. Tests that build no
-  /// contingency tables — the oracle, the Fisher-z test — report "n/a".
+  /// Name of the TableBuilder kernel serial counting goes through
+  /// ("serial"), for reports. Tests that build no contingency tables —
+  /// the oracle, the Fisher-z test — report "n/a".
   [[nodiscard]] virtual std::string_view table_builder_name() const noexcept {
     return "n/a";
   }
@@ -93,11 +90,11 @@ class CiTest {
   /// prototype's (address, dynamic type, token): the address alone cannot
   /// distinguish a *reconfigured* prototype at a recycled address from
   /// the previous run's, so implementations must fold every clone-visible
-  /// knob (data source, statistic options, builder selection, runtime
-  /// retargets) into this value. The default 0 is for tests with no
-  /// configuration beyond their dynamic type and constructor inputs —
-  /// such tests should still fold those inputs in (see the d-separation
-  /// oracle hashing its DAG pointer).
+  /// knob (data source, statistic options, runtime retargets) into this
+  /// value. The default 0 is for tests with no configuration beyond their
+  /// dynamic type and constructor inputs — such tests should still fold
+  /// those inputs in (see the d-separation oracle hashing its DAG
+  /// pointer).
   [[nodiscard]] virtual std::uint64_t config_token() const noexcept {
     return 0;
   }

@@ -66,7 +66,6 @@ std::unique_ptr<CiTest> make_ci_test(const Dataset& data,
     CiTestOptions options;
     options.alpha = request.alpha;
     options.max_cells = request.max_cells;
-    options.table_builder = request.table_builder;
     options.use_row_major = request.use_row_major;
     options.sample_parallel = request.sample_parallel;
     return std::make_unique<DiscreteCiTest>(data.discrete(), options);

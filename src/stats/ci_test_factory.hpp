@@ -26,6 +26,7 @@ struct CiTestRequest {
   double alpha = 0.05;
   // Discrete (G^2) knobs — CiTestOptions mirrors.
   std::size_t max_cells = std::size_t{1} << 24;
+  /// Benchmark stub: perfbench sets it. Nothing reads it.
   std::string table_builder = "auto";
   bool use_row_major = false;
   bool sample_parallel = false;

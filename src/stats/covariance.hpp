@@ -9,7 +9,7 @@
 // counting pass, the CorrelationMatrix is the sufficient statistic, and
 // the statistic layer (gaussian_ci_test.cpp) never touches raw data.
 //
-// Two builders, mirroring the scalar/batched TableBuilder split:
+// Two builders:
 //  * "scalar": one pair at a time, straight accumulation loop — the
 //    obviously-correct baseline the blocked variant is tested against;
 //  * "blocked": 8-column tiles over 2,048-sample blocks, with OpenMP

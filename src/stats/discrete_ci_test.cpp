@@ -22,7 +22,7 @@ DiscreteCiTest::DiscreteCiTest(const DiscreteDataset& data, CiTestOptions option
     : data_(&data),
       options_(std::move(options)),
       sample_parallel_build_(options_.sample_parallel),
-      main_builder_(make_table_builder(options_.table_builder)),
+      serial_builder_(make_serial_table_builder()),
       sample_builder_(make_sample_parallel_table_builder()) {
   if (options_.use_row_major || options_.sample_parallel) {
     if (!data.has_row_major() && options_.use_row_major) {
@@ -59,11 +59,11 @@ void DiscreteCiTest::refresh_context(VarId x, VarId y) {
 }
 
 TableBuilder& DiscreteCiTest::active_builder() const noexcept {
-  return sample_parallel_build_ ? *sample_builder_ : *main_builder_;
+  return sample_parallel_build_ ? *sample_builder_ : *serial_builder_;
 }
 
 std::string_view DiscreteCiTest::table_builder_name() const noexcept {
-  return main_builder_->name();
+  return serial_builder_->name();
 }
 
 std::uint64_t DiscreteCiTest::config_token() const noexcept {
@@ -89,9 +89,6 @@ std::uint64_t DiscreteCiTest::config_token() const noexcept {
   mix(static_cast<std::uint64_t>(options_.use_row_major));
   mix(static_cast<std::uint64_t>(options_.sample_parallel));
   mix(static_cast<std::uint64_t>(sample_parallel_build_));
-  for (const char c : options_.table_builder) {
-    mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-  }
   return hash;
 }
 
@@ -198,62 +195,6 @@ CiResult DiscreteCiTest::test_in_group(std::span<const VarId> z) {
   active_builder().build(context_, TableJob{z, cz_total, cells_});
   ++tests_performed_;
   return evaluate(cells_, cz_total);
-}
-
-void DiscreteCiTest::test_batch_in_group(std::span<const VarId> flat_sets,
-                                         std::int32_t depth,
-                                         std::span<CiResult> results) {
-  assert(group_x_ != kInvalidVar && group_y_ != kInvalidVar);
-  const auto d = static_cast<std::size_t>(depth);
-  const std::size_t count = results.size();
-  assert(flat_sets.size() == count * d);
-
-  // Pass 1: admit every table within the cell cap; oversized sets get
-  // the conservative result and no build job.
-  batch_jobs_.clear();
-  batch_slots_.clear();
-  const auto xy_cells =
-      static_cast<std::size_t>(cx_) * static_cast<std::size_t>(cy_);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::span<const VarId> z = flat_sets.subspan(i * d, d);
-    const std::size_t cz_total = conditioning_cells(group_x_, group_y_, z);
-    if (cz_total == 0) {
-      results[i] = oversized_result();
-      continue;
-    }
-    batch_jobs_.push_back(TableJob{z, cz_total, {}});
-    batch_slots_.push_back(i);
-  }
-  tests_performed_ += static_cast<std::int64_t>(count);
-
-  // Pass 2: build in arena chunks no larger than the per-test cell cap,
-  // so batching never multiplies the memory bound max_cells documents (a
-  // single admissible table is within the cap by construction).
-  std::size_t j0 = 0;
-  while (j0 < batch_jobs_.size()) {
-    std::size_t j1 = j0;
-    std::size_t arena = 0;
-    while (j1 < batch_jobs_.size()) {
-      const std::size_t size = xy_cells * batch_jobs_[j1].cz_total;
-      if (j1 > j0 && arena + size > options_.max_cells) break;
-      arena += size;
-      ++j1;
-    }
-    const std::span<Count> batch_cells = scratch_.cells(arena);
-    std::size_t offset = 0;
-    for (std::size_t j = j0; j < j1; ++j) {
-      const std::size_t size = xy_cells * batch_jobs_[j].cz_total;
-      batch_jobs_[j].cells = batch_cells.subspan(offset, size);
-      offset += size;
-    }
-    const std::span<TableJob> chunk(batch_jobs_.data() + j0, j1 - j0);
-    main_builder_->build_batch(context_, chunk);
-    for (std::size_t j = j0; j < j1; ++j) {
-      results[batch_slots_[j]] =
-          evaluate(batch_jobs_[j].cells, batch_jobs_[j].cz_total);
-    }
-    j0 = j1;
-  }
 }
 
 std::unique_ptr<CiTest> DiscreteCiTest::clone() const {

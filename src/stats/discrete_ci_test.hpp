@@ -2,17 +2,14 @@
 // paper's test).
 //
 // The class is a thin statistic layer: it owns the endpoint codes, the
-// marginals and the G^2 evaluation, while the counting pass
-// that fills N_xyz lives behind the pluggable TableBuilder kernel
-// (stats/table_builder.hpp). The paper's data-path optimizations map onto
-// that split:
+// marginals and the G^2 evaluation, while the counting pass that fills
+// N_xyz lives behind a TableBuilder kernel (stats/table_builder.hpp). The
+// paper's data-path optimizations map onto that split:
 //  * column-major streaming of exactly the |S|+2 variables a test touches
 //    (cache-friendly storage, Section IV-C) — with an opt-in row-major
 //    path so benches can ablate the layout choice;
 //  * group protocol reusing the combined (X, Y) value codes across the gs
-//    tests of a work-pool group (Section IV-B, "reuse Vi and Vj"), plus a
-//    batch entry that counts several of a group's tables in one shared
-//    pass (the batched kernel);
+//    tests of a work-pool group (Section IV-B, "reuse Vi and Vj");
 //  * workspace reuse: one allocation-free contingency buffer per test
 //    instance (engines clone one instance per thread);
 //  * an optional sample-parallel build (OpenMP + atomics), which exists to
@@ -21,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "dataset/discrete_dataset.hpp"
@@ -42,12 +38,6 @@ struct CiTestOptions {
   /// the sample-level granularity of Section IV-A. Engines can switch
   /// this at runtime through set_sample_parallel().
   bool sample_parallel = false;
-  /// TableBuilder kernel serial builds and the batch entry go through —
-  /// any list_table_builders() name. "auto" resolves through the runtime
-  /// CPU dispatch: the SIMD kernel when a vectorized tier is active, the
-  /// batched scalar kernel otherwise. The constructor throws
-  /// std::invalid_argument for unknown names.
-  std::string table_builder = "auto";
 };
 
 class DiscreteCiTest final : public CiTest {
@@ -58,12 +48,6 @@ class DiscreteCiTest final : public CiTest {
   CiResult test(VarId x, VarId y, std::span<const VarId> z) override;
   void begin_group(VarId x, VarId y) override;
   CiResult test_in_group(std::span<const VarId> z) override;
-  /// Counts the batch's same-endpoint tables through the configured
-  /// kernel (same-shape tables share one pass over the samples; the SIMD
-  /// kernel additionally vectorizes the index composition of each pass).
-  void test_batch_in_group(std::span<const VarId> flat_sets,
-                           std::int32_t depth,
-                           std::span<CiResult> results) override;
   [[nodiscard]] std::unique_ptr<CiTest> clone() const override;
 
   /// Retargets single-table builds between the serial and the
@@ -76,8 +60,7 @@ class DiscreteCiTest final : public CiTest {
   [[nodiscard]] std::size_t table_cell_cap() const noexcept override {
     return options_.max_cells;
   }
-  /// Kernel the batch entry counts through ("simd", "batched", ...), for
-  /// cost-predicting engines and logs.
+  /// The serial kernel's name ("serial"), for reports.
   [[nodiscard]] std::string_view table_builder_name() const noexcept override;
 
   /// Folds every clone-visible knob — the dataset, the full
@@ -97,8 +80,8 @@ class DiscreteCiTest final : public CiTest {
   /// Recomputes the endpoint codes and the build context for (x, y)
   /// through the shared make_table_context helper.
   void refresh_context(VarId x, VarId y);
-  /// The kernel single-table builds go through: the configured main
-  /// builder, or sample-parallel when the option / runtime hint says so.
+  /// The kernel builds go through: the serial kernel, or sample-parallel
+  /// when the option / runtime hint says so.
   [[nodiscard]] TableBuilder& active_builder() const noexcept;
   [[nodiscard]] CiResult evaluate(std::span<const Count> cells,
                                   std::size_t cz_total) const;
@@ -115,21 +98,17 @@ class DiscreteCiTest final : public CiTest {
   /// Runtime mirror of options_.sample_parallel (set_sample_parallel).
   bool sample_parallel_build_ = false;
 
-  /// The configured kernel (options_.table_builder): serial single-table
-  /// builds and the batch entry both go through it.
-  std::unique_ptr<TableBuilder> main_builder_;
+  std::unique_ptr<TableBuilder> serial_builder_;
   std::unique_ptr<TableBuilder> sample_builder_;
 
   /// Per-instance scratch (instances are per-thread via clone()): the
-  /// endpoint-code buffers the build context points into, the batch cell
-  /// arena, and the SIMD kernel's index blocks all live here, so groups
-  /// stop reallocating on the hot path.
+  /// endpoint-code buffers the build context points into and the serial
+  /// kernel's index blocks live here, so groups stop reallocating on the
+  /// hot path.
   ScratchArena scratch_;
   /// Context of the current endpoint pair; spans point into scratch_.
   TableBuildContext context_;
   std::vector<Count> cells_;  ///< N_xyz, laid out [xy][zc]
-  std::vector<TableJob> batch_jobs_;
-  std::vector<std::size_t> batch_slots_;  ///< result index per batch job
   mutable std::vector<Count> margin_xz_;
   mutable std::vector<Count> margin_yz_;
   mutable std::vector<Count> margin_z_;

@@ -1,12 +1,12 @@
 // Reusable grow-only scratch buffers for the counting data path.
 //
 // Before this arena existed every endpoint group re-allocated its
-// xy-code buffers and every batched build its cell arena; the SIMD
-// kernel would have added per-run index blocks on top. One arena per
-// CiTest instance (engines clone one test per thread, so the arena is
-// per-thread by construction) keeps the high-water allocation alive
-// across groups and depths — the hot path stops touching the allocator
-// entirely after the first few groups.
+// xy-code buffers; the serial kernel's vector pass would have added
+// per-table index blocks on top. One arena per CiTest instance (engines
+// clone one test per thread, so the arena is per-thread by construction)
+// keeps the high-water allocation alive across groups and depths — the
+// hot path stops touching the allocator entirely after the first few
+// groups.
 //
 // Each named buffer has a single user at a time; a span is invalidated
 // by the next call for the *same* buffer (different buffers never
@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "common/types.hpp"
 
 namespace fastbns {
 
@@ -42,7 +40,7 @@ class ScratchArena {
     return buffer.first(n);
   }
 
-  /// Per-sample cell indices of one SIMD block (composed z+xy codes).
+  /// Per-sample cell indices of one vector block (composed z+xy codes).
   [[nodiscard]] std::span<std::uint32_t> cell_indices(std::size_t n) {
     return grow(cell_indices_, n);
   }
@@ -51,11 +49,6 @@ class ScratchArena {
   /// vector lanes and half the buffer traffic of the 32-bit block.
   [[nodiscard]] std::span<std::uint16_t> cell_indices16(std::size_t n) {
     return grow(cell_indices16_, n);
-  }
-
-  /// Contingency-cell arena for batched builds.
-  [[nodiscard]] std::span<Count> cells(std::size_t n) {
-    return grow(cells_, n);
   }
 
  private:
@@ -75,7 +68,6 @@ class ScratchArena {
   std::vector<std::uint8_t> xy_codes8_;
   std::vector<std::uint32_t> cell_indices_;
   std::vector<std::uint16_t> cell_indices16_;
-  std::vector<Count> cells_;
 };
 
 }  // namespace fastbns

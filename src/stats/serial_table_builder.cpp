@@ -1,22 +1,22 @@
-// The SIMD counting kernel: the batched kernel's shape-run structure
-// with the per-sample cell-index composition vectorized.
+// The serial counting kernel: one table per build(), the paper's
+// optimized sequential scan, with the per-sample cell-index composition
+// vectorized where the CPU allows.
 //
 // A contingency count is a scatter (++cells[idx]) and scatters do not
 // vectorize profitably on x86 without conflict detection — but the index
 // arithmetic feeding them does: idx = (((xy * c0 + z0) * c1 + z1) * ...)
 // is a Horner chain over byte-wide code columns, and AVX2 evaluates it
-// for 8 samples per instruction (SSE4.2 for 4). The kernel therefore
-// composes a block of indices vectorized, then retires the increments
-// scalar; on the shape-runs of one endpoint group the xy codes are
-// streamed once per block — as bytes whenever cx * cy <= 255, a quarter
-// of the int32 stream's bandwidth — and shared across the run's tables.
+// for 8 samples per instruction (SSE4.2 for 4). The vector pass
+// therefore composes a block of indices vectorized, then retires the
+// increments scalar, streaming the xy codes as bytes whenever
+// cx * cy <= 255 — a quarter of the int32 stream's bandwidth.
 //
-// Everything is compiled behind per-function target attributes so the
-// library builds without -mavx2 and dispatches at runtime
-// (stats/simd_dispatch.hpp). Any run the vector pass cannot take —
-// scalar dispatch tier, row-major context, marginal tables, cell counts
-// past 32-bit indexing — falls back to the batched scalar pass, so the
-// kernel is always total and bit-identical to the other builders.
+// The vector code is compiled behind per-function target attributes so
+// the library builds without -mavx2 and dispatches at runtime
+// (stats/simd_dispatch.hpp). Any table the vector pass cannot take —
+// scalar dispatch tier, row-major context, |z| <= 1, cell counts past
+// 32-bit indexing — goes through the scalar pass, so the kernel is
+// total and counts the same cells on every tier.
 #include <cstring>
 #include <limits>
 
@@ -35,12 +35,12 @@ namespace {
 using table_detail::ZPlan;
 
 /// Samples composed per pass; the uint32 index block (16 KiB) plus the
-/// packed code streams of one run stay L1-resident.
+/// packed code streams of one table stay L1-resident.
 constexpr std::size_t kBlockSamples = 4096;
 
-/// One job's flattened composition inputs: the shared xy codes (the
-/// stream the context carries) and the job's conditioning columns with
-/// their Horner multipliers.
+/// One table's flattened composition inputs: the xy codes (the stream
+/// the context carries) and the conditioning columns with their Horner
+/// multipliers.
 struct ComposeArgs {
   const std::int32_t* xy32 = nullptr;
   const std::uint8_t* xy8 = nullptr;  ///< non-null when cx * cy <= 255
@@ -50,7 +50,7 @@ struct ComposeArgs {
 };
 
 /// idx = ((xy * c0 + z0) * c1 + z1)... — the weight of xy works out to
-/// cz_total, so this is exactly the scalar kernels' xy * cz_total + zc.
+/// cz_total, so this is exactly the scalar pass's xy * cz_total + zc.
 inline std::uint32_t compose_one(const ComposeArgs& a, std::size_t s) {
   std::uint32_t acc = a.xy8 != nullptr
                           ? a.xy8[s]
@@ -203,66 +203,45 @@ Compose16Fn compose16_for(SimdTier tier) {
   return &compose16_scalar;
 }
 
-class SimdTableBuilder final : public TableBuilder {
+class SerialTableBuilder final : public TableBuilder {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "simd";
+    return "serial";
   }
 
   void build(const TableBuildContext& context, const TableJob& job) override {
-    // A run of one still wins: the index composition is vectorized even
-    // without tables to share the pass with.
-    TableJob single = job;
-    const std::size_t first = 0;
-    build_run(context, std::span<TableJob>(&single, 1),
-              std::span<const std::size_t>(&first, 1));
-  }
-
-  void build_batch(const TableBuildContext& context,
-                   std::span<TableJob> jobs) override {
-    table_detail::for_each_shape_run(
-        jobs, order_,
-        [&](std::span<const std::size_t> run) { build_run(context, jobs, run); });
-  }
-
- private:
-  void build_run(const TableBuildContext& context, std::span<TableJob> jobs,
-                 std::span<const std::size_t> run) {
     const SimdTier tier = active_simd_tier();
-    const TableJob& first = jobs[run.front()];
-    const std::size_t d = first.z.size();
+    const std::size_t d = job.z.size();
     const std::uint8_t* xy8 =
         context.xy_codes8.empty() ? nullptr : context.xy_codes8.data();
     // Tables within 65536 cells — virtually every BN table under the
     // default cell cap — take the half-width composition: twice the
     // lanes, half the index-buffer traffic.
-    const bool narrow = xy8 != nullptr && first.cells.size() <= 65536;
+    const bool narrow = xy8 != nullptr && job.cells.size() <= 65536;
     // Vectorization only pays past depth 1: a d=1 pass is a single
     // load-add per sample, and the index round-trip costs more than it
     // vectorizes away (measured in bench_table_builder: below 1.0x at
-    // d=1 before this fallback), so d<=1 runs take the scalar passes —
-    // a single small table the split loop (count_split). The committed
-    // BENCH_table_builder.json (4-vCPU x86-64, AVX2) shows this pass at
-    // 1.6x/3.9x the batched pass at d=2/3 on 8-table uniform runs, and
-    // 2.8x/3.9x the scalar pass on single munin1-analog tables.
+    // d=1), so d<=1 tables take the scalar pass — a small one the split
+    // loop (count_split). The committed BENCH_table_builder.json
+    // (4-vCPU x86-64, AVX2) shows the vector pass at 2.8x/3.9x the
+    // scalar tier on munin1-analog tables at d=2/3.
     const bool vectorizable =
         tier != SimdTier::kScalar && !context.row_major && d >= 2 &&
         (narrow ||
-         first.cells.size() <=
+         job.cells.size() <=
              static_cast<std::size_t>(
                  std::numeric_limits<std::int32_t>::max()));
     if (!vectorizable) {
-      table_detail::count_run_scalar(context, jobs, run, plans_);
+      table_detail::count_single_scalar(context, job);
       return;
     }
 
     const std::size_t m = table_detail::num_samples(context);
-    const std::size_t k = run.size();
-    plans_.clear();
-    for (const std::size_t j : run) {
-      std::fill(jobs[j].cells.begin(), jobs[j].cells.end(), Count{0});
-      plans_.emplace_back(context, jobs[j]);
-    }
+    std::fill(job.cells.begin(), job.cells.end(), Count{0});
+    const ZPlan plan(context, job);
+    const ComposeArgs args{context.xy_codes.data(), xy8, plan.cols.data(),
+                           plan.cards.data(), d};
+    Count* cells = job.cells.data();
 
     ScratchArena& arena =
         context.scratch != nullptr ? *context.scratch : fallback_arena_;
@@ -277,22 +256,17 @@ class SimdTableBuilder final : public TableBuilder {
 
     for (std::size_t s0 = 0; s0 < m; s0 += kBlockSamples) {
       const std::size_t count = std::min(kBlockSamples, m - s0);
-      for (std::size_t j = 0; j < k; ++j) {
-        const ComposeArgs args{context.xy_codes.data(), xy8,
-                               plans_[j].cols.data(), plans_[j].cards.data(),
-                               d};
-        Count* cells = jobs[run[j]].cells.data();
-        if (narrow) {
-          compose16(args, s0, count, idx16.data());
-          retire(cells, idx16.data(), count);
-        } else {
-          compose32(args, s0, count, idx32.data());
-          retire(cells, idx32.data(), count);
-        }
+      if (narrow) {
+        compose16(args, s0, count, idx16.data());
+        retire(cells, idx16.data(), count);
+      } else {
+        compose32(args, s0, count, idx32.data());
+        retire(cells, idx32.data(), count);
       }
     }
   }
 
+ private:
   template <typename Index>
   static void retire(Count* cells, const Index* idx, std::size_t count) {
     std::size_t i = 0;
@@ -305,15 +279,13 @@ class SimdTableBuilder final : public TableBuilder {
     for (; i < count; ++i) ++cells[idx[i]];
   }
 
-  std::vector<std::size_t> order_;
-  std::vector<ZPlan> plans_;
   ScratchArena fallback_arena_;
 };
 
 }  // namespace
 
-std::unique_ptr<TableBuilder> make_simd_table_builder() {
-  return std::make_unique<SimdTableBuilder>();
+std::unique_ptr<TableBuilder> make_serial_table_builder() {
+  return std::make_unique<SerialTableBuilder>();
 }
 
 }  // namespace fastbns

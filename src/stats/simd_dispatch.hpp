@@ -1,9 +1,10 @@
-// Runtime CPU dispatch for the SIMD counting data path.
+// Runtime CPU dispatch for the SIMD data paths.
 //
-// The SIMD table builder (stats/simd_table_builder.cpp) compiles its
-// AVX2 and SSE4.2 passes behind per-function target attributes, so the
-// library builds on any x86 toolchain without -mavx2 and still runs the
-// widest pass the *executing* CPU supports. This header is the single
+// The serial table builder (stats/serial_table_builder.cpp) compiles its
+// AVX2 and SSE4.2 passes, and the blocked covariance builder its AVX2
+// kernel, behind per-function target attributes, so the library builds
+// on any x86 toolchain without -mavx2 and still runs the widest pass the
+// *executing* CPU supports. This header is the single
 // source of that decision: a cached CPUID probe, clamped down by the
 // FASTBNS_SIMD environment variable ("off"/"scalar", "sse4.2", "avx2")
 // and by a programmatic override tests use to force the fallback tiers
@@ -18,7 +19,7 @@ namespace fastbns {
 
 /// Dispatch tiers, ordered: a higher tier implies every lower one.
 enum class SimdTier : std::uint8_t {
-  kScalar = 0,  ///< portable batched pass, no vector instructions
+  kScalar = 0,  ///< portable scalar passes, no vector instructions
   kSse42 = 1,   ///< 128-bit index composition (4 samples per op)
   kAvx2 = 2,    ///< 256-bit index composition (8 samples per op)
 };
@@ -28,7 +29,7 @@ enum class SimdTier : std::uint8_t {
 /// Highest tier the running CPU supports (CPUID, probed once).
 [[nodiscard]] SimdTier detected_simd_tier() noexcept;
 
-/// Tier the SIMD kernel dispatches to right now: the detected tier,
+/// Tier the SIMD data paths dispatch to right now: the detected tier,
 /// clamped down by FASTBNS_SIMD (read once per process) and by the
 /// current override. Never exceeds detected_simd_tier(), so the
 /// dispatcher cannot select instructions the CPU lacks.

@@ -2,24 +2,23 @@
 // the statistic computed on the finished counts.
 //
 // The paper's data-path speedups (sample-parallel builds of Section IV-A,
-// the cache-friendly column streaming of Section IV-C) and the batching
-// directions of the follow-on work (Scutari's bnlearn parallelisation,
-// arXiv:1406.7648) all live in *how* N_xyz is counted, never in the G^2
-// formula evaluated afterwards. A TableBuilder owns exactly that
-// counting pass; DiscreteCiTest is a thin statistic layer over a
-// pluggable builder.
+// the cache-friendly column streaming of Section IV-C) live in *how*
+// N_xyz is counted, never in the G^2 formula evaluated afterwards. A
+// TableBuilder owns exactly that counting pass, one table per build();
+// DiscreteCiTest is a thin statistic layer over it. There are two: the
+// serial kernel every engine counts through, and the sample-parallel
+// kernel of Figure 2.
 //
-// All builders are bit-identical in counts: a contingency table is a sum,
-// so every kernel must produce byte-equal cell buffers for the same job
-// (randomized tests pin this across shapes and cardinalities).
+// Both builders are bit-identical in counts: a contingency table is a
+// sum, so every kernel must produce byte-equal cell buffers for the same
+// job (randomized tests pin this across shapes, cardinalities and SIMD
+// dispatch tiers).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "dataset/discrete_dataset.hpp"
 #include "stats/scratch_arena.hpp"
@@ -83,56 +82,31 @@ class TableBuilder {
   /// Counts one table.
   virtual void build(const TableBuildContext& context, const TableJob& job) = 0;
 
-  /// Counts a batch of same-endpoint tables. The default loops build();
-  /// batching kernels override to share passes over the samples. Jobs may
-  /// be counted in any order (each owns its cells), but every job must be
-  /// complete on return.
-  virtual void build_batch(const TableBuildContext& context,
-                           std::span<TableJob> jobs);
+  /// Calls build() for each job in turn. Kept only for
+  /// perfbench/perfbench.cpp.
+  void build_batch(const TableBuildContext& context, std::span<TableJob> jobs);
 
   /// Always true and unused here; kept only for perfbench/perfbench.cpp.
   [[nodiscard]] bool wants_packed_xy() const noexcept { return true; }
 };
 
-/// Serial scan — the paper's optimized sequential kernel. One pass per
-/// table, streaming the |S| conditioning columns (or rows when the
-/// context says so).
-[[nodiscard]] std::unique_ptr<TableBuilder> make_scalar_table_builder();
+/// The serial kernel — the paper's optimized sequential scan, one pass
+/// per table over the |S| conditioning columns (or rows when the context
+/// says so). At the SSE4.2 and AVX2 dispatch tiers
+/// (stats/simd_dispatch.hpp) it composes the cell indices of column
+/// tables with |z| >= 2 vectorized; FASTBNS_SIMD=off and
+/// ScopedSimdTierOverride force its scalar passes. Every tier counts the
+/// same cells.
+[[nodiscard]] std::unique_ptr<TableBuilder> make_serial_table_builder();
 
 /// Sample-parallel scan (Section IV-A): all OpenMP threads fill one table
 /// with atomics. Exists to reproduce the paper's negative result; the
 /// sample-parallel engine counts through it.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_sample_parallel_table_builder();
 
-/// Batched kernel: groups the same-shape (cx, cy, cz) tables of one
-/// endpoint group and counts each shape-run in a single pass over the
-/// samples, reading the xy codes once and touching the overlapping
-/// conditioning columns while they are cache-hot. build() falls back to
-/// the scalar pass.
-[[nodiscard]] std::unique_ptr<TableBuilder> make_batched_table_builder();
-
-/// SIMD kernel: the batched kernel's shape-run pass with the per-sample
-/// cell-index composition vectorized — AVX2 composes the z+xy codes of 8
-/// samples per instruction, SSE4.2 of 4, selected at runtime per CPU
-/// (stats/simd_dispatch.hpp); the scatter increments stay scalar. Falls
-/// back to the batched scalar pass per run whenever vectorization does
-/// not apply (scalar dispatch tier, row-major context, marginal tables,
-/// cell counts past 32-bit indexing). Bit-identical to every other
-/// kernel.
-[[nodiscard]] std::unique_ptr<TableBuilder> make_simd_table_builder();
-
-/// Kernel factory by name — the counting-path analogue of the engine
-/// registry: "scalar", "batched", "simd", or "auto" (simd when the CPU
-/// dispatch tier is vectorized, batched otherwise). "sample-parallel" is
-/// rejected with an explanation: that kernel is switched on through
-/// CiTestOptions::sample_parallel (set_sample_parallel), and installing
-/// it as the main builder would nest OpenMP teams. Throws std::invalid_argument listing the
-/// valid names for anything unknown.
+/// Kept only for perfbench/perfbench.cpp: "auto" and "serial" return the
+/// serial kernel. Throws std::invalid_argument naming any other value.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_table_builder(
     std::string_view name);
-
-/// Selectable kernel names, sorted — the stable order CLI help and
-/// validation messages enumerate.
-[[nodiscard]] std::vector<std::string> list_table_builders();
 
 }  // namespace fastbns

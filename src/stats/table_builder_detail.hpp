@@ -1,16 +1,14 @@
-// Internals shared by the TableBuilder kernels: the scalar/batched
-// passes in table_builder.cpp and the vectorized pass in
-// simd_table_builder.cpp (a separate TU so its per-function target
-// attributes stay contained). Not part of the public API.
+// Internals shared by the TableBuilder kernels: the scalar and
+// sample-parallel passes in table_builder.cpp and the serial kernel's
+// vector pass in serial_table_builder.cpp (a separate TU so its
+// per-function target attributes stay contained). bench_table_builder
+// times the two single-table loops directly. Not part of the public API.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <numeric>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "stats/table_builder.hpp"
 
@@ -19,10 +17,6 @@ namespace fastbns::table_detail {
 /// Hard cap tied to the driver's depth limit; matches the fixed-size
 /// index buffers in edge_work.cpp.
 inline constexpr std::size_t kMaxDepth = 32;
-
-/// Tables counted per shared pass: bounds the live cell buffers and
-/// column streams so a pass stays inside the cache it exists for.
-inline constexpr std::size_t kMaxFanout = 8;
 
 /// Per-job access plan: conditioning column pointers (column-major) or
 /// variable ids (row-major) plus cardinalities, gathered once per build.
@@ -170,46 +164,5 @@ void with_cell_index(const TableBuildContext& context, const TableJob& job,
 /// cells, count_one_copy for larger ones.
 void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job);
-
-/// The batched kernel's shared pass over one same-shape run: zeroes
-/// every run member's cells, builds the plans into `plans_scratch`, and
-/// counts all tables of the run in a single pass over the samples
-/// (depth-specialized column paths for |z| in {1, 2}). Degenerates to
-/// per-table scalar scans for single-job and marginal runs.
-void count_run_scalar(const TableBuildContext& context,
-                      std::span<TableJob> jobs,
-                      std::span<const std::size_t> run,
-                      std::vector<ZPlan>& plans_scratch);
-
-/// Shape-run iteration shared by the batching kernels: stable-sorts job
-/// indices into `order` by (cz_total, |z|) — two conditioning sets of
-/// different size can multiply to the same cz_total, and a shared pass
-/// assumes one set size — then invokes `run_fn` once per run of at most
-/// kMaxFanout jobs.
-template <typename RunFn>
-void for_each_shape_run(std::span<TableJob> jobs,
-                        std::vector<std::size_t>& order, RunFn&& run_fn) {
-  const auto shape_key = [&jobs](std::size_t j) {
-    return std::make_pair(jobs[j].cz_total, jobs[j].z.size());
-  };
-  order.resize(jobs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&shape_key](std::size_t a, std::size_t b) {
-                     return shape_key(a) < shape_key(b);
-                   });
-
-  std::size_t start = 0;
-  while (start < order.size()) {
-    std::size_t end = start + 1;
-    while (end < order.size() &&
-           shape_key(order[end]) == shape_key(order[start]) &&
-           end - start < kMaxFanout) {
-      ++end;
-    }
-    run_fn(std::span<const std::size_t>(order.data() + start, end - start));
-    start = end;
-  }
-}
 
 }  // namespace fastbns::table_detail

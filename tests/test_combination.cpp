@@ -93,32 +93,6 @@ TEST_P(CombinationRoundTrip, NextCombinationMatchesUnranking) {
   }
 }
 
-TEST(CombinationEnumerator, SeekThenAdvanceCoversSuffix) {
-  CombinationEnumerator enumerator(7, 3);
-  ASSERT_EQ(enumerator.size(), binomial(7, 3));
-  enumerator.seek(10);
-  std::vector<std::int32_t> expected(3);
-  for (std::uint64_t r = 10; r < enumerator.size(); ++r) {
-    ASSERT_FALSE(enumerator.done());
-    unrank_combination(7, 3, r, expected);
-    EXPECT_EQ(std::vector<std::int32_t>(enumerator.current().begin(),
-                                        enumerator.current().end()),
-              expected);
-    enumerator.advance();
-  }
-  EXPECT_TRUE(enumerator.done());
-}
-
-TEST(CombinationEnumerator, DepthZeroHasOneEmptySet) {
-  CombinationEnumerator enumerator(5, 0);
-  EXPECT_EQ(enumerator.size(), 1u);
-  enumerator.seek(0);
-  EXPECT_FALSE(enumerator.done());
-  EXPECT_TRUE(enumerator.current().empty());
-  enumerator.advance();
-  EXPECT_TRUE(enumerator.done());
-}
-
 TEST(Combination, LargePoolUnrankIsConsistent) {
   // Spot-check a large pool: rank/unrank stays bijective without
   // enumerating everything.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace fastbns {
 namespace {
@@ -165,6 +166,52 @@ TEST_F(DatasetIoTest, AutoLoaderNamesTheOffendingCell) {
     EXPECT_NE(message.find("oops"), std::string::npos) << message;
     EXPECT_NE(message.find("row 2"), std::string::npos) << message;
     EXPECT_NE(message.find("column b"), std::string::npos) << message;
+  }
+}
+
+TEST_F(DatasetIoTest, AutoLoaderRejectsNonFiniteCells) {
+  // std::stod reads these; one such cell used to load as a NaN or
+  // infinite sample and silently change the learned structure.
+  for (const char* cell : {"nan", "inf", "-inf"}) {
+    std::ofstream out(path("auto_nonfinite.csv"));
+    out << "a,b\n0.5,1.25\n2.5," << cell << "\n";
+    out.close();
+    try {
+      (void)load_csv_auto(path("auto_nonfinite.csv"));
+      ADD_FAILURE() << "expected std::runtime_error for " << cell;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::string("\"") + cell + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("column b"), std::string::npos) << message;
+    }
+  }
+}
+
+TEST_F(DatasetIoTest, IntegerLoaderRejectsCellsThatAreNotBytes) {
+  // std::stoi used to read "1.5" as 1 and "2x" as 2, and let "abc"
+  // escape as std::invalid_argument. The cell sits mid-row so an empty
+  // one is a cell, not a short row.
+  for (const char* cell : {"1.5", "2x", "abc", "", "256", "-1"}) {
+    std::ofstream out(path("not_bytes.csv"));
+    out << "x,y,z\n0,1,0\n1," << cell << ",0\n";
+    out.close();
+    try {
+      (void)load_csv(path("not_bytes.csv"));
+      ADD_FAILURE() << "expected std::runtime_error for \"" << cell << '"';
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(std::string("\"") + cell + "\""),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("row 2"), std::string::npos) << message;
+      EXPECT_NE(message.find("column y"), std::string::npos) << message;
+    } catch (...) {
+      ADD_FAILURE() << "\"" << cell << "\" threw something other than "
+                    << "std::runtime_error";
+    }
   }
 }
 

@@ -196,33 +196,5 @@ TEST(DiscreteCiTest, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.test(0, 1, z).statistic, b.test(0, 1, z).statistic);
 }
 
-TEST(DiscreteCiTest, TableBuilderOptionSelectsTheKernel) {
-  const auto data = xor_dataset(750, 91);
-  const std::vector<VarId> z{2};
-  CiTestOptions scalar_options;
-  scalar_options.table_builder = "scalar";
-  DiscreteCiTest scalar_test(data, scalar_options);
-  EXPECT_EQ(scalar_test.table_builder_name(), "scalar");
-  const CiResult reference = scalar_test.test(0, 1, z);
-
-  for (const char* name : {"batched", "simd", "auto"}) {
-    CiTestOptions options;
-    options.table_builder = name;
-    DiscreteCiTest test(data, options);
-    EXPECT_FALSE(test.table_builder_name().empty());
-    const CiResult result = test.test(0, 1, z);
-    EXPECT_DOUBLE_EQ(result.statistic, reference.statistic) << name;
-    EXPECT_EQ(result.degrees_of_freedom, reference.degrees_of_freedom)
-        << name;
-    // clone() keeps the configured kernel.
-    EXPECT_EQ(test.clone()->table_builder_name(), test.table_builder_name())
-        << name;
-  }
-
-  CiTestOptions bad;
-  bad.table_builder = "gpu";
-  EXPECT_THROW(DiscreteCiTest(data, bad), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fastbns

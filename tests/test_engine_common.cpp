@@ -104,25 +104,6 @@ TEST(ThreadLocalTests, ReconfiguredPrototypeAtRecycledAddressRebuilds) {
   EXPECT_EQ(clone_alpha(cache.acquire(*slot, 1).front().get()), 0.2);
 }
 
-TEST(ThreadLocalTests, ChangedTableBuilderAtRecycledAddressRebuilds) {
-  const DiscreteDataset data = tiny_dataset();
-  // The learn_structure scenario from review: two calls whose prototypes
-  // differ only in the selected TableBuilder kernel, with the second
-  // constructed at the first's recycled address. Stale clones would
-  // silently keep counting through the previous kernel.
-  std::optional<DiscreteCiTest> slot;
-  CiTestOptions first_options;
-  first_options.table_builder = "scalar";
-  slot.emplace(data, first_options);
-  ThreadLocalTests cache;
-  EXPECT_EQ(cache.acquire(*slot, 1).front()->table_builder_name(), "scalar");
-
-  CiTestOptions second_options;
-  second_options.table_builder = "batched";
-  slot.emplace(data, second_options);
-  EXPECT_EQ(cache.acquire(*slot, 1).front()->table_builder_name(), "batched");
-}
-
 TEST(ThreadLocalTests, RuntimeSampleParallelRetargetIsCloneVisible) {
   const DiscreteDataset data = tiny_dataset();
   // set_sample_parallel is a clone-visible runtime knob (clones inherit

@@ -1,15 +1,17 @@
 // The cross-engine differential fuzz harness.
 //
-// "Result-identical" is the library's central claim, and with eight
-// registered engines times four counting kernels, hand-picked networks no
-// longer cover the combination space. This harness machine-checks the
-// claim at scale: a seeded loop of random DAG (random_network) →
-// forward-sampled dataset → every registered engine × every
-// list_table_builders() kernel, asserting the bit-identical skeleton
-// adjacency, separating sets and removal depths against the optimized
-// sequential reference. On a mismatch the failure message is a complete
-// reproducer: the seed, the engine pair (reference vs subject), the
-// builder and per-seed knobs (gs, ranks), and the first divergent edge.
+// "Result-identical" is the library's central claim, and with six
+// registered engines, each counting at the scalar and at the vector SIMD
+// tier, hand-picked networks no longer cover the combination space. This
+// harness machine-checks the claim at scale: a seeded loop of random DAG
+// (random_network) → forward-sampled dataset → every registered engine ×
+// both dispatch tiers (the active tier only, when it is already scalar),
+// asserting the bit-identical skeleton adjacency, separating sets and
+// removal depths against the optimized sequential reference at the
+// scalar tier. On a mismatch the failure message is a complete
+// reproducer: the seed, the engine pair (reference vs subject), the tier
+// (FASTBNS_SIMD=off forces scalar) and per-seed knobs (gs, ranks), and
+// the first divergent edge.
 //
 // Seed sweep: FASTBNS_FUZZ_SEEDS overrides the default of 10 seeds (the
 // `fuzz` ctest label's CI leg pins 10 at OMP_NUM_THREADS=nproc; raise it
@@ -31,7 +33,7 @@
 #include "fuzz_util.hpp"
 #include "pc/skeleton.hpp"
 #include "stats/discrete_ci_test.hpp"
-#include "stats/table_builder.hpp"
+#include "stats/simd_dispatch.hpp"
 
 namespace fastbns {
 namespace {
@@ -55,10 +57,13 @@ long env_long(const char* name, long fallback, long minimum) {
 long seed_count() { return env_long("FASTBNS_FUZZ_SEEDS", 10, 1); }
 long seed_start() { return env_long("FASTBNS_FUZZ_SEED_START", 0, 0); }
 
-TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
+TEST(EngineFuzz, EveryEngineAtEveryTierMatchesTheSequentialReference) {
   const std::vector<std::string> engines = list_engines();
-  const std::vector<std::string> builders = list_table_builders();
   const EngineRegistry& registry = EngineRegistry::instance();
+  std::vector<SimdTier> tiers{SimdTier::kScalar};
+  if (active_simd_tier() != SimdTier::kScalar) {
+    tiers.push_back(active_simd_tier());
+  }
 
   const auto start = static_cast<std::uint64_t>(seed_start());
   const auto end = start + static_cast<std::uint64_t>(seed_count());
@@ -66,14 +71,15 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
     const fuzz::FuzzInstance instance = fuzz::make_instance(seed);
     const VarId n = instance.data.num_vars();
 
-    PcOptions reference_options;
-    reference_options.engine = engine_from_string("fastbns-seq");
-    reference_options.table_builder = "scalar";
-    CiTestOptions reference_test_options;
-    reference_test_options.table_builder = "scalar";
-    const DiscreteCiTest reference_test(instance.data, reference_test_options);
-    const fuzz::SkeletonFingerprint reference = fuzz::fingerprint(
-        learn_skeleton(n, reference_test, reference_options), n);
+    fuzz::SkeletonFingerprint reference;
+    {
+      const ScopedSimdTierOverride scalar(SimdTier::kScalar);
+      PcOptions reference_options;
+      reference_options.engine = engine_from_string("fastbns-seq");
+      const DiscreteCiTest reference_test(instance.data, {});
+      reference = fuzz::fingerprint(
+          learn_skeleton(n, reference_test, reference_options), n);
+    }
 
     // Per-seed knobs, so the sweep varies scheduling shape as well as
     // data: pool group sizes cycle 1..8.
@@ -87,25 +93,24 @@ TEST(EngineFuzz, EveryEngineEveryBuilderMatchesTheSequentialReference) {
     const auto rank_threads = static_cast<std::int32_t>(1 + seed % 2);
 
     for (const std::string& engine : engines) {
-      for (const std::string& builder : builders) {
+      for (const SimdTier tier : tiers) {
+        const ScopedSimdTierOverride guard(tier);
         PcOptions options;
         options.engine = engine_from_string(engine);
         options.num_threads = 0;  // OMP_NUM_THREADS drives concurrency
         options.group_size = gs;
         options.rank_count = ranks;
         options.rank_threads = rank_threads;
-        options.table_builder = builder;
         CiTestOptions test_options;
         test_options.sample_parallel =
             registry.create(options.engine)->wants_sample_parallel_test();
-        test_options.table_builder = builder;
         const DiscreteCiTest test(instance.data, test_options);
         const fuzz::SkeletonFingerprint actual =
             fuzz::fingerprint(learn_skeleton(n, test, options), n);
         if (actual == reference) continue;
         ADD_FAILURE() << "seed=" << seed
                       << " engine pair fastbns-seq(scalar) vs " << engine
-                      << "(" << builder << ")"
+                      << "(tier " << to_string(tier) << ")"
                       << " gs=" << gs
                       << " ranks=" << ranks << "x" << rank_threads << ": "
                       << fuzz::describe_divergence(reference, actual, n);

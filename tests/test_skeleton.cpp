@@ -165,6 +165,11 @@ TEST(Skeleton, ValidateMessagesNameTheOffendingValue) {
   options = {};
   options.table_builder = "vectorised";
   expect_mentions(options, "vectorised");
+  // A retired kernel name is rejected too, not silently ignored, and the
+  // message points at the switch that forces the scalar passes.
+  options.table_builder = "simd";
+  expect_mentions(options, "simd");
+  expect_mentions(options, "FASTBNS_SIMD");
   options = {};
   options.max_table_cells = 3;
   expect_mentions(options, "3");
@@ -196,7 +201,7 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
   PcOptions typo_threads;
   typo_threads.num_threads = PcOptions::kMaxThreads + 1;
   EXPECT_THROW(typo_threads.validate(), std::invalid_argument);
-  // Unknown counting kernels fail up front, exactly like engine names.
+  // Any table_builder but "auto" fails up front, like engine names.
   PcOptions typo_builder;
   typo_builder.table_builder = "vectorised";
   EXPECT_THROW(typo_builder.validate(), std::invalid_argument);

@@ -1,9 +1,9 @@
 // The CI-kernel contract: every TableBuilder counts the same table —
-// bit-identical cells across the scalar, sample-parallel, batched and
-// SIMD kernels, on randomized shapes, cardinalities and layouts, and
-// equal to an independent count taken straight from the dataset. This is
-// what lets DiscreteCiTest treat the builder as pluggable and lets
-// engines pick the kernel per edge without changing any result.
+// the serial kernel at each SIMD dispatch tier and the sample-parallel
+// kernel, on randomized shapes, cardinalities and layouts — equal to an
+// independent count taken straight from the dataset. This is what lets
+// DiscreteCiTest switch a test between the two builders, and the CPU
+// pick the serial kernel's passes, without changing any result.
 #include "stats/table_builder.hpp"
 
 #include <gtest/gtest.h>
@@ -137,18 +137,31 @@ JobBatch make_jobs(const DiscreteDataset& data, VarId x, VarId y,
   return jobs_for(data, x, y, std::move(zs));
 }
 
-TEST(TableBuilder, KernelsAreBitIdenticalOnRandomizedShapes) {
-  const auto scalar = make_scalar_table_builder();
-  const auto sample_parallel = make_sample_parallel_table_builder();
-  const auto batched = make_batched_table_builder();
-  const auto simd = make_simd_table_builder();
+/// Calls check(kernel, label) for the serial kernel clamped to each
+/// dispatch tier — the override never exceeds the detected tier, so a
+/// CPU without AVX2 runs its widest tier under the avx2 label — and for
+/// the sample-parallel kernel.
+template <typename Check>
+void for_each_kernel(Check&& check) {
+  const std::unique_ptr<TableBuilder> serial = make_serial_table_builder();
+  for (const SimdTier tier :
+       {SimdTier::kScalar, SimdTier::kSse42, SimdTier::kAvx2}) {
+    const ScopedSimdTierOverride guard(tier);
+    EXPECT_LE(active_simd_tier(), tier);
+    check(*serial, "serial/" + std::string(to_string(tier)));
+  }
+  const std::unique_ptr<TableBuilder> sample_parallel =
+      make_sample_parallel_table_builder();
+  check(*sample_parallel, std::string(sample_parallel->name()));
+}
 
+TEST(TableBuilder, KernelsMatchAnIndependentCountOnRandomizedShapes) {
   Rng rng(20260729);
   ScratchArena arena;
   for (int round = 0; round < 20; ++round) {
     const auto n = static_cast<VarId>(6 + rng.next_below(5));
-    // Deliberately not a vector-width multiple most rounds, so the SIMD
-    // kernel's tail lanes are exercised alongside its full blocks.
+    // Deliberately not a vector-width multiple most rounds, so the vector
+    // pass's tail lanes are exercised alongside its full blocks.
     const auto m = static_cast<Count>(200 + rng.next_below(800));
     const DiscreteDataset data =
         random_dataset(n, m, /*max_card=*/5, 1000 + round);
@@ -160,34 +173,29 @@ TEST(TableBuilder, KernelsAreBitIdenticalOnRandomizedShapes) {
         make_table_context(data, x, y, /*row_major=*/false, arena);
 
     const auto depth = static_cast<std::int32_t>(rng.next_below(4));
-    // More jobs than the batched kernel's per-pass fanout, so the
-    // shape-run chunking is exercised, with repeated sets so same-shape
-    // runs actually occur.
     const std::vector<std::vector<VarId>> zs =
         make_jobs(data, x, y, 12, depth, rng).zs;
 
-    for (TableBuilder* kernel : {scalar.get(), sample_parallel.get(),
-                                 batched.get(), simd.get()}) {
+    // build_batch is the base loop over build().
+    for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
       JobBatch probe = jobs_for(data, x, y, zs);
-      kernel->build_batch(context, probe.jobs);
+      kernel.build_batch(context, probe.jobs);
       for (std::size_t j = 0; j < probe.jobs.size(); ++j) {
         EXPECT_EQ(probe.cells_storage[j],
                   reference_table(data, x, y, probe.zs[j]))
-            << kernel->name() << " round=" << round << " job=" << j
+            << label << " round=" << round << " job=" << j
             << " depth=" << depth;
       }
-    }
+    });
   }
 }
 
 TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
-  // Shapes random draws rarely hit, checked for every kernel through
-  // build() one table at a time and through build_batch(): a constant
-  // column and one that is 95% a single value (forward-sampled networks
-  // are skewed like this), tables just under and just over the
-  // single-table split limit, every sample count remainder mod 4, runs
-  // of 1-8 tables at depths 0-3, a pair whose codes need int32, a
-  // row-major context, and values above the cardinality.
+  // Shapes random draws rarely hit: a constant column and one that is 95%
+  // a single value (forward-sampled networks are skewed like this),
+  // tables just under and just over the scalar pass's split limit, every
+  // sample count remainder mod 4, depths 0-3, a pair whose codes need
+  // int32, a row-major context, and values above the cardinality.
   enum : VarId { kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY };
   // With cx*cy = 16, one conditioning variable of card `under` fills the
   // limit exactly and one of card `under + 1` exceeds it; at depth 2 the
@@ -197,9 +205,6 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
       static_cast<std::int32_t>(table_detail::kSplitCells / 16);
   ASSERT_GE(under, 2);
   const std::vector<VarId> pool{kConst, kSkewed, kUnder, kOver};
-  const std::unique_ptr<TableBuilder> kernels[] = {
-      make_scalar_table_builder(), make_batched_table_builder(),
-      make_simd_table_builder(), make_sample_parallel_table_builder()};
 
   for (const Count m : {Count{1001}, Count{1002}, Count{1003}}) {
     DiscreteDataset data = dataset_with_cards(
@@ -228,38 +233,26 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
       const TableBuildContext context =
           make_table_context(data, pair.x, pair.y, pair.row_major, arena);
       for (std::int32_t depth = 0; depth <= 3; ++depth) {
-        for (std::size_t run = 1; run <= 8; ++run) {
-          std::vector<std::vector<VarId>> zs;
-          std::vector<std::vector<Count>> expected;
-          for (std::size_t j = 0; j < run; ++j) {
-            std::vector<VarId> z;
-            for (std::int32_t i = 0; i < depth; ++i) {
-              z.push_back(pool[(j + static_cast<std::size_t>(i)) %
-                               pool.size()]);
-            }
-            std::sort(z.begin(), z.end());
-            expected.push_back(reference_table(data, pair.x, pair.y, z));
-            zs.push_back(std::move(z));
+        // Each rotation of the pool: every variable in a set of each size.
+        std::vector<std::vector<VarId>> zs;
+        for (std::size_t j = 0; j < pool.size(); ++j) {
+          std::vector<VarId> z;
+          for (std::int32_t i = 0; i < depth; ++i) {
+            z.push_back(pool[(j + static_cast<std::size_t>(i)) % pool.size()]);
           }
-          for (const auto& kernel : kernels) {
-            for (const bool batch : {false, true}) {
-              JobBatch probe = jobs_for(data, pair.x, pair.y, zs);
-              if (batch) {
-                kernel->build_batch(context, probe.jobs);
-              } else {
-                for (const TableJob& job : probe.jobs) {
-                  kernel->build(context, job);
-                }
-              }
-              for (std::size_t j = 0; j < run; ++j) {
-                EXPECT_EQ(probe.cells_storage[j], expected[j])
-                    << pair.label << ' ' << kernel->name()
-                    << (batch ? " build_batch" : " build") << " m=" << m
-                    << " depth=" << depth << " run=" << run << " job=" << j;
-              }
-            }
-          }
+          std::sort(z.begin(), z.end());
+          zs.push_back(std::move(z));
         }
+        for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
+          JobBatch probe = jobs_for(data, pair.x, pair.y, zs);
+          for (std::size_t j = 0; j < zs.size(); ++j) {
+            kernel.build(context, probe.jobs[j]);
+            EXPECT_EQ(probe.cells_storage[j],
+                      reference_table(data, pair.x, pair.y, zs[j]))
+                << pair.label << ' ' << label << " m=" << m
+                << " depth=" << depth << " job=" << j;
+          }
+        });
       }
     }
   }
@@ -277,62 +270,19 @@ TEST(TableBuilder, RowMajorContextMatchesColumnMajor) {
   row_context.row_major = true;
 
   Rng rng(99);
-  const auto scalar = make_scalar_table_builder();
-  const auto batched = make_batched_table_builder();
-  JobBatch col_jobs = make_jobs(data, 1, 4, 6, 2, rng);
-  for (TableJob& job : col_jobs.jobs) scalar->build(col_context, job);
-
-  JobBatch row_jobs;
-  row_jobs.zs = col_jobs.zs;
-  for (std::size_t j = 0; j < row_jobs.zs.size(); ++j) {
-    row_jobs.cells_storage.emplace_back(col_jobs.cells_storage[j].size(),
-                                        Count{-1});
-    row_jobs.jobs.push_back(TableJob{row_jobs.zs[j],
-                                     cz_product(data, row_jobs.zs[j]),
-                                     row_jobs.cells_storage[j]});
-  }
-  batched->build_batch(row_context, row_jobs.jobs);
-  for (std::size_t j = 0; j < row_jobs.jobs.size(); ++j) {
-    EXPECT_EQ(row_jobs.cells_storage[j], col_jobs.cells_storage[j]) << j;
-  }
-}
-
-TEST(TableBuilder, MixedDepthJobsSharingCzTotalStaySeparateRuns) {
-  // Two sets of different size can multiply to the same cz_total (e.g.
-  // {card 2, card 3} and {card 6}); a shared pass assumes one set size,
-  // so the batched kernel must not fuse them into one run.
-  DiscreteDataset data(5, 400, {2, 2, 2, 3, 6}, DataLayout::kColumnMajor);
-  Rng rng(13);
-  for (Count s = 0; s < 400; ++s) {
-    for (VarId v = 0; v < 5; ++v) {
-      data.set(s, v,
-               static_cast<DataValue>(
-                   rng.next_below(static_cast<std::uint64_t>(
-                       data.cardinality(v)))));
+  const std::vector<std::vector<VarId>> zs = make_jobs(data, 1, 4, 6, 2, rng).zs;
+  for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
+    JobBatch col_jobs = jobs_for(data, 1, 4, zs);
+    JobBatch row_jobs = jobs_for(data, 1, 4, zs);
+    for (std::size_t j = 0; j < zs.size(); ++j) {
+      kernel.build(col_context, col_jobs.jobs[j]);
+      kernel.build(row_context, row_jobs.jobs[j]);
+      EXPECT_EQ(row_jobs.cells_storage[j], col_jobs.cells_storage[j])
+          << label << " job=" << j;
+      EXPECT_EQ(col_jobs.cells_storage[j], reference_table(data, 1, 4, zs[j]))
+          << label << " job=" << j;
     }
-  }
-  const std::vector<std::int32_t> codes = xy_codes(data, 0, 1);
-  TableBuildContext context;
-  context.data = &data;
-  context.xy_codes = codes;
-  context.cx = 2;
-  context.cy = 2;
-
-  const std::vector<VarId> pair{2, 3};    // cz = 2 * 3 = 6
-  const std::vector<VarId> single{4};     // cz = 6
-  std::vector<Count> pair_cells(2 * 2 * 6, -1);
-  std::vector<Count> single_cells(2 * 2 * 6, -1);
-  std::vector<TableJob> jobs{TableJob{pair, 6, pair_cells},
-                             TableJob{single, 6, single_cells}};
-  make_batched_table_builder()->build_batch(context, jobs);
-
-  std::vector<Count> pair_expected(2 * 2 * 6, -1);
-  std::vector<Count> single_expected(2 * 2 * 6, -1);
-  const auto scalar = make_scalar_table_builder();
-  scalar->build(context, TableJob{pair, 6, pair_expected});
-  scalar->build(context, TableJob{single, 6, single_expected});
-  EXPECT_EQ(pair_cells, pair_expected);
-  EXPECT_EQ(single_cells, single_expected);
+  });
 }
 
 TEST(TableBuilder, MarginalTablesNeedNoConditioningColumns) {
@@ -344,23 +294,15 @@ TEST(TableBuilder, MarginalTablesNeedNoConditioningColumns) {
   context.cx = data.cardinality(0);
   context.cy = data.cardinality(2);
 
-  const auto cells =
-      static_cast<std::size_t>(context.cx) * static_cast<std::size_t>(context.cy);
-  std::vector<Count> scalar_cells(cells, -1);
-  std::vector<Count> batched_cells(cells, -1);
-  std::vector<TableJob> scalar_job{TableJob{{}, 1, scalar_cells}};
-  std::vector<TableJob> batched_job{TableJob{{}, 1, batched_cells}};
-  make_scalar_table_builder()->build_batch(context, scalar_job);
-  make_batched_table_builder()->build_batch(context, batched_job);
-  EXPECT_EQ(scalar_cells, batched_cells);
+  const std::vector<Count> expected = reference_table(data, 0, 2, {});
+  for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
+    std::vector<Count> cells(expected.size(), -1);
+    kernel.build(context, TableJob{{}, 1, cells});
+    EXPECT_EQ(cells, expected) << label;
+  });
   Count total = 0;
-  for (const Count c : scalar_cells) total += c;
+  for (const Count c : expected) total += c;
   EXPECT_EQ(total, data.num_samples());
-
-  std::vector<Count> simd_cells(cells, -1);
-  std::vector<TableJob> simd_job{TableJob{{}, 1, simd_cells}};
-  make_simd_table_builder()->build_batch(context, simd_job);
-  EXPECT_EQ(scalar_cells, simd_cells);
 }
 
 TEST(TableBuilder, ContextHelperMatchesManualCodes) {
@@ -428,8 +370,8 @@ TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
   // make_table_context (endpoint codes), the dataset's codes8 columns
   // (column z streams), and ZPlan::code_row (row z streams) are what
   // contain malformed raw values. Poison every variable with
-  // out-of-range values and require all kernels, in both layouts, to
-  // agree and to keep every count inside the table.
+  // out-of-range values and require every kernel, in both layouts, to
+  // match the clamped reference and keep every count inside the table.
   DiscreteDataset data(4, 257, {2, 3, 4, 3}, DataLayout::kBoth);
   Rng rng(424242);
   for (VarId v = 0; v < 4; ++v) {
@@ -464,67 +406,40 @@ TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
   }
 
   const std::vector<VarId> z{2, 3};
-  const std::size_t cells = static_cast<std::size_t>(
-      data.cardinality(0) * data.cardinality(1) * cz_product(data, z));
-  std::vector<Count> reference(cells, Count{-1});
-  TableJob job{z, cz_product(data, z), reference};
-  make_scalar_table_builder()->build(context, job);
+  const std::vector<Count> reference = reference_table(data, 0, 1, z);
   Count total = 0;
   for (const Count c : reference) total += c;
   EXPECT_EQ(total, data.num_samples());  // every sample landed in a cell
-
-  const auto batched = make_batched_table_builder();
-  const auto simd = make_simd_table_builder();
-  const struct {
-    TableBuilder* builder;
-    const TableBuildContext* ctx;
-    const char* label;
-  } cases[] = {{batched.get(), &context, "batched/col"},
-               {simd.get(), &context, "simd/col"},
-               {batched.get(), &row_context, "batched/row"}};
-  for (const auto& c : cases) {
-    std::vector<Count> probe(cells, Count{-2});
-    std::vector<TableJob> jobs{TableJob{z, cz_product(data, z), probe}};
-    c.builder->build_batch(*c.ctx, jobs);
-    EXPECT_EQ(probe, reference) << c.label;
-  }
+  for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
+    for (const TableBuildContext* ctx : {&context, &row_context}) {
+      std::vector<Count> probe(reference.size(), Count{-2});
+      kernel.build(*ctx, TableJob{z, cz_product(data, z), probe});
+      EXPECT_EQ(probe, reference)
+          << label << (ctx->row_major ? " row-major" : " column");
+    }
+  });
 }
 
-/// Runs `count` jobs of the given conditioning sets through the SIMD
-/// kernel and expects byte-equal cells vs the scalar kernel.
-void expect_simd_matches_scalar(const DiscreteDataset& data, VarId x, VarId y,
-                                const std::vector<std::vector<VarId>>& zs,
-                                const char* label) {
+/// Builds each conditioning set's table through every kernel and expects
+/// the independent reference count.
+void expect_kernels_match_reference(const DiscreteDataset& data, VarId x,
+                                    VarId y,
+                                    const std::vector<std::vector<VarId>>& zs,
+                                    const char* label) {
   ScratchArena arena;
   const TableBuildContext context =
       make_table_context(data, x, y, /*row_major=*/false, arena);
-  const auto xy =
-      static_cast<std::size_t>(data.cardinality(x) * data.cardinality(y));
-
-  JobBatch expected;
-  expected.zs = zs;
-  JobBatch actual;
-  actual.zs = zs;
-  for (const auto& z : zs) {
-    expected.cells_storage.emplace_back(xy * cz_product(data, z), Count{-1});
-    actual.cells_storage.emplace_back(xy * cz_product(data, z), Count{-2});
-  }
-  const auto scalar = make_scalar_table_builder();
-  for (std::size_t j = 0; j < zs.size(); ++j) {
-    expected.jobs.push_back(TableJob{expected.zs[j], cz_product(data, zs[j]),
-                                     expected.cells_storage[j]});
-    scalar->build(context, expected.jobs[j]);
-    actual.jobs.push_back(TableJob{actual.zs[j], cz_product(data, zs[j]),
-                                   actual.cells_storage[j]});
-  }
-  make_simd_table_builder()->build_batch(context, actual.jobs);
-  for (std::size_t j = 0; j < zs.size(); ++j) {
-    EXPECT_EQ(actual.cells_storage[j], expected.cells_storage[j])
-        << label << " job=" << j;
-  }
+  for_each_kernel([&](TableBuilder& kernel, const std::string& name) {
+    JobBatch probe = jobs_for(data, x, y, zs);
+    for (std::size_t j = 0; j < zs.size(); ++j) {
+      kernel.build(context, probe.jobs[j]);
+      EXPECT_EQ(probe.cells_storage[j], reference_table(data, x, y, zs[j]))
+          << label << ' ' << name << " job=" << j;
+    }
+  });
 }
 
-TEST(TableBuilder, SimdMatchesScalarAcrossCardinalityBoundaries) {
+TEST(TableBuilder, KernelsMatchAcrossCardinalityBoundaries) {
   // Cardinality 255 is the last value with a packed codes8 column; 300
   // (values still bytes, metadata past the guard) has none and the
   // kernels fall back to the raw column. The 255*300-state set also
@@ -543,66 +458,41 @@ TEST(TableBuilder, SimdMatchesScalarAcrossCardinalityBoundaries) {
       data.set(s, v, static_cast<DataValue>(rng.next_below(card)));
     }
   }
-  expect_simd_matches_scalar(
-      data, 0, 1,
-      {{2}, {3}, {2, 4}, {3, 4}, {2, 3}, {2, 4}, {3, 4}},
-      "boundary-cards");
+  expect_kernels_match_reference(data, 0, 1,
+                                 {{2}, {3}, {2, 4}, {3, 4}, {2, 3}},
+                                 "boundary-cards");
 }
 
-TEST(TableBuilder, SimdHandlesNonVectorWidthSampleCounts) {
+TEST(TableBuilder, KernelsHandleNonVectorWidthSampleCounts) {
   // 1 and 5 never fill a vector; 97 leaves scalar tails on every tier;
-  // 4097 spills one sample into a second block of the SIMD pass.
+  // 4097 spills one sample into a second block of the vector pass.
   for (const Count m : {Count{1}, Count{5}, Count{97}, Count{4097}}) {
     const DiscreteDataset data =
         random_dataset(6, m, 4, 500 + static_cast<std::uint64_t>(m));
-    expect_simd_matches_scalar(data, 0, 3,
-                               {{1, 2}, {2, 4}, {1, 2}, {4, 5}, {1, 5}},
-                               "tail-samples");
+    expect_kernels_match_reference(data, 0, 3, {{1, 2}, {2, 4}, {4, 5}, {1, 5}},
+                                   "tail-samples");
   }
 }
 
-TEST(TableBuilder, SimdForcedFallbackTiersStayBitIdentical) {
-  // CPUs without AVX2 (or with FASTBNS_SIMD clamping the dispatch) must
-  // count the same tables; the override forces each fallback tier.
-  const DiscreteDataset data = random_dataset(7, 1203, 5, 77);
-  const std::vector<std::vector<VarId>> sets{{2, 3}, {3, 4}, {2, 3}, {4, 6}};
-  for (const SimdTier tier :
-       {SimdTier::kScalar, SimdTier::kSse42, SimdTier::kAvx2}) {
-    const ScopedSimdTierOverride guard(tier);
-    // The override clamps to the detected tier, so this runs the widest
-    // supported path <= tier on any hardware.
-    EXPECT_LE(active_simd_tier(), tier);
-    const std::string label(to_string(tier));
-    expect_simd_matches_scalar(data, 0, 1, sets, label.c_str());
+TEST(TableBuilder, FactoryNamesOnlyTheSerialKernel) {
+  EXPECT_EQ(make_serial_table_builder()->name(), "serial");
+  EXPECT_EQ(make_sample_parallel_table_builder()->name(), "sample-parallel");
+  for (const char* name : {"auto", "serial"}) {
+    EXPECT_EQ(make_table_builder(name)->name(), "serial") << name;
   }
-}
-
-TEST(TableBuilder, FactoryResolvesKernelNames) {
-  for (const std::string& name : list_table_builders()) {
-    const auto kernel = make_table_builder(name);
-    ASSERT_NE(kernel, nullptr) << name;
-    if (name != "auto") {
-      EXPECT_EQ(kernel->name(), name);
-    } else {
-      // "auto" resolves through the CPU dispatch to a concrete kernel.
-      EXPECT_TRUE(kernel->name() == "simd" || kernel->name() == "batched");
+  // The retired kernel names, and the sample-parallel kernel (switched on
+  // through CiTestOptions::sample_parallel, never by name), throw with a
+  // message that names the value and points at FASTBNS_SIMD.
+  for (const char* name :
+       {"scalar", "simd", "batched", "sample-parallel", "vectorized"}) {
+    try {
+      (void)make_table_builder(name);
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(name), std::string::npos) << message;
+      EXPECT_NE(message.find("FASTBNS_SIMD"), std::string::npos) << message;
     }
-  }
-  EXPECT_THROW((void)make_table_builder("vectorized"), std::invalid_argument);
-  // The sample-parallel kernel belongs to the sample-parallel engine,
-  // never a name-selected main builder (that would nest OpenMP teams),
-  // and the message points at the one engine that uses it.
-  EXPECT_THROW((void)make_table_builder("sample-parallel"),
-               std::invalid_argument);
-  try {
-    (void)make_table_builder("sample-parallel");
-  } catch (const std::invalid_argument& error) {
-    const std::string message = error.what();
-    EXPECT_NE(message.find("--engine sample"), std::string::npos) << message;
-    EXPECT_EQ(message.find("hybrid"), std::string::npos) << message;
-  }
-  for (const std::string& name : list_table_builders()) {
-    EXPECT_NE(name, "sample-parallel");
   }
 }
 
@@ -637,34 +527,6 @@ TEST(DiscreteCiTestBatch, BatchEntryMatchesPerSetGroupCalls) {
   }
   // Both entry points charge one executed test per set.
   EXPECT_EQ(batched.tests_performed(), one_by_one.tests_performed());
-}
-
-TEST(DiscreteCiTestBatch, ArenaChunkingUnderTightCapIsResultIdentical) {
-  // A cap that admits each table but not two at once forces the batch
-  // arena to chunk; results must not change.
-  const DiscreteDataset data = random_dataset(8, 600, 3, 91);
-  CiTestOptions tight;
-  // Largest single table here: cx*cy*cz <= 3*3*9 = 81 cells.
-  tight.max_cells = 100;
-  DiscreteCiTest chunked(data, tight);
-  DiscreteCiTest reference(data, tight);
-  Rng rng(17);
-  const JobBatch sets = make_jobs(data, 0, 3, 7, /*depth=*/2, rng);
-  std::vector<VarId> flat;
-  for (const auto& z : sets.zs) flat.insert(flat.end(), z.begin(), z.end());
-
-  reference.begin_group(0, 3);
-  std::vector<CiResult> expected;
-  for (const auto& z : sets.zs) expected.push_back(reference.test_in_group(z));
-
-  chunked.begin_group(0, 3);
-  std::vector<CiResult> actual(sets.zs.size());
-  chunked.test_batch_in_group(flat, /*depth=*/2, actual);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(actual[i].statistic, expected[i].statistic) << i;
-    EXPECT_EQ(actual[i].degrees_of_freedom, expected[i].degrees_of_freedom) << i;
-    EXPECT_EQ(actual[i].independent, expected[i].independent) << i;
-  }
 }
 
 TEST(DiscreteCiTestBatch, OversizedSetsInsideABatchAreSkippedConservatively) {
