@@ -4,25 +4,69 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace fastbns {
 namespace {
 
+/// Every comma-separated field of `line`, trimmed of surrounding
+/// whitespace and CR: "1," has two fields, the second empty.
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> cells;
-  std::stringstream stream(line);
-  std::string cell;
-  while (std::getline(stream, cell, ',')) {
-    // Trim surrounding whitespace/CR.
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t end = line.find(',', begin);
+    const std::string cell =
+        line.substr(begin, end == std::string::npos ? end : end - begin);
     const auto first = cell.find_first_not_of(" \t\r");
     const auto last = cell.find_last_not_of(" \t\r");
     cells.push_back(first == std::string::npos
                         ? std::string{}
                         : cell.substr(first, last - first + 1));
+    if (end == std::string::npos) return cells;
+    begin = end + 1;
   }
-  return cells;
+}
+
+/// The header row's variable names. Throws on an empty file or an empty
+/// name (a blank header is one), naming the name's 1-based column.
+std::vector<std::string> read_names(std::ifstream& in, const char* loader,
+                                    const std::string& path) {
+  std::string line;
+  if (!std::getline(in, line)) {
+    throw std::runtime_error(std::string(loader) + ": empty file " + path);
+  }
+  std::vector<std::string> names = split_csv_line(line);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (names[i].empty()) {
+      throw std::runtime_error(std::string(loader) + ": header column " +
+                               std::to_string(i + 1) + " in " + path +
+                               " has an empty name");
+    }
+  }
+  return names;
+}
+
+/// Reads the next non-empty data row's cells, counting 1-based data rows
+/// in `row`. False at the end of the file. Throws when the row's cell
+/// count differs from the header's, naming the row and both counts.
+bool read_row(std::ifstream& in, const char* loader, const std::string& path,
+              std::size_t num_vars, Count& row,
+              std::vector<std::string>& cells) {
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    ++row;
+    cells = split_csv_line(line);
+    if (cells.size() != num_vars) {
+      throw std::runtime_error(
+          std::string(loader) + ": ragged row " + std::to_string(row) +
+          " in " + path + " has " + std::to_string(cells.size()) +
+          " cells, expected " + std::to_string(num_vars));
+    }
+    return true;
+  }
+  return false;
 }
 
 /// Writes the header row shared by both save_csv overloads.
@@ -70,7 +114,7 @@ bool parse_double_cell(const std::string& cell, double& value) {
 std::runtime_error bad_cell(const char* loader, const std::string& path,
                             const std::vector<std::string>& names,
                             const std::string& cell, Count row, VarId v,
-                            const char* expected) {
+                            const std::string& expected) {
   return std::runtime_error(std::string(loader) + ": cell \"" + cell +
                             "\" (row " + std::to_string(row) + ", column " +
                             names[v] + ") in " + path + " is " + expected);
@@ -115,30 +159,30 @@ NamedDataset load_csv(const std::string& path, DataLayout layout,
                       const std::vector<std::int32_t>& cardinalities) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_csv: cannot open " + path);
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("load_csv: empty file " + path);
-  }
-  const std::vector<std::string> names = split_csv_line(line);
+  const std::vector<std::string> names = read_names(in, "load_csv", path);
   const auto num_vars = static_cast<VarId>(names.size());
-  if (num_vars == 0) throw std::runtime_error("load_csv: no columns in " + path);
+  if (!cardinalities.empty() && cardinalities.size() != names.size()) {
+    throw std::invalid_argument(
+        "load_csv: " + std::to_string(cardinalities.size()) +
+        " cardinalities declared for the " + std::to_string(names.size()) +
+        " columns of " + path);
+  }
 
   std::vector<std::vector<DataValue>> samples;
+  std::vector<std::string> cells;
   Count row_index = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++row_index;
-    const std::vector<std::string> cells = split_csv_line(line);
-    if (static_cast<VarId>(cells.size()) != num_vars) {
-      throw std::runtime_error("load_csv: ragged row in " + path);
-    }
+  while (read_row(in, "load_csv", path, names.size(), row_index, cells)) {
     std::vector<DataValue> row(static_cast<std::size_t>(num_vars));
     for (VarId v = 0; v < num_vars; ++v) {
       int parsed = 0;
       if (!parse_byte_cell(cells[v], parsed)) {
         throw bad_cell("load_csv", path, names, cells[v], row_index, v,
                        "not an integer in [0, 255]");
+      }
+      if (!cardinalities.empty() && parsed >= cardinalities[v]) {
+        throw bad_cell("load_csv", path, names, cells[v], row_index, v,
+                       "not below the declared cardinality " +
+                           std::to_string(cardinalities[v]));
       }
       row[v] = static_cast<DataValue>(parsed);
     }
@@ -162,39 +206,23 @@ NamedDataset load_csv(const std::string& path, DataLayout layout,
       data.set(s, v, samples[static_cast<std::size_t>(s)][v]);
     }
   }
-  if (!data.values_in_range()) {
-    throw std::runtime_error("load_csv: value exceeds declared cardinality");
-  }
   return {std::move(data), names};
 }
 
 NamedData load_csv_auto(const std::string& path, DataLayout layout) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("load_csv_auto: cannot open " + path);
-
-  std::string line;
-  if (!std::getline(in, line)) {
-    throw std::runtime_error("load_csv_auto: empty file " + path);
-  }
-  const std::vector<std::string> names = split_csv_line(line);
+  const std::vector<std::string> names = read_names(in, "load_csv_auto", path);
   const auto num_vars = static_cast<VarId>(names.size());
-  if (num_vars == 0) {
-    throw std::runtime_error("load_csv_auto: no columns in " + path);
-  }
 
   // One parsing pass: cells are kept as doubles (a byte-range integer is
   // exactly representable), and the first fractional / exponent /
   // out-of-byte-range cell switches the whole file to continuous.
   bool discrete = true;
   std::vector<std::vector<double>> samples;
+  std::vector<std::string> cells;
   Count row_index = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    ++row_index;
-    const std::vector<std::string> cells = split_csv_line(line);
-    if (static_cast<VarId>(cells.size()) != num_vars) {
-      throw std::runtime_error("load_csv_auto: ragged row in " + path);
-    }
+  while (read_row(in, "load_csv_auto", path, names.size(), row_index, cells)) {
     std::vector<double> row(static_cast<std::size_t>(num_vars));
     for (VarId v = 0; v < num_vars; ++v) {
       int byte_value = 0;

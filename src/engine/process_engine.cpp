@@ -26,9 +26,9 @@
 //    every rank; each rank applies the removals to its replica, runs its
 //    works, and replies with its removal set (each removal's accepting
 //    test rank) + test count; the driver merges the replies into the
-//    works vector (the same outcome slot every engine fills), unranks
-//    each sepset from its own identical list for the checkpoint log, and
-//    carries the union forward to the next broadcast.
+//    works vector (the same outcome slot every engine fills), logs the
+//    removed edges for the checkpoint, and carries the union forward to
+//    the next broadcast.
 //
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
@@ -261,9 +261,8 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
       }
       if (frame.tag == kTagReplay) {
         // Checkpoint replay after a respawn: rebuild the replica from
-        // the committed removal log. Sepsets ride along for forensics
-        // but the replica only needs the edges; no reply — the explicit
-        // RUN_DEPTH that follows produces the next frame.
+        // the committed removal log. No reply — the explicit RUN_DEPTH
+        // that follows produces the next frame.
         WireReader reader(frame.payload);
         injector.set_generation(reader.get_i32());
         const std::uint32_t batches = reader.get_u32();
@@ -273,7 +272,6 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
           for (std::uint32_t i = 0; i < removals; ++i) {
             const VarId x = reader.get_i32();
             const VarId y = reader.get_i32();
-            (void)reader.get_vars();  // sepset
             replica.remove_edge(x, y);
           }
         }
@@ -717,7 +715,7 @@ class ProcessEngine final : public SkeletonEngine {
                     std::to_string(reply_depth) + ", seq " +
                     std::to_string(reply_seq) + ")";
         } else {
-          merge_reply(works, depth, reader, rank, tally);
+          merge_reply(works, reader, rank, tally);
           return Gather::kMerged;
         }
       } else if (status == FrameReadStatus::kBadTag) {
@@ -822,7 +820,6 @@ class ProcessEngine final : public SkeletonEngine {
         for (const DepthCheckpoint::Removal& removal : batch.removals) {
           replay.put_i32(removal.x);
           replay.put_i32(removal.y);
-          replay.put_vars(removal.sepset);
         }
       }
       if (!group_.try_send(rank, kTagReplay, replay.payload())) continue;
@@ -847,8 +844,8 @@ class ProcessEngine final : public SkeletonEngine {
 
   /// Merges one validated DepthResult payload (cursor past depth + seq)
   /// into the works vector and the pending-removal set.
-  void merge_reply(std::vector<EdgeWork>& works, std::int32_t depth,
-                   WireReader& reader, int rank, DepthTally& tally) {
+  void merge_reply(std::vector<EdgeWork>& works, WireReader& reader,
+                   int rank, DepthTally& tally) {
     const std::int64_t tests = reader.get_i64();
     tally.tests += tests;
     tally.max_rank_tests = std::max(tally.max_rank_tests, tests);
@@ -875,7 +872,8 @@ class ProcessEngine final : public SkeletonEngine {
       }
       EdgeWork& work = works[index];
       // A rank past the work's tests cannot come from an identical list;
-      // checked before unranking, which only asserts the bound.
+      // checked here because the commit's unranking only asserts the
+      // bound.
       if (accepted >= work.total_tests()) {
         group_.shutdown();
         throw std::runtime_error(
@@ -887,12 +885,7 @@ class ProcessEngine final : public SkeletonEngine {
             " tests — replica divergence");
       }
       work.accepted = accepted;
-      // The sepset, unranked from the driver's own list, rides into the
-      // checkpoint log so a future respawn replays the complete committed
-      // record, not just the edge list.
-      DepthCheckpoint::Removal removal{x, y, {}};
-      conditioning_set_for(work, depth, accepted, removal.sepset);
-      pending_removals_.push_back(std::move(removal));
+      pending_removals_.push_back({x, y});
     }
   }
 
@@ -1005,7 +998,7 @@ class ProcessEngine final : public SkeletonEngine {
   /// checkpoint of the respawn rung.
   std::vector<DepthCheckpoint> checkpoint_log_;
   /// The union removal set of the previous depth, pending broadcast with
-  /// the next RUN_DEPTH command (sepsets kept for the checkpoint log).
+  /// the next RUN_DEPTH command.
   std::vector<DepthCheckpoint::Removal> pending_removals_;
   std::vector<ProcessDepthStats> depth_stats_;
   std::vector<RecoveryEvent> events_;

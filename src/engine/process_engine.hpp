@@ -37,17 +37,17 @@ struct ProcessDepthStats {
   std::int32_t recoveries = 0;
 };
 
-/// One committed allreduce batch of the removal/sepset log: everything
-/// the depth's RUN_DEPTH broadcast carried. The concatenation of all
-/// batches is the replayable checkpoint a respawned rank rebuilds its
-/// graph replica from — the depth barrier is an allreduce of removals,
-/// so the checkpoint is a byproduct of normal operation, not an extra
-/// serialization pass.
+/// One committed allreduce batch of the removal log: everything the
+/// depth's RUN_DEPTH broadcast carried. The concatenation of all batches
+/// is the replayable checkpoint a respawned rank rebuilds its graph
+/// replica from — the depth barrier is an allreduce of removals, so the
+/// checkpoint is a byproduct of normal operation, not an extra
+/// serialization pass. The replica needs only the removed edges; the
+/// parent process commits the sepsets itself.
 struct DepthCheckpoint {
   struct Removal {
     VarId x = 0;
     VarId y = 0;
-    std::vector<VarId> sepset;
   };
   /// The depth whose broadcast carried this batch (the removals were
   /// committed at depth - 1; depth 0's batch is always empty).

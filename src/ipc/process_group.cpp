@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -28,42 +29,6 @@ void close_fd(int& fd) noexcept {
     fd = -1;
   }
 }
-
-/// Non-throwing waitpid status probe: "exited with status 3", "killed by
-/// signal 9", or "still running" — the forensic detail a RankDeathError
-/// carries so a dead rank is diagnosable from the message alone.
-///
-/// `grace_ms` keeps re-probing for that long before settling on "still
-/// running". Callers that just saw the rank's channel close (EOF, EPIPE)
-/// pass a small grace: the kernel closes an exiting child's fds before
-/// waitpid can report the exit, so the EOF can arrive a beat before the
-/// dead rank becomes waitpid-visible — without the grace the message
-/// would misreport a cleanly dead rank as wedged. Timeout paths pass 0:
-/// there the rank really may be alive, and stalling the recovery ladder
-/// to re-ask would cost latency for no information.
-std::string describe_waitpid(pid_t pid, int grace_ms = 0) noexcept {
-  for (;;) {
-    int status = 0;
-    const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
-    if (reaped == pid) {
-      if (WIFEXITED(status)) {
-        return "exited with status " + std::to_string(WEXITSTATUS(status));
-      }
-      if (WIFSIGNALED(status)) {
-        return "killed by signal " + std::to_string(WTERMSIG(status));
-      }
-      return "terminated";
-    }
-    if (reaped != 0) return "already reaped";
-    if (grace_ms <= 0) return "still running (wedged or slow)";
-    const int slice_ms = grace_ms < 2 ? grace_ms : 2;
-    ::usleep(static_cast<useconds_t>(slice_ms) * 1000);
-    grace_ms -= slice_ms;
-  }
-}
-
-/// The grace for channel-closed forensics (see describe_waitpid).
-constexpr int kEofForensicsGraceMs = 500;
 
 }  // namespace
 
@@ -201,48 +166,19 @@ std::string ProcessGroup::describe_rank(int rank) const noexcept {
   }
   const Rank& slot = ranks_[static_cast<std::size_t>(rank)];
   if (slot.pid < 0) return "already reaped";
-  return describe_waitpid(slot.pid);
-}
-
-void ProcessGroup::send(int rank, std::uint32_t tag,
-                        std::span<const std::uint8_t> payload) {
-  Rank& target = ranks_.at(static_cast<std::size_t>(rank));
-  if (!write_frame(target.command_fd, tag, payload)) {
-    fail_rank(rank, "its command pipe broke mid-send — the rank " +
-                        describe_waitpid(target.pid, kEofForensicsGraceMs));
+  int status = 0;
+  const pid_t reaped = ::waitpid(slot.pid, &status, WNOHANG);
+  if (reaped == slot.pid) {
+    if (WIFEXITED(status)) {
+      return "exited with status " + std::to_string(WEXITSTATUS(status));
+    }
+    if (WIFSIGNALED(status)) {
+      return "killed by signal " + std::to_string(WTERMSIG(status));
+    }
+    return "terminated";
   }
-}
-
-Frame ProcessGroup::receive(int rank, int timeout_ms) {
-  Rank& source = ranks_.at(static_cast<std::size_t>(rank));
-  Frame frame;
-  switch (read_frame(source.result_fd, frame, timeout_ms)) {
-    case FrameReadStatus::kOk:
-      return frame;
-    case FrameReadStatus::kEof:
-      fail_rank(rank, "its result pipe closed before a reply — the rank " +
-                          describe_waitpid(source.pid, kEofForensicsGraceMs));
-    case FrameReadStatus::kTimeout:
-      fail_rank(rank, "it sent no reply within " + std::to_string(timeout_ms) +
-                          " ms — the rank " + describe_waitpid(source.pid));
-    case FrameReadStatus::kCorrupt:
-      fail_rank(rank, "its reply failed the frame checksum");
-    case FrameReadStatus::kBadTag:
-      fail_rank(rank, "its reply carried a disallowed tag " +
-                          std::to_string(frame.tag));
-  }
-  // Unreachable; fail_rank never returns.
-  throw RankDeathError(rank, "ProcessGroup::receive: unreachable");
-}
-
-void ProcessGroup::fail_rank(int rank, const std::string& reason) {
-  const std::string message =
-      "ProcessGroup: rank " + std::to_string(rank) + " failed: " + reason;
-  // One dead rank dooms the allreduce; tear the whole group down so the
-  // error propagates from a clean state (no half-alive ranks holding
-  // shared segments).
-  shutdown();
-  throw RankDeathError(rank, message);
+  if (reaped != 0) return "already reaped";
+  return "still running (wedged or slow)";
 }
 
 void ProcessGroup::shutdown(int timeout_ms) noexcept {

@@ -5,12 +5,12 @@
 // rank→parent) and _exit()s — never returning into the parent's
 // atexit/test-framework machinery. Each side inherits both pipes and
 // closes the ends it does not own. The parent talks to ranks through
-// send()/receive(); every receive is deadline-bounded, and a rank that
-// dies (EOF on its channel — detected by the kernel immediately) or
-// wedges (deadline expiry) produces a RankDeathError naming the rank
-// and its waitpid status after the whole group is torn down. A dead
-// rank therefore yields a clear error, never a hang — the supervisor
-// contract the multi-process engine relies on.
+// try_send()/try_receive(), which report a channel failure as a status
+// rather than throwing or tearing the group down: every receive is
+// deadline-bounded, a rank that dies shows as EOF on its channel
+// (detected by the kernel immediately) and one that wedges as a
+// timeout. The caller owns the recovery (the process engine's
+// supervisor ladder), so a dead rank is a status, never a hang.
 //
 // fork() hazards this module owns:
 //  - SIGPIPE is ignored process-wide (once, at first spawn) so writing to
@@ -28,25 +28,12 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ipc/wire.hpp"
 
 namespace fastbns {
-
-/// A rank died or stopped responding; the group has already been torn
-/// down when this is thrown. rank() identifies the culprit.
-class RankDeathError : public std::runtime_error {
- public:
-  RankDeathError(int rank, const std::string& message)
-      : std::runtime_error(message), rank_(rank) {}
-  [[nodiscard]] int rank() const noexcept { return rank_; }
-
- private:
-  int rank_;
-};
 
 class ProcessGroup {
  public:
@@ -74,22 +61,6 @@ class ProcessGroup {
     return static_cast<int>(ranks_.size());
   }
   [[nodiscard]] bool empty() const noexcept { return ranks_.empty(); }
-
-  /// Sends one frame to `rank`. Throws RankDeathError (after tearing the
-  /// group down) when the rank's pipe is broken — it died.
-  void send(int rank, std::uint32_t tag, std::span<const std::uint8_t> payload);
-
-  /// Receives one frame from `rank`, waiting at most `timeout_ms`
-  /// (negative = forever). Throws RankDeathError — naming the rank and
-  /// its exit status where waitpid can report one — on EOF or deadline
-  /// expiry, after tearing the group down.
-  [[nodiscard]] Frame receive(int rank, int timeout_ms);
-
-  // --- Per-rank fault-tolerant surface -----------------------------------
-  // The throwing send/receive above treat any failure as fatal to the
-  // whole group — the fail-loud contract. A supervisor that recovers
-  // ranks instead uses these: nothing here ever tears the group down or
-  // throws for a channel failure; the caller owns the recovery ladder.
 
   /// Sends one frame to `rank`; false when its pipe is broken or the
   /// slot is dead (kill_rank'ed and not yet respawned). Never throws,
@@ -127,7 +98,9 @@ class ProcessGroup {
 
   /// waitpid forensics for `rank` ("exited with status 3", "killed by
   /// signal 9", "still running (wedged or slow)") for error messages and
-  /// recovery-event logs.
+  /// recovery-event logs, from one waitpid probe that does not wait. The
+  /// probe that reaps an exited rank reports its status; later probes
+  /// read "already reaped".
   [[nodiscard]] std::string describe_rank(int rank) const noexcept;
 
   /// Graceful teardown: closes the command pipes (ranks see EOF and
@@ -144,9 +117,6 @@ class ProcessGroup {
 
   /// Closes a slot's channel fds — every teardown path funnels through it.
   static void close_rank_fds(Rank& slot) noexcept;
-
-  /// Tears the group down and throws RankDeathError for `rank`.
-  [[noreturn]] void fail_rank(int rank, const std::string& reason);
 
   /// Forks a fresh process into slot `rank` over two fresh pipes; throws
   /// std::runtime_error on pipe/fork failure with the slot left dead.

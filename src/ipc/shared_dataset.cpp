@@ -11,8 +11,8 @@ namespace fastbns {
 namespace {
 
 /// Cache-line alignment for every buffer inside the segment, matching
-/// the alignment a fresh std::vector allocation effectively gets and the
-/// kCodes8Pad assumptions of the SIMD kernels.
+/// the alignment a fresh std::vector allocation effectively gets, so the
+/// padded columns start where they do on the heap.
 constexpr std::size_t kSegmentAlign = 64;
 
 std::size_t align_up(std::size_t size) noexcept {
@@ -72,40 +72,24 @@ SharedDatasetSegment SharedDatasetSegment::create(
   }
   const auto n = static_cast<std::size_t>(source.num_vars());
   const auto m = static_cast<std::size_t>(source.num_samples());
-  const std::size_t stride = (m + DiscreteDataset::kCodes8Pad - 1) /
-                             DiscreteDataset::kCodes8Pad *
-                             DiscreteDataset::kCodes8Pad;
-  // Segment layout (each buffer 64-byte aligned, trailing buffers only
-  // when the source materialized them):
-  //   [ column-major values  n*m ][ codes8 mirror  n*stride ][ rows m*n ]
-  const std::size_t cols_bytes = with_cols ? align_up(n * m) : 0;
-  const std::size_t codes_bytes = with_cols ? align_up(n * stride) : 0;
+  // Segment layout (each buffer 64-byte aligned, a buffer only when the
+  // source materialized that layout):
+  //   [ column-major values  n*stride ][ rows m*n ]
+  const std::span<const DataValue> block =
+      with_cols ? source.column_block() : std::span<const DataValue>{};
+  const std::size_t cols_bytes = align_up(block.size());
   const std::size_t rows_bytes = with_rows ? align_up(n * m) : 0;
   SharedDatasetSegment segment;
-  segment.region_ =
-      SharedMemoryRegion::create(cols_bytes + codes_bytes + rows_bytes);
+  segment.region_ = SharedMemoryRegion::create(cols_bytes + rows_bytes);
   std::byte* base = segment.region_.data();
   ExternalDataBuffers buffers;
   if (with_cols) {
     auto* cols = reinterpret_cast<DataValue*>(base);
-    auto* codes = reinterpret_cast<std::uint8_t*>(base + cols_bytes);
-    for (VarId v = 0; v < source.num_vars(); ++v) {
-      const std::span<const DataValue> column = source.column(v);
-      std::memcpy(cols + static_cast<std::size_t>(v) * m, column.data(),
-                  column.size_bytes());
-      const std::span<const std::uint8_t> packed = source.codes8(v);
-      if (!packed.empty()) {
-        // Padding rows stay at the kernel's zero-fill, same as the owned
-        // mirror's zero-initialized tail.
-        std::memcpy(codes + static_cast<std::size_t>(v) * stride,
-                    packed.data(), packed.size_bytes());
-      }
-    }
-    buffers.cols = {cols, n * m};
-    buffers.codes8 = {codes, n * stride};
+    std::memcpy(cols, block.data(), block.size_bytes());
+    buffers.cols = {cols, block.size()};
   }
   if (with_rows) {
-    auto* rows = reinterpret_cast<DataValue*>(base + cols_bytes + codes_bytes);
+    auto* rows = reinterpret_cast<DataValue*>(base + cols_bytes);
     for (Count s = 0; s < source.num_samples(); ++s) {
       const std::span<const DataValue> row = source.row(s);
       std::memcpy(rows + static_cast<std::size_t>(s) * n, row.data(),

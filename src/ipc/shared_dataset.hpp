@@ -8,9 +8,9 @@
 // address — the dataset is mapped exactly once machine-wide, zero copies
 // per rank.
 //
-// The segment is statistic-agnostic: a discrete source lays out the
-// column-major values, packed codes8 mirror, and (when materialized)
-// row-major values; a continuous source lays out one doubles block. The
+// The segment is statistic-agnostic: a discrete source lays out one block
+// per materialized layout (its padded column-major values, its row-major
+// values); a continuous source lays out one doubles block. The
 // segment exposes a Dataset view over the external buffers (the
 // construct-over-external-buffer paths of dataset/discrete_dataset.hpp
 // and dataset/continuous_dataset.hpp), so CI tests built over the view
@@ -54,7 +54,7 @@ class SharedMemoryRegion {
 class SharedDatasetSegment {
  public:
   /// Copies `source`'s materialized buffers into one shared region — a
-  /// discrete source's value/codes8/row blocks, or a continuous source's
+  /// discrete source's column and row blocks, or a continuous source's
   /// doubles block. A discrete source must have at least one value
   /// layout (it always does by construction).
   [[nodiscard]] static SharedDatasetSegment create(const Dataset& source);

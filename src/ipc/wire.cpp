@@ -65,11 +65,6 @@ void WireWriter::put_raw(const void* data, std::size_t size) {
   bytes_.insert(bytes_.end(), bytes, bytes + size);
 }
 
-void WireWriter::put_vars(std::span<const VarId> vars) {
-  put_u32(static_cast<std::uint32_t>(vars.size()));
-  if (!vars.empty()) put_raw(vars.data(), vars.size() * sizeof(VarId));
-}
-
 void WireWriter::put_string(std::string_view text) {
   put_u32(static_cast<std::uint32_t>(text.size()));
   if (!text.empty()) put_raw(text.data(), text.size());
@@ -112,17 +107,6 @@ std::int64_t WireReader::get_i64() {
   std::int64_t value = 0;
   get_raw(&value, sizeof(value));
   return value;
-}
-
-std::vector<VarId> WireReader::get_vars() {
-  const std::uint32_t count = get_u32();
-  if (static_cast<std::size_t>(count) * sizeof(VarId) >
-      bytes_.size() - offset_) {
-    throw std::runtime_error("ipc: truncated variable list in frame");
-  }
-  std::vector<VarId> vars(count);
-  if (count > 0) get_raw(vars.data(), vars.size() * sizeof(VarId));
-  return vars;
 }
 
 std::string WireReader::get_string() {

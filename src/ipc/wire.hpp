@@ -22,8 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/types.hpp"
-
 namespace fastbns {
 
 /// Append-only payload builder. All integers are written in host byte
@@ -36,8 +34,6 @@ class WireWriter {
   void put_u64(std::uint64_t value) { put_raw(&value, sizeof(value)); }
   void put_i64(std::int64_t value) { put_raw(&value, sizeof(value)); }
 
-  /// u32 count followed by the ids (VarId is int32).
-  void put_vars(std::span<const VarId> vars);
   /// u32 length followed by the raw bytes.
   void put_string(std::string_view text);
 
@@ -64,7 +60,6 @@ class WireReader {
   [[nodiscard]] std::int32_t get_i32();
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int64_t get_i64();
-  [[nodiscard]] std::vector<VarId> get_vars();
   [[nodiscard]] std::string get_string();
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -13,7 +13,6 @@
 // alias).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,16 +27,9 @@ class ScratchArena {
   }
 
   /// Combined endpoint codes as one byte per sample, for column groups
-  /// whose combined endpoint cardinality fits a byte. The allocation
-  /// extends to a kVectorPad boundary with zeroed padding
-  /// (mirroring DiscreteDataset::kCodes8Pad), so full-width vector loads
-  /// near the tail never cross it; the span covers only the n samples.
+  /// whose combined endpoint cardinality fits a byte.
   [[nodiscard]] std::span<std::uint8_t> xy_codes8(std::size_t n) {
-    const std::size_t padded = (n + kVectorPad - 1) / kVectorPad * kVectorPad;
-    const std::span<std::uint8_t> buffer = grow(xy_codes8_, padded);
-    std::fill(buffer.begin() + static_cast<std::ptrdiff_t>(n), buffer.end(),
-              std::uint8_t{0});
-    return buffer.first(n);
+    return grow(xy_codes8_, n);
   }
 
   /// Per-sample cell indices of one vector block (composed z+xy codes).
@@ -52,11 +44,6 @@ class ScratchArena {
   }
 
  private:
-  /// Same boundary as DiscreteDataset::kCodes8Pad (duplicated to keep
-  /// this header free of the dataset dependency): every byte-code stream
-  /// a vector kernel may load full-width is padded to it.
-  static constexpr std::size_t kVectorPad = 64;
-
   template <typename T>
   [[nodiscard]] static std::span<T> grow(std::vector<T>& buffer,
                                          std::size_t n) {

@@ -35,7 +35,7 @@ namespace {
 using table_detail::ZPlan;
 
 /// Samples composed per pass; the uint32 index block (16 KiB) plus the
-/// packed code streams of one table stay L1-resident.
+/// byte-wide code columns of one table stay L1-resident.
 constexpr std::size_t kBlockSamples = 4096;
 
 /// One table's flattened composition inputs: the xy codes (the stream

@@ -27,12 +27,12 @@ TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
   context.row_major = row_major;
   context.scratch = &scratch;
 
-  if (!row_major && cx * cy <= 255 && data.has_codes8(x) &&
-      data.has_codes8(y)) {
-    // The codes8 columns are already clamped into [0, cx) and [0, cy), so
-    // every x8*cy + y8 lands in [0, cx*cy) and fits a byte.
-    const std::uint8_t* xs = data.codes8(x).data();
-    const std::uint8_t* ys = data.codes8(y).data();
+  // Every stored value is below its cardinality, so each x*cy + y lands
+  // in [0, cx*cy): the kernels increment cells through these codes
+  // without bounds checks.
+  if (!row_major && cx * cy <= 255) {
+    const DataValue* xs = data.column(x).data();
+    const DataValue* ys = data.column(y).data();
     const std::span<std::uint8_t> codes = scratch.xy_codes8(m);
     for (std::size_t s = 0; s < m; ++s) {
       codes[s] = static_cast<std::uint8_t>(xs[s] * cy + ys[s]);
@@ -41,12 +41,6 @@ TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
     return context;
   }
 
-  // The raw buffers keep malformed values as-is (values_in_range is the
-  // detector), so the endpoint codes clamp into [0, cx*cy) here: the
-  // kernels increment cells through these codes without bounds checks,
-  // and the clamp is what keeps even bad data inside the cell buffer —
-  // the same guarantee the dataset's codes8 columns give the byte stream
-  // and the z streams.
   const std::span<std::int32_t> codes = scratch.xy_codes(m);
   if (row_major) {
     // Cache-unfriendly path: stride across the sample rows.
@@ -54,16 +48,12 @@ TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
     const DataValue* base = data.row(0).data();
     for (std::size_t s = 0; s < m; ++s) {
       const DataValue* row = base + s * n;
-      codes[s] = std::min<std::int32_t>(row[x], cx - 1) * cy +
-                 std::min<std::int32_t>(row[y], cy - 1);
+      codes[s] = row[x] * cy + row[y];
     }
   } else {
     const DataValue* xs = data.column(x).data();
     const DataValue* ys = data.column(y).data();
-    for (std::size_t s = 0; s < m; ++s) {
-      codes[s] = std::min<std::int32_t>(xs[s], cx - 1) * cy +
-                 std::min<std::int32_t>(ys[s], cy - 1);
-    }
+    for (std::size_t s = 0; s < m; ++s) codes[s] = xs[s] * cy + ys[s];
   }
   context.xy_codes = codes;
   return context;

@@ -32,8 +32,8 @@ namespace fastbns {
 /// is non-empty.
 struct TableBuildContext {
   const DiscreteDataset* data = nullptr;
-  /// Per sample x*cy + y as int32: the stream for row-major contexts,
-  /// pairs with cx * cy > 255, and endpoints without a codes8 column.
+  /// Per sample x*cy + y as int32: the stream for row-major contexts
+  /// and pairs with cx * cy > 255.
   std::span<const std::int32_t> xy_codes;
   /// Per sample x*cy + y as one byte: the stream for column contexts
   /// whose cx * cy <= 255 (every code fits) — a quarter of the int32
@@ -52,12 +52,9 @@ struct TableBuildContext {
 /// Centralized endpoint-code precomputation — the one helper every
 /// builder call site uses: fills one code stream into `scratch` and
 /// returns a context wired to it and to `scratch`. Column contexts with
-/// cx * cy <= 255 whose endpoints both have codes8 columns get the byte
-/// stream, composed straight from those (already clamped) columns;
-/// everything else gets the int32 stream, clamped into [0, cx*cy) here
-/// so malformed raw values can never index outside a cell buffer. The
-/// span stays valid until the next request for the same buffer on the
-/// same arena.
+/// cx * cy <= 255 get the byte stream, composed from the two endpoint
+/// columns; everything else gets the int32 stream. The span stays valid
+/// until the next request for the same buffer on the same arena.
 [[nodiscard]] TableBuildContext make_table_context(
     const DiscreteDataset& data, VarId x, VarId y, bool row_major,
     ScratchArena& scratch,

@@ -20,9 +20,8 @@ inline constexpr std::size_t kMaxDepth = 32;
 
 /// Per-job access plan: conditioning column pointers (column-major) or
 /// variable ids (row-major) plus cardinalities, gathered once per build.
-/// Column streams prefer the dataset's packed codes8 columns (clamped
-/// into range, so even malformed values cannot index outside the cells)
-/// and fall back to the raw column for cardinalities past 255.
+/// The dataset keeps every value below its cardinality, so the codes
+/// index the cells as read.
 struct ZPlan {
   std::array<const std::uint8_t*, kMaxDepth> cols{};
   std::array<std::int32_t, kMaxDepth> cards{};
@@ -35,11 +34,7 @@ struct ZPlan {
     for (std::size_t i = 0; i < d; ++i) {
       const VarId v = job.z[i];
       cards[i] = context.data->cardinality(v);
-      if (!context.row_major) {
-        cols[i] = context.data->has_codes8(v)
-                      ? context.data->codes8(v).data()
-                      : context.data->column(v).data();
-      }
+      if (!context.row_major) cols[i] = context.data->column(v).data();
     }
   }
 
@@ -52,15 +47,9 @@ struct ZPlan {
   }
 
   [[nodiscard]] std::size_t code_row(const DataValue* row) const {
-    // Row streams have no clamped codes8 mirror, so clamp here: keeps
-    // malformed values inside the cells and the row-major pass
-    // bit-identical to the column path (whose codes8 streams clamp).
     std::size_t zc = 0;
     for (std::size_t i = 0; i < d; ++i) {
-      const auto cap = static_cast<DataValue>(
-          std::min<std::int32_t>(cards[i] - 1, 255));
-      zc = zc * static_cast<std::size_t>(cards[i]) +
-           std::min(row[vars[i]], cap);
+      zc = zc * static_cast<std::size_t>(cards[i]) + row[vars[i]];
     }
     return zc;
   }

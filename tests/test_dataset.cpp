@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dataset/dataset.hpp"
 
 namespace fastbns {
@@ -73,13 +76,6 @@ TEST(DiscreteDataset, SetWritesBothBuffers) {
   EXPECT_EQ(data.column(0)[1], 3);
 }
 
-TEST(DiscreteDataset, ValuesInRangeDetectsViolations) {
-  DiscreteDataset data(2, 2, {2, 2}, DataLayout::kColumnMajor);
-  EXPECT_TRUE(data.values_in_range());
-  data.set(0, 0, 2);  // cardinality is 2, so value 2 is out of range
-  EXPECT_FALSE(data.values_in_range());
-}
-
 TEST(DiscreteDataset, HeadTakesPrefix) {
   const auto data = make_small(DataLayout::kBoth);
   const auto head = data.head(2);
@@ -95,68 +91,89 @@ TEST(DiscreteDataset, HeadTakesPrefix) {
 TEST(DiscreteDataset, CardinalityMismatchThrows) {
   EXPECT_THROW(DiscreteDataset(3, 4, {2, 2}, DataLayout::kColumnMajor),
                std::invalid_argument);
+  // Both constructors reject a variable with no states.
+  EXPECT_THROW(DiscreteDataset(2, 4, {2, 0}), std::invalid_argument);
+  EXPECT_THROW(DiscreteDataset(2, 4, {-1, 2}, DataLayout::kRowMajor),
+               std::invalid_argument);
+  std::vector<DataValue> rows(8, 0);
+  EXPECT_THROW(DiscreteDataset(2, 4, {2, 0}, ExternalDataBuffers{.rows = rows}),
+               std::invalid_argument);
 }
 
-TEST(DiscreteDataset, Codes8MirrorsValuesForSmallCardinalities) {
-  const auto data = make_small(DataLayout::kColumnMajor);
-  for (VarId v = 0; v < data.num_vars(); ++v) {
-    ASSERT_TRUE(data.has_codes8(v));
-    const std::span<const std::uint8_t> codes = data.codes8(v);
-    ASSERT_EQ(codes.size(), static_cast<std::size_t>(data.num_samples()));
-    for (Count s = 0; s < data.num_samples(); ++s) {
-      EXPECT_EQ(codes[static_cast<std::size_t>(s)], data.value(s, v))
-          << "v=" << v << " s=" << s;
+TEST(DiscreteDataset, SetRejectsAValueAtItsCardinalityAndWritesNothing) {
+  for (const DataLayout layout :
+       {DataLayout::kRowMajor, DataLayout::kColumnMajor, DataLayout::kBoth}) {
+    DiscreteDataset data = make_small(layout);
+    const DataValue before = data.value(2, 1);
+    try {
+      data.set(2, 1, 3);  // cardinality 3: the largest value is 2
+      ADD_FAILURE() << "expected std::out_of_range";
+    } catch (const std::out_of_range& error) {
+      const std::string message = error.what();
+      for (const char* part :
+           {"value 3", "sample 2", "variable 1", "cardinality 3"}) {
+        EXPECT_NE(message.find(part), std::string::npos) << message;
+      }
     }
+    EXPECT_EQ(data.value(2, 1), before);
+    if (data.has_row_major()) {
+      EXPECT_EQ(data.row(2)[1], before);
+    }
+    if (data.has_column_major()) {
+      EXPECT_EQ(data.column(1)[2], before);
+    }
+    EXPECT_NO_THROW(data.set(2, 1, 2));
   }
 }
 
-TEST(DiscreteDataset, Codes8GuardsCardinalityPast255) {
-  // Values are bytes either way, but the packed-column contract (clamped
-  // into [0, cardinality)) is only meaningful up to 255 states; larger
-  // declared cardinalities fall back gracefully.
-  DiscreteDataset data(3, 4, {255, 256, 300}, DataLayout::kColumnMajor);
-  EXPECT_TRUE(data.has_codes8(0));
-  EXPECT_FALSE(data.has_codes8(1));
-  EXPECT_FALSE(data.has_codes8(2));
-  EXPECT_TRUE(data.codes8(1).empty());
-  data.set(0, 0, 254);
-  EXPECT_EQ(data.codes8(0)[0], 254);
+TEST(DiscreteDataset, ColumnsStartAtAPaddedStride) {
+  const Count m = 70;
+  const std::size_t stride = DiscreteDataset::column_stride(m);
+  EXPECT_EQ(stride, 2 * DiscreteDataset::kColumnPad);
+  DiscreteDataset data(3, m, {2, 3, 4});
+  data.set(m - 1, 1, 2);
+  ASSERT_EQ(data.column_block().size(), 3 * stride);
+  EXPECT_EQ(data.column(1).size(), static_cast<std::size_t>(m));
+  EXPECT_EQ(data.column(1).data(), data.column_block().data() + stride);
+  EXPECT_EQ(data.column_block()[stride + static_cast<std::size_t>(m) - 1], 2);
+  EXPECT_EQ(data.head(5).column_block().size(), 3 * DiscreteDataset::kColumnPad);
 }
 
-TEST(DiscreteDataset, Codes8ClampsOutOfRangeValues) {
-  // The SIMD kernels index cell buffers without bounds checks; the
-  // packed column clamps malformed values so they can never escape the
-  // table even when the raw buffers carry them (values_in_range stays
-  // the detector for that condition).
-  DiscreteDataset data(2, 3, {2, 3}, DataLayout::kBoth);
-  data.set(0, 0, 7);  // out of range for cardinality 2
-  EXPECT_FALSE(data.values_in_range());
-  EXPECT_EQ(data.value(0, 0), 7);     // raw buffers keep the bad value
-  EXPECT_EQ(data.codes8(0)[0], 1);    // packed column clamps to card-1
-}
+TEST(DiscreteDataset, ExternalBuffersAreCheckedOnceAtConstruction) {
+  const Count m = 5;
+  const std::size_t stride = DiscreteDataset::column_stride(m);
+  std::vector<DataValue> cols(2 * stride, 0);
+  std::vector<DataValue> rows(2 * static_cast<std::size_t>(m), 0);
+  cols[stride + 4] = 2;   // variable 1, sample 4: in range for 3 states
+  rows[4 * 2 + 1] = 2;
+  const DiscreteDataset view(2, m, {2, 3}, ExternalDataBuffers{rows, cols});
+  EXPECT_EQ(view.layout(), DataLayout::kBoth);
+  EXPECT_EQ(view.value(4, 1), 2);
 
-TEST(DiscreteDataset, Codes8RidesWithTheColumnMajorBuffer) {
-  // Row-major-only datasets (the cache-unfriendly ablation path) never
-  // stream packed codes, so they don't pay for the mirror; it comes with
-  // the column-major buffer and head() keeps it.
-  const auto row_only = make_small(DataLayout::kRowMajor);
-  EXPECT_FALSE(row_only.has_codes8(0));
-  EXPECT_TRUE(row_only.codes8(0).empty());
-  const auto data = make_small(DataLayout::kBoth);
-  ASSERT_TRUE(data.has_codes8(0));
-  for (VarId v = 0; v < data.num_vars(); ++v) {
-    for (Count s = 0; s < data.num_samples(); ++s) {
-      EXPECT_EQ(data.codes8(v)[static_cast<std::size_t>(s)],
-                data.value(s, v));
+  // Out of range in either buffer: the cardinality-2 variable holds a 2.
+  for (const bool in_rows : {false, true}) {
+    std::vector<DataValue> bad_cols = cols;
+    std::vector<DataValue> bad_rows = rows;
+    if (in_rows) {
+      bad_rows[3 * 2] = 2;
+    } else {
+      bad_cols[3] = 2;
+    }
+    try {
+      (void)DiscreteDataset(2, m, {2, 3},
+                            ExternalDataBuffers{bad_rows, bad_cols});
+      ADD_FAILURE() << "expected std::out_of_range, in_rows=" << in_rows;
+    } catch (const std::out_of_range& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("variable 0"), std::string::npos) << message;
+      EXPECT_NE(message.find("cardinality is 2"), std::string::npos)
+          << message;
     }
   }
-  const auto head = data.head(2);
-  for (VarId v = 0; v < head.num_vars(); ++v) {
-    for (Count s = 0; s < head.num_samples(); ++s) {
-      EXPECT_EQ(head.codes8(v)[static_cast<std::size_t>(s)],
-                head.value(s, v));
-    }
-  }
+  // A column buffer sized without the stride's padding is the wrong size.
+  std::vector<DataValue> unpadded(2 * static_cast<std::size_t>(m), 0);
+  EXPECT_THROW(DiscreteDataset(2, m, {2, 3}, ExternalDataBuffers{.cols = unpadded}),
+               std::invalid_argument);
 }
 
 TEST(ContinuousDataset, StoresAndReadsBackDoubles) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 
 namespace fastbns {
@@ -20,6 +21,29 @@ class DatasetIoTest : public ::testing::Test {
 
   [[nodiscard]] std::string path(const std::string& name) const {
     return (dir_ / name).string();
+  }
+
+  /// Writes `contents` to `name` and expects both loaders to reject it
+  /// with a std::runtime_error whose message holds every one of `parts`.
+  void expect_both_loaders_reject(const std::string& name,
+                                  const std::string& contents,
+                                  std::initializer_list<const char*> parts) {
+    std::ofstream(path(name)) << contents;
+    for (const bool automatic : {false, true}) {
+      try {
+        if (automatic) {
+          (void)load_csv_auto(path(name));
+        } else {
+          (void)load_csv(path(name));
+        }
+        ADD_FAILURE() << "expected std::runtime_error, auto=" << automatic;
+      } catch (const std::runtime_error& error) {
+        const std::string message = error.what();
+        for (const char* part : parts) {
+          EXPECT_NE(message.find(part), std::string::npos) << message;
+        }
+      }
+    }
   }
 
   std::filesystem::path dir_;
@@ -72,18 +96,39 @@ TEST_F(DatasetIoTest, ExplicitCardinalitiesOverrideInference) {
 }
 
 TEST_F(DatasetIoTest, RaggedRowsFail) {
-  std::ofstream out(path("ragged.csv"));
-  out << "x,y\n0,1\n0\n";
-  out.close();
-  EXPECT_THROW(load_csv(path("ragged.csv")), std::runtime_error);
+  // Blank lines are skipped, so the short row is data row 2.
+  expect_both_loaders_reject("ragged.csv", "x,y,z\n0,1,0\n\n1,0\n",
+                             {"row 2", "has 2 cells, expected 3"});
 }
 
 TEST_F(DatasetIoTest, ValueBeyondDeclaredCardinalityFails) {
   std::ofstream out(path("overflow.csv"));
-  out << "x\n7\n";
+  out << "x,y\n0,1\n1,0\n0,2\n";
   out.close();
-  EXPECT_THROW(load_csv(path("overflow.csv"), DataLayout::kColumnMajor, {2}),
-               std::runtime_error);
+  try {
+    (void)load_csv(path("overflow.csv"), DataLayout::kColumnMajor, {2, 2});
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    for (const char* part :
+         {"\"2\"", "row 3", "column y", "declared cardinality 2"}) {
+      EXPECT_NE(message.find(part), std::string::npos) << message;
+    }
+  }
+  // The value at the cardinality's last state loads.
+  const NamedDataset loaded =
+      load_csv(path("overflow.csv"), DataLayout::kColumnMajor, {2, 3});
+  EXPECT_EQ(loaded.data.value(2, 1), 2);
+}
+
+TEST_F(DatasetIoTest, RowEndingInACommaIsAnEmptyCellNamedByRowAndColumn) {
+  expect_both_loaders_reject("trailing.csv", "A,B\n0,1\n1,\n",
+                             {"cell \"\"", "row 2", "column B"});
+}
+
+TEST_F(DatasetIoTest, HeaderWithAnEmptyNameIsRejectedByPosition) {
+  expect_both_loaders_reject("empty_name.csv", "A,B,\n0,1,0\n",
+                             {"header column 3", "empty name"});
 }
 
 TEST_F(DatasetIoTest, MissingFileFails) {
@@ -192,8 +237,7 @@ TEST_F(DatasetIoTest, AutoLoaderRejectsNonFiniteCells) {
 
 TEST_F(DatasetIoTest, IntegerLoaderRejectsCellsThatAreNotBytes) {
   // std::stoi used to read "1.5" as 1 and "2x" as 2, and let "abc"
-  // escape as std::invalid_argument. The cell sits mid-row so an empty
-  // one is a cell, not a short row.
+  // escape as std::invalid_argument.
   for (const char* cell : {"1.5", "2x", "abc", "", "256", "-1"}) {
     std::ofstream out(path("not_bytes.csv"));
     out << "x,y,z\n0,1,0\n1," << cell << ",0\n";

@@ -69,14 +69,12 @@ std::size_t cz_product(const DiscreteDataset& data,
 }
 
 /// Independent reference count of the (x, y, z) table, read through
-/// DiscreteDataset::value() with the clamp every kernel applies (values
-/// capped at cardinality - 1). Shares no code with the kernels or with
+/// DiscreteDataset::value(). Shares no code with the kernels or with
 /// make_table_context, so a bug common to all of them still shows.
 std::vector<Count> reference_table(const DiscreteDataset& data, VarId x,
                                    VarId y, const std::vector<VarId>& z) {
-  const auto clamped = [&data](Count s, VarId v) {
-    return std::min(static_cast<std::size_t>(data.value(s, v)),
-                    static_cast<std::size_t>(data.cardinality(v) - 1));
+  const auto value = [&data](Count s, VarId v) {
+    return static_cast<std::size_t>(data.value(s, v));
   };
   const auto cy = static_cast<std::size_t>(data.cardinality(y));
   const std::size_t cz = cz_product(data, z);
@@ -85,9 +83,9 @@ std::vector<Count> reference_table(const DiscreteDataset& data, VarId x,
   for (Count s = 0; s < data.num_samples(); ++s) {
     std::size_t zc = 0;
     for (const VarId v : z) {
-      zc = zc * static_cast<std::size_t>(data.cardinality(v)) + clamped(s, v);
+      zc = zc * static_cast<std::size_t>(data.cardinality(v)) + value(s, v);
     }
-    ++cells[(clamped(s, x) * cy + clamped(s, y)) * cz + zc];
+    ++cells[(value(s, x) * cy + value(s, y)) * cz + zc];
   }
   return cells;
 }
@@ -195,7 +193,8 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
   // a single value (forward-sampled networks are skewed like this),
   // tables just under and just over the scalar pass's split limit, every
   // sample count remainder mod 4, depths 0-3, a pair whose codes need
-  // int32, a row-major context, and values above the cardinality.
+  // int32, a row-major context, and the largest value of every
+  // cardinality.
   enum : VarId { kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY };
   // With cx*cy = 16, one conditioning variable of card `under` fills the
   // limit exactly and one of card `under + 1` exceeds it; at depth 2 the
@@ -215,10 +214,10 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
       data.set(s, kConst, 1);
       data.set(s, kSkewed, rng.next_below(20) == 0 ? 0 : 1);
     }
-    data.set(3, kX, 9);
-    data.set(m - 1, kY, 200);
-    data.set(m / 2, kUnder, static_cast<DataValue>(under + 3));
-    ASSERT_FALSE(data.values_in_range());
+    data.set(3, kX, 3);
+    data.set(m - 1, kY, 3);
+    data.set(m / 2, kUnder, static_cast<DataValue>(under - 1));
+    data.set(m - 1, kWideX, 16);
 
     ScratchArena arena;
     const struct {
@@ -308,8 +307,8 @@ TEST(TableBuilder, MarginalTablesNeedNoConditioningColumns) {
 TEST(TableBuilder, ContextHelperMatchesManualCodes) {
   // make_table_context fills exactly one endpoint-code stream with the
   // codes every call site used to compute by hand: bytes for a column
-  // context whose cx*cy fits a byte and whose endpoints have codes8
-  // columns — on every dispatch tier — and int32 codes otherwise.
+  // context whose cx*cy fits a byte — on every dispatch tier — and int32
+  // codes otherwise.
   const DiscreteDataset data = random_dataset(6, 333, 4, 11);
   ScratchArena arena;
   const std::vector<std::int32_t> expected = xy_codes(data, 2, 4);
@@ -347,77 +346,6 @@ TEST(TableBuilder, ContextHelperMatchesManualCodes) {
   expect_int32_stream(
       make_table_context(wide, 0, 1, /*row_major=*/false, arena),
       xy_codes(wide, 0, 1), "cx*cy > 255");
-
-  // Endpoints without codes8 columns: a view of a column buffer given
-  // without its packed mirror.
-  std::vector<DataValue> columns;
-  for (VarId v = 0; v < data.num_vars(); ++v) {
-    const std::span<const DataValue> column = data.column(v);
-    columns.insert(columns.end(), column.begin(), column.end());
-  }
-  ExternalDataBuffers buffers;
-  buffers.cols = columns;
-  const DiscreteDataset view(data.num_vars(), data.num_samples(),
-                             data.cardinalities(), buffers);
-  ASSERT_FALSE(view.has_codes8(2));
-  expect_int32_stream(
-      make_table_context(view, 2, 4, /*row_major=*/false, arena), expected,
-      "no codes8");
-}
-
-TEST(TableBuilder, MalformedValuesCannotEscapeTheCellBuffer) {
-  // The kernels increment cells without bounds checks; the clamps in
-  // make_table_context (endpoint codes), the dataset's codes8 columns
-  // (column z streams), and ZPlan::code_row (row z streams) are what
-  // contain malformed raw values. Poison every variable with
-  // out-of-range values and require every kernel, in both layouts, to
-  // match the clamped reference and keep every count inside the table.
-  DiscreteDataset data(4, 257, {2, 3, 4, 3}, DataLayout::kBoth);
-  Rng rng(424242);
-  for (VarId v = 0; v < 4; ++v) {
-    for (Count s = 0; s < data.num_samples(); ++s) {
-      data.set(s, v,
-               static_cast<DataValue>(rng.next_below(
-                   static_cast<std::uint64_t>(data.cardinality(v)))));
-    }
-  }
-  data.set(0, 0, 200);   // x endpoint out of range
-  data.set(1, 1, 255);   // y endpoint out of range
-  data.set(2, 2, 99);    // conditioning column out of range
-  data.set(256, 3, 77);  // past the widest vector block
-  ASSERT_FALSE(data.values_in_range());
-
-  ScratchArena column_arena;
-  ScratchArena row_arena;
-  const TableBuildContext context =
-      make_table_context(data, 0, 1, /*row_major=*/false, column_arena);
-  const TableBuildContext row_context =
-      make_table_context(data, 0, 1, /*row_major=*/true, row_arena);
-  const auto in_range = [&](std::int32_t code) {
-    return code >= 0 && code < data.cardinality(0) * data.cardinality(1);
-  };
-  ASSERT_FALSE(context.xy_codes8.empty());  // cx*cy = 6 fits a byte
-  for (const std::uint8_t code : context.xy_codes8) {
-    ASSERT_TRUE(in_range(code));
-  }
-  ASSERT_FALSE(row_context.xy_codes.empty());
-  for (const std::int32_t code : row_context.xy_codes) {
-    ASSERT_TRUE(in_range(code));
-  }
-
-  const std::vector<VarId> z{2, 3};
-  const std::vector<Count> reference = reference_table(data, 0, 1, z);
-  Count total = 0;
-  for (const Count c : reference) total += c;
-  EXPECT_EQ(total, data.num_samples());  // every sample landed in a cell
-  for_each_kernel([&](TableBuilder& kernel, const std::string& label) {
-    for (const TableBuildContext* ctx : {&context, &row_context}) {
-      std::vector<Count> probe(reference.size(), Count{-2});
-      kernel.build(*ctx, TableJob{z, cz_product(data, z), probe});
-      EXPECT_EQ(probe, reference)
-          << label << (ctx->row_major ? " row-major" : " column");
-    }
-  });
 }
 
 /// Builds each conditioning set's table through every kernel and expects
@@ -440,16 +368,14 @@ void expect_kernels_match_reference(const DiscreteDataset& data, VarId x,
 }
 
 TEST(TableBuilder, KernelsMatchAcrossCardinalityBoundaries) {
-  // Cardinality 255 is the last value with a packed codes8 column; 300
-  // (values still bytes, metadata past the guard) has none and the
-  // kernels fall back to the raw column. The 255*300-state set also
-  // pushes the table past 65536 cells, forcing the wide 32-bit index
-  // path, while the smaller sets stay on the 16-bit fast path.
+  // Cardinality 255 is the last whose every value a byte column holds;
+  // 300 declares states no byte can reach, and the kernels read both
+  // columns alike. The 255*300-state set also pushes the table past
+  // 65536 cells, forcing the wide 32-bit index path, while the smaller
+  // sets stay on the 16-bit fast path.
   const VarId n = 5;
   const Count m = 3001;
   DiscreteDataset data(n, m, {2, 3, 255, 300, 17}, DataLayout::kColumnMajor);
-  EXPECT_TRUE(data.has_codes8(2));
-  EXPECT_FALSE(data.has_codes8(3));
   Rng rng(255);
   for (Count s = 0; s < m; ++s) {
     for (VarId v = 0; v < n; ++v) {

@@ -23,7 +23,8 @@ TEST(Workloads, MakeWorkloadShapes) {
   EXPECT_TRUE(workload.data.is_discrete());
   EXPECT_TRUE(workload.data.discrete().has_row_major());
   EXPECT_TRUE(workload.data.discrete().has_column_major());
-  EXPECT_TRUE(workload.data.discrete().values_in_range());
+  EXPECT_EQ(workload.data.discrete().cardinalities(),
+            workload.network.cardinalities());
 }
 
 TEST(Workloads, DeterministicPerNameAndSize) {
