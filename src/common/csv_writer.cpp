@@ -1,10 +1,9 @@
 #include "common/csv_writer.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-
-#include "common/logging.hpp"
 
 namespace fastbns {
 
@@ -14,14 +13,15 @@ bool write_text_file(const std::string& path, const std::string& content) {
   if (file_path.has_parent_path()) {
     std::filesystem::create_directories(file_path.parent_path(), ec);
     if (ec) {
-      Log(LogLevel::kWarn) << "cannot create directory for " << path << ": "
-                           << ec.message();
+      std::fprintf(stderr, "fastbns: cannot create directory for %s: %s\n",
+                   path.c_str(), ec.message().c_str());
       return false;
     }
   }
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
-    Log(LogLevel::kWarn) << "cannot open " << path << " for writing";
+    std::fprintf(stderr, "fastbns: cannot open %s for writing\n",
+                 path.c_str());
     return false;
   }
   out << content;

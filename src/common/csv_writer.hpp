@@ -6,8 +6,8 @@
 namespace fastbns {
 
 /// Creates parent directories as needed and writes `content` to `path`.
-/// Returns false (and logs) on I/O failure; benches keep running because
-/// stdout already carries the results.
+/// Returns false (and warns on stderr) on I/O failure; benches keep
+/// running because stdout already carries the results.
 bool write_text_file(const std::string& path, const std::string& content);
 
 /// Directory used by all benches, overridable via FASTBNS_RESULT_DIR.

@@ -1,7 +1,7 @@
-// The multi-process rank engine: one forked process per rank, a
-// round-robin deal of every depth's works over the ranks, and an explicit
-// allreduce for the commit barrier — the fork-based first step toward
-// distributed (MPI-style) skeleton learning.
+// The multi-process rank engine: one forked process per rank, every
+// depth's works dealt round-robin over the ranks as explicit lists, and
+// an explicit allreduce for the commit barrier — the fork-based first
+// step toward distributed (MPI-style) skeleton learning.
 //
 // Topology of a run:
 //  - The driver process (this engine) forks rank_count worker ranks at
@@ -15,20 +15,26 @@
 //    driver uses — identical inputs give identical lists, so a work is
 //    addressed across the process boundary by nothing more than its
 //    index (endpoint ids double-check every reply; a divergent replica
-//    is a protocol error, not silent corruption). Of that list rank r of
-//    R executes its deal — positions r, r + R, r + 2R, …, which the
-//    driver and every rank compute from the list's length alone — plus
-//    whatever explicit indices its command names (re-partitioned work
-//    inherited from retired ranks). Inside a rank, threads claim the
-//    deal's works one at a time from an atomic cursor.
+//    is a protocol error, not silent corruption). A rank runs exactly
+//    the indices its command lists; inside it, threads claim them one
+//    at a time from an atomic cursor.
+//  - Each depth runs in rounds. A round deals the pending work indices
+//    round-robin over the live ranks — the i-th pending index goes to
+//    live rank i mod L — and sends each rank its list. The first round
+//    deals the whole work list and reaches every live rank, even one
+//    whose list is empty; each later round re-deals the lists of the
+//    ranks retired in the round before, and only to ranks it gives
+//    work. The lists are built after the first fork, so the ranks
+//    forked then do not inherit them.
 //  - The per-depth commit barrier is an allreduce rooted at the driver:
-//    RUN_DEPTH(depth, previous depth's union removal set) goes out to
-//    every rank; each rank applies the removals to its replica, runs its
-//    works, and replies with its removal set (each removal's accepting
-//    test rank) + test count; the driver merges the replies into the
-//    works vector (the same outcome slot every engine fills), logs the
-//    removed edges for the checkpoint, and carries the union forward to
-//    the next broadcast.
+//    the first round's RUN_DEPTH(depth, previous depth's union removal
+//    set, list) goes out to every rank; each rank applies the removals
+//    to its replica, runs its list, and replies with its removal set
+//    (each removal's accepting test rank) + test count; the driver
+//    merges the replies into the works vector (the same outcome slot
+//    every engine fills), logs the removed edges for the respawn
+//    replay, and carries the union forward to the next depth's first
+//    round.
 //
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
@@ -39,17 +45,15 @@
 //     original racing its own retransmission) harmlessly discardable.
 //  2. Respawn + replay — a rank that died (EOF) or wedged (deadline,
 //     retries exhausted — then SIGKILLed) is forked again and rebuilds
-//     its graph replica by replaying the committed removal log (the
-//     DepthCheckpoint batches the supervisor accumulates as a byproduct
-//     of broadcasting), then re-runs its works for the depth as an
-//     explicit index list. Each respawn is a new generation; the fault
-//     injector matches events per generation, so a gen-0 kill does not
-//     re-fire on the replacement (and a gen-1 event deliberately does —
-//     the death-during-recovery test).
+//     its graph replica by replaying the removal log (every removal set
+//     the supervisor has sent, this depth's included), then re-runs its
+//     list. Each respawn is a new generation; the fault injector
+//     matches events per generation, so a gen-0 kill does not re-fire
+//     on the replacement (and a gen-1 event deliberately does — the
+//     death-during-recovery test).
 //  3. Re-partition — once a rank's max_rank_restarts budget is spent it
-//     is retired and its works are dealt round-robin onto the surviving
-//     ranks as explicit RUN_DEPTH commands; later depths fold the
-//     retired rank's deal into the survivors' assignments the same way.
+//     is retired: the depth's next round re-deals its list over the
+//     surviving ranks, and later depths deal over the survivors alone.
 //  4. Degrade — when fork itself fails (initial spawn or a respawn) or
 //     no rank survives, the supervisor finishes the current depth's
 //     unmerged works in-process (std::thread clones with the exact rank
@@ -80,6 +84,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -135,48 +140,63 @@ int env_positive_int(const char* name, int fallback) {
 struct RankConfig {
   int rank = 0;
   VarId num_vars = 0;
-  std::int32_t rank_count = 1;
   std::int32_t rank_threads = 1;
   /// The run's deterministic fault schedule; the rank filters it down to
   /// itself through a RankFaultInjector (fault/fault_schedule.hpp).
   FaultSchedule schedule;
 };
 
-/// Rank `rank`'s deal of a depth's `work_count` works: list positions
-/// rank, rank + rank_count, rank + 2 rank_count, … The driver and every
-/// rank compute it from the list's length alone, so the deal costs no
-/// wire traffic; ranks beyond the work count get nothing.
-std::vector<std::int64_t> dealt_works(std::size_t work_count, int rank,
-                                      int rank_count) {
-  std::vector<std::int64_t> indices;
-  for (auto i = static_cast<std::size_t>(rank); i < work_count;
-       i += static_cast<std::size_t>(rank_count)) {
-    indices.push_back(static_cast<std::int64_t>(i));
+/// A removed edge, as removal sets and the replay log carry it: the
+/// replica needs nothing else, and the driver commits the sepsets
+/// itself.
+struct Removal {
+  VarId x = 0;
+  VarId y = 0;
+};
+
+/// Writes a u32 count, then each removal's endpoints.
+void put_removals(WireWriter& writer, std::span<const Removal> removals) {
+  writer.put_u32(static_cast<std::uint32_t>(removals.size()));
+  for (const Removal& removal : removals) {
+    writer.put_i32(removal.x);
+    writer.put_i32(removal.y);
   }
-  return indices;
 }
 
-/// The command payload of one depth. `explicit_only` distinguishes the
-/// normal broadcast (the rank runs its own deal plus the listed extra
-/// indices) from recovery commands (the rank runs exactly the listed
-/// indices — respawn re-issues and re-partitioned work).
+/// Reads what put_removals wrote and removes each edge from `replica`.
+void apply_removals(WireReader& reader, UndirectedGraph& replica) {
+  const std::uint32_t count = reader.get_u32();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const VarId x = reader.get_i32();
+    const VarId y = reader.get_i32();
+    replica.remove_edge(x, y);
+  }
+}
+
+/// The command payload of one depth: the removals the replica must apply
+/// first, then the work indices the rank runs — exactly those.
 void encode_run_depth(WireWriter& writer, std::int32_t depth,
-                      std::uint32_t seq, bool grouped, bool explicit_only,
-                      std::span<const DepthCheckpoint::Removal> removals,
+                      std::uint32_t seq, bool grouped,
+                      std::span<const Removal> removals,
                       std::span<const std::int64_t> indices) {
   writer.put_i32(depth);
   writer.put_u32(seq);
   writer.put_u8(grouped ? 1 : 0);
-  writer.put_u8(explicit_only ? 1 : 0);
-  writer.put_u32(static_cast<std::uint32_t>(removals.size()));
-  for (const DepthCheckpoint::Removal& removal : removals) {
-    writer.put_i32(removal.x);
-    writer.put_i32(removal.y);
-  }
+  put_removals(writer, removals);
   writer.put_u32(static_cast<std::uint32_t>(indices.size()));
   for (const std::int64_t index : indices) {
     writer.put_u64(static_cast<std::uint64_t>(index));
   }
+}
+
+/// Keeps a faulted rank alive but silent until the supervisor kills it,
+/// then _exits with `status`. Capped (10 minutes) so an orphan cannot
+/// outlive a crashed parent forever.
+[[noreturn]] void park_then_exit(int status) {
+  for (int i = 0; i < 6000; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  ::_exit(status);
 }
 
 /// Runs the works `mine` lists with one std::thread per clone (the
@@ -260,21 +280,12 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
                  : ""));
       }
       if (frame.tag == kTagReplay) {
-        // Checkpoint replay after a respawn: rebuild the replica from
-        // the committed removal log. No reply — the explicit RUN_DEPTH
-        // that follows produces the next frame.
+        // Replay after a respawn: rebuild the replica from the removal
+        // log. No reply — the RUN_DEPTH that follows produces the next
+        // frame.
         WireReader reader(frame.payload);
         injector.set_generation(reader.get_i32());
-        const std::uint32_t batches = reader.get_u32();
-        for (std::uint32_t b = 0; b < batches; ++b) {
-          (void)reader.get_i32();  // batch depth (log metadata)
-          const std::uint32_t removals = reader.get_u32();
-          for (std::uint32_t i = 0; i < removals; ++i) {
-            const VarId x = reader.get_i32();
-            const VarId y = reader.get_i32();
-            replica.remove_edge(x, y);
-          }
-        }
+        apply_removals(reader, replica);
         continue;
       }
       if (frame.tag == kTagRetransmit) {
@@ -293,20 +304,15 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
       const std::int32_t depth = reader.get_i32();
       const std::uint32_t seq = reader.get_u32();
       const bool grouped = reader.get_u8() != 0;
-      const bool explicit_only = reader.get_u8() != 0;
-      // The previous depth's union removal set — every rank's replica
-      // replays the same removal stream the driver committed, so every
-      // replica agrees with the driver's graph by induction. (Recovery
-      // commands carry zero removals: a respawned replica was already
-      // rebuilt through the replay frame, this depth's batch included.)
-      const std::uint32_t removals = reader.get_u32();
-      for (std::uint32_t i = 0; i < removals; ++i) {
-        const VarId x = reader.get_i32();
-        const VarId y = reader.get_i32();
-        replica.remove_edge(x, y);
-      }
-      std::vector<std::int64_t> listed(reader.get_u32());
-      for (std::int64_t& index : listed) {
+      // The previous depth's union removal set, on the depth's first
+      // command only — every rank's replica replays the same removal
+      // stream the driver committed, so every replica agrees with the
+      // driver's graph by induction. (Later commands of the depth carry
+      // none: a re-dealt list goes to a replica that already applied
+      // them, a respawned one rebuilt itself through the replay frame.)
+      apply_removals(reader, replica);
+      std::vector<std::int64_t> mine(reader.get_u32());
+      for (std::int64_t& index : mine) {
         index = static_cast<std::int64_t>(reader.get_u64());
       }
       if (const FaultEvent* lethal = injector.lethal_fault(depth)) {
@@ -317,33 +323,18 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
           // Sever the channel with the process still alive: the
           // supervisor sees a clean EOF while waitpid still says
           // "running" — no other fault produces that — and must run the
-          // same respawn ladder a death triggers. Park (capped, like
-          // wedge) so an orphan cannot outlive a crashed parent forever.
+          // same respawn ladder a death triggers.
           ::close(result_fd);
           ::close(command_fd);
-          for (int i = 0; i < 6000; ++i) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(100));
-          }
-          ::_exit(44);
+          park_then_exit(44);
         }
         // Wedge: alive but unresponsive — only the supervisor's
-        // per-frame deadline and SIGKILL clear it. Capped so an orphan
-        // cannot outlive a crashed parent forever.
-        for (int i = 0; i < 6000; ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        ::_exit(43);
+        // per-frame deadline and SIGKILL clear it.
+        park_then_exit(43);
       }
       const WallTimer compute_timer;
       std::vector<EdgeWork> works =
           build_depth_works(replica, depth, grouped, snapshot);
-      std::vector<std::int64_t> mine;
-      if (explicit_only) {
-        mine = std::move(listed);
-      } else {
-        mine = dealt_works(works.size(), config.rank, config.rank_count);
-        mine.insert(mine.end(), listed.begin(), listed.end());
-      }
       for (const std::int64_t index : mine) {
         if (index < 0 || static_cast<std::size_t>(index) >= works.size()) {
           throw std::runtime_error(
@@ -399,13 +390,10 @@ int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
         // The prefix went out (send_frame_with_fault wrote half the
         // frame); now sever the channel — the supervisor reads half a
         // frame followed by EOF from a rank that is still alive, and
-        // must respawn + replay. Park alive, capped like wedge.
+        // must respawn + replay.
         ::close(result_fd);
         ::close(command_fd);
-        for (int i = 0; i < 6000; ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        }
-        ::_exit(45);
+        park_then_exit(45);
       }
       if (!sent) {
         return 1;  // parent is gone; nothing left to report to
@@ -430,8 +418,7 @@ class ProcessEngine final : public SkeletonEngine {
     spawned_ = false;
     rank_main_ = nullptr;
     state_.clear();
-    current_assignment_.clear();
-    checkpoint_log_.clear();
+    removal_log_.clear();
     pending_removals_.clear();
     depth_stats_.clear();
     events_.clear();
@@ -455,173 +442,86 @@ class ProcessEngine final : public SkeletonEngine {
     }
     const bool grouped = options.group_endpoints;
 
-    // This depth's assignments: the parent computes the same deals the
-    // ranks do; retired ranks' deals are dealt round-robin onto the
-    // survivors as explicit extras.
-    std::vector<int> active;
-    for (int rank = 0; rank < rank_count_; ++rank) {
-      if (!state_[static_cast<std::size_t>(rank)].retired) {
-        active.push_back(rank);
-      }
-    }
-    if (active.empty()) {
-      return finish_depth_degraded(works, depth, prototype, all_indices(works),
-                                   /*total_so_far=*/0, depth_timer,
-                                   events_before);
-    }
-    std::vector<std::vector<std::int64_t>> extras(
-        static_cast<std::size_t>(rank_count_));
-    current_assignment_.assign(static_cast<std::size_t>(rank_count_), {});
-    std::size_t deal = 0;
-    for (int rank = 0; rank < rank_count_; ++rank) {
-      std::vector<std::int64_t> dealt =
-          dealt_works(works.size(), rank, rank_count_);
-      if (!state_[static_cast<std::size_t>(rank)].retired) {
-        current_assignment_[static_cast<std::size_t>(rank)] = std::move(dealt);
-        continue;
-      }
-      for (const std::int64_t index : dealt) {
-        extras[static_cast<std::size_t>(active[deal++ % active.size()])]
-            .push_back(index);
-      }
-    }
-    for (const int rank : active) {
-      auto& assignment = current_assignment_[static_cast<std::size_t>(rank)];
-      const auto& extra = extras[static_cast<std::size_t>(rank)];
-      assignment.insert(assignment.end(), extra.begin(), extra.end());
-    }
+    // The previous depth's union removal set rides on the first round
+    // only. It joins the replay log *before* it is sent: a rank respawned
+    // during this depth replays a log that already holds it, so its
+    // re-issued list carries no removals.
+    std::vector<Removal> removals;
+    removals.swap(pending_removals_);
+    removal_log_.insert(removal_log_.end(), removals.begin(), removals.end());
 
-    // Commit this depth's broadcast to the checkpoint log *before*
-    // sending it: a rank respawned mid-depth replays a log that already
-    // includes the batch its peers just received, so the explicit
-    // re-issue carries zero removals.
-    checkpoint_log_.push_back({depth, pending_removals_});
-
-    // Broadcast: this depth plus the previous depth's union removal set
-    // (the downward half of the allreduce). Per-rank payloads, because
-    // the re-partitioned extras differ. A rank that already died fails
-    // its try_send silently here — the gather discovers the EOF and
-    // runs the recovery ladder.
-    std::vector<std::uint32_t> seq(static_cast<std::size_t>(rank_count_), 0);
-    for (const int rank : active) {
-      seq[static_cast<std::size_t>(rank)] = next_seq_++;
-      WireWriter writer;
-      encode_run_depth(writer, depth, seq[static_cast<std::size_t>(rank)],
-                       grouped, /*explicit_only=*/false, pending_removals_,
-                       extras[static_cast<std::size_t>(rank)]);
-      (void)group_.try_send(rank, kTagRunDepth, writer.payload());
-    }
-    pending_removals_.clear();
-
-    // Gather + merge (the upward half). Ranks own disjoint works, so
-    // merge order cannot change an outcome; reading them in rank order
-    // keeps the error attribution deterministic. Each rank's failure is
-    // handled inside gather_rank (retransmit → respawn ladder); what
-    // comes back is merged, retired-with-orphans, or a degrade verdict.
-    const WallTimer gather_timer;
+    // Rounds (see the file comment). The gather merges in rank order, so
+    // the error attribution stays deterministic; ranks own disjoint
+    // works, so merge order cannot change an outcome. Each rank's failure
+    // is handled inside gather_rank (retransmit → respawn ladder); what
+    // comes back is merged, retired (its list goes to the next round) or
+    // a degrade verdict. The loop ends because every round either merges
+    // everything or retires at least one more rank.
+    WallTimer gather_timer;
     DepthTally tally;
-    std::vector<std::int64_t> orphans;
-    std::vector<char> merged(static_cast<std::size_t>(rank_count_), 0);
-    bool degraded = false;
-    for (std::size_t i = 0; i < active.size() && !degraded; ++i) {
-      const int rank = active[i];
-      switch (gather_rank(works, depth, grouped, rank,
-                          seq[static_cast<std::size_t>(rank)],
-                          current_assignment_[static_cast<std::size_t>(rank)],
-                          tally)) {
-        case Gather::kMerged:
-          merged[static_cast<std::size_t>(rank)] = 1;
-          break;
-        case Gather::kRetired: {
-          auto& assignment =
-              current_assignment_[static_cast<std::size_t>(rank)];
-          orphans.insert(orphans.end(), assignment.begin(), assignment.end());
-          assignment.clear();
-          break;
-        }
-        case Gather::kDegraded:
-          degraded = true;
-          break;
-      }
-    }
-
-    // Re-partition rounds: deal the orphaned works of retired ranks onto
-    // the survivors as explicit commands for the *same* depth (their
-    // replicas are unchanged, so the same works list resolves the
-    // indices). A survivor that fails here re-enters the same ladder and
-    // may re-orphan its deal; the loop converges because every round
-    // either merges everything or retires at least one more rank.
-    while (!degraded && !orphans.empty()) {
-      std::vector<int> survivors;
+    std::vector<std::int64_t> pending = all_indices(works);
+    std::vector<std::vector<std::int64_t>> lists(
+        static_cast<std::size_t>(rank_count_));
+    std::vector<std::uint32_t> seq(static_cast<std::size_t>(rank_count_), 0);
+    for (bool first_round = true; first_round || !pending.empty();
+         first_round = false) {
+      std::vector<int> live;
       for (int rank = 0; rank < rank_count_; ++rank) {
         if (!state_[static_cast<std::size_t>(rank)].retired) {
-          survivors.push_back(rank);
+          live.push_back(rank);
         }
       }
-      if (survivors.empty()) {
-        degraded = true;
+      if (live.empty()) {
         record_event(depth, -1, RecoveryAction::kDegrade,
                      "no rank survived the depth — finishing in-process");
-        break;
+        return finish_depth_degraded(works, depth, prototype, pending,
+                                     tally.tests, depth_timer, events_before);
       }
-      std::vector<std::vector<std::int64_t>> dealt(
-          static_cast<std::size_t>(rank_count_));
-      for (std::size_t i = 0; i < orphans.size(); ++i) {
-        dealt[static_cast<std::size_t>(survivors[i % survivors.size()])]
-            .push_back(orphans[i]);
+      for (std::vector<std::int64_t>& list : lists) list.clear();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        lists[static_cast<std::size_t>(live[i % live.size()])].push_back(
+            pending[i]);
       }
-      orphans.clear();
-      std::vector<int> dealt_ranks;
-      for (const int rank : survivors) {
-        if (dealt[static_cast<std::size_t>(rank)].empty()) continue;
-        dealt_ranks.push_back(rank);
-        seq[static_cast<std::size_t>(rank)] = next_seq_++;
-        current_assignment_[static_cast<std::size_t>(rank)] =
-            dealt[static_cast<std::size_t>(rank)];
-        merged[static_cast<std::size_t>(rank)] = 0;
+      pending.clear();
+      // A rank that already died fails its try_send silently here — the
+      // gather discovers the EOF and runs the recovery ladder.
+      std::vector<int> sent;
+      for (const int rank : live) {
+        const auto slot = static_cast<std::size_t>(rank);
+        if (!first_round && lists[slot].empty()) continue;
+        seq[slot] = next_seq_++;
         WireWriter writer;
-        encode_run_depth(writer, depth, seq[static_cast<std::size_t>(rank)],
-                         grouped, /*explicit_only=*/true, {},
-                         dealt[static_cast<std::size_t>(rank)]);
+        encode_run_depth(writer, depth, seq[slot], grouped,
+                         first_round ? std::span<const Removal>(removals)
+                                     : std::span<const Removal>(),
+                         lists[slot]);
         (void)group_.try_send(rank, kTagRunDepth, writer.payload());
+        sent.push_back(rank);
       }
-      for (const int rank : dealt_ranks) {
-        if (degraded) break;
-        switch (gather_rank(
-            works, depth, grouped, rank, seq[static_cast<std::size_t>(rank)],
-            current_assignment_[static_cast<std::size_t>(rank)], tally)) {
+      if (first_round) gather_timer.reset();
+      for (std::size_t i = 0; i < sent.size(); ++i) {
+        const auto slot = static_cast<std::size_t>(sent[i]);
+        switch (gather_rank(works, depth, grouped, sent[i], seq[slot],
+                            lists[slot], tally)) {
           case Gather::kMerged:
-            merged[static_cast<std::size_t>(rank)] = 1;
             break;
-          case Gather::kRetired: {
-            auto& assignment =
-                current_assignment_[static_cast<std::size_t>(rank)];
-            orphans.insert(orphans.end(), assignment.begin(),
-                           assignment.end());
-            assignment.clear();
+          case Gather::kRetired:
+            pending.insert(pending.end(), lists[slot].begin(),
+                           lists[slot].end());
             break;
-          }
           case Gather::kDegraded:
-            degraded = true;
-            break;
+            // Everything not yet merged — this rank's list, the lists
+            // of ranks not yet gathered and of ranks retired this round
+            // — finishes locally, and so does every later depth.
+            for (std::size_t j = i; j < sent.size(); ++j) {
+              const auto& list = lists[static_cast<std::size_t>(sent[j])];
+              pending.insert(pending.end(), list.begin(), list.end());
+            }
+            return finish_depth_degraded(works, depth, prototype, pending,
+                                         tally.tests, depth_timer,
+                                         events_before);
         }
       }
-    }
-
-    if (degraded) {
-      // Everything not yet merged — the failed rank's works, ranks never
-      // gathered, and undealt orphans — finishes locally, and so does
-      // every later depth.
-      std::vector<std::int64_t> unmerged = std::move(orphans);
-      for (int rank = 0; rank < rank_count_; ++rank) {
-        if (state_[static_cast<std::size_t>(rank)].retired) continue;
-        if (merged[static_cast<std::size_t>(rank)]) continue;
-        const auto& assignment =
-            current_assignment_[static_cast<std::size_t>(rank)];
-        unmerged.insert(unmerged.end(), assignment.begin(), assignment.end());
-      }
-      return finish_depth_degraded(works, depth, prototype, unmerged,
-                                   tally.tests, depth_timer, events_before);
     }
 
     depth_stats_.push_back(
@@ -795,38 +695,23 @@ class ProcessEngine final : public SkeletonEngine {
         return Gather::kDegraded;
       }
       state.generation = generation;
-      std::size_t logged = 0;
-      for (const DepthCheckpoint& batch : checkpoint_log_) {
-        logged += batch.removals.size();
-      }
       record_event(
           depth, rank, RecoveryAction::kRespawn,
           reason + "; respawned as generation " + std::to_string(generation) +
-              ", replaying " + std::to_string(checkpoint_log_.size()) +
-              " checkpoint batch(es) (" + std::to_string(logged) +
-              " removals) and re-running its " +
+              ", replaying " + std::to_string(removal_log_.size()) +
+              " logged removals and re-running its " +
               std::to_string(indices.size()) + " works");
-      // Rebuild the replica from the committed log (which already holds
-      // this depth's broadcast batch), then re-issue the depth as an
-      // explicit index list with zero removals. A send that fails here
-      // means the replacement died instantly; the loop charges another
-      // restart and tries again.
+      // Rebuild the replica from the log (which already holds this
+      // depth's removals), then re-issue the rank's list with none. A
+      // send that fails here means the replacement died instantly; the
+      // loop charges another restart and tries again.
       WireWriter replay;
       replay.put_i32(generation);
-      replay.put_u32(static_cast<std::uint32_t>(checkpoint_log_.size()));
-      for (const DepthCheckpoint& batch : checkpoint_log_) {
-        replay.put_i32(batch.depth);
-        replay.put_u32(static_cast<std::uint32_t>(batch.removals.size()));
-        for (const DepthCheckpoint::Removal& removal : batch.removals) {
-          replay.put_i32(removal.x);
-          replay.put_i32(removal.y);
-        }
-      }
+      put_removals(replay, removal_log_);
       if (!group_.try_send(rank, kTagReplay, replay.payload())) continue;
       const std::uint32_t seq = next_seq_++;
       WireWriter command;
-      encode_run_depth(command, depth, seq, grouped, /*explicit_only=*/true,
-                       {}, indices);
+      encode_run_depth(command, depth, seq, grouped, {}, indices);
       if (!group_.try_send(rank, kTagRunDepth, command.payload())) continue;
       return gather_rank(works, depth, grouped, rank, seq, indices, tally);
     }
@@ -950,7 +835,6 @@ class ProcessEngine final : public SkeletonEngine {
       RankConfig& config = configs[static_cast<std::size_t>(rank)];
       config.rank = rank;
       config.num_vars = num_vars_;
-      config.rank_count = rank_count_;
       config.rank_threads = rank_threads_;
       config.schedule = schedule_;
     }
@@ -991,15 +875,12 @@ class ProcessEngine final : public SkeletonEngine {
   /// detector of the retransmit rung.
   std::uint32_t next_seq_ = 1;
   std::vector<RankState> state_;
-  /// The works each rank is answerable for in the depth being gathered
-  /// (own deal + inherited extras, or the explicit recovery list).
-  std::vector<std::vector<std::int64_t>> current_assignment_;
-  /// The committed removal log, one batch per broadcast — the replayable
-  /// checkpoint of the respawn rung.
-  std::vector<DepthCheckpoint> checkpoint_log_;
-  /// The union removal set of the previous depth, pending broadcast with
-  /// the next RUN_DEPTH command.
-  std::vector<DepthCheckpoint::Removal> pending_removals_;
+  /// Every removal sent to the ranks so far, in order — what a
+  /// respawned rank replays to rebuild its replica.
+  std::vector<Removal> removal_log_;
+  /// The union removal set of the previous depth, pending the next
+  /// depth's first round.
+  std::vector<Removal> pending_removals_;
   std::vector<ProcessDepthStats> depth_stats_;
   std::vector<RecoveryEvent> events_;
   /// True once rung 4 fired: the rest of the run executes in-process.

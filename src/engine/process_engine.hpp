@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/types.hpp"
 #include "engine/skeleton_engine.hpp"
 
 namespace fastbns {
@@ -37,30 +36,12 @@ struct ProcessDepthStats {
   std::int32_t recoveries = 0;
 };
 
-/// One committed allreduce batch of the removal log: everything the
-/// depth's RUN_DEPTH broadcast carried. The concatenation of all batches
-/// is the replayable checkpoint a respawned rank rebuilds its graph
-/// replica from — the depth barrier is an allreduce of removals, so the
-/// checkpoint is a byproduct of normal operation, not an extra
-/// serialization pass. The replica needs only the removed edges; the
-/// parent process commits the sepsets itself.
-struct DepthCheckpoint {
-  struct Removal {
-    VarId x = 0;
-    VarId y = 0;
-  };
-  /// The depth whose broadcast carried this batch (the removals were
-  /// committed at depth - 1; depth 0's batch is always empty).
-  std::int32_t depth = 0;
-  std::vector<Removal> removals;
-};
-
 /// What the supervisor did about a misbehaving rank, in escalation
 /// order. kRetransmit covers corrupt and timed-out frames the
 /// checksummed transport recovered without touching the rank.
 enum class RecoveryAction : std::uint8_t {
   kRetransmit,   ///< asked the rank to resend a corrupt/late frame
-  kRespawn,      ///< forked a replacement and replayed the checkpoint
+  kRespawn,      ///< forked a replacement and replayed the removal log
   kRepartition,  ///< retired the rank; its works went to the survivors
   kDegrade,      ///< abandoned forked execution for the in-process engine
 };

@@ -166,19 +166,23 @@ std::string ProcessGroup::describe_rank(int rank) const noexcept {
   }
   const Rank& slot = ranks_[static_cast<std::size_t>(rank)];
   if (slot.pid < 0) return "already reaped";
-  int status = 0;
-  const pid_t reaped = ::waitpid(slot.pid, &status, WNOHANG);
-  if (reaped == slot.pid) {
-    if (WIFEXITED(status)) {
-      return "exited with status " + std::to_string(WEXITSTATUS(status));
-    }
-    if (WIFSIGNALED(status)) {
-      return "killed by signal " + std::to_string(WTERMSIG(status));
-    }
-    return "terminated";
+  // WNOWAIT leaves an exited rank a zombie, so its pid stays the group's
+  // until kill_rank or shutdown reaps it: their SIGKILL can never reach
+  // a pid the kernel has handed to another process. si_pid stays 0 when
+  // the rank has not exited.
+  siginfo_t info{};
+  if (::waitid(P_PID, static_cast<id_t>(slot.pid), &info,
+               WEXITED | WNOHANG | WNOWAIT) != 0) {
+    return "already reaped";
   }
-  if (reaped != 0) return "already reaped";
-  return "still running (wedged or slow)";
+  if (info.si_pid == 0) return "still running (wedged or slow)";
+  if (info.si_code == CLD_EXITED) {
+    return "exited with status " + std::to_string(info.si_status);
+  }
+  if (info.si_code == CLD_KILLED || info.si_code == CLD_DUMPED) {
+    return "killed by signal " + std::to_string(info.si_status);
+  }
+  return "terminated";
 }
 
 void ProcessGroup::shutdown(int timeout_ms) noexcept {

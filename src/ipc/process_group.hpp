@@ -96,11 +96,12 @@ class ProcessGroup {
   /// spawn.
   void respawn(int rank, const RankMain& rank_main);
 
-  /// waitpid forensics for `rank` ("exited with status 3", "killed by
+  /// Exit forensics for `rank` ("exited with status 3", "killed by
   /// signal 9", "still running (wedged or slow)") for error messages and
-  /// recovery-event logs, from one waitpid probe that does not wait. The
-  /// probe that reaps an exited rank reports its status; later probes
-  /// read "already reaped".
+  /// recovery-event logs, from one waitid probe that neither waits nor
+  /// reaps. An exited rank stays a zombie holding its pid, so every probe
+  /// reports its status until kill_rank or shutdown reaps it; after that
+  /// the slot reads "already reaped".
   [[nodiscard]] std::string describe_rank(int rank) const noexcept;
 
   /// Graceful teardown: closes the command pipes (ranks see EOF and

@@ -26,11 +26,12 @@ enum class EngineKind : std::uint8_t {
   /// work pool.
   kCiParallel,
   /// Multi-process rank-partition extension: the driver forks rank_count
-  /// worker processes over a MAP_SHARED dataset segment, each rank runs a
-  /// round-robin deal of every depth's works, and the per-depth commit
-  /// barrier becomes an allreduce of removal sets + sepsets over
-  /// length-prefixed pipe frames — the fork-based first step of the
-  /// roadmap's distributed (MPI-style) skeleton learning.
+  /// worker processes over a MAP_SHARED dataset segment, deals every
+  /// depth's works round-robin over them as explicit lists, and the
+  /// per-depth commit barrier becomes an allreduce over length-prefixed
+  /// pipe frames: replies carry (index, x, y, accepted rank) per removal
+  /// and the driver unranks each sepset itself — the fork-based first
+  /// step of the roadmap's distributed (MPI-style) skeleton learning.
   kProcess,
 };
 
@@ -86,10 +87,10 @@ struct PcOptions {
   std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by
-  /// default, degenerating to a single rank on a 1-cpu box). Rank r runs
-  /// positions r, r + rank_count, … of each depth's work list, so only
-  /// ranks beyond a depth's work count get nothing; rank 1 is the
-  /// fork-supervised degenerate case the fuzz harness sweeps.
+  /// default, degenerating to a single rank on a 1-cpu box). The driver
+  /// deals rank r positions r, r + rank_count, … of each depth's work
+  /// list, so only ranks beyond a depth's work count get nothing; rank 1
+  /// is the fork-supervised degenerate case the fuzz harness sweeps.
   std::int32_t rank_count = 0;
   /// Worker threads *inside* each rank (kProcess only): 0 = auto
   /// (effective thread budget / rank_count, at least 1). Ranks use plain

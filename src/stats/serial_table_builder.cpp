@@ -6,10 +6,10 @@
 // vectorize profitably on x86 without conflict detection — but the index
 // arithmetic feeding them does: idx = (((xy * c0 + z0) * c1 + z1) * ...)
 // is a Horner chain over byte-wide code columns, and AVX2 evaluates it
-// for 8 samples per instruction (SSE4.2 for 4). The vector pass
-// therefore composes a block of indices vectorized, then retires the
-// increments scalar, streaming the xy codes as bytes whenever
-// cx * cy <= 255 — a quarter of the int32 stream's bandwidth.
+// for 8 samples per instruction. The vector pass therefore composes a
+// block of indices vectorized, then retires the increments scalar,
+// streaming the xy codes as bytes whenever cx * cy <= 255 — a quarter of
+// the int32 stream's bandwidth.
 //
 // The vector code is compiled behind per-function target attributes so
 // the library builds without -mavx2 and dispatches at runtime
@@ -17,7 +17,6 @@
 // scalar dispatch tier, row-major context, |z| <= 1, cell counts past
 // 32-bit indexing — goes through the scalar pass, so the kernel is
 // total and counts the same cells on every tier.
-#include <cstring>
 #include <limits>
 
 #include "stats/simd_dispatch.hpp"
@@ -106,33 +105,6 @@ __attribute__((target("avx2"))) void compose_avx2(const ComposeArgs& a,
   for (; i < count; ++i) idx[i] = compose_one(a, s0 + i);
 }
 
-__attribute__((target("sse4.2"))) void compose_sse42(const ComposeArgs& a,
-                                                     std::size_t s0,
-                                                     std::size_t count,
-                                                     std::uint32_t* idx) {
-  std::size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const std::size_t s = s0 + i;
-    __m128i acc;
-    if (a.xy8 != nullptr) {
-      std::int32_t bytes;
-      std::memcpy(&bytes, a.xy8 + s, sizeof(bytes));
-      acc = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(bytes));
-    } else {
-      acc = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.xy32 + s));
-    }
-    for (std::size_t l = 0; l < a.depth; ++l) {
-      std::int32_t bytes;
-      std::memcpy(&bytes, a.cols[l] + s, sizeof(bytes));
-      const __m128i vals = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(bytes));
-      acc = _mm_add_epi32(_mm_mullo_epi32(acc, _mm_set1_epi32(a.cards[l])),
-                          vals);
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + i), acc);
-  }
-  for (; i < count; ++i) idx[i] = compose_one(a, s0 + i);
-}
-
 __attribute__((target("avx2"))) void compose16_avx2(const ComposeArgs& a,
                                                     std::size_t s0,
                                                     std::size_t count,
@@ -157,36 +129,11 @@ __attribute__((target("avx2"))) void compose16_avx2(const ComposeArgs& a,
   }
 }
 
-__attribute__((target("sse4.2"))) void compose16_sse42(const ComposeArgs& a,
-                                                       std::size_t s0,
-                                                       std::size_t count,
-                                                       std::uint16_t* idx) {
-  std::size_t i = 0;
-  for (; i + 8 <= count; i += 8) {
-    const std::size_t s = s0 + i;
-    __m128i acc = _mm_cvtepu8_epi16(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a.xy8 + s)));
-    for (std::size_t l = 0; l < a.depth; ++l) {
-      const __m128i vals = _mm_cvtepu8_epi16(
-          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a.cols[l] + s)));
-      acc = _mm_add_epi16(
-          _mm_mullo_epi16(acc,
-                          _mm_set1_epi16(static_cast<short>(a.cards[l]))),
-          vals);
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + i), acc);
-  }
-  for (; i < count; ++i) {
-    idx[i] = static_cast<std::uint16_t>(compose_one(a, s0 + i));
-  }
-}
-
 #endif  // FASTBNS_X86_SIMD
 
 ComposeFn compose_for(SimdTier tier) {
 #if FASTBNS_X86_SIMD
   if (tier == SimdTier::kAvx2) return &compose_avx2;
-  if (tier == SimdTier::kSse42) return &compose_sse42;
 #else
   (void)tier;
 #endif
@@ -196,7 +143,6 @@ ComposeFn compose_for(SimdTier tier) {
 Compose16Fn compose16_for(SimdTier tier) {
 #if FASTBNS_X86_SIMD
   if (tier == SimdTier::kAvx2) return &compose16_avx2;
-  if (tier == SimdTier::kSse42) return &compose16_sse42;
 #else
   (void)tier;
 #endif

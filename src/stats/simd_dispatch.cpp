@@ -11,9 +11,7 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 SimdTier probe_cpu() noexcept {
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdTier::kSse42;
-  return SimdTier::kScalar;
+  return __builtin_cpu_supports("avx2") ? SimdTier::kAvx2 : SimdTier::kScalar;
 }
 #else
 SimdTier probe_cpu() noexcept { return SimdTier::kScalar; }
@@ -27,11 +25,10 @@ SimdTier env_cap() noexcept {
   std::string value(raw);
   std::transform(value.begin(), value.end(), value.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (value == "off" || value == "0" || value == "scalar" || value == "none") {
+  // "sse4.2" and its spellings name a CPU without AVX2: the scalar tier.
+  if (value == "off" || value == "0" || value == "scalar" || value == "none" ||
+      value == "sse4.2" || value == "sse42" || value == "sse") {
     return SimdTier::kScalar;
-  }
-  if (value == "sse4.2" || value == "sse42" || value == "sse") {
-    return SimdTier::kSse42;
   }
   return SimdTier::kAvx2;
 }
@@ -44,15 +41,7 @@ std::optional<SimdTier>& override_slot() noexcept {
 }  // namespace
 
 std::string_view to_string(SimdTier tier) noexcept {
-  switch (tier) {
-    case SimdTier::kSse42:
-      return "sse4.2";
-    case SimdTier::kAvx2:
-      return "avx2";
-    case SimdTier::kScalar:
-      break;
-  }
-  return "scalar";
+  return tier == SimdTier::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdTier detected_simd_tier() noexcept {

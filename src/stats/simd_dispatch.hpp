@@ -1,14 +1,14 @@
 // Runtime CPU dispatch for the SIMD data paths.
 //
 // The serial table builder (stats/serial_table_builder.cpp) compiles its
-// AVX2 and SSE4.2 passes, and the blocked covariance builder its AVX2
+// AVX2 index composition, and the blocked covariance builder its AVX2
 // kernel, behind per-function target attributes, so the library builds
-// on any x86 toolchain without -mavx2 and still runs the widest pass the
-// *executing* CPU supports. This header is the single
-// source of that decision: a cached CPUID probe, clamped down by the
-// FASTBNS_SIMD environment variable ("off"/"scalar", "sse4.2", "avx2")
-// and by a programmatic override tests use to force the fallback tiers
-// on hardware that would otherwise never take them.
+// on any x86 toolchain without -mavx2 and still runs the AVX2 pass when
+// the *executing* CPU supports it. This header is the single source of
+// that decision: a cached CPUID probe, clamped down by the FASTBNS_SIMD
+// environment variable ("off"/"scalar", "avx2"; "sse4.2" means "no
+// AVX2" and caps at scalar) and by a programmatic override tests use to
+// force the scalar tier on hardware that would otherwise never take it.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,7 @@ namespace fastbns {
 /// Dispatch tiers, ordered: a higher tier implies every lower one.
 enum class SimdTier : std::uint8_t {
   kScalar = 0,  ///< portable scalar passes, no vector instructions
-  kSse42 = 1,   ///< 128-bit index composition (4 samples per op)
-  kAvx2 = 2,    ///< 256-bit index composition (8 samples per op)
+  kAvx2 = 1,    ///< 256-bit index composition (8 samples per op)
 };
 
 [[nodiscard]] std::string_view to_string(SimdTier tier) noexcept;

@@ -89,11 +89,10 @@ class TableBuilder {
 
 /// The serial kernel — the paper's optimized sequential scan, one pass
 /// per table over the |S| conditioning columns (or rows when the context
-/// says so). At the SSE4.2 and AVX2 dispatch tiers
-/// (stats/simd_dispatch.hpp) it composes the cell indices of column
-/// tables with |z| >= 2 vectorized; FASTBNS_SIMD=off and
-/// ScopedSimdTierOverride force its scalar passes. Every tier counts the
-/// same cells.
+/// says so). At the AVX2 dispatch tier (stats/simd_dispatch.hpp) it
+/// composes the cell indices of column tables with |z| >= 2 vectorized;
+/// FASTBNS_SIMD=off and ScopedSimdTierOverride force its scalar passes.
+/// Every tier counts the same cells.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_serial_table_builder();
 
 /// Sample-parallel scan (Section IV-A): all OpenMP threads fill one table

@@ -1,5 +1,5 @@
-// Coverage for the small common utilities: logging levels, file writing,
-// OpenMP wrappers, wall timer.
+// Coverage for the small common utilities: file writing, OpenMP
+// wrappers, wall timer.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,29 +7,11 @@
 #include <thread>
 
 #include "common/csv_writer.hpp"
-#include "common/logging.hpp"
 #include "common/omp_utils.hpp"
 #include "common/timer.hpp"
 
 namespace fastbns {
 namespace {
-
-TEST(Logging, LevelRoundTrip) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(LogLevel::kDebug);
-  EXPECT_EQ(log_level(), LogLevel::kDebug);
-  set_log_level(original);
-}
-
-TEST(Logging, SuppressedMessagesDoNotCrash) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kOff);
-  Log(LogLevel::kError) << "this must be swallowed " << 42;
-  Log(LogLevel::kDebug) << "and this";
-  set_log_level(original);
-}
 
 TEST(CsvWriter, WritesFileAndCreatesDirectories) {
   const auto dir = std::filesystem::temp_directory_path() / "fastbns_csv_test";

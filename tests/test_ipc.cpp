@@ -371,8 +371,14 @@ TEST(ProcessGroupSupervisor, DeadRankYieldsAClearErrorNamingTheRankNotAHang) {
     status = group.describe_rank(1);
   }
   EXPECT_EQ(status, "exited with status 17");
+  // The probe does not reap: the zombie keeps its pid, so a second probe
+  // reads the same status and kill_rank cannot hit a recycled pid.
+  EXPECT_EQ(group.describe_rank(1), "exited with status 17");
   // Nothing was torn down: the healthy sibling still has its channel.
   EXPECT_TRUE(group.rank_open(0));
+  // kill_rank reaps the zombie; only then does the pid leave the slot.
+  group.kill_rank(1);
+  EXPECT_EQ(group.describe_rank(1), "already reaped");
 }
 
 TEST(ProcessGroupSupervisor, KillRankAndRespawnRefillTheSlotWithAFreshChannel) {

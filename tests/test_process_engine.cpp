@@ -6,7 +6,7 @@
 // the fault-tolerance layer: under every deterministic injected fault
 // (kill, wedge, corrupt/truncate/delay-frame, slow rank, spawn failure,
 // and the channel-severing drop-conn/partial-write) the supervisor's
-// recovery ladder — retransmit, respawn + checkpoint replay,
+// recovery ladder — retransmit, respawn + removal-log replay,
 // re-partition, degrade to the in-process engine — must complete the run
 // with the identical fingerprint, and the recovery telemetry must name
 // what happened. Plus child-exception propagation, the end-to-end
@@ -286,9 +286,9 @@ TEST(ProcessEngine, DoubleRankDeathInOneDepthRecoversBothRanks) {
 }
 
 TEST(ProcessEngine, DeathAtDepthZeroBeforeAnyBarrierRecovers) {
-  // The respawned rank replays a checkpoint log holding exactly one
-  // empty batch (depth 0 broadcasts no removals) — the degenerate replay
-  // that must still leave its replica equal to the complete graph.
+  // The respawned rank replays an empty removal log (depth 0 sends no
+  // removals) — the degenerate replay that must still leave its replica
+  // equal to the complete graph.
   const fuzz::FuzzInstance instance = fuzz::make_instance(5);
   const fuzz::SkeletonFingerprint reference = sequential_fingerprint(instance);
   PcOptions options = process_options(2);
@@ -320,24 +320,65 @@ TEST(ProcessEngine, RespawnedRankDyingDuringRecoveryUsesTheNextRestart) {
 }
 
 TEST(ProcessEngine, RestartBudgetExhaustionRepartitionsOntoSurvivors) {
-  // max_rank_restarts=0: a dead rank goes straight to re-partition; its
-  // deal runs on the survivor for this and every later depth, and the
-  // result is still bit-identical.
+  // max_rank_restarts=0: a dead rank goes straight to re-partition. The
+  // depth's next round re-deals its list over the survivors, later
+  // depths deal over the survivors alone, and the result is still
+  // bit-identical. At 3 and 4 ranks several survivors share the list;
+  // once a single survivor is left it runs every later depth whole.
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
       sequential_fingerprint(instance, &reference_tests);
-  PcOptions options = process_options(2);
-  options.max_rank_restarts = 0;
-  options.fault_schedule = "kill@rank=1,depth=1";
-  const FaultRun run = run_process(instance, options);
-  EXPECT_TRUE(run.fingerprint == reference) << fuzz::describe_divergence(
-      reference, run.fingerprint, instance.data.num_vars());
-  EXPECT_EQ(run.result.total_ci_tests, reference_tests);
-  EXPECT_TRUE(has_action(run.events, RecoveryAction::kRepartition, 1))
-      << describe_events(run.events);
-  EXPECT_FALSE(has_action(run.events, RecoveryAction::kRespawn))
-      << describe_events(run.events);
+  const struct {
+    std::int32_t ranks;
+    const char* schedule;
+    std::vector<int> retired;
+  } cases[] = {
+      {2, "kill@rank=1,depth=1", {1}},
+      {3, "kill@rank=1,depth=1", {1}},
+      {4, "kill@rank=1,depth=1", {1}},
+      // Two retirements in one depth: the next round re-deals both lists
+      // onto the one survivor.
+      {3, "kill@rank=0,depth=1;kill@rank=2,depth=1", {0, 2}},
+  };
+  for (const auto& fault : cases) {
+    PcOptions options = process_options(fault.ranks);
+    options.max_rank_restarts = 0;
+    options.fault_schedule = fault.schedule;
+    const FaultRun run = run_process(instance, options);
+    const std::string label = "ranks=" + std::to_string(fault.ranks) +
+                              " schedule=" + fault.schedule;
+    EXPECT_TRUE(run.fingerprint == reference)
+        << label << ": "
+        << fuzz::describe_divergence(reference, run.fingerprint,
+                                     instance.data.num_vars());
+    EXPECT_EQ(run.result.total_ci_tests, reference_tests) << label;
+    EXPECT_FALSE(has_action(run.events, RecoveryAction::kRespawn))
+        << label << "\n" << describe_events(run.events);
+    const auto repartitions = [&](int rank) {
+      return std::count_if(
+          run.events.begin(), run.events.end(),
+          [&](const RecoveryEvent& event) {
+            return event.action == RecoveryAction::kRepartition &&
+                   (rank == -2 || event.rank == rank);
+          });
+    };
+    EXPECT_EQ(repartitions(-2), std::ssize(fault.retired))
+        << label << "\n" << describe_events(run.events);
+    for (const int rank : fault.retired) {
+      EXPECT_EQ(repartitions(rank), 1)
+          << label << " rank=" << rank << "\n" << describe_events(run.events);
+    }
+    if (fault.ranks - std::ssize(fault.retired) != 1) continue;
+    int later_depths = 0;
+    for (const ProcessDepthStats& stats : run.depth_stats) {
+      if (stats.depth <= 1) continue;
+      ++later_depths;
+      EXPECT_EQ(stats.max_rank_tests, stats.ci_tests)
+          << label << " depth=" << stats.depth;
+    }
+    EXPECT_GT(later_depths, 0) << label;
+  }
 }
 
 /// A degraded run still reports one ProcessDepthStats row per driver

@@ -137,13 +137,12 @@ JobBatch make_jobs(const DiscreteDataset& data, VarId x, VarId y,
 
 /// Calls check(kernel, label) for the serial kernel clamped to each
 /// dispatch tier — the override never exceeds the detected tier, so a
-/// CPU without AVX2 runs its widest tier under the avx2 label — and for
-/// the sample-parallel kernel.
+/// CPU without AVX2 runs the scalar tier under the avx2 label too — and
+/// for the sample-parallel kernel.
 template <typename Check>
 void for_each_kernel(Check&& check) {
   const std::unique_ptr<TableBuilder> serial = make_serial_table_builder();
-  for (const SimdTier tier :
-       {SimdTier::kScalar, SimdTier::kSse42, SimdTier::kAvx2}) {
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
     const ScopedSimdTierOverride guard(tier);
     EXPECT_LE(active_simd_tier(), tier);
     check(*serial, "serial/" + std::string(to_string(tier)));
