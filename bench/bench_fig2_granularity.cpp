@@ -25,7 +25,8 @@ EngineRunConfig scheme_config(const std::string& scheme, int threads) {
     // The practical group size (Figure 4): one endpoint-code pass per 8
     // CI tests, amortizing the pool's per-group work the way the paper's
     // tuned configuration does; first-accept early stop keeps the larger
-    // group from paying redundant tests (see EXPERIMENTS.md).
+    // group from paying redundant tests (bench_fig4_groupsize counts the
+    // tests each group size pays).
     config.group_size = 8;
     config.eager_group_stop = true;
   }

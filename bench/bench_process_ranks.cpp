@@ -24,7 +24,6 @@
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
 #include "engine/process_engine.hpp"
-#include "ipc/shared_dataset.hpp"
 #include "pc/skeleton.hpp"
 #include "stats/discrete_ci_test.hpp"
 
@@ -60,7 +59,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::int32_t> rank_grid = {1, 2, 4};
   const std::vector<std::int32_t> rank_thread_grid = {1, 2};
-  set_bench_rank_context(rank_grid.back(), "fork+pipe+shm");
+  set_bench_rank_context(rank_grid.back(), "fork+pipe");
 
   TablePrinter table({"Network", "Config", "Ranks", "Threads/rank", "Depth",
                       "Seconds", "Gather s", "Max rank s", "Max rank tests",
@@ -122,20 +121,17 @@ int main(int argc, char** argv) {
                   TablePrinter::num(result.seconds / widest_clean.seconds, 2));
     }
 
-    // Per-depth barrier decomposition at the widest configuration,
-    // through the same shared-segment path run_skeleton uses but with a
-    // caller-supplied engine so its telemetry survives the run.
+    // Per-depth barrier decomposition at the widest configuration, with
+    // a caller-supplied engine so its telemetry survives the run.
     const std::int32_t ranks = rank_grid.back();
     const std::int32_t rank_threads = rank_thread_grid.back();
     const auto engine = EngineRegistry::instance().create("process");
-    const SharedDatasetSegment segment =
-        SharedDatasetSegment::create(workload.data);
-    const DiscreteCiTest test(segment.view(), CiTestOptions{});
+    const DiscreteCiTest test(workload.data.discrete(), CiTestOptions{});
     PcOptions options;
     options.engine = EngineKind::kProcess;
     options.rank_count = ranks;
     options.rank_threads = rank_threads;
-    (void)learn_skeleton(segment.view().num_vars(), test, options, *engine);
+    (void)learn_skeleton(workload.data.num_vars(), test, options, *engine);
     const std::vector<ProcessDepthStats>* stats =
         process_engine_depth_stats(*engine);
     if (stats == nullptr) {
@@ -153,7 +149,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  emit_table("Multi-process rank sweep (fork + pipe + shm allreduce)",
+  emit_table("Multi-process rank sweep (fork + pipe allreduce)",
              "process_ranks", table);
   return 0;
 }

@@ -347,8 +347,9 @@ int main(int argc, char** argv) {
              "table_builder_split", split);
   std::printf(
       "\nShape check: split / one copy < 1 at depths 0 and 1 (all within "
-      "kSplitCells = %zu\ncells, the tables the scalar pass splits); about "
-      "1, within noise, deeper.\n",
+      "kSplitCells = %zu\ncells, the tables the scalar pass splits); at or "
+      "above 1 deeper on an idle host,\nwhere the scalar pass counts one "
+      "copy.\n",
       table_detail::kSplitCells);
   return 0;
 }

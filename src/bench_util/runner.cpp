@@ -1,11 +1,9 @@
 #include "bench_util/runner.hpp"
 
 #include <memory>
-#include <optional>
 
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
-#include "ipc/shared_dataset.hpp"
 #include "stats/ci_test_factory.hpp"
 
 namespace fastbns {
@@ -74,20 +72,11 @@ EngineRunResult run_skeleton(const Workload& workload,
   request.use_row_major = config.row_major;
   request.sample_parallel = engine->wants_sample_parallel_test();
   request.covariance_builder = config.covariance_builder;
-  // Mirror learn_structure: the process engine's ranks stream the
-  // dataset out of one MAP_SHARED segment, so the bench measures the same
-  // data path production runs use.
-  std::optional<SharedDatasetSegment> shared;
-  const Dataset* data = &workload.data;
-  if (config.engine == EngineKind::kProcess) {
-    shared.emplace(SharedDatasetSegment::create(workload.data));
-    data = &shared->dataset();
-  }
-  const std::unique_ptr<CiTest> test = make_ci_test(*data, request);
+  const std::unique_ptr<CiTest> test = make_ci_test(workload.data, request);
 
   const WallTimer timer;
   SkeletonResult skeleton =
-      learn_skeleton(data->num_vars(), *test, config, *engine);
+      learn_skeleton(workload.data.num_vars(), *test, config, *engine);
   EngineRunResult result;
   result.seconds = timer.seconds();
   result.ci_tests = skeleton.total_ci_tests;

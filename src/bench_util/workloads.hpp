@@ -28,9 +28,11 @@ struct Workload {
                                      DataLayout layout = DataLayout::kBoth);
 
 /// FASTBNS_BENCH_SCALE=paper selects the full Table II grid; anything else
-/// (default "small") uses a reduced grid sized for a laptop/CI box. The
-/// reduction preserves every *shape* the paper reports (who wins, rough
-/// factors, crossovers) — see EXPERIMENTS.md.
+/// (default "small") uses a reduced grid sized for a laptop/CI box: the
+/// first five Table II networks (link, munin2 and munin3 are left out),
+/// comparison_samples capped at 2000 and thread_grid stopping at 8. A CI
+/// test's cost is linear in the sample count, so fewer samples scale
+/// every engine alike and keep their order.
 enum class BenchScale { kSmall, kPaper };
 [[nodiscard]] BenchScale bench_scale();
 [[nodiscard]] const char* to_string(BenchScale scale);

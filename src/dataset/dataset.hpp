@@ -10,8 +10,9 @@
 //  * borrow(): a zero-copy view over a caller-owned dataset (aliasing
 //    shared_ptr, no control block) — what the DiscreteDataset overloads
 //    of learn_structure use so existing callers pay nothing.
-// Copies are shallow either way, which is exactly what the fork-based
-// process engine wants (the underlying buffers are COW or MAP_SHARED).
+// Copies are shallow either way. Nothing writes a dataset after it is
+// built, so the process engine's forked ranks read its buffers through
+// the copy-on-write pages they inherit, without a copy.
 #pragma once
 
 #include <cstdint>

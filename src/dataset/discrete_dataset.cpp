@@ -1,8 +1,8 @@
 #include "dataset/discrete_dataset.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace fastbns {
 namespace {
@@ -45,68 +45,6 @@ DiscreteDataset::DiscreteDataset(VarId num_vars, Count num_samples,
   }
 }
 
-DiscreteDataset::DiscreteDataset(VarId num_vars, Count num_samples,
-                                 std::vector<std::int32_t> cardinalities,
-                                 const ExternalDataBuffers& buffers)
-    : num_vars_(num_vars),
-      num_samples_(num_samples),
-      cardinalities_(std::move(cardinalities)),
-      layout_(DataLayout::kColumnMajor),
-      column_stride_(column_stride(num_samples)),
-      ext_(buffers) {
-  check_cardinalities(cardinalities_, num_vars);
-  const auto n = static_cast<std::size_t>(num_vars);
-  const auto m = static_cast<std::size_t>(num_samples);
-  const auto check = [](std::span<const DataValue> buffer,
-                        std::size_t expected, const char* which) {
-    if (!buffer.empty() && buffer.size() != expected) {
-      throw std::invalid_argument(
-          "DiscreteDataset: external " + std::string(which) + " buffer has " +
-          std::to_string(buffer.size()) + " values, expected " +
-          std::to_string(expected));
-    }
-  };
-  check(ext_.rows, n * m, "rows");
-  check(ext_.cols, n * column_stride_, "cols");
-  if (ext_.rows.empty() && ext_.cols.empty()) {
-    throw std::invalid_argument(
-        "DiscreteDataset: external buffers must include at least one value "
-        "layout (rows and cols are both empty)");
-  }
-  if (ext_.cols.empty()) {
-    layout_ = DataLayout::kRowMajor;
-  } else if (!ext_.rows.empty()) {
-    layout_ = DataLayout::kBoth;
-  }
-
-  // The buffers were written elsewhere, so the value invariant is
-  // checked here, once: one max per column over every given layout.
-  std::vector<DataValue> max(n, 0);
-  if (!ext_.cols.empty()) {
-    for (std::size_t v = 0; v < n; ++v) {
-      DataValue high = 0;
-      for (const DataValue value : column(static_cast<VarId>(v))) {
-        high = std::max(high, value);
-      }
-      max[v] = high;
-    }
-  }
-  if (!ext_.rows.empty()) {
-    for (std::size_t s = 0; s < m; ++s) {
-      const DataValue* row = ext_.rows.data() + s * n;
-      for (std::size_t v = 0; v < n; ++v) max[v] = std::max(max[v], row[v]);
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    if (max[v] >= cardinalities_[v]) {
-      throw std::out_of_range(
-          "DiscreteDataset: external buffer holds value " +
-          std::to_string(max[v]) + " for variable " + std::to_string(v) +
-          ", whose cardinality is " + std::to_string(cardinalities_[v]));
-    }
-  }
-}
-
 void DiscreteDataset::set(Count sample, VarId var, DataValue value) {
   assert(sample >= 0 && sample < num_samples_ && var >= 0 && var < num_vars_);
   if (value >= cardinalities_[var]) {
@@ -116,23 +54,20 @@ void DiscreteDataset::set(Count sample, VarId var, DataValue value) {
         std::to_string(var) + " is not below its cardinality " +
         std::to_string(cardinalities_[var]));
   }
-  const std::span<DataValue> rows = rows_span_mut();
-  if (!rows.empty()) {
-    rows[static_cast<std::size_t>(sample) * num_vars_ + var] = value;
+  if (!rows_.empty()) {
+    rows_[static_cast<std::size_t>(sample) * num_vars_ + var] = value;
   }
-  const std::span<DataValue> cols = cols_span_mut();
-  if (!cols.empty()) {
-    cols[static_cast<std::size_t>(var) * column_stride_ + sample] = value;
+  if (!cols_.empty()) {
+    cols_[static_cast<std::size_t>(var) * column_stride_ + sample] = value;
   }
 }
 
 DataValue DiscreteDataset::value(Count sample, VarId var) const noexcept {
   assert(sample >= 0 && sample < num_samples_ && var >= 0 && var < num_vars_);
-  const std::span<const DataValue> cols = cols_span();
-  if (!cols.empty()) {
-    return cols[static_cast<std::size_t>(var) * column_stride_ + sample];
+  if (!cols_.empty()) {
+    return cols_[static_cast<std::size_t>(var) * column_stride_ + sample];
   }
-  return rows_span()[static_cast<std::size_t>(sample) * num_vars_ + var];
+  return rows_[static_cast<std::size_t>(sample) * num_vars_ + var];
 }
 
 std::span<const DataValue> DiscreteDataset::column(VarId var) const {
@@ -141,20 +76,19 @@ std::span<const DataValue> DiscreteDataset::column(VarId var) const {
 }
 
 std::span<const DataValue> DiscreteDataset::column_block() const {
-  const std::span<const DataValue> cols = cols_span();
-  if (cols.empty()) {
+  if (cols_.empty()) {
     throw std::logic_error("DiscreteDataset::column: no column-major buffer");
   }
-  return cols;
+  return cols_;
 }
 
 std::span<const DataValue> DiscreteDataset::row(Count sample) const {
-  const std::span<const DataValue> rows = rows_span();
-  if (rows.empty()) {
+  if (rows_.empty()) {
     throw std::logic_error("DiscreteDataset::row: no row-major buffer");
   }
-  return rows.subspan(static_cast<std::size_t>(sample) * num_vars_,
-                      static_cast<std::size_t>(num_vars_));
+  return std::span<const DataValue>(rows_).subspan(
+      static_cast<std::size_t>(sample) * num_vars_,
+      static_cast<std::size_t>(num_vars_));
 }
 
 DiscreteDataset DiscreteDataset::head(Count count) const {

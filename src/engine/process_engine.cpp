@@ -6,10 +6,10 @@
 // Topology of a run:
 //  - The driver process (this engine) forks rank_count worker ranks at
 //    the first run_depth (never at construction, so building an engine
-//    stays fork-free). Each rank inherits the CiTest prototype
-//    copy-on-write and the dataset through the MAP_SHARED segment
-//    learn_structure mounts (ipc/shared_dataset.hpp): mapped once, zero
-//    copies per rank.
+//    stays fork-free). Each rank inherits the CiTest prototype, the
+//    dataset it reads and any matrix it holds (Fisher-z's correlation
+//    matrix) copy-on-write. Nothing writes the dataset or the matrix
+//    after construction, so no rank copies a page of them.
 //  - Every rank keeps a full replica of the skeleton graph and derives
 //    each depth's work list itself with the same build_depth_works the
 //    driver uses — identical inputs give identical lists, so a work is

@@ -16,9 +16,8 @@
 //  - SIGPIPE is ignored process-wide (once, at first spawn) so writing to
 //    a dead rank surfaces as EPIPE instead of killing the parent.
 //  - Ranks inherit the parent's entire address space copy-on-write: the
-//    CiTest prototype, and the dataset — which the engine places in a
-//    MAP_SHARED segment (ipc/shared_dataset.hpp) so not even COW copies
-//    are made.
+//    CiTest prototype and the dataset it reads. Nothing writes the
+//    dataset after construction, so no page of it is copied.
 //  - Ranks must never enter an OpenMP parallel region: libgomp's thread
 //    team does not survive fork(). Rank functions use std::thread.
 #pragma once

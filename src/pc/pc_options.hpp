@@ -26,12 +26,13 @@ enum class EngineKind : std::uint8_t {
   /// work pool.
   kCiParallel,
   /// Multi-process rank-partition extension: the driver forks rank_count
-  /// worker processes over a MAP_SHARED dataset segment, deals every
-  /// depth's works round-robin over them as explicit lists, and the
-  /// per-depth commit barrier becomes an allreduce over length-prefixed
-  /// pipe frames: replies carry (index, x, y, accepted rank) per removal
-  /// and the driver unranks each sepset itself — the fork-based first
-  /// step of the roadmap's distributed (MPI-style) skeleton learning.
+  /// worker processes, which read the CI test and dataset they inherit
+  /// at fork, deals every depth's works round-robin over them as
+  /// explicit lists, and the per-depth commit barrier becomes an
+  /// allreduce over length-prefixed pipe frames: replies carry (index,
+  /// x, y, accepted rank) per removal and the driver unranks each sepset
+  /// itself — the fork-based first step of the roadmap's distributed
+  /// (MPI-style) skeleton learning.
   kProcess,
 };
 
@@ -107,8 +108,7 @@ struct PcOptions {
   std::int32_t max_rank_restarts = 1;
   /// Rank IPC channel of the multi-process engine (kProcess only):
   /// "auto" or "pipe", which both name the one channel it has — a
-  /// fork-inherited pipe pair per rank over the anonymous MAP_SHARED
-  /// dataset. Checked by ipc/transport.hpp.
+  /// fork-inherited pipe pair per rank. Checked by ipc/transport.hpp.
   std::string ipc_transport = "auto";
   /// Deterministic fault schedule (fault/fault_schedule.hpp grammar,
   /// e.g. "kill@rank=1,depth=2;corrupt-frame@rank=0,depth=1") injected

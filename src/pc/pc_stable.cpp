@@ -1,12 +1,10 @@
 #include "pc/pc_stable.hpp"
 
 #include <memory>
-#include <optional>
 
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
 #include "engine/skeleton_engine.hpp"
-#include "ipc/shared_dataset.hpp"
 #include "stats/ci_test_factory.hpp"
 
 namespace fastbns {
@@ -42,18 +40,8 @@ PcStableResult learn_structure(const Dataset& data, const PcOptions& options,
   request.alpha = options.alpha;
   request.max_cells = options.max_table_cells;
   request.sample_parallel = engine.wants_sample_parallel_test();
-  // The multi-process engine forks worker ranks; mount the dataset in a
-  // MAP_SHARED segment first so every rank streams the same physical
-  // pages (mapped once, zero per-rank copies — not even COW duplicates).
-  const EngineInfo* info = EngineRegistry::instance().find(engine.name());
-  std::optional<SharedDatasetSegment> shared;
-  const Dataset* active = &data;
-  if (info != nullptr && info->kind == EngineKind::kProcess) {
-    shared.emplace(SharedDatasetSegment::create(data));
-    active = &shared->dataset();
-  }
-  const std::unique_ptr<CiTest> test = make_ci_test(*active, request);
-  return pc_stable(active->num_vars(), *test, options, engine);
+  const std::unique_ptr<CiTest> test = make_ci_test(data, request);
+  return pc_stable(data.num_vars(), *test, options, engine);
 }
 
 PcStableResult learn_structure(const DiscreteDataset& data,

@@ -49,8 +49,6 @@ struct PcStableResult {
 /// Same convenience wrapper with a caller-supplied engine instance —
 /// the path for callers that inspect engine telemetry after the run
 /// (process_engine_depth_stats / process_engine_recovery_events).
-/// Mounts the MAP_SHARED dataset segment exactly like the owning
-/// overload when `engine` is the multi-process engine.
 [[nodiscard]] PcStableResult learn_structure(const Dataset& data,
                                              const PcOptions& options,
                                              SkeletonEngine& engine);

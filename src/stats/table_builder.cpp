@@ -65,7 +65,7 @@ void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job) {
   const std::size_t m = num_samples(context);
   with_cell_index(context, job, [&](auto index) {
-    if (job.cells.size() <= kSplitCells) {
+    if (job.cells.size() <= kSplitCells && job.z.size() <= 1) {
       std::array<Count, 4 * kSplitCells> partial{};
       count_split(m, job.cells, index, partial.data());
     } else {

@@ -58,8 +58,10 @@ struct ZPlan {
 /// The largest single table count_single_scalar splits (count_split):
 /// the partial copies then fit 2 KB of stack, and every depth-0 and
 /// depth-1 table of cardinality-4 variables fits. bench_table_builder's
-/// split-limit table times both loops by depth and table size: the
-/// split wins at depths 0 and 1 and ties within noise deeper.
+/// split-limit table times both loops by depth and table size: within
+/// this size the committed BENCH_table_builder_split.json reads split /
+/// one copy 0.46-0.78 at depths 0 and 1 and 1.04-1.20 at depths 2 to 4,
+/// so only tables with |z| <= 1 are split.
 inline constexpr std::size_t kSplitCells = 64;
 
 /// Calls `fn` with a pointer to the endpoint-code stream the context
@@ -150,7 +152,7 @@ void with_cell_index(const TableBuildContext& context, const TableJob& job,
 
 /// The serial one-table scan (the paper's optimized sequential kernel)
 /// over with_cell_index: count_split for tables of at most kSplitCells
-/// cells, count_one_copy for larger ones.
+/// cells and |z| <= 1, count_one_copy for the rest.
 void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job);
 

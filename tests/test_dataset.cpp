@@ -91,12 +91,9 @@ TEST(DiscreteDataset, HeadTakesPrefix) {
 TEST(DiscreteDataset, CardinalityMismatchThrows) {
   EXPECT_THROW(DiscreteDataset(3, 4, {2, 2}, DataLayout::kColumnMajor),
                std::invalid_argument);
-  // Both constructors reject a variable with no states.
+  // A variable with no states is rejected in every layout.
   EXPECT_THROW(DiscreteDataset(2, 4, {2, 0}), std::invalid_argument);
   EXPECT_THROW(DiscreteDataset(2, 4, {-1, 2}, DataLayout::kRowMajor),
-               std::invalid_argument);
-  std::vector<DataValue> rows(8, 0);
-  EXPECT_THROW(DiscreteDataset(2, 4, {2, 0}, ExternalDataBuffers{.rows = rows}),
                std::invalid_argument);
 }
 
@@ -139,43 +136,6 @@ TEST(DiscreteDataset, ColumnsStartAtAPaddedStride) {
   EXPECT_EQ(data.head(5).column_block().size(), 3 * DiscreteDataset::kColumnPad);
 }
 
-TEST(DiscreteDataset, ExternalBuffersAreCheckedOnceAtConstruction) {
-  const Count m = 5;
-  const std::size_t stride = DiscreteDataset::column_stride(m);
-  std::vector<DataValue> cols(2 * stride, 0);
-  std::vector<DataValue> rows(2 * static_cast<std::size_t>(m), 0);
-  cols[stride + 4] = 2;   // variable 1, sample 4: in range for 3 states
-  rows[4 * 2 + 1] = 2;
-  const DiscreteDataset view(2, m, {2, 3}, ExternalDataBuffers{rows, cols});
-  EXPECT_EQ(view.layout(), DataLayout::kBoth);
-  EXPECT_EQ(view.value(4, 1), 2);
-
-  // Out of range in either buffer: the cardinality-2 variable holds a 2.
-  for (const bool in_rows : {false, true}) {
-    std::vector<DataValue> bad_cols = cols;
-    std::vector<DataValue> bad_rows = rows;
-    if (in_rows) {
-      bad_rows[3 * 2] = 2;
-    } else {
-      bad_cols[3] = 2;
-    }
-    try {
-      (void)DiscreteDataset(2, m, {2, 3},
-                            ExternalDataBuffers{bad_rows, bad_cols});
-      ADD_FAILURE() << "expected std::out_of_range, in_rows=" << in_rows;
-    } catch (const std::out_of_range& error) {
-      const std::string message = error.what();
-      EXPECT_NE(message.find("variable 0"), std::string::npos) << message;
-      EXPECT_NE(message.find("cardinality is 2"), std::string::npos)
-          << message;
-    }
-  }
-  // A column buffer sized without the stride's padding is the wrong size.
-  std::vector<DataValue> unpadded(2 * static_cast<std::size_t>(m), 0);
-  EXPECT_THROW(DiscreteDataset(2, m, {2, 3}, ExternalDataBuffers{.cols = unpadded}),
-               std::invalid_argument);
-}
-
 TEST(ContinuousDataset, StoresAndReadsBackDoubles) {
   ContinuousDataset data(3, 4);
   for (Count s = 0; s < 4; ++s) {
@@ -191,15 +151,6 @@ TEST(ContinuousDataset, StoresAndReadsBackDoubles) {
   const ContinuousDataset head = data.head(2);
   EXPECT_EQ(head.num_samples(), 2);
   EXPECT_EQ(head.value(1, 2), data.value(1, 2));
-}
-
-TEST(ContinuousDataset, ExternalBuffersRejectWrongSizes) {
-  std::vector<double> cols(6, 0.0);
-  const ExternalContinuousBuffers ok{.cols = cols};
-  EXPECT_NO_THROW(ContinuousDataset(3, 2, ok));
-  const ExternalContinuousBuffers short_buffer{
-      .cols = std::span<double>(cols.data(), 5)};
-  EXPECT_THROW(ContinuousDataset(3, 2, short_buffer), std::invalid_argument);
 }
 
 TEST(Dataset, KindDispatchAndAccessorGuards) {

@@ -274,8 +274,8 @@ TEST(EngineEquivalence, GaussianSkeletonIdenticalAcrossRegisteredEngines) {
   // registered engine — the process engine at one and two ranks — must
   // still produce the byte-identical skeleton, sepsets, and CPDAG. This
   // goes through learn_structure's Dataset path, so the factory, the
-  // continuous shm segment, and per-thread Fisher-z clones are all on
-  // the line, not just the engines.
+  // correlation matrix the ranks inherit at fork, and per-thread Fisher-z
+  // clones are all on the line, not just the engines.
   static const Dataset data = [] {
     RandomNetworkConfig config;
     config.num_nodes = 18;

@@ -12,8 +12,8 @@
 //
 // The golden test pins one linear-Gaussian case as a committed artifact
 // (tests/golden/gaussian_sem_a0p05.golden) through the full
-// learn_structure path — factory, continuous shm segment, process engine
-// at one and two ranks. Refresh with
+// learn_structure path — factory, then the process engine at one and two
+// ranks, whose forks read the correlation matrix they inherit. Refresh with
 //   FASTBNS_UPDATE_GOLDEN=1 ./build/test_gaussian_fuzz
 // and review the diff like any other code change.
 #include <gtest/gtest.h>
@@ -274,8 +274,8 @@ TEST(GaussianGolden, LinearGaussianSemMatchesCommittedDigestAtRanks1And2) {
   const Dataset data = golden_dataset();
 
   // The sequential reference generates (and, under FASTBNS_UPDATE_GOLDEN,
-  // refreshes) the artifact; the process engine then reproduces it from
-  // the continuous shm segment at one and two ranks.
+  // refreshes) the artifact; the process engine then reproduces it at one
+  // and two ranks, which read the inherited correlation matrix.
   PcOptions reference_options;
   reference_options.engine = EngineKind::kFastSequential;
   reference_options.ci_test = "gaussian";

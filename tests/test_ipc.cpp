@@ -2,8 +2,8 @@
 // frames across real pipes (including payloads far beyond the kernel
 // buffer), deadline-bounded reads that report EOF vs timeout distinctly,
 // the fork-based ProcessGroup supervisor (dead rank → EOF and its exit
-// status, never a hang), and the MAP_SHARED dataset segment forked ranks
-// read without copies.
+// status, never a hang), and the perfbench segment stub, which shares the
+// caller's dataset instead of copying it.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "dataset/discrete_dataset.hpp"
+#include "dataset/dataset.hpp"
 #include "ipc/process_group.hpp"
 #include "ipc/shared_dataset.hpp"
 #include "ipc/transport.hpp"
@@ -442,96 +442,22 @@ TEST(ProcessGroupSupervisor, RankDeathDuringShutdownNeitherHangsNorThrows) {
   group.kill_rank(99);
 }
 
-TEST(ProcessGroupSupervisor, SharedMemoryWritesInForkedRanksAreVisibleToTheParent) {
-  SharedMemoryRegion region = SharedMemoryRegion::create(64);
-  ASSERT_FALSE(region.empty());
-  std::byte* cells = region.data();
-  ProcessGroup group = ProcessGroup::spawn(
-      2,
-      [cells](int rank, int command_fd, int result_fd) {
-        Frame frame;
-        if (read_frame(command_fd, frame, -1) != FrameReadStatus::kOk)
-          return 1;
-        // MAP_SHARED, not COW: this store must land in the parent's
-        // mapping too.
-        cells[rank] = static_cast<std::byte>(0x50 + rank);
-        return write_frame(result_fd, 2, {}) ? 0 : 1;
-      });
-  for (int rank = 0; rank < 2; ++rank) {
-    ASSERT_TRUE(group.try_send(rank, 1, {}));
-  }
-  for (int rank = 0; rank < 2; ++rank) {
-    Frame frame;
-    ASSERT_EQ(group.try_receive(rank, frame, /*timeout_ms=*/10000),
-              FrameReadStatus::kOk);
-    EXPECT_EQ(cells[rank], static_cast<std::byte>(0x50 + rank));
-  }
-}
-
 // ---------------------------------------------------------------------
-// The shared dataset segment.
+// The segment stub perfbench mounts before it builds the ranks' CI test.
 // ---------------------------------------------------------------------
 
-TEST(SharedDataset, SegmentViewMatchesTheSourceValueForValue) {
-  const VarId n = 5;
-  const Count m = 97;  // deliberately not a multiple of kColumnPad
-  DiscreteDataset source(n, m, {2, 3, 4, 2, 3}, DataLayout::kBoth);
-  for (Count s = 0; s < m; ++s) {
-    for (VarId v = 0; v < n; ++v) {
-      source.set(s, v,
-                 static_cast<DataValue>((s * 31 + v * 7) %
-                                        source.cardinality(v)));
-    }
-  }
-  const SharedDatasetSegment segment = SharedDatasetSegment::create(source);
-  const DiscreteDataset& view = segment.view();
-  EXPECT_GT(segment.byte_size(), 0u);
-  ASSERT_EQ(view.num_vars(), n);
-  ASSERT_EQ(view.num_samples(), m);
-  EXPECT_EQ(view.cardinalities(), source.cardinalities());
-  EXPECT_EQ(view.has_column_major(), source.has_column_major());
-  EXPECT_EQ(view.has_row_major(), source.has_row_major());
-  for (Count s = 0; s < m; ++s) {
-    for (VarId v = 0; v < n; ++v) {
-      ASSERT_EQ(view.value(s, v), source.value(s, v)) << s << "," << v;
-    }
-  }
-  // Copies of the view share the shm buffers rather than deep-copying —
-  // the property that makes per-rank CiTest clones cheap.
-  const DiscreteDataset copy = view;
-  EXPECT_EQ(copy.column(0).data(), view.column(0).data());
-}
+TEST(SharedDatasetSegment, StubSharesTheSourceBuffers) {
+  const Dataset discrete_source(DiscreteDataset(3, 97, {2, 3, 4}));
+  const SharedDatasetSegment discrete_segment =
+      SharedDatasetSegment::create(discrete_source);
+  EXPECT_EQ(discrete_segment.dataset().discrete().column(0).data(),
+            discrete_source.discrete().column(0).data());
 
-TEST(SharedDataset, SegmentHoldsOneBlockPerLayout) {
-  // [ cols n*stride ][ rows m*n ], each block 64-byte aligned: the padded
-  // column block is copied whole, padding included.
-  const VarId n = 3;
-  const Count m = 97;
-  const auto align = [](std::size_t bytes) { return (bytes + 63) / 64 * 64; };
-  const std::size_t stride = DiscreteDataset::column_stride(m);
-  for (const DataLayout layout :
-       {DataLayout::kColumnMajor, DataLayout::kRowMajor, DataLayout::kBoth}) {
-    DiscreteDataset source(n, m, {2, 3, 4}, layout);
-    source.set(m - 1, 2, 3);
-    const SharedDatasetSegment segment = SharedDatasetSegment::create(source);
-    const DiscreteDataset& view = segment.view();
-    const bool cols = layout != DataLayout::kRowMajor;
-    const bool rows = layout != DataLayout::kColumnMajor;
-    const std::size_t cols_bytes = cols ? align(n * stride) : 0;
-    EXPECT_EQ(view.has_column_major(), cols);
-    EXPECT_EQ(view.has_row_major(), rows);
-    EXPECT_EQ(segment.byte_size(),
-              cols_bytes + (rows ? align(static_cast<std::size_t>(n * m)) : 0))
-        << static_cast<int>(layout);
-    if (cols) {
-      ASSERT_EQ(view.column_block().size(), n * stride);
-      EXPECT_EQ(view.column(2).data(), view.column_block().data() + 2 * stride);
-    }
-    if (cols && rows) {
-      EXPECT_EQ(view.row(0).data(), view.column_block().data() + cols_bytes);
-    }
-    EXPECT_EQ(view.value(m - 1, 2), 3);
-  }
+  const Dataset continuous_source(ContinuousDataset(2, 5));
+  const SharedDatasetSegment continuous_segment =
+      SharedDatasetSegment::create(continuous_source);
+  EXPECT_EQ(continuous_segment.dataset().continuous().column(0).data(),
+            continuous_source.continuous().column(0).data());
 }
 
 }  // namespace

@@ -10,8 +10,8 @@
 // re-partition, degrade to the in-process engine — must complete the run
 // with the identical fingerprint, and the recovery telemetry must name
 // what happened. Plus child-exception propagation, the end-to-end
-// learn_structure path over the MAP_SHARED segment, and the rank/thread
-// resolution rules.
+// learn_structure path, whose ranks read the dataset they inherit at
+// fork, and the rank/thread resolution rules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,11 +103,11 @@ TEST(ProcessEngine, ExecutedTestCountsMatchTheReferenceAtEveryRankCount) {
   }
 }
 
-TEST(ProcessEngine, LearnStructureOverTheSharedSegmentMatchesSequential) {
-  // The end-to-end path production runs take: learn_structure places the
-  // dataset in a MAP_SHARED segment before building the CI test, forks
-  // the ranks, and orients the agreed skeleton. The CPDAG must match the
-  // sequential engine's edge for edge.
+TEST(ProcessEngine, LearnStructureOverTheInheritedDatasetMatchesSequential) {
+  // The end-to-end path production runs take: learn_structure builds the
+  // CI test on the caller's dataset, forks the ranks, which read both
+  // through the pages they inherit, and orients the agreed skeleton. The
+  // CPDAG must match the sequential engine's edge for edge.
   Rng rng(2024);
   const auto network = benchmark_network("alarm");
   ASSERT_TRUE(network.has_value());

@@ -108,11 +108,11 @@ TEST(BenchJson, ContextReflectsTheDeclaredRankSweep) {
                 "\"rank_count\": 0, \"ipc_transport\": \"none\""),
             std::string::npos)
       << bench_context_json();
-  set_bench_rank_context(4, "fork+pipe+shm");
+  set_bench_rank_context(4, "fork+pipe");
   const std::string context = bench_context_json();
   set_bench_rank_context(0, "none");
   EXPECT_NE(context.find("\"rank_count\": 4"), std::string::npos) << context;
-  EXPECT_NE(context.find("\"ipc_transport\": \"fork+pipe+shm\""),
+  EXPECT_NE(context.find("\"ipc_transport\": \"fork+pipe\""),
             std::string::npos)
       << context;
 }

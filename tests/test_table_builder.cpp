@@ -197,8 +197,8 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
   enum : VarId { kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY };
   // With cx*cy = 16, one conditioning variable of card `under` fills the
   // limit exactly and one of card `under + 1` exceeds it; at depth 2 the
-  // two binary columns give a 64-cell table, split through the general
-  // column index.
+  // two binary columns give a 64-cell table, which the scalar pass counts
+  // in one copy through the general column index.
   const auto under =
       static_cast<std::int32_t>(table_detail::kSplitCells / 16);
   ASSERT_GE(under, 2);
