@@ -1,7 +1,8 @@
-// Ablation of the three general optimizations DESIGN.md calls out
-// (Section IV-C of the paper): endpoint grouping, cache-friendly storage,
-// and on-the-fly conditioning-set generation. Each is toggled off
-// individually against the fully optimized sequential engine.
+// Ablation of the paper's three general optimizations (Section IV-C),
+// which the sequential engine applies on one thread: endpoint grouping,
+// cache-friendly storage, and on-the-fly conditioning-set generation.
+// Each is toggled off individually against the fully optimized
+// sequential engine.
 //
 // Expected shape: every ablated variant is slower than (or at best equal
 // to) full Fast-BNS-seq; removing all three recovers the naive baseline.

@@ -1,11 +1,14 @@
 // Table III: overall execution-time comparison.
 //
 // Paper columns: sequential {bnlearn, tetrad, pcalg, Fast-BNS} and parallel
-// {bnlearn, parallel-PC, Fast-BNS} with speedups. This reproduction has one
-// sequential baseline (`baseline-seq`, the bnlearn-like naive engine — see
-// DESIGN.md "Substitutions") and one parallel baseline (`baseline-par`,
-// edge-level parallelism over the naive data path), so it regenerates the
-// two speedup relationships the paper's conclusions rest on:
+// {bnlearn, parallel-PC, Fast-BNS} with speedups. The R and Java tools do
+// not link into a C++ build, so this reproduction has one sequential
+// baseline (`baseline-seq`, the bnlearn-like naive engine: both edge
+// directions as separate works, sets materialized up front, endpoint
+// codes recomputed on every test) and one parallel baseline
+// (`baseline-par`, edge-level parallelism over the naive data path), so
+// it regenerates the two speedup relationships the paper's conclusions
+// rest on:
 //   * Fast-BNS-seq is multiple times faster than the sequential baseline
 //     (paper: 1.4x - 7.2x over bnlearn), and
 //   * Fast-BNS-par is several times faster than the parallel baseline

@@ -10,19 +10,14 @@
 //   sets.
 // - Tiers: each row set times the kernel clamped to the scalar dispatch
 //   tier (ScopedSimdTierOverride) and at the active tier, in rotation,
-//   and reports the active tier's speedup over the scalar tier. The
-//   vector pass covers |z| >= 2, so depths 0 and 1 should read about
-//   1.0x. The "endpoint codes" row times make_table_context per munin1
-//   pair. Results land in bench_results/BENCH_table_builder.json.
-//
-// A second table times the two single-table loops, count_split and
-// count_one_copy, on random munin1-analog tables bucketed by depth and
-// cell count: the measurement table_detail::kSplitCells is chosen from.
-// Results land in bench_results/BENCH_table_builder_split.json.
+//   and reports the active tier's speedup over the scalar tier. On AVX2
+//   the bitset pass counts depths 0 and 1 and the vector pass depths 2
+//   and 3, so every depth should read above 1x. The "endpoint codes" row
+//   times make_table_context per munin1 pair: the code stream the
+//   scalar and vector passes read and the bitset pass does not. Results
+//   land in bench_results/BENCH_table_builder.json.
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,7 +30,6 @@
 #include "common/timer.hpp"
 #include "stats/simd_dispatch.hpp"
 #include "stats/table_builder.hpp"
-#include "stats/table_builder_detail.hpp"
 
 namespace {
 
@@ -178,99 +172,6 @@ void add_kernel_rows(TablePrinter& table, const std::string& label,
   }
 }
 
-/// Upper cell bounds of the split-limit buckets; bucket i holds tables
-/// of (kSplitBuckets[i - 1], kSplitBuckets[i]] cells.
-constexpr std::array<std::size_t, 7> kSplitBuckets{16,  32,  64,  128,
-                                                   256, 512, 1024};
-constexpr std::int32_t kSplitMaxDepth = 4;
-constexpr std::size_t kTablesPerBucket = 24;
-
-/// One random single table with its own arena, so the timed loop only
-/// counts.
-struct SplitTable {
-  ScratchArena arena;
-  TableBuildContext context;
-  std::vector<VarId> z;
-  std::size_t cz = 1;
-  std::vector<Count> cells;
-};
-
-/// Times count_split against count_one_copy, each over the cell index
-/// the scalar kernel uses for the table (with_cell_index), per depth and
-/// cell-count bucket, on random (x, y, z) tables drawn from `data`.
-void add_split_rows(TablePrinter& table, const DiscreteDataset& data,
-                    double min_total) {
-  const auto m = static_cast<std::size_t>(data.num_samples());
-  const auto num_vars = static_cast<std::uint64_t>(data.num_vars());
-  std::array<std::array<std::deque<SplitTable>, kSplitBuckets.size()>,
-             kSplitMaxDepth + 1>
-      buckets;
-  Rng rng(2026);
-  for (int trial = 0; trial < 100000; ++trial) {
-    const auto a = static_cast<VarId>(rng.next_below(num_vars));
-    const auto b = static_cast<VarId>(rng.next_below(num_vars));
-    if (a == b) continue;
-    const VarId x = std::min(a, b);
-    const VarId y = std::max(a, b);
-    const auto depth = static_cast<std::int32_t>(
-        rng.next_below(static_cast<std::uint64_t>(kSplitMaxDepth) + 1));
-    const std::vector<VarId> z = random_sets(data, x, y, depth, 1, rng)[0];
-    std::size_t cz = 1;
-    for (const VarId v : z) cz *= static_cast<std::size_t>(data.cardinality(v));
-    const std::size_t cells = static_cast<std::size_t>(data.cardinality(x)) *
-                              static_cast<std::size_t>(data.cardinality(y)) *
-                              cz;
-    const auto bucket = static_cast<std::size_t>(
-        std::lower_bound(kSplitBuckets.begin(), kSplitBuckets.end(), cells) -
-        kSplitBuckets.begin());
-    if (bucket == kSplitBuckets.size() ||
-        buckets[depth][bucket].size() == kTablesPerBucket) {
-      continue;
-    }
-    SplitTable& added = buckets[depth][bucket].emplace_back();
-    added.context =
-        make_table_context(data, x, y, /*row_major=*/false, added.arena);
-    added.z = z;
-    added.cz = cz;
-    added.cells.assign(cells, 0);
-  }
-
-  std::vector<Count> partial(4 * kSplitBuckets.back());
-  const auto count_all = [&](std::deque<SplitTable>& tables, bool split) {
-    for (SplitTable& t : tables) {
-      const TableJob job{t.z, t.cz, t.cells};
-      table_detail::with_cell_index(t.context, job, [&](auto index) {
-        if (split) {
-          table_detail::count_split(m, job.cells, index, partial.data());
-        } else {
-          table_detail::count_one_copy(m, job.cells, index);
-        }
-      });
-    }
-  };
-  for (std::int32_t depth = 0; depth <= kSplitMaxDepth; ++depth) {
-    for (std::size_t b = 0; b < kSplitBuckets.size(); ++b) {
-      std::deque<SplitTable>& tables = buckets[depth][b];
-      if (tables.empty()) continue;
-      const std::vector<double> best =
-          best_seconds({[&] { count_all(tables, true); },
-                        [&] { count_all(tables, false); }},
-                       min_total);
-      const double split_seconds = best[0];
-      const double one_seconds = best[1];
-      const auto n = static_cast<double>(tables.size());
-      const std::string lower =
-          b == 0 ? std::string("1") : std::to_string(kSplitBuckets[b - 1] + 1);
-      table.add_row({"munin1", std::to_string(depth),
-                     lower + "-" + std::to_string(kSplitBuckets[b]),
-                     std::to_string(tables.size()), std::to_string(m),
-                     TablePrinter::num(split_seconds / n * 1e6, 2),
-                     TablePrinter::num(one_seconds / n * 1e6, 2),
-                     TablePrinter::num(split_seconds / one_seconds, 3)});
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -336,20 +237,8 @@ int main(int argc, char** argv) {
   emit_table("Serial TableBuilder kernel: scalar vs active SIMD tier",
              "table_builder", table);
   std::printf(
-      "\nShape check: about 1.0x at depths 0 and 1 (scalar pass on every "
-      "tier);\nabove 1x at depths 2 and 3 on a vector tier.\n");
-
-  TablePrinter split({"data", "depth", "cells", "tables", "samples",
-                      "split us/table", "one copy us/table",
-                      "split / one copy"});
-  add_split_rows(split, data, min_total);
-  emit_table("Single-table loops: split vs one copy, by table size",
-             "table_builder_split", split);
-  std::printf(
-      "\nShape check: split / one copy < 1 at depths 0 and 1 (all within "
-      "kSplitCells = %zu\ncells, the tables the scalar pass splits); at or "
-      "above 1 deeper on an idle host,\nwhere the scalar pass counts one "
-      "copy.\n",
-      table_detail::kSplitCells);
+      "\nShape check: above 1x at every depth on AVX2 (the bitset pass at "
+      "depths 0 and 1,\nthe vector pass at depths 2 and 3); about 1.0x on "
+      "the scalar tier.\n");
   return 0;
 }

@@ -4,9 +4,10 @@
 // al. 1989) and standard cardinalities; its CPT *values* are synthesized
 // from a fixed-seed Dirichlet because the original parameters are not
 // redistributable here. The remaining Table II networks are generated
-// analogs matched on node count, edge count and cardinality range (see
-// DESIGN.md "Substitutions"): PC-stable's cost profile depends on exactly
-// those structural quantities.
+// analogs matched on node count, edge count and cardinality range: the
+// library builds every network in code and ships no network files, and
+// PC-stable's cost profile depends on exactly those structural
+// quantities.
 #pragma once
 
 #include <cstdint>

@@ -52,10 +52,23 @@ std::size_t DiscreteCiTest::conditioning_cells(VarId x, VarId y,
   return cz_total;
 }
 
-void DiscreteCiTest::refresh_context(VarId x, VarId y) {
-  context_ = make_table_context(*data_, x, y, options_.use_row_major, scratch_);
+void DiscreteCiTest::set_endpoints(VarId x, VarId y) {
+  context_ =
+      make_endpoint_context(*data_, x, y, options_.use_row_major, scratch_);
   cx_ = context_.cx;
   cy_ = context_.cy;
+}
+
+void DiscreteCiTest::count(std::span<const VarId> z, std::size_t cz_total) {
+  cells_.resize(static_cast<std::size_t>(cx_) * static_cast<std::size_t>(cy_) *
+                cz_total);
+  const TableJob job{z, cz_total, cells_};
+  TableBuilder& builder = active_builder();
+  if (context_.xy_codes.empty() && context_.xy_codes8.empty() &&
+      builder.reads_xy_codes(context_, job)) {
+    add_xy_codes(context_);
+  }
+  builder.build(context_, job);
 }
 
 TableBuilder& DiscreteCiTest::active_builder() const noexcept {
@@ -163,22 +176,15 @@ CiResult DiscreteCiTest::test(VarId x, VarId y, std::span<const VarId> z) {
     ++tests_performed_;
     return oversized_result();
   }
-  refresh_context(x, y);
-  group_codes_valid_ = false;  // the scratch codes no longer match the group
-  cells_.resize(static_cast<std::size_t>(cx_) * static_cast<std::size_t>(cy_) *
-                cz_total);
-  active_builder().build(context_, TableJob{z, cz_total, cells_});
+  set_endpoints(x, y);
+  count(z, cz_total);
   ++tests_performed_;
   return evaluate(cells_, cz_total);
 }
 
 void DiscreteCiTest::begin_group(VarId x, VarId y) {
-  if (group_codes_valid_ && group_x_ == x && group_y_ == y) {
-    return;  // same edge as the previous group: codes still valid
-  }
   CiTest::begin_group(x, y);
-  refresh_context(x, y);
-  group_codes_valid_ = true;
+  if (context_.x != x || context_.y != y) set_endpoints(x, y);
 }
 
 CiResult DiscreteCiTest::test_in_group(std::span<const VarId> z) {
@@ -188,11 +194,9 @@ CiResult DiscreteCiTest::test_in_group(std::span<const VarId> z) {
     ++tests_performed_;
     return oversized_result();
   }
-  // xy codes were computed by begin_group and are shared by the whole
-  // group — the paper's "reuse Vi and Vj" memory-access saving.
-  cells_.resize(static_cast<std::size_t>(cx_) * static_cast<std::size_t>(cy_) *
-                cz_total);
-  active_builder().build(context_, TableJob{z, cz_total, cells_});
+  // The group's tables share one context, and its code stream once a
+  // table needs it — the paper's "reuse Vi and Vj" memory-access saving.
+  count(z, cz_total);
   ++tests_performed_;
   return evaluate(cells_, cz_total);
 }

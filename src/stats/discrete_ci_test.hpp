@@ -8,8 +8,11 @@
 //  * column-major streaming of exactly the |S|+2 variables a test touches
 //    (cache-friendly storage, Section IV-C) — with an opt-in row-major
 //    path so benches can ablate the layout choice;
-//  * group protocol reusing the combined (X, Y) value codes across the gs
-//    tests of a work-pool group (Section IV-B, "reuse Vi and Vj");
+//  * group protocol reusing the endpoint pair's context, and its combined
+//    (X, Y) value codes, across the gs tests of a work-pool group
+//    (Section IV-B, "reuse Vi and Vj"); the codes are built only when a
+//    table's kernel pass reads them, so groups whose tables the serial
+//    kernel counts by bitset intersection never build them;
 //  * workspace reuse: one allocation-free contingency buffer per test
 //    instance (engines clone one instance per thread);
 //  * an optional sample-parallel build (OpenMP + atomics), which exists to
@@ -77,9 +80,12 @@ class DiscreteCiTest final : public CiTest {
   [[nodiscard]] std::size_t conditioning_cells(VarId x, VarId y,
                                                std::span<const VarId> z) const;
 
-  /// Recomputes the endpoint codes and the build context for (x, y)
-  /// through the shared make_table_context helper.
-  void refresh_context(VarId x, VarId y);
+  /// Points the build context at (x, y), with no code stream yet.
+  void set_endpoints(VarId x, VarId y);
+  /// Counts the (current pair, z) table into cells_ through the active
+  /// builder, adding the context's code stream first if that builder
+  /// reads it for this table and the context has none yet.
+  void count(std::span<const VarId> z, std::size_t cz_total);
   /// The kernel builds go through: the serial kernel, or sample-parallel
   /// when the option / runtime hint says so.
   [[nodiscard]] TableBuilder& active_builder() const noexcept;
@@ -90,11 +96,6 @@ class DiscreteCiTest final : public CiTest {
   CiTestOptions options_;
   std::int32_t cx_ = 0;  ///< cardinality of current group X
   std::int32_t cy_ = 0;  ///< cardinality of current group Y
-  /// begin_group memo: with the LIFO work pool a thread frequently pops
-  /// the edge it just pushed back, so consecutive groups of one edge reuse
-  /// the endpoint codes without recomputation. (The plain test() entry
-  /// point deliberately has no memo — it models the unoptimized path.)
-  bool group_codes_valid_ = false;
   /// Runtime mirror of options_.sample_parallel (set_sample_parallel).
   bool sample_parallel_build_ = false;
 
@@ -106,7 +107,13 @@ class DiscreteCiTest final : public CiTest {
   /// kernel's index blocks live here, so groups stop reallocating on the
   /// hot path.
   ScratchArena scratch_;
-  /// Context of the current endpoint pair; spans point into scratch_.
+  /// Context of the current endpoint pair; its code stream, once built,
+  /// points into scratch_. This is the group memo: begin_group keeps the
+  /// context when the pair is unchanged, so consecutive groups of one
+  /// edge reuse a code stream already built. The memo covers only that
+  /// stream — every other input a kernel reads comes straight from the
+  /// dataset. The plain test() entry point deliberately has no memo: it
+  /// models the unoptimized path and starts a fresh context every call.
   TableBuildContext context_;
   std::vector<Count> cells_;  ///< N_xyz, laid out [xy][zc]
   mutable std::vector<Count> margin_xz_;

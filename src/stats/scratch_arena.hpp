@@ -1,12 +1,12 @@
 // Reusable grow-only scratch buffers for the counting data path.
 //
 // Before this arena existed every endpoint group re-allocated its
-// xy-code buffers; the serial kernel's vector pass would have added
-// per-table index blocks on top. One arena per CiTest instance (engines
-// clone one test per thread, so the arena is per-thread by construction)
-// keeps the high-water allocation alive across groups and depths — the
-// hot path stops touching the allocator entirely after the first few
-// groups.
+// xy-code buffers; the serial kernel's vector and bitset passes would
+// have added per-table index and mask blocks on top. One arena per
+// CiTest instance (engines clone one test per thread, so the arena is
+// per-thread by construction) keeps the high-water allocation alive
+// across groups and depths — the hot path stops touching the allocator
+// entirely after the first few groups.
 //
 // Each named buffer has a single user at a time; a span is invalidated
 // by the next call for the *same* buffer (different buffers never
@@ -43,6 +43,12 @@ class ScratchArena {
     return grow(cell_indices16_, n);
   }
 
+  /// One sample block's value masks for the bitset pass: 64 samples per
+  /// word, one run of words per value of each variable a table reads.
+  [[nodiscard]] std::span<std::uint64_t> value_masks(std::size_t n) {
+    return grow(value_masks_, n);
+  }
+
  private:
   template <typename T>
   [[nodiscard]] static std::span<T> grow(std::vector<T>& buffer,
@@ -55,6 +61,7 @@ class ScratchArena {
   std::vector<std::uint8_t> xy_codes8_;
   std::vector<std::uint32_t> cell_indices_;
   std::vector<std::uint16_t> cell_indices16_;
+  std::vector<std::uint64_t> value_masks_;
 };
 
 }  // namespace fastbns

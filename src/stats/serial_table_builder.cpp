@@ -1,22 +1,35 @@
 // The serial counting kernel: one table per build(), the paper's
-// optimized sequential scan, with the per-sample cell-index composition
-// vectorized where the CPU allows.
+// optimized sequential scan, with the counting data path vectorized
+// where the CPU allows. At the AVX2 tier it has two passes, one for each
+// kind of table the engines count.
 //
-// A contingency count is a scatter (++cells[idx]) and scatters do not
-// vectorize profitably on x86 without conflict detection — but the index
-// arithmetic feeding them does: idx = (((xy * c0 + z0) * c1 + z1) * ...)
-// is a Horner chain over byte-wide code columns, and AVX2 evaluates it
-// for 8 samples per instruction. The vector pass therefore composes a
-// block of indices vectorized, then retires the increments scalar,
-// streaming the xy codes as bytes whenever cx * cy <= 255 — a quarter of
-// the int32 stream's bandwidth.
+// Tables with |z| <= 1 and at most kBitsetCells cells — every depth-0
+// and depth-1 table of low-cardinality variables, most of the tests a
+// PC run makes — are counted by bitset intersection. For each block of
+// 4096 samples the pass turns each byte column into one 64-bit mask per
+// value (bit i set when sample i holds the value: a compare and a
+// movemask per 32 samples), then N(x=a, y=b) is popcount(X_a & Y_b)
+// summed over the block's words, or popcount(X_a & Y_b & Z_c) at depth
+// 1, where X_a & Y_b is formed once per block and reused for every
+// value of z. The pass reads the endpoint columns directly, so it needs
+// no endpoint-code stream and keeps no index beyond one block's masks
+// in the thread's ScratchArena.
 //
-// The vector code is compiled behind per-function target attributes so
-// the library builds without -mavx2 and dispatches at runtime
-// (stats/simd_dispatch.hpp). Any table the vector pass cannot take —
-// scalar dispatch tier, row-major context, |z| <= 1, cell counts past
-// 32-bit indexing — goes through the scalar pass, so the kernel is
-// total and counts the same cells on every tier.
+// Deeper tables are a scatter (++cells[idx]), and scatters do not
+// vectorize profitably on x86 without conflict detection — but the
+// index arithmetic feeding them does: idx = (((xy * c0 + z0) * c1 + z1)
+// * ...) is a Horner chain over byte-wide code columns, and AVX2
+// evaluates it for 8 samples per instruction. The vector pass therefore
+// composes a block of indices vectorized, then retires the increments
+// scalar, streaming the xy codes as bytes whenever cx * cy <= 255 — a
+// quarter of the int32 stream's bandwidth.
+//
+// Both passes are compiled behind per-function target attributes so the
+// library builds without -mavx2 and dispatches at runtime
+// (stats/simd_dispatch.hpp). Every table neither pass takes — scalar
+// dispatch tier, row-major context, a |z| <= 1 table past kBitsetCells,
+// cell counts past 32-bit indexing — goes through the scalar pass, so
+// the kernel is total and counts the same cells on every tier.
 #include <limits>
 
 #include "stats/simd_dispatch.hpp"
@@ -34,8 +47,20 @@ namespace {
 using table_detail::ZPlan;
 
 /// Samples composed per pass; the uint32 index block (16 KiB) plus the
-/// byte-wide code columns of one table stay L1-resident.
+/// byte-wide code columns of one table stay L1-resident. The bitset pass
+/// masks the same blocks: (cx + cy + cz + 1) * 512 bytes of masks.
 constexpr std::size_t kBlockSamples = 4096;
+constexpr std::size_t kMaskWords = kBlockSamples / 64;
+static_assert(DiscreteDataset::kColumnPad % 64 == 0,
+              "the bitset pass loads whole 64-sample words of a column");
+
+/// Whether build() counts this table by bitset intersection.
+bool takes_bitset_pass(SimdTier tier, const TableBuildContext& context,
+                       const TableJob& job) {
+  return tier == SimdTier::kAvx2 && !context.row_major &&
+         job.z.size() <= 1 &&
+         job.cells.size() <= table_detail::kBitsetCells;
+}
 
 /// One table's flattened composition inputs: the xy codes (the stream
 /// the context carries) and the conditioning columns with their Horner
@@ -129,6 +154,131 @@ __attribute__((target("avx2"))) void compose16_avx2(const ComposeArgs& a,
   }
 }
 
+/// Column v with its zero padding up to the next multiple of kColumnPad
+/// samples, so the bitset pass loads whole 64-sample words.
+const std::uint8_t* padded_column(const DiscreteDataset& data, VarId v) {
+  return data.column_block().data() +
+         static_cast<std::size_t>(v) *
+             DiscreteDataset::column_stride(data.num_samples());
+}
+
+/// Writes the masks of one block of `count` samples of a padded column:
+/// bit i of masks[v * kMaskWords + w] is set when sample 64w + i holds
+/// value v, for each v < card. Bits at or past `count` stay clear, so
+/// the padding is never counted. The last value's mask is what the
+/// other values leave, so it costs no compare.
+__attribute__((target("avx2,popcnt"))) void build_value_masks(
+    const std::uint8_t* col, std::int32_t card, std::size_t count,
+    std::uint64_t* masks) {
+  const std::size_t words = (count + 63) / 64;
+  std::uint64_t* last =
+      masks + static_cast<std::size_t>(card - 1) * kMaskWords;
+  for (std::size_t w = 0; w < words; ++w) {
+    const __m256i lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + 64 * w));
+    const __m256i hi = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(col + 64 * w + 32));
+    std::uint64_t rest = 64 * (w + 1) <= count
+                             ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << (count % 64)) - 1;
+    for (std::int32_t v = 0; v + 1 < card; ++v) {
+      const __m256i value = _mm256_set1_epi8(static_cast<char>(v));
+      const auto low = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, value)));
+      const auto high = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, value)));
+      const std::uint64_t mask =
+          (static_cast<std::uint64_t>(high) << 32 | low) & rest;
+      masks[static_cast<std::size_t>(v) * kMaskWords + w] = mask;
+      rest &= ~mask;
+    }
+    last[w] = rest;
+  }
+}
+
+/// The sum over `words` (at most kMaskWords) of popcount(a[w] & b[w]),
+/// four words per step through a nibble lookup: a byte of `bytes` gains
+/// at most 8 per step, so the kMaskWords / 4 steps of a block fit it.
+__attribute__((target("avx2,popcnt"))) std::uint64_t popcount_and(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t words) {
+  static_assert(kMaskWords / 4 * 8 <= 255);
+  const __m256i nibble_bits =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
+                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i low4 = _mm256_set1_epi8(0x0f);
+  __m256i bytes = _mm256_setzero_si256();
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    const __m256i v = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
+    bytes = _mm256_add_epi8(
+        bytes,
+        _mm256_add_epi8(
+            _mm256_shuffle_epi8(nibble_bits, _mm256_and_si256(v, low4)),
+            _mm256_shuffle_epi8(
+                nibble_bits,
+                _mm256_and_si256(_mm256_srli_epi16(v, 4), low4))));
+  }
+  const __m256i sums = _mm256_sad_epu8(bytes, _mm256_setzero_si256());
+  std::uint64_t n = static_cast<std::uint64_t>(
+      _mm256_extract_epi64(sums, 0) + _mm256_extract_epi64(sums, 1) +
+      _mm256_extract_epi64(sums, 2) + _mm256_extract_epi64(sums, 3));
+  for (; w < words; ++w) {
+    n += static_cast<std::uint64_t>(_mm_popcnt_u64(a[w] & b[w]));
+  }
+  return n;
+}
+
+/// The bitset pass: counts a column table with |z| <= 1 block by block,
+/// each cell the popcount of its values' mask intersection.
+__attribute__((target("avx2,popcnt"))) void count_by_bitsets(
+    const TableBuildContext& context, const TableJob& job,
+    ScratchArena& arena) {
+  const DiscreteDataset& data = *context.data;
+  const std::size_t m = table_detail::num_samples(context);
+  const auto cx = static_cast<std::size_t>(context.cx);
+  const auto cy = static_cast<std::size_t>(context.cy);
+  const std::size_t cz = job.cz_total;
+  const std::uint8_t* xs = padded_column(data, context.x);
+  const std::uint8_t* ys = padded_column(data, context.y);
+  const std::uint8_t* zs =
+      job.z.empty() ? nullptr : padded_column(data, job.z[0]);
+  std::uint64_t* xm =
+      arena.value_masks((cx + cy + cz + 1) * kMaskWords).data();
+  std::uint64_t* ym = xm + cx * kMaskWords;
+  std::uint64_t* zm = ym + cy * kMaskWords;
+  std::uint64_t* xy = zm + cz * kMaskWords;
+  Count* cells = job.cells.data();
+  std::fill(job.cells.begin(), job.cells.end(), Count{0});
+
+  for (std::size_t s0 = 0; s0 < m; s0 += kBlockSamples) {
+    const std::size_t count = std::min(kBlockSamples, m - s0);
+    const std::size_t words = (count + 63) / 64;
+    build_value_masks(xs + s0, context.cx, count, xm);
+    build_value_masks(ys + s0, context.cy, count, ym);
+    if (zs != nullptr) {
+      build_value_masks(zs + s0, static_cast<std::int32_t>(cz), count, zm);
+    }
+    for (std::size_t a = 0; a < cx; ++a) {
+      for (std::size_t b = 0; b < cy; ++b) {
+        const std::uint64_t* xa = xm + a * kMaskWords;
+        const std::uint64_t* yb = ym + b * kMaskWords;
+        Count* row = cells + (a * cy + b) * cz;
+        if (zs == nullptr) {
+          *row += static_cast<Count>(popcount_and(xa, yb, words));
+          continue;
+        }
+        for (std::size_t w = 0; w < words; ++w) xy[w] = xa[w] & yb[w];
+        for (std::size_t c = 0; c < cz; ++c) {
+          row[c] += static_cast<Count>(
+              popcount_and(xy, zm + c * kMaskWords, words));
+        }
+      }
+    }
+  }
+}
+
 #endif  // FASTBNS_X86_SIMD
 
 ComposeFn compose_for(SimdTier tier) {
@@ -157,6 +307,14 @@ class SerialTableBuilder final : public TableBuilder {
 
   void build(const TableBuildContext& context, const TableJob& job) override {
     const SimdTier tier = active_simd_tier();
+    ScratchArena& arena =
+        context.scratch != nullptr ? *context.scratch : fallback_arena_;
+#if FASTBNS_X86_SIMD
+    if (takes_bitset_pass(tier, context, job)) {
+      count_by_bitsets(context, job, arena);
+      return;
+    }
+#endif
     const std::size_t d = job.z.size();
     const std::uint8_t* xy8 =
         context.xy_codes8.empty() ? nullptr : context.xy_codes8.data();
@@ -164,13 +322,13 @@ class SerialTableBuilder final : public TableBuilder {
     // default cell cap — take the half-width composition: twice the
     // lanes, half the index-buffer traffic.
     const bool narrow = xy8 != nullptr && job.cells.size() <= 65536;
-    // Vectorization only pays past depth 1: a d=1 pass is a single
+    // Index composition only pays past depth 1: a d=1 pass is a single
     // load-add per sample, and the index round-trip costs more than it
     // vectorizes away (measured in bench_table_builder: below 1.0x at
-    // d=1), so d<=1 tables take the scalar pass — a small one the split
-    // loop (count_split). The committed BENCH_table_builder.json
-    // (4-vCPU x86-64, AVX2) shows the vector pass at 2.8x/3.9x the
-    // scalar tier on munin1-analog tables at d=2/3.
+    // d=1), so a d<=1 table the bitset pass does not take goes through
+    // the scalar pass. The committed BENCH_table_builder.json (4-vCPU
+    // x86-64, AVX2) shows the vector pass at 3.4x/3.8x the scalar tier
+    // on munin1-analog tables at d=2/3.
     const bool vectorizable =
         tier != SimdTier::kScalar && !context.row_major && d >= 2 &&
         (narrow ||
@@ -189,8 +347,6 @@ class SerialTableBuilder final : public TableBuilder {
                            plan.cards.data(), d};
     Count* cells = job.cells.data();
 
-    ScratchArena& arena =
-        context.scratch != nullptr ? *context.scratch : fallback_arena_;
     const Compose16Fn compose16 = compose16_for(tier);
     const ComposeFn compose32 = compose_for(tier);
     const std::span<std::uint16_t> idx16 =
@@ -210,6 +366,11 @@ class SerialTableBuilder final : public TableBuilder {
         retire(cells, idx32.data(), count);
       }
     }
+  }
+
+  [[nodiscard]] bool reads_xy_codes(const TableBuildContext& context,
+                                    const TableJob& job) const override {
+    return !takes_bitset_pass(active_simd_tier(), context, job);
   }
 
  private:

@@ -13,36 +13,43 @@ void TableBuilder::build_batch(const TableBuildContext& context,
   for (const TableJob& job : jobs) build(context, job);
 }
 
-TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
-                                     VarId y, bool row_major,
-                                     ScratchArena& scratch,
-                                     bool /*want_packed*/) {
-  const std::int32_t cx = data.cardinality(x);
-  const std::int32_t cy = data.cardinality(y);
-  const auto m = static_cast<std::size_t>(data.num_samples());
+TableBuildContext make_endpoint_context(const DiscreteDataset& data, VarId x,
+                                        VarId y, bool row_major,
+                                        ScratchArena& scratch) {
   TableBuildContext context;
   context.data = &data;
-  context.cx = cx;
-  context.cy = cy;
+  context.x = x;
+  context.y = y;
+  context.cx = data.cardinality(x);
+  context.cy = data.cardinality(y);
   context.row_major = row_major;
   context.scratch = &scratch;
+  return context;
+}
+
+void add_xy_codes(TableBuildContext& context) {
+  const DiscreteDataset& data = *context.data;
+  const VarId x = context.x;
+  const VarId y = context.y;
+  const std::int32_t cy = context.cy;
+  const auto m = static_cast<std::size_t>(data.num_samples());
 
   // Every stored value is below its cardinality, so each x*cy + y lands
   // in [0, cx*cy): the kernels increment cells through these codes
   // without bounds checks.
-  if (!row_major && cx * cy <= 255) {
+  if (!context.row_major && context.cx * cy <= 255) {
     const DataValue* xs = data.column(x).data();
     const DataValue* ys = data.column(y).data();
-    const std::span<std::uint8_t> codes = scratch.xy_codes8(m);
+    const std::span<std::uint8_t> codes = context.scratch->xy_codes8(m);
     for (std::size_t s = 0; s < m; ++s) {
       codes[s] = static_cast<std::uint8_t>(xs[s] * cy + ys[s]);
     }
     context.xy_codes8 = codes;
-    return context;
+    return;
   }
 
-  const std::span<std::int32_t> codes = scratch.xy_codes(m);
-  if (row_major) {
+  const std::span<std::int32_t> codes = context.scratch->xy_codes(m);
+  if (context.row_major) {
     // Cache-unfriendly path: stride across the sample rows.
     const auto n = static_cast<std::size_t>(data.num_vars());
     const DataValue* base = data.row(0).data();
@@ -56,6 +63,15 @@ TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
     for (std::size_t s = 0; s < m; ++s) codes[s] = xs[s] * cy + ys[s];
   }
   context.xy_codes = codes;
+}
+
+TableBuildContext make_table_context(const DiscreteDataset& data, VarId x,
+                                     VarId y, bool row_major,
+                                     ScratchArena& scratch,
+                                     bool /*want_packed*/) {
+  TableBuildContext context =
+      make_endpoint_context(data, x, y, row_major, scratch);
+  add_xy_codes(context);
   return context;
 }
 
@@ -64,14 +80,8 @@ namespace table_detail {
 void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job) {
   const std::size_t m = num_samples(context);
-  with_cell_index(context, job, [&](auto index) {
-    if (job.cells.size() <= kSplitCells && job.z.size() <= 1) {
-      std::array<Count, 4 * kSplitCells> partial{};
-      count_split(m, job.cells, index, partial.data());
-    } else {
-      count_one_copy(m, job.cells, index);
-    }
-  });
+  with_cell_index(context, job,
+                  [&](auto index) { count_one_copy(m, job.cells, index); });
 }
 
 }  // namespace table_detail

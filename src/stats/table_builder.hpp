@@ -26,12 +26,16 @@
 namespace fastbns {
 
 /// Inputs shared by every table of one endpoint group: the dataset, the
-/// fixed endpoint pair's cardinalities, and the precomputed combined
-/// codes x*|Y| + y per sample (the group protocol's "reuse Vi and Vj").
-/// Exactly one of the two code streams is set; kernels read whichever
-/// is non-empty.
+/// fixed endpoint pair and its cardinalities, and the combined codes
+/// x*|Y| + y per sample (the group protocol's "reuse Vi and Vj"). At most
+/// one of the two code streams is set, and kernels read whichever is
+/// non-empty. A context may carry no stream at all: the serial kernel's
+/// bitset pass reads the endpoint columns instead, and
+/// TableBuilder::reads_xy_codes says which tables need a stream.
 struct TableBuildContext {
   const DiscreteDataset* data = nullptr;
+  VarId x = kInvalidVar;  ///< endpoint X
+  VarId y = kInvalidVar;  ///< endpoint Y
   /// Per sample x*cy + y as int32: the stream for row-major contexts
   /// and pairs with cx * cy > 255.
   std::span<const std::int32_t> xy_codes;
@@ -49,12 +53,21 @@ struct TableBuildContext {
   ScratchArena* scratch = nullptr;
 };
 
-/// Centralized endpoint-code precomputation — the one helper every
-/// builder call site uses: fills one code stream into `scratch` and
-/// returns a context wired to it and to `scratch`. Column contexts with
-/// cx * cy <= 255 get the byte stream, composed from the two endpoint
-/// columns; everything else gets the int32 stream. The span stays valid
-/// until the next request for the same buffer on the same arena.
+/// The context of the endpoint pair (x, y) wired to `scratch`, with no
+/// code stream yet.
+[[nodiscard]] TableBuildContext make_endpoint_context(
+    const DiscreteDataset& data, VarId x, VarId y, bool row_major,
+    ScratchArena& scratch);
+
+/// Centralized endpoint-code precomputation: fills one code stream into
+/// the context's scratch arena and points the context at it. Column
+/// contexts with cx * cy <= 255 get the byte stream, composed from the
+/// two endpoint columns; everything else gets the int32 stream. The span
+/// stays valid until the next request for the same buffer on the same
+/// arena.
+void add_xy_codes(TableBuildContext& context);
+
+/// make_endpoint_context followed by add_xy_codes.
 [[nodiscard]] TableBuildContext make_table_context(
     const DiscreteDataset& data, VarId x, VarId y, bool row_major,
     ScratchArena& scratch,
@@ -79,6 +92,15 @@ class TableBuilder {
   /// Counts one table.
   virtual void build(const TableBuildContext& context, const TableJob& job) = 0;
 
+  /// Whether build() reads the context's code stream for this job, so a
+  /// caller can skip add_xy_codes for groups whose tables never read it.
+  [[nodiscard]] virtual bool reads_xy_codes(const TableBuildContext& context,
+                                            const TableJob& job) const {
+    (void)context;
+    (void)job;
+    return true;
+  }
+
   /// Calls build() for each job in turn. Kept only for
   /// perfbench/perfbench.cpp.
   void build_batch(const TableBuildContext& context, std::span<TableJob> jobs);
@@ -90,9 +112,11 @@ class TableBuilder {
 /// The serial kernel — the paper's optimized sequential scan, one pass
 /// per table over the |S| conditioning columns (or rows when the context
 /// says so). At the AVX2 dispatch tier (stats/simd_dispatch.hpp) it
-/// composes the cell indices of column tables with |z| >= 2 vectorized;
-/// FASTBNS_SIMD=off and ScopedSimdTierOverride force its scalar passes.
-/// Every tier counts the same cells.
+/// counts column tables with |z| <= 1 and at most
+/// table_detail::kBitsetCells cells by bitset intersection, straight from
+/// the endpoint columns, and composes the cell indices of column tables
+/// with |z| >= 2 vectorized; FASTBNS_SIMD=off and ScopedSimdTierOverride
+/// force its scalar pass. Every tier counts the same cells.
 [[nodiscard]] std::unique_ptr<TableBuilder> make_serial_table_builder();
 
 /// Sample-parallel scan (Section IV-A): all OpenMP threads fill one table

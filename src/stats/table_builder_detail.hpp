@@ -1,8 +1,8 @@
 // Internals shared by the TableBuilder kernels: the scalar and
 // sample-parallel passes in table_builder.cpp and the serial kernel's
-// vector pass in serial_table_builder.cpp (a separate TU so its
-// per-function target attributes stay contained). bench_table_builder
-// times the two single-table loops directly. Not part of the public API.
+// bitset and vector passes in serial_table_builder.cpp (a separate TU so
+// their per-function target attributes stay contained). Not part of the
+// public API.
 #pragma once
 
 #include <algorithm>
@@ -55,14 +55,15 @@ struct ZPlan {
   }
 };
 
-/// The largest single table count_single_scalar splits (count_split):
-/// the partial copies then fit 2 KB of stack, and every depth-0 and
-/// depth-1 table of cardinality-4 variables fits. bench_table_builder's
-/// split-limit table times both loops by depth and table size: within
-/// this size the committed BENCH_table_builder_split.json reads split /
-/// one copy 0.46-0.78 at depths 0 and 1 and 1.04-1.20 at depths 2 to 4,
-/// so only tables with |z| <= 1 are split.
-inline constexpr std::size_t kSplitCells = 64;
+/// The largest table the serial kernel's bitset pass counts. The pass
+/// costs one AND and popcount per cell per 64 samples, so it grows with
+/// the cells while the scalar pass costs about one increment per sample:
+/// on 20k uniform samples the two tie between 64 and 128 cells. 64
+/// covers every depth-0 and depth-1 table of cardinality-4 variables;
+/// bench_table_builder's munin1 depth-1 row (tables of 12 to 64 cells)
+/// reads the AVX2 tier at 2.44x the scalar tier in the committed
+/// BENCH_table_builder.json.
+inline constexpr std::size_t kBitsetCells = 64;
 
 /// Calls `fn` with a pointer to the endpoint-code stream the context
 /// carries: the byte stream when set, the int32 stream otherwise.
@@ -89,30 +90,6 @@ template <typename IndexFn>
 void count_one_copy(std::size_t m, std::span<Count> cells, IndexFn index) {
   std::fill(cells.begin(), cells.end(), Count{0});
   for (std::size_t s = 0; s < m; ++s) ++cells[index(s)];
-}
-
-/// The same count as count_one_copy, with consecutive samples spread
-/// over 4 interleaved partial copies in `partial` — cell c of copy w at
-/// c * 4 + w, so it holds at least 4 * cells.size() counts — summed into
-/// `cells` at the end. With one copy of a small table, neighbouring
-/// samples that share a cell make each increment wait for the previous
-/// one's store, and skewed columns make that the common case.
-template <typename IndexFn>
-void count_split(std::size_t m, std::span<Count> cells, IndexFn index,
-                 Count* partial) {
-  std::fill(partial, partial + cells.size() * 4, Count{0});
-  std::size_t s = 0;
-  for (; s + 4 <= m; s += 4) {
-    ++partial[index(s) * 4];
-    ++partial[index(s + 1) * 4 + 1];
-    ++partial[index(s + 2) * 4 + 2];
-    ++partial[index(s + 3) * 4 + 3];
-  }
-  for (; s < m; ++s) ++partial[index(s) * 4];
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    cells[c] = partial[c * 4] + partial[c * 4 + 1] + partial[c * 4 + 2] +
-               partial[c * 4 + 3];
-  }
 }
 
 /// Calls `fn` with the cell index of one table — index(s) is sample s's
@@ -150,9 +127,8 @@ void with_cell_index(const TableBuildContext& context, const TableJob& job,
   });
 }
 
-/// The serial one-table scan (the paper's optimized sequential kernel)
-/// over with_cell_index: count_split for tables of at most kSplitCells
-/// cells and |z| <= 1, count_one_copy for the rest.
+/// The serial one-table scan (the paper's optimized sequential kernel):
+/// count_one_copy over with_cell_index.
 void count_single_scalar(const TableBuildContext& context,
                          const TableJob& job);
 

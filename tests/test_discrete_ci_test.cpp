@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "stats/simd_dispatch.hpp"
+#include "stats/table_builder_detail.hpp"
 
 namespace fastbns {
 namespace {
@@ -87,6 +89,69 @@ TEST(DiscreteCiTest, GroupProtocolMatchesDirectCalls) {
     EXPECT_DOUBLE_EQ(a.p_value, b.p_value);
     EXPECT_EQ(a.independent, b.independent);
     EXPECT_EQ(a.degrees_of_freedom, b.degrees_of_freedom);
+  }
+}
+
+TEST(DiscreteCiTest, GroupsMixingBitsetAndCodeStreamTablesMatchFreshTests) {
+  // The serial kernel counts a |z| <= 1 table of at most kBitsetCells
+  // cells by bitset intersection and reads no endpoint codes; any other
+  // table reads the code stream, which the test builds only then. Group
+  // (0, 1) goes from bitset tables to an 81-cell table and a depth-2
+  // table and back, then starts again on the same pair (the memo keeps
+  // the stream); group (0, 4) switches to sample-parallel builds, which
+  // read the stream, after a bitset table that did not build it. 5000
+  // samples cross a 4096-sample block. Every result must equal a fresh
+  // instance's test().
+  const Count m = 5000;
+  DiscreteDataset data(5, m, {3, 3, 2, 9, 4}, DataLayout::kColumnMajor);
+  Rng rng(61);
+  for (Count s = 0; s < m; ++s) {
+    const auto x = static_cast<DataValue>(rng.next_below(3));
+    data.set(s, 0, x);
+    data.set(s, 1,
+             rng.next_below(4) == 0
+                 ? static_cast<DataValue>(rng.next_below(3))
+                 : x);
+    data.set(s, 2, static_cast<DataValue>(rng.next_below(2)));
+    data.set(s, 3, static_cast<DataValue>(rng.next_below(9)));
+    data.set(s, 4, static_cast<DataValue>(rng.next_below(4)));
+  }
+  ASSERT_LE(std::size_t{3 * 3 * 4}, table_detail::kBitsetCells);
+  ASSERT_GT(std::size_t{3 * 3 * 9}, table_detail::kBitsetCells);
+
+  const auto expect_fresh = [&data](DiscreteCiTest& grouped, VarId x, VarId y,
+                                    const std::vector<VarId>& z) {
+    SCOPED_TRACE("pair (" + std::to_string(x) + ", " + std::to_string(y) +
+                 ") |z|=" + std::to_string(z.size()) + " first z=" +
+                 (z.empty() ? std::string("-") : std::to_string(z[0])));
+    DiscreteCiTest fresh(data, {});
+    const CiResult expected = fresh.test(x, y, z);
+    const CiResult actual = grouped.test_in_group(z);
+    EXPECT_EQ(actual.statistic, expected.statistic);
+    EXPECT_EQ(actual.p_value, expected.p_value);
+    EXPECT_EQ(actual.degrees_of_freedom, expected.degrees_of_freedom);
+    EXPECT_EQ(actual.independent, expected.independent);
+  };
+  for (const SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    const ScopedSimdTierOverride guard(tier);
+    SCOPED_TRACE(std::string(to_string(active_simd_tier())));
+    DiscreteCiTest grouped(data, {});
+    grouped.begin_group(0, 1);
+    for (const std::vector<VarId>& z : std::vector<std::vector<VarId>>{
+             {}, {2}, {4}, {3}, {2}, {2, 4}, {}, {4}}) {
+      expect_fresh(grouped, 0, 1, z);
+    }
+    grouped.begin_group(0, 1);
+    expect_fresh(grouped, 0, 1, {3});
+    expect_fresh(grouped, 0, 1, {2});
+
+    grouped.begin_group(0, 4);
+    expect_fresh(grouped, 0, 4, {2});
+    grouped.set_sample_parallel(true);
+    expect_fresh(grouped, 0, 4, {2});
+    expect_fresh(grouped, 0, 4, {3});
+    grouped.set_sample_parallel(false);
+    expect_fresh(grouped, 0, 4, {1});
   }
 }
 

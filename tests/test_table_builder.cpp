@@ -190,23 +190,25 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnRandomizedShapes) {
 TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
   // Shapes random draws rarely hit: a constant column and one that is 95%
   // a single value (forward-sampled networks are skewed like this),
-  // tables just under and just over the scalar pass's split limit, every
-  // sample count remainder mod 4, depths 0-3, a pair whose codes need
-  // int32, a row-major context, and the largest value of every
-  // cardinality.
-  enum : VarId { kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY };
+  // |z| <= 1 tables exactly at and just over the bitset pass's cell
+  // bound, a cardinality-1 endpoint, every sample count remainder mod 4,
+  // depths 0-3, a pair whose codes need int32, a row-major context, and
+  // the largest value of every cardinality.
+  enum : VarId {
+    kX, kY, kConst, kSkewed, kUnder, kOver, kWideX, kWideY, kUnit
+  };
   // With cx*cy = 16, one conditioning variable of card `under` fills the
-  // limit exactly and one of card `under + 1` exceeds it; at depth 2 the
-  // two binary columns give a 64-cell table, which the scalar pass counts
-  // in one copy through the general column index.
+  // bound exactly and one of card `under + 1` exceeds it; at depth 2 the
+  // two binary columns give a 64-cell table, which the bitset pass leaves
+  // to the index composition like any deeper table.
   const auto under =
-      static_cast<std::int32_t>(table_detail::kSplitCells / 16);
+      static_cast<std::int32_t>(table_detail::kBitsetCells / 16);
   ASSERT_GE(under, 2);
   const std::vector<VarId> pool{kConst, kSkewed, kUnder, kOver};
 
   for (const Count m : {Count{1001}, Count{1002}, Count{1003}}) {
     DiscreteDataset data = dataset_with_cards(
-        {4, 4, 2, 2, under, under + 1, 17, 16}, m,
+        {4, 4, 2, 2, under, under + 1, 17, 16, 1}, m,
         static_cast<std::uint64_t>(m));
     Rng rng(static_cast<std::uint64_t>(m) + 1);
     for (Count s = 0; s < m; ++s) {
@@ -226,7 +228,8 @@ TEST(TableBuilder, KernelsMatchAnIndependentCountOnEdgeShapes) {
       const char* label;
     } pairs[] = {{kX, kY, false, "bytes"},
                  {kX, kY, true, "row-major"},
-                 {kWideX, kWideY, false, "int32"}};
+                 {kWideX, kWideY, false, "int32"},
+                 {kUnit, kY, false, "cardinality-1"}};
     for (const auto& pair : pairs) {
       const TableBuildContext context =
           make_table_context(data, pair.x, pair.y, pair.row_major, arena);
@@ -261,6 +264,8 @@ TEST(TableBuilder, RowMajorContextMatchesColumnMajor) {
   const std::vector<std::int32_t> codes = xy_codes(data, 1, 4);
   TableBuildContext col_context;
   col_context.data = &data;
+  col_context.x = 1;
+  col_context.y = 4;
   col_context.xy_codes = codes;
   col_context.cx = data.cardinality(1);
   col_context.cy = data.cardinality(4);
@@ -288,6 +293,8 @@ TEST(TableBuilder, MarginalTablesNeedNoConditioningColumns) {
   const std::vector<std::int32_t> codes = xy_codes(data, 0, 2);
   TableBuildContext context;
   context.data = &data;
+  context.x = 0;
+  context.y = 2;
   context.xy_codes = codes;
   context.cx = data.cardinality(0);
   context.cy = data.cardinality(2);
@@ -390,12 +397,19 @@ TEST(TableBuilder, KernelsMatchAcrossCardinalityBoundaries) {
 
 TEST(TableBuilder, KernelsHandleNonVectorWidthSampleCounts) {
   // 1 and 5 never fill a vector; 97 leaves scalar tails on every tier;
-  // 4097 spills one sample into a second block of the vector pass.
-  for (const Count m : {Count{1}, Count{5}, Count{97}, Count{4097}}) {
+  // 63, 64 and 65 end inside, at and just past one 64-sample mask word of
+  // the bitset pass; 4095, 4096 and 4097 do the same at a 4096-sample
+  // block of both AVX2 passes, and 8193 spills one sample into a third
+  // block. The depth-0 and depth-1 sets (at most 64 cells here) take the
+  // bitset pass, the depth-2 sets the index composition.
+  for (const Count m : {Count{1}, Count{5}, Count{63}, Count{64}, Count{65},
+                        Count{97}, Count{4095}, Count{4096}, Count{4097},
+                        Count{8193}}) {
     const DiscreteDataset data =
         random_dataset(6, m, 4, 500 + static_cast<std::uint64_t>(m));
-    expect_kernels_match_reference(data, 0, 3, {{1, 2}, {2, 4}, {4, 5}, {1, 5}},
-                                   "tail-samples");
+    expect_kernels_match_reference(
+        data, 0, 3, {{}, {1}, {4}, {1, 2}, {2, 4}, {4, 5}, {1, 5}},
+        ("tail-samples m=" + std::to_string(m)).c_str());
   }
 }
 
