@@ -16,21 +16,15 @@ namespace {
 
 using namespace fastbns;
 
-EngineRunConfig scheme_config(const std::string& scheme, int threads) {
-  // "ci", "edge" and "sample" are registry aliases of the granularities;
-  // run_skeleton gives the sample-level scheme's engine the
-  // sample-parallel table builds it asks for.
-  EngineRunConfig config = engine_config_from_name(scheme, threads);
-  if (scheme == "ci") {
-    // The practical group size (Figure 4): one endpoint-code pass per 8
-    // CI tests, amortizing the pool's per-group work the way the paper's
-    // tuned configuration does; first-accept early stop keeps the larger
-    // group from paying redundant tests (bench_fig4_groupsize counts the
-    // tests each group size pays).
-    config.group_size = 8;
-    config.eager_group_stop = true;
-  }
-  return config;
+/// "ci", "edge" and "sample" are registry aliases of the granularities;
+/// run_skeleton gives the sample-level scheme's engine the
+/// sample-parallel table builds it asks for. Every scheme runs the
+/// library defaults, so CI-level runs gs 1 and the same tests as the
+/// other two.
+double best_seconds(const Workload& workload, const std::string& scheme,
+                    int threads) {
+  return run_skeleton_best(workload, engine_config_from_name(scheme, threads))
+      .seconds;
 }
 
 }  // namespace
@@ -76,12 +70,9 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     const Workload workload = make_workload(name, samples);
     for (const int t : threads) {
-      const double ci_time =
-          run_skeleton_best(workload, scheme_config("ci", t)).seconds;
-      const double edge_time =
-          run_skeleton_best(workload, scheme_config("edge", t)).seconds;
-      const double sample_time =
-          run_skeleton_best(workload, scheme_config("sample", t)).seconds;
+      const double ci_time = best_seconds(workload, "ci", t);
+      const double edge_time = best_seconds(workload, "edge", t);
+      const double sample_time = best_seconds(workload, "sample", t);
       table.add_row({name, std::to_string(t), TablePrinter::num(ci_time, 4),
                      TablePrinter::num(edge_time, 4),
                      TablePrinter::num(sample_time, 4)});

@@ -11,18 +11,6 @@
 #include "bench_util/workloads.hpp"
 #include "common/args.hpp"
 
-
-namespace {
-// Fast-BNS-par at the practical group size of Figure 4 (gs = 8), the
-// configuration the paper's speedup figures reflect after tuning.
-fastbns::EngineRunConfig tuned_par(int threads) {
-  fastbns::EngineRunConfig config = fastbns::fastbns_par_config(threads);
-  config.group_size = 8;
-  config.eager_group_stop = true;
-  return config;
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace fastbns;
   ArgParser args("bench_fig3_samplesize",
@@ -60,7 +48,7 @@ int main(int argc, char** argv) {
       const double seq = run_skeleton_best(workload, fastbns_seq_config()).seconds;
       for (const int t : threads) {
         const double par =
-            run_skeleton_best(workload, tuned_par(t)).seconds;
+            run_skeleton_best(workload, fastbns_par_config(t)).seconds;
         table.add_row({name, std::to_string(size), std::to_string(t),
                        TablePrinter::num(seq, 4), TablePrinter::num(par, 4),
                        TablePrinter::num(seq / par, 2)});

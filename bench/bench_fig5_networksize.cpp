@@ -2,7 +2,7 @@
 // over Fast-BNS-seq across the six evaluation networks at 5000 samples.
 //
 // Shape to reproduce: larger networks achieve larger speedups (more edges
-// in flight means the work pool keeps every thread busy), while the small
+// in flight keep every thread busy claiming works), while the small
 // networks (sub-second learning) are limited by parallel overhead.
 #include <cstdio>
 
@@ -11,18 +11,6 @@
 #include "bench_util/workloads.hpp"
 #include "common/args.hpp"
 #include "common/omp_utils.hpp"
-
-
-namespace {
-// Fast-BNS-par at the practical group size of Figure 4 (gs = 8), the
-// configuration the paper's speedup figures reflect after tuning.
-fastbns::EngineRunConfig tuned_par(int threads) {
-  fastbns::EngineRunConfig config = fastbns::fastbns_par_config(threads);
-  config.group_size = 8;
-  config.eager_group_stop = true;
-  return config;
-}
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fastbns;
@@ -60,7 +48,7 @@ int main(int argc, char** argv) {
     const Workload workload = make_workload(name, samples);
     const double seq = run_skeleton_best(workload, fastbns_seq_config()).seconds;
     const double par =
-        run_skeleton_best(workload, tuned_par(threads)).seconds;
+        run_skeleton_best(workload, fastbns_par_config(threads)).seconds;
     table.add_row({name, std::to_string(workload.data.num_vars()),
                    std::to_string(samples), TablePrinter::num(seq, 4),
                    TablePrinter::num(par, 4),

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks:
 // contingency-table construction under both layouts, the group-protocol
-// code reuse, combination unranking, d-separation, and work-pool ops.
+// code reuse, combination unranking and d-separation.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,7 +10,6 @@
 #include "graph/dseparation.hpp"
 #include "network/forward_sampler.hpp"
 #include "network/standard_networks.hpp"
-#include "pc/work_pool.hpp"
 #include "stats/discrete_ci_test.hpp"
 
 namespace {
@@ -115,19 +114,6 @@ void BM_DSeparation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DSeparation);
-
-void BM_WorkPoolPushPop(benchmark::State& state) {
-  std::vector<std::int64_t> initial(1024);
-  for (std::int64_t i = 0; i < 1024; ++i) initial[i] = i;
-  WorkPool pool(std::move(initial), 1 << 30);
-  std::vector<std::int64_t> claimed;
-  for (auto _ : state) {
-    pool.try_pop_batch(1, claimed);
-    benchmark::DoNotOptimize(claimed.data());
-    pool.push_batch(claimed);
-  }
-}
-BENCHMARK(BM_WorkPoolPushPop);
 
 }  // namespace
 

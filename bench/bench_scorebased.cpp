@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
     const UndirectedGraph truth = workload.network.dag().skeleton();
 
     // Constraint-based: Fast-BNS-par.
-    EngineRunConfig config = fastbns_par_config(0);
-    config.group_size = 8;
-    config.eager_group_stop = true;
-    const EngineRunResult pc = run_skeleton_best(workload, config);
+    const EngineRunResult pc =
+        run_skeleton_best(workload, fastbns_par_config(0));
     const SkeletonMetrics pc_metrics = compare_skeletons(pc.skeleton.graph, truth);
     table.add_row({name, "Fast-BNS (constraint)",
                    TablePrinter::num(pc.seconds, 4),

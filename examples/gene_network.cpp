@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.num_threads = args.get_int32("threads");
-  options.group_size = 8;
   const WallTimer timer;
   const PcStableResult result = learn_structure(profiles, options);
   std::printf("%s: %.3f s, %lld CI tests, max depth %d\n",
@@ -79,7 +78,7 @@ int main(int argc, char** argv) {
                                      result.cpdag.num_undirected_edges()));
 
   // 5. Contrast with the sequential engine on the same problem, to show
-  //    why the parallel work pool matters at this dimensionality.
+  //    why CI-level parallelism matters at this dimensionality.
   PcOptions sequential = options;
   sequential.engine = EngineKind::kFastSequential;
   const WallTimer seq_timer;

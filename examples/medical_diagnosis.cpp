@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.num_threads = args.get_int32("threads");
-  options.group_size = 6;
   const PcStableResult result = learn_structure(records, options);
   std::printf("learned the monitor network from %lld records in %.3f s\n",
               static_cast<long long>(records.num_samples()),

@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   options.num_threads = args.get_int32("threads");
-  options.group_size = 6;  // a good practical gs per the paper
   options.alpha = args.get_double("alpha");
   const PcStableResult result = learn_structure(data, options);
 

@@ -68,7 +68,10 @@ int main(int argc, char** argv) {
   args.add_flag("engine", engine_help(), "ci");
   args.add_flag("ci-test", ci_test_help(), "auto");
   args.add_flag("threads", "worker threads (0 = all)", "0");
-  args.add_flag("gs", "work-pool group size", "6");
+  args.add_flag("gs",
+                "CI-level group size: a group runs to its end after a test "
+                "in it accepts, so gs > 1 only adds redundant CI tests",
+                "1");
   args.add_flag("ranks",
                 "forked worker ranks for --engine process (0 = auto: two "
                 "ranks, one on a single-cpu box)",

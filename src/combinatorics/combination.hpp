@@ -2,10 +2,10 @@
 // Algorithm 515), ranking and successor.
 //
 // This is the paper's "generating conditioning sets on-the-fly" machinery
-// (Section IV-C): the dynamic work pool stores only (edge, progress r);
-// given p = |adj(Vi)\{Vj}|, q = depth and rank r, `unrank_combination`
-// reconstructs the r-th q-subset of {0..p-1} in lexicographic order
-// without materializing the C(p, q) earlier subsets.
+// (Section IV-C): a work stores only its edge and test counts, and a test
+// is named by its rank r; given p = |adj(Vi)\{Vj}|, q = depth and r,
+// `unrank_combination` reconstructs the r-th q-subset of {0..p-1} in
+// lexicographic order without materializing the C(p, q) earlier subsets.
 #pragma once
 
 #include <cstdint>

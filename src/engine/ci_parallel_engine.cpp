@@ -2,16 +2,18 @@
 //
 // Depth 0 uses plain edge-level parallelism: each edge needs exactly one
 // marginal test, so the workload is known and balanced up front. For
-// depth >= 1, the dynamic work pool schedules groups of gs CI tests; a
-// thread that finishes an edge's group immediately pops another edge, so
-// no thread idles while tests remain — the paper's load-balancing claim.
-#include <thread>
+// depth >= 1, each thread claims the next whole work from one atomic
+// cursor and runs its tests in rank order, gs at a time, to the end of
+// the group in which the first test accepts. A thread that finishes a
+// work immediately claims another, so no thread idles while works
+// remain — the paper's load-balancing claim — and one relaxed fetch_add
+// is the only synchronization per work.
+#include <atomic>
 
 #include "common/omp_utils.hpp"
 #include "engine/engine_common.hpp"
 #include "engine/engines.hpp"
 #include "engine/skeleton_engine.hpp"
-#include "pc/work_pool.hpp"
 
 namespace fastbns {
 namespace {
@@ -29,24 +31,10 @@ std::int64_t run_depth_zero_edge_parallel(
 #pragma omp for schedule(static)
     for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
          ++i) {
-      tests += run_edge_tests(works[i], /*depth=*/0, 1, test,
-                              /*early_stop=*/false, z);
+      tests += run_edge_tests(works[i], /*depth=*/0, /*group=*/1, test, z);
     }
   }
   return tests;
-}
-
-/// Indices of the works with pending tests — the pool's initial stack;
-/// its size is also the pool's outstanding count (works without tests
-/// never enter the pool).
-std::vector<std::int64_t> pending_work_indices(
-    const std::vector<EdgeWork>& works) {
-  std::vector<std::int64_t> indices;
-  indices.reserve(works.size());
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size()); ++i) {
-    if (works[i].total_tests() > 0) indices.push_back(i);
-  }
-  return indices;
 }
 
 class CiParallelEngine final : public ClonePoolEngine {
@@ -66,43 +54,19 @@ class CiParallelEngine final : public ClonePoolEngine {
       return run_depth_zero_edge_parallel(works, clones);
     }
 
-    std::vector<std::int64_t> initial = pending_work_indices(works);
-    const auto outstanding = static_cast<std::int64_t>(initial.size());
-    WorkPool pool(std::move(initial), outstanding);
-
     const auto gs = static_cast<std::uint64_t>(options.group_size);
-    // Edges claimed per pool interaction: amortizes the lock across
-    // several groups (the paper pops t edges per round). Small enough
-    // that the tail of a depth still load-balances.
-    constexpr std::size_t kClaimBatch = 8;
-
+    std::atomic<std::size_t> cursor{0};
     std::int64_t tests = 0;
+    // The claimer owns its work exclusively, and the region's closing
+    // barrier publishes every work's outcome to the driver.
 #pragma omp parallel reduction(+ : tests)
     {
       CiTest& test = *clones[current_thread()];
-      std::vector<std::int64_t> claimed;
-      std::vector<std::int64_t> keep;
       std::vector<VarId> z;
-      while (!pool.all_complete()) {
-        if (pool.try_pop_batch(kClaimBatch, claimed) == 0) {
-          // Pool momentarily dry but some edges are still being processed
-          // and may return; yield instead of spinning hot.
-          std::this_thread::yield();
-          continue;
-        }
-        keep.clear();
-        for (const std::int64_t index : claimed) {
-          EdgeWork& work = works[index];
-          // The holder owns `work` exclusively: no atomics on its fields.
-          tests += run_edge_tests(work, depth, gs, test,
-                                  options.eager_group_stop, z);
-          if (work.finished()) {
-            pool.mark_complete();
-          } else {
-            keep.push_back(index);
-          }
-        }
-        pool.push_batch(keep);
+      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+           i < works.size();
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        tests += run_edge_tests(works[i], depth, gs, test, z);
       }
     }
     return tests;

@@ -33,9 +33,7 @@ class EdgeParallelEngine final : public ClonePoolEngine {
 #pragma omp for schedule(static)
       for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
            ++i) {
-        EdgeWork& work = works[i];
-        tests += run_edge_tests(work, depth, work.total_tests(), test,
-                                /*early_stop=*/true, z);
+        tests += run_edge_tests(works[i], depth, /*group=*/1, test, z);
       }
     }
     return tests;

@@ -47,7 +47,6 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
                                 : test.test(work.x, work.y, empty_set);
     ++executed;
     if (result.independent) work.accepted = 0;
-    work.progress = 1;
     return executed;
   }
   const std::vector<VarId> flat = materialize_conditioning_sets(work, depth);
@@ -65,7 +64,6 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
       break;
     }
   }
-  work.progress = total;
   return executed;
 }
 
@@ -94,8 +92,7 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
     if (materialized) {
       tests += process_materialized(work, depth, test, use_group_protocol);
     } else {
-      tests += run_edge_tests(work, depth, work.total_tests(), test,
-                              /*early_stop=*/true, z);
+      tests += run_edge_tests(work, depth, /*group=*/1, test, z);
     }
   }
   return tests;

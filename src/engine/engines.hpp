@@ -26,8 +26,8 @@ namespace fastbns {
 /// parallelism lives inside the CI test's contingency-table build.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_sample_parallel_engine();
 
-/// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
-/// work pool.
+/// Fast-BNS-par (Section IV-B): CI-level parallelism; at depth >= 1 each
+/// thread claims whole works from one atomic cursor.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_ci_parallel_engine();
 
 /// Multi-process rank-partition extension: forked worker ranks that read

@@ -222,9 +222,8 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
       for (std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
            p < mine.size();
            p = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        EdgeWork& work = works[static_cast<std::size_t>(mine[p])];
-        executed += run_edge_tests(work, depth, work.total_tests(), test,
-                                   /*early_stop=*/true, z);
+        executed += run_edge_tests(works[static_cast<std::size_t>(mine[p])],
+                                   depth, /*group=*/1, test, z);
       }
       tests[t] = executed;
     } catch (...) {

@@ -2,10 +2,11 @@
 //
 // All engines share one semantics — PC-stable over the canonical CI-test
 // order — and differ only in *how* the pending tests of a depth are
-// executed (sequentially, edge-parallel, sample-parallel, or through the
-// dynamic CI-level work pool of Section IV-B). The depth loop, graph and
-// sepset bookkeeping live in the driver (learn_skeleton); an engine sees
-// exactly one depth's work list at a time.
+// executed (sequentially, edge-parallel, sample-parallel, or by threads
+// that claim whole works from one atomic cursor, the CI-level scheme of
+// Section IV-B). The depth loop, graph and sepset bookkeeping live in the
+// driver (learn_skeleton); an engine sees exactly one depth's work list
+// at a time.
 //
 // Engines are stateful (they cache per-thread CiTest clones across
 // depths), so one instance serves one learn_skeleton run at a time.

@@ -101,27 +101,30 @@ void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
 }
 
 std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
-                            std::uint64_t budget, CiTest& test,
-                            bool early_stop, std::vector<VarId>& z) {
-  if (work.finished() || budget == 0) return 0;
+                            std::uint64_t group, CiTest& test,
+                            std::vector<VarId>& z) {
+  assert(group >= 1);
+  const std::uint64_t total = work.total_tests();
+  if (total == 0) return 0;
   test.begin_group(work.x, work.y);
 
-  const std::uint64_t end =
-      std::min<std::uint64_t>(work.total_tests(), work.progress + budget);
-  std::int64_t executed = 0;
-  for (std::uint64_t r = work.progress; r < end; ++r) {
+  // The accepting rank stays in a local until the run ends: the loop
+  // stores nothing into the works, whose neighbours other threads run.
+  std::uint64_t accepted = kNotRemoved;
+  std::uint64_t end = total;
+  std::uint64_t r = 0;
+  for (; r < end; ++r) {
     conditioning_set_for(work, depth, r, z);
-    const CiResult result = test.test_in_group(z);
-    ++executed;
-    if (result.independent && !work.removed()) {
+    if (test.test_in_group(z).independent && accepted == kNotRemoved) {
       // Lowest-rank accepting set defines the sepset (determinism across
-      // engines and thread counts).
-      work.accepted = r;
-      if (early_stop) break;
+      // engines and thread counts); its group still runs to the end.
+      accepted = r;
+      const std::uint64_t group_begin = r - r % group;
+      end = group_begin + std::min(group, total - group_begin);
     }
   }
-  work.progress = end;
-  return executed;
+  if (accepted != kNotRemoved) work.accepted = accepted;
+  return static_cast<std::int64_t>(r);
 }
 
 std::vector<VarId> materialize_conditioning_sets(const EdgeWork& work,

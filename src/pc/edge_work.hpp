@@ -1,14 +1,14 @@
 // Per-depth work units of skeleton discovery.
 //
-// An EdgeWork is one entry of the dynamic work pool: a flat 48-byte
-// record of the edge's endpoints, a pointer to the depth's adjacency
-// snapshot, how many CI tests each direction has, a progress cursor `r`
-// and one outcome slot, the rank of the first accepting test. The
-// candidate pools adj(x)\{y} and adj(y)\{x} are read off the snapshot,
-// never copied, and conditioning sets are recovered from ranks by
-// lexicographic unranking: the pool stores no set indices (Section IV-C,
-// "generating conditioning sets on-the-fly"), and the commit unranks
-// each removal's sepset from its accepting rank the same way.
+// An EdgeWork is the unit a thread claims whole: a flat 40-byte record of
+// the edge's endpoints, a pointer to the depth's adjacency snapshot, how
+// many CI tests each direction has and one outcome slot, the rank of the
+// first accepting test. The candidate pools adj(x)\{y} and adj(y)\{x}
+// are read off the snapshot, never copied, and conditioning sets are
+// recovered from ranks by lexicographic unranking: a work stores no set
+// indices (Section IV-C, "generating conditioning sets on-the-fly"), and
+// the commit unranks each removal's sepset from its accepting rank the
+// same way.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +56,8 @@ struct EdgeWork {
   const AdjacencySnapshot* snapshot = nullptr;
   std::uint64_t total1 = 0;  ///< C(|adj(x)\{y}|, d)
   std::uint64_t total2 = 0;  ///< C(|adj(y)\{x}|, d); 0 when ungrouped
-  std::uint64_t progress = 0;  ///< next CI-test rank r
-  /// Outcome slot, written by exactly one thread (the current holder):
-  /// the rank of the first accepting test, kNotRemoved while the edge
-  /// stands.
+  /// Outcome slot, written once by the thread that ran the work: the
+  /// rank of the first accepting test, kNotRemoved while the edge stands.
   std::uint64_t accepted = kNotRemoved;
 
   [[nodiscard]] bool removed() const noexcept {
@@ -71,12 +69,9 @@ struct EdgeWork {
     return total2 > kBinomialSaturated - total1 ? kBinomialSaturated
                                                 : total1 + total2;
   }
-  [[nodiscard]] bool finished() const noexcept {
-    return removed() || progress >= total_tests();
-  }
 };
 static_assert(std::is_trivially_copyable_v<EdgeWork> &&
-                  sizeof(EdgeWork) <= 48,
+                  sizeof(EdgeWork) <= 40,
               "EdgeWork is a flat record: depth 0 builds one per edge of "
               "the complete graph");
 
@@ -101,17 +96,19 @@ static_assert(std::is_trivially_copyable_v<EdgeWork> &&
 void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
                           std::uint64_t r, std::vector<VarId>& z_out);
 
-/// Runs up to `budget` CI tests of `work` from its progress cursor, in
-/// canonical rank order, through the group protocol. The first accepting
-/// test's rank is recorded in `accepted`, so the lowest-rank accepting
-/// set wins at any budget. With `early_stop` the run ends there; without
-/// it the rest of the budget still executes (the gs redundancy of
-/// Section IV-B). Conditioning sets are written into `z`, a buffer the
-/// caller owns and reuses across calls, so the loop allocates nothing.
-/// Returns the number of CI tests executed.
+/// Runs the CI tests of `work` in canonical rank order through the group
+/// protocol and records the first accepting test's rank in `accepted`,
+/// so the lowest-rank accepting set wins at any `group` (>= 1). The run
+/// stops at the end of the group [k * group, (k + 1) * group) in which
+/// that test falls: the tests after it in its group still execute (the
+/// gs redundancy of Section IV-B), and group 1 stops at the accepting
+/// test itself. A work nothing accepts runs all its tests. Conditioning
+/// sets are written into `z`, a buffer the caller owns and reuses across
+/// calls, so the loop allocates nothing. Returns the number of CI tests
+/// executed.
 std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
-                            std::uint64_t budget, CiTest& test,
-                            bool early_stop, std::vector<VarId>& z);
+                            std::uint64_t group, CiTest& test,
+                            std::vector<VarId>& z);
 
 /// Materializes all conditioning sets of `work` (flattened, each of size
 /// `depth`) — the naive baseline's memory-hungry strategy. Throws

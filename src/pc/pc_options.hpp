@@ -22,8 +22,8 @@ enum class EngineKind : std::uint8_t {
   /// contingency table built by all threads with atomics. Requires a CI
   /// test configured with sample_parallel = true to actually parallelize.
   kSampleParallel,
-  /// Fast-BNS-par (Section IV-B): CI-level parallelism with the dynamic
-  /// work pool.
+  /// Fast-BNS-par (Section IV-B): CI-level parallelism. At depth >= 1
+  /// each thread claims whole works from one atomic cursor.
   kCiParallel,
   /// Multi-process rank-partition extension: the driver forks rank_count
   /// worker processes, which read the CI test and dataset they inherit
@@ -47,7 +47,9 @@ struct PcOptions {
   EngineKind engine = EngineKind::kCiParallel;
   /// OpenMP threads for parallel engines; 0 keeps the runtime default.
   int num_threads = 0;
-  /// gs — CI tests a thread runs per work-pool hold (kCiParallel only).
+  /// gs — the CI tests of a work that run as one group (kCiParallel
+  /// only): a group runs to its end after a test in it accepts, so a gs
+  /// above 1 only adds the redundant tests Figure 4 counts.
   std::int32_t group_size = 1;
   /// Cap on conditioning-set size; -1 runs to the natural PC-stable stop.
   std::int32_t max_depth = -1;
@@ -57,12 +59,6 @@ struct PcOptions {
   /// Ablation toggle: unrank conditioning sets on demand instead of
   /// materializing them per edge. Forced off by kNaiveSequential.
   bool on_the_fly_sets = true;
-  /// Extension beyond the paper (kCiParallel only): stop a gs-group at its
-  /// first accepting CI test instead of completing the batch. Produces the
-  /// identical skeleton and sepsets (tests run in canonical order either
-  /// way) while eliminating the redundant tests the paper's Figure 4
-  /// measures; defaults to the paper's batch-atomic semantics.
-  bool eager_group_stop = false;
   /// Significance level used by the learn_structure() convenience wrapper
   /// when it constructs the G^2 test.
   double alpha = 0.05;

@@ -1,7 +1,7 @@
 // Closed-form performance model of Section IV-D.
 //
-// Three analytic speedups — CI-level parallelism with the work pool
-// (equations (1) and (2)), endpoint grouping (2 / (2 - rho)), and the
+// Three analytic speedups — CI-level parallelism (equations (1) and
+// (2)), endpoint grouping (2 / (2 - rho)), and the
 // cache-friendly layout — and their product, the paper's overall model.
 // The worked example in IV-D (t=4, d=2, |Ed|=1200, rho=0.6, degree 10,
 // B=64, DRAM/cache=8) must evaluate to S_CI=3.87, S_grouping=1.43,

@@ -9,7 +9,7 @@
 //    (cache-friendly storage, Section IV-C) — with an opt-in row-major
 //    path so benches can ablate the layout choice;
 //  * group protocol reusing the endpoint pair's context, and its combined
-//    (X, Y) value codes, across the gs tests of a work-pool group
+//    (X, Y) value codes, across the tests of one claimed work
 //    (Section IV-B, "reuse Vi and Vj"); the codes are built only when a
 //    table's kernel pass reads them, so groups whose tables the serial
 //    kernel counts by bitset intersection never build them;

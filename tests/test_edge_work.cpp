@@ -40,7 +40,6 @@ TEST(BuildDepthWorks, DepthZeroGroupedHasOneTestPerEdge) {
   ASSERT_EQ(works.size(), 5u);
   for (const EdgeWork& work : works) {
     EXPECT_EQ(work.total_tests(), 1u);
-    EXPECT_EQ(work.progress, 0u);
     EXPECT_FALSE(work.removed());
     EXPECT_EQ(work.accepted, kNotRemoved);
     EXPECT_EQ(work.snapshot, nullptr);  // one marginal test, no pools
@@ -115,7 +114,6 @@ TEST(EdgeWork, TotalTestsSaturatesInsteadOfWrapping) {
   work.total1 = kBinomialSaturated;
   work.total2 = 3;
   EXPECT_EQ(work.total_tests(), kBinomialSaturated);
-  EXPECT_FALSE(work.finished());
 }
 
 TEST(ConditioningSetFor, MapsRankThroughBothDirections) {
@@ -246,24 +244,23 @@ EdgeWork& work_for(std::vector<EdgeWork>& works, VarId x, VarId y) {
   throw std::logic_error("no work for the requested edge");
 }
 
-TEST(RunEdgeTests, EarlyStopFindsFirstAcceptingSet) {
+TEST(RunEdgeTests, GroupOneStopsAtTheFirstAcceptingSet) {
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
   AdjacencySnapshot snapshot;
   auto works = triangle_depth_one_works(snapshot);
   EdgeWork& edge02 = work_for(works, 0, 2);
   std::vector<VarId> z;
-  const std::int64_t executed = run_edge_tests(
-      edge02, 1, edge02.total_tests(), oracle, /*early_stop=*/true, z);
+  const std::int64_t executed = run_edge_tests(edge02, 1, 1, oracle, z);
   EXPECT_TRUE(edge02.removed());
   EXPECT_EQ(edge02.accepted, 0u);
   EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}));
   EXPECT_EQ(executed, 1);  // {1} is the first candidate of adj(0)\{2}
 }
 
-TEST(RunEdgeTests, WithoutEarlyStopTheBudgetRunsEvenAfterAccept) {
-  // The gs-group redundancy: the full budget executes even when an early
-  // test accepts, but the lowest-rank accepting set still wins.
+TEST(RunEdgeTests, AGroupRunsToItsEndAfterAnAccept) {
+  // The gs-group redundancy: the tests after the accepting one in its
+  // group still execute, but the lowest-rank accepting set still wins.
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
   AdjacencySnapshot snapshot;
@@ -271,48 +268,69 @@ TEST(RunEdgeTests, WithoutEarlyStopTheBudgetRunsEvenAfterAccept) {
   EdgeWork& edge02 = work_for(works, 0, 2);
   const std::uint64_t total = edge02.total_tests();
   std::vector<VarId> z;
-  const std::int64_t executed =
-      run_edge_tests(edge02, 1, total, oracle, /*early_stop=*/false, z);
+  const std::int64_t executed = run_edge_tests(edge02, 1, total, oracle, z);
   EXPECT_EQ(executed, static_cast<std::int64_t>(total));  // no early break
   EXPECT_TRUE(edge02.removed());
   EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}));
 }
 
-TEST(RunEdgeTests, ProgressAdvancesAcrossBudgets) {
-  const Dag dag = chain_dag();
+TEST(RunEdgeTests, EveryGroupSizeRunsToTheEndOfTheAcceptingGroup) {
+  // Chain 0 -> ... -> 4 plus 5 -> 6, over K5 minus {0-1} plus the lone
+  // edge 5-6: depth-1 works that the oracle removes at rank 0 or 2 (once
+  // in direction 2), works it keeps, and a work with no test. Each work
+  // runs afresh at every group size.
+  Dag dag(7);
+  for (VarId v = 0; v + 1 < 5; ++v) dag.add_edge(v, v + 1);
+  dag.add_edge(5, 6);
   DSeparationOracle oracle(dag);
-  for (const bool early_stop : {false, true}) {
-    AdjacencySnapshot snapshot;
-    auto works =
-        build_depth_works(UndirectedGraph::complete(5), 1, true, snapshot);
-    EdgeWork& work = works[0];  // (0, 1): adjacent in the chain, never cut
-    const std::uint64_t total = work.total_tests();
-    ASSERT_GT(total, 2u);
-    std::vector<VarId> z;
-    EXPECT_EQ(run_edge_tests(work, 1, 2, oracle, early_stop, z), 2);
-    EXPECT_EQ(work.progress, 2u) << "early_stop=" << early_stop;
-    run_edge_tests(work, 1, 2, oracle, early_stop, z);
-    EXPECT_EQ(work.progress, std::min<std::uint64_t>(4, total))
-        << "early_stop=" << early_stop;
-    EXPECT_FALSE(work.removed());
+  UndirectedGraph g(7);
+  for (VarId u = 0; u < 5; ++u) {
+    for (VarId v = u + 1; v < 5; ++v) g.add_edge(u, v);
   }
-}
+  g.remove_edge(0, 1);
+  g.add_edge(5, 6);
+  AdjacencySnapshot snapshot;
+  const auto works = build_depth_works(g, 1, true, snapshot);
 
-TEST(RunEdgeTests, FinishedWorkIsNoOp) {
-  const Dag dag = chain_dag();
-  DSeparationOracle oracle(dag);
-  for (const bool early_stop : {false, true}) {
-    UndirectedGraph g(5);
-    g.add_edge(0, 4);  // marginally dependent: the chain connects them
-    AdjacencySnapshot snapshot;
-    auto works = build_depth_works(g, 0, true, snapshot);
-    EdgeWork& work = works[0];
-    std::vector<VarId> z;
-    EXPECT_EQ(run_edge_tests(work, 0, 1, oracle, early_stop, z), 1);
-    EXPECT_TRUE(work.finished());
-    EXPECT_EQ(run_edge_tests(work, 0, 1, oracle, early_stop, z), 0)
-        << "early_stop=" << early_stop;
+  int removed = 0;
+  int removed_in_direction2 = 0;
+  int kept = 0;
+  int empty = 0;
+  std::vector<VarId> z;
+  for (const EdgeWork& fresh : works) {
+    const std::uint64_t total = fresh.total_tests();
+    // The first accepting rank, found one test at a time.
+    std::uint64_t first = kNotRemoved;
+    for (std::uint64_t r = 0; r < total && first == kNotRemoved; ++r) {
+      conditioning_set_for(fresh, 1, r, z);
+      if (oracle.test(fresh.x, fresh.y, z).independent) first = r;
+    }
+    if (total == 0) {
+      ++empty;
+    } else if (first == kNotRemoved) {
+      ++kept;
+    } else {
+      ++removed;
+      if (first >= fresh.total1) ++removed_in_direction2;
+    }
+    for (const std::uint64_t group : {std::uint64_t{1}, std::uint64_t{2},
+                                      std::uint64_t{3}, total + 1}) {
+      EdgeWork work = fresh;
+      const std::int64_t executed = run_edge_tests(work, 1, group, oracle, z);
+      const std::uint64_t expected =
+          first == kNotRemoved
+              ? total
+              : std::min(total, (first / group + 1) * group);
+      EXPECT_EQ(executed, static_cast<std::int64_t>(expected))
+          << "work (" << work.x << ", " << work.y << ") group " << group;
+      EXPECT_EQ(work.accepted, first)
+          << "work (" << work.x << ", " << work.y << ") group " << group;
+    }
   }
+  EXPECT_GT(removed, removed_in_direction2);
+  EXPECT_GT(removed_in_direction2, 0);  // (0, 2), given {1} from adj(2)
+  EXPECT_GT(kept, 0);
+  EXPECT_EQ(empty, 1);
 }
 
 TEST(RunEdgeTests, ReusedBufferFromADeeperCallYieldsTheShallowSepset) {
@@ -321,22 +339,21 @@ TEST(RunEdgeTests, ReusedBufferFromADeeperCallYieldsTheShallowSepset) {
   // accepted set and the test count must not notice.
   const Dag dag = chain_dag();
   DSeparationOracle oracle(dag);
-  for (const bool early_stop : {false, true}) {
+  for (const std::uint64_t group : {1, 8}) {
     std::vector<VarId> z;
     AdjacencySnapshot deep_snapshot;
     auto deep = build_depth_works(UndirectedGraph::complete(5), 2, true,
                                   deep_snapshot);
-    run_edge_tests(deep[0], 2, 1, oracle, early_stop, z);
+    run_edge_tests(deep[0], 2, 1, oracle, z);
     ASSERT_EQ(z.size(), 2u);
     AdjacencySnapshot snapshot;
     auto works = triangle_depth_one_works(snapshot);
     EdgeWork& edge02 = work_for(works, 0, 2);
-    const std::int64_t executed = run_edge_tests(
-        edge02, 1, edge02.total_tests(), oracle, early_stop, z);
+    const std::int64_t executed = run_edge_tests(edge02, 1, group, oracle, z);
     EXPECT_TRUE(edge02.removed());
     EXPECT_EQ(accepted_set(edge02, 1), (std::vector<VarId>{1}))
-        << "early_stop=" << early_stop;
-    EXPECT_EQ(executed, early_stop
+        << "group=" << group;
+    EXPECT_EQ(executed, group == 1
                             ? 1
                             : static_cast<std::int64_t>(edge02.total_tests()));
   }

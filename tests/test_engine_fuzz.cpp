@@ -82,7 +82,7 @@ TEST(EngineFuzz, EveryEngineAtEveryTierMatchesTheSequentialReference) {
     }
 
     // Per-seed knobs, so the sweep varies scheduling shape as well as
-    // data: pool group sizes cycle 1..8.
+    // data: CI-level group sizes cycle 1..8.
     const auto gs = static_cast<std::int32_t>(1 + seed % 8);
     // The process engine forks this many worker ranks per configuration;
     // cycling 1/2/4 (with a 1-or-2 thread team inside each) exercises
