@@ -115,7 +115,9 @@ int main(int argc, char** argv) {
               std::string(to_string(input.data.kind())).c_str());
 
   PcOptions options;
+  bool quiet = false;
   try {
+    quiet = args.get_bool("quiet");
     options.engine = engine_from_string(args.get("engine"));
     // A malformed or out-of-range number ("abc", "2x", "4294967298")
     // throws naming flag and value.
@@ -187,7 +189,7 @@ int main(int argc, char** argv) {
                   event.detail.c_str());
     }
   }
-  if (!args.get_bool("quiet")) {
+  if (!quiet) {
     for (const DepthStats& depth : result.skeleton.depth_stats) {
       std::printf(
           "  depth %d: %lld edges, removed %lld (rho=%.2f), %lld tests, %.3fs\n",

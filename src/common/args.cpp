@@ -110,7 +110,10 @@ double ArgParser::get_double(const std::string& name) const {
 
 bool ArgParser::get_bool(const std::string& name) const {
   const std::string value = get(name);
-  return value == "true" || value == "1" || value == "yes";
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  throw std::invalid_argument("--" + name + ": \"" + value +
+                              "\" is not true, false, 1, 0, yes or no");
 }
 
 std::vector<std::int64_t> ArgParser::get_int_list(const std::string& name) const {

@@ -34,6 +34,8 @@ class ArgParser {
   /// throws instead of wrapping.
   [[nodiscard]] std::int32_t get_int32(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  /// Accepts exactly true, false, 1, 0, yes and no; any other value
+  /// throws std::invalid_argument naming the flag and the value.
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
   /// Comma-separated integer list, e.g. --threads=1,2,4,8; each item is

@@ -28,8 +28,10 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   }
 }
 
-/// The header row's variable names. Throws on an empty file or an empty
-/// name (a blank header is one), naming the name's 1-based column.
+/// The header row's variable names, each stripped of one surrounding
+/// pair of double quotes (R's write.csv quotes every name). Throws on an
+/// empty file or a name empty after stripping (a blank header is one),
+/// naming the name's 1-based column.
 std::vector<std::string> read_names(std::ifstream& in, const char* loader,
                                     const std::string& path) {
   std::string line;
@@ -38,7 +40,11 @@ std::vector<std::string> read_names(std::ifstream& in, const char* loader,
   }
   std::vector<std::string> names = split_csv_line(line);
   for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i].empty()) {
+    std::string& name = names[i];
+    if (name.size() >= 2 && name.front() == '"' && name.back() == '"') {
+      name = name.substr(1, name.size() - 2);
+    }
+    if (name.empty()) {
       throw std::runtime_error(std::string(loader) + ": header column " +
                                std::to_string(i + 1) + " in " + path +
                                " has an empty name");

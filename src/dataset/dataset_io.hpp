@@ -33,12 +33,13 @@ bool save_csv(const ContinuousDataset& data,
               const std::vector<std::string>& names, const std::string& path);
 
 /// Loads a CSV written by save_csv (or any integer CSV with a header).
-/// Cardinalities are inferred as max(value)+1 per column unless
-/// `cardinalities` is provided. Throws std::runtime_error on parse errors:
-/// it names the first cell that is not an integer in [0, 255] or not
-/// below its declared cardinality (empty cells included) by row and
-/// column, a ragged row by row and cell counts, and an empty header name
-/// by column position.
+/// A header name loses one surrounding pair of double quotes, as R's
+/// write.csv writes them. Cardinalities are inferred as max(value)+1 per
+/// column unless `cardinalities` is provided. Throws std::runtime_error on
+/// parse errors: it names the first cell that is not an integer in
+/// [0, 255] or not below its declared cardinality (empty cells included)
+/// by row and column, a ragged row by row and cell counts, and an empty
+/// header name by column position.
 [[nodiscard]] NamedDataset load_csv(
     const std::string& path, DataLayout layout = DataLayout::kColumnMajor,
     const std::vector<std::int32_t>& cardinalities = {});

@@ -28,8 +28,6 @@ class Dag {
   /// e.g. edges follow a known topological order).
   void add_edge_unchecked(VarId from, VarId to);
 
-  bool remove_edge(VarId from, VarId to) noexcept;
-
   [[nodiscard]] const std::vector<VarId>& parents(VarId v) const noexcept {
     return parents_[v];
   }

@@ -5,9 +5,15 @@
 namespace fastbns {
 namespace {
 
+/// A DOT quoted ID: `"` and `\` inside the name are backslash-escaped.
 std::string label(VarId v, const std::vector<std::string>& names) {
   if (static_cast<std::size_t>(v) < names.size() && !names[v].empty()) {
-    return "\"" + names[v] + "\"";
+    std::string quoted = "\"";
+    for (const char c : names[v]) {
+      if (c == '"' || c == '\\') quoted += '\\';
+      quoted += c;
+    }
+    return quoted + '"';
   }
   return "\"V" + std::to_string(v) + "\"";
 }

@@ -11,7 +11,8 @@
 
 namespace fastbns {
 
-/// Names may be empty, in which case nodes are labelled V0..Vn-1.
+/// Names may be empty, in which case nodes are labelled V0..Vn-1. A `"`
+/// or `\` inside a name is backslash-escaped in its quoted label.
 [[nodiscard]] std::string to_dot(const Dag& dag,
                                  const std::vector<std::string>& names = {});
 [[nodiscard]] std::string to_dot(const Pdag& pdag,

@@ -1,7 +1,6 @@
 #include "network/bayesian_network.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace fastbns {
 
@@ -49,18 +48,6 @@ void BayesianNetwork::init_uniform_cpts() {
 
 void BayesianNetwork::randomize_cpts(Rng& rng, double alpha) {
   for (auto& cpt : cpts_) cpt.randomize(rng, alpha);
-}
-
-double BayesianNetwork::log_probability(
-    std::span<const DataValue> assignment) const {
-  double log_prob = 0.0;
-  for (VarId v = 0; v < num_nodes(); ++v) {
-    const Cpt& cpt = cpts_[v];
-    const std::int64_t config = cpt.parent_config_from_assignment(assignment);
-    const double p = cpt.probability(config, assignment[v]);
-    log_prob += std::log(p <= 0.0 ? 1e-300 : p);
-  }
-  return log_prob;
 }
 
 bool BayesianNetwork::valid() const {

@@ -3,20 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace fastbns {
 
 struct Variable {
   std::string name;
   std::int32_t cardinality = 2;
-  /// Optional state labels; when empty, states are "s0".."s{k-1}".
-  std::vector<std::string> states;
-
-  [[nodiscard]] std::string state_name(std::int32_t state) const {
-    if (static_cast<std::size_t>(state) < states.size()) return states[state];
-    return "s" + std::to_string(state);
-  }
 };
 
 }  // namespace fastbns

@@ -178,6 +178,25 @@ TEST(ArgParser, GetIntListRejectsABadItem) {
                   read);
 }
 
+TEST(ArgParser, GetBoolAcceptsSixSpellingsAndRejectsTheRest) {
+  for (const auto& [text, value] :
+       {std::pair<const char*, bool>{"true", true}, {"1", true},
+        {"yes", true}, {"false", false}, {"0", false}, {"no", false}}) {
+    ArgParser parser = make_parser();
+    const std::string token = std::string("--verbose=") + text;
+    const char* argv[] = {"prog", token.c_str()};
+    ASSERT_TRUE(parser.parse(2, argv));
+    EXPECT_EQ(parser.get_bool("verbose"), value) << token;
+  }
+  const auto read = [](const ArgParser& parser) {
+    (void)parser.get_bool("verbose");
+  };
+  expect_rejected("verbose", "ture", "ture", read);
+  expect_rejected("verbose", "", "", read);
+  expect_rejected("verbose", "TRUE", "TRUE", read);
+  expect_rejected("verbose", "on", "on", read);
+}
+
 TEST(ArgParser, NumericGettersAcceptWholeNumbers) {
   ArgParser parser = make_parser();
   const char* argv[] = {"prog", "--threads=-1", "--alpha=1e-3",

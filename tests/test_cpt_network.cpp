@@ -10,9 +10,9 @@ namespace {
 /// Collider network 0 -> 2 <- 1 with mixed cardinalities.
 BayesianNetwork make_collider() {
   std::vector<Variable> variables(3);
-  variables[0] = {"A", 2, {}};
-  variables[1] = {"B", 3, {}};
-  variables[2] = {"C", 2, {}};
+  variables[0] = {"A", 2};
+  variables[1] = {"B", 3};
+  variables[2] = {"C", 2};
   Dag dag(3);
   dag.add_edge(0, 2);
   dag.add_edge(1, 2);
@@ -95,36 +95,6 @@ TEST(BayesianNetwork, InvalidWhenRowDenormalized) {
   BayesianNetwork network = make_collider();
   network.mutable_cpt(0).set_probability(0, 0, 0.9);  // row sums to 1.4
   EXPECT_FALSE(network.valid());
-}
-
-TEST(BayesianNetwork, LogProbabilityFactorizes) {
-  BayesianNetwork network = make_collider();
-  Rng rng(11);
-  network.randomize_cpts(rng, 1.0);
-  const std::vector<DataValue> assignment = {1, 2, 0};
-  const Cpt& ca = network.cpt(0);
-  const Cpt& cb = network.cpt(1);
-  const Cpt& cc = network.cpt(2);
-  const double expected = std::log(ca.probability(0, 1)) +
-                          std::log(cb.probability(0, 2)) +
-                          std::log(cc.probability(1 * 3 + 2, 0));
-  EXPECT_NEAR(network.log_probability(assignment), expected, 1e-12);
-}
-
-TEST(BayesianNetwork, LogProbabilitySumsToOneOverAllAssignments) {
-  BayesianNetwork network = make_collider();
-  Rng rng(13);
-  network.randomize_cpts(rng, 1.0);
-  double total = 0.0;
-  for (DataValue a = 0; a < 2; ++a) {
-    for (DataValue b = 0; b < 3; ++b) {
-      for (DataValue c = 0; c < 2; ++c) {
-        const std::vector<DataValue> assignment = {a, b, c};
-        total += std::exp(network.log_probability(assignment));
-      }
-    }
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
 }  // namespace

@@ -37,15 +37,6 @@ TEST(Dag, ParentsAndChildrenSorted) {
   EXPECT_EQ(dag.children(2), (std::vector<VarId>{1}));
 }
 
-TEST(Dag, RemoveEdge) {
-  Dag dag(3);
-  dag.add_edge(0, 1);
-  EXPECT_TRUE(dag.remove_edge(0, 1));
-  EXPECT_FALSE(dag.has_edge(0, 1));
-  EXPECT_FALSE(dag.remove_edge(0, 1));
-  EXPECT_EQ(dag.num_edges(), 0);
-}
-
 TEST(Dag, TopologicalOrderRespectsEdges) {
   Dag dag(6);
   dag.add_edge(5, 0);

@@ -131,6 +131,23 @@ TEST_F(DatasetIoTest, HeaderWithAnEmptyNameIsRejectedByPosition) {
                              {"header column 3", "empty name"});
 }
 
+TEST_F(DatasetIoTest, QuotedHeaderNamesLoseOneSurroundingPairOfQuotes) {
+  // R's write.csv quotes every header name; both loaders read the bare
+  // name, strip one pair only, and leave an unquoted name as it is.
+  std::ofstream(path("quoted.csv")) << "\"A\", B ,\"\"C\"\"\n0,1,0\n1,0,1\n";
+  const std::vector<std::string> expected = {"A", "B", "\"C\""};
+  EXPECT_EQ(load_csv(path("quoted.csv")).names, expected);
+  const NamedData automatic = load_csv_auto(path("quoted.csv"));
+  EXPECT_EQ(automatic.names, expected);
+  EXPECT_TRUE(automatic.data.is_discrete());
+  std::ofstream(path("quoted_cont.csv")) << "\"x\",\"y\"\n0.5,1\n";
+  EXPECT_EQ(load_csv_auto(path("quoted_cont.csv")).names,
+            (std::vector<std::string>{"x", "y"}));
+  // A name that is empty once its quotes are gone is still rejected.
+  expect_both_loaders_reject("quoted_empty.csv", "\"A\",\"\"\n0,1\n",
+                             {"header column 2", "empty name"});
+}
+
 TEST_F(DatasetIoTest, MissingFileFails) {
   EXPECT_THROW(load_csv(path("does_not_exist.csv")), std::runtime_error);
 }

@@ -11,8 +11,8 @@ namespace {
 
 BayesianNetwork chain_network() {
   std::vector<Variable> variables(2);
-  variables[0] = {"X", 2, {}};
-  variables[1] = {"Y", 2, {}};
+  variables[0] = {"X", 2};
+  variables[1] = {"Y", 2};
   Dag dag(2);
   dag.add_edge(0, 1);
   BayesianNetwork network(std::move(variables), std::move(dag));

@@ -29,6 +29,20 @@ TEST(Graphviz, PartialNamesFallBackToIds) {
   EXPECT_NE(dot.find("\"OnlyFirst\" -> \"V1\";"), std::string::npos);
 }
 
+TEST(Graphviz, QuoteInANameIsEscaped) {
+  Dag dag(2);
+  dag.add_edge(0, 1);
+  const std::string dot = to_dot(dag, {"\"A\"", "B\"2"});
+  EXPECT_NE(dot.find(R"("\"A\"" -> "B\"2";)"), std::string::npos) << dot;
+}
+
+TEST(Graphviz, BackslashInANameIsEscaped) {
+  UndirectedGraph graph(2);
+  graph.add_edge(0, 1);
+  const std::string dot = to_dot(graph, {"A\\", "\\B"});
+  EXPECT_NE(dot.find(R"("A\\" -- "\\B";)"), std::string::npos) << dot;
+}
+
 TEST(Graphviz, PdagRendersBothEdgeKinds) {
   Pdag pdag(3);
   pdag.add_directed(0, 1);

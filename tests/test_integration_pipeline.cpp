@@ -1,6 +1,6 @@
-// Cross-module integration: the full user journey — define a network in
-// BIF, sample it, persist to CSV, reload, learn the structure with every
-// engine, orient, and run posterior queries — all through public APIs.
+// Cross-module integration: the user journey through public APIs — sample
+// a network built in code, persist the records to CSV, reload them and
+// learn the structure.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,12 +8,9 @@
 #include "common/rng.hpp"
 #include "dataset/dataset_io.hpp"
 #include "graph/graph_metrics.hpp"
-#include "inference/variable_elimination.hpp"
-#include "network/bif_parser.hpp"
 #include "network/forward_sampler.hpp"
 #include "network/standard_networks.hpp"
 #include "pc/pc_stable.hpp"
-#include "score/hill_climbing.hpp"
 
 namespace fastbns {
 namespace {
@@ -28,28 +25,22 @@ class PipelineTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(PipelineTest, BifToCsvToLearnedCpdagToInference) {
-  // 1. Ship the ALARM network as BIF and read it back.
+TEST_F(PipelineTest, SampleToCsvToLearnedSkeleton) {
+  // 1. Sample records from ALARM and persist them as CSV.
   const BayesianNetwork alarm = alarm_network();
-  const std::string bif_path = (dir_ / "alarm.bif").string();
-  ASSERT_TRUE(save_bif(alarm, bif_path));
-  const BayesianNetwork reloaded = load_bif(bif_path);
-  ASSERT_TRUE(reloaded.dag() == alarm.dag());
-
-  // 2. Sample records and persist them as CSV.
   Rng rng(41);
-  const DiscreteDataset sampled = forward_sample(reloaded, 3000, rng);
+  const DiscreteDataset sampled = forward_sample(alarm, 3000, rng);
   const std::string csv_path = (dir_ / "records.csv").string();
-  ASSERT_TRUE(save_csv(sampled, reloaded.variable_names(), csv_path));
+  ASSERT_TRUE(save_csv(sampled, alarm.variable_names(), csv_path));
 
-  // 3. Reload the CSV with explicit cardinalities (inference from data
-  //    may underestimate a never-observed state).
+  // 2. Reload the CSV with explicit cardinalities (cardinalities read
+  //    off the data would miss a never-observed state).
   const NamedDataset records =
-      load_csv(csv_path, DataLayout::kColumnMajor, reloaded.cardinalities());
+      load_csv(csv_path, DataLayout::kColumnMajor, alarm.cardinalities());
   ASSERT_EQ(records.data.num_samples(), 3000);
-  ASSERT_EQ(records.names, reloaded.variable_names());
+  ASSERT_EQ(records.names, alarm.variable_names());
 
-  // 4. Learn the structure and check quality.
+  // 3. Learn the structure and check quality.
   PcOptions options;
   options.engine = EngineKind::kCiParallel;
   options.num_threads = 2;
@@ -58,15 +49,6 @@ TEST_F(PipelineTest, BifToCsvToLearnedCpdagToInference) {
   const SkeletonMetrics metrics =
       compare_skeletons(learned.skeleton.graph, alarm.dag().skeleton());
   EXPECT_GT(metrics.f1(), 0.8);
-
-  // 5. Reason with the ground-truth parameters: conditioning on symptoms
-  //    moves the posterior.
-  const Evidence evidence{{alarm.index_of("HRBP"), 2},
-                          {alarm.index_of("CVP"), 0}};
-  const VarId hypovolemia = alarm.index_of("HYPOVOLEMIA");
-  const auto prior = posterior_marginal(alarm, hypovolemia, {});
-  const auto posterior = posterior_marginal(alarm, hypovolemia, evidence);
-  EXPECT_NE(prior[0], posterior[0]);
 }
 
 TEST_F(PipelineTest, CsvRoundTripPreservesLearnedStructure) {
@@ -81,26 +63,6 @@ TEST_F(PipelineTest, CsvRoundTripPreservesLearnedStructure) {
   const PcStableResult from_original = learn_structure(original, {});
   const PcStableResult from_reloaded = learn_structure(reloaded.data, {});
   EXPECT_TRUE(from_original.cpdag == from_reloaded.cpdag);
-}
-
-TEST_F(PipelineTest, ConstraintAndScoreBasedAgreeOnStrongStructure) {
-  // Both learning families must find the same skeleton on clean,
-  // well-sampled data from a small network.
-  const BayesianNetwork sprinkler = parse_bif_string(R"(
-network s { }
-variable A { type discrete [ 2 ] { a0, a1 }; }
-variable B { type discrete [ 2 ] { b0, b1 }; }
-variable C { type discrete [ 2 ] { c0, c1 }; }
-probability ( A ) { table 0.4, 0.6; }
-probability ( B | A ) { (a0) 0.9, 0.1; (a1) 0.15, 0.85; }
-probability ( C | B ) { (b0) 0.85, 0.15; (b1) 0.1, 0.9; }
-)");
-  Rng rng(47);
-  DiscreteDataset data = forward_sample(sprinkler, 4000, rng);
-  const PcStableResult constraint = learn_structure(data, {});
-  const HillClimbingResult score = hill_climb(data);
-  EXPECT_TRUE(constraint.skeleton.graph == score.dag.skeleton());
-  EXPECT_TRUE(constraint.skeleton.graph == sprinkler.dag().skeleton());
 }
 
 }  // namespace
