@@ -119,8 +119,8 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(corr_checksum(stats)));
 
       // End-to-end: the same dataset through the Fisher-z skeleton learn
-      // (the edge-parallel engine — covariance build + per-test
-      // inversions), so the one-time build cost lands in context.
+      // (the edge-parallel engine — covariance build + per-test Cholesky
+      // factors), so the one-time build cost lands in context.
       Workload workload{"gaussian-sem", {}, Dataset::borrow(data)};
       EngineRunConfig config = engine_config_from_name("edge-parallel",
                                                        threads);

@@ -88,7 +88,8 @@ int main(int argc, char** argv) {
                 "deterministic fault injection for --engine process, e.g. "
                 "\"kill@rank=1,depth=1;corrupt-frame@rank=0;seed=7\"",
                 "");
-  args.add_flag("alpha", "G2 significance level", "0.05");
+  args.add_flag("alpha", "CI-test significance level (G2 and Fisher-z)",
+                "0.05");
   args.add_flag("max-depth", "conditioning-set cap (-1 = unlimited)", "-1");
   args.add_flag("dot", "write learned CPDAG to this DOT file", "");
   args.add_bool_flag("quiet", "suppress per-depth statistics");
@@ -100,19 +101,6 @@ int main(int argc, char** argv) {
     args.print_usage();
     return 1;
   }
-
-  const NamedData input = [&] {
-    try {
-      return load_csv_auto(data_path);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "structure_tool: %s\n", error.what());
-      std::exit(1);
-    }
-  }();
-  std::printf("loaded %s: %d variables, %lld samples (%s)\n",
-              data_path.c_str(), input.data.num_vars(),
-              static_cast<long long>(input.data.num_samples()),
-              std::string(to_string(input.data.kind())).c_str());
 
   PcOptions options;
   bool quiet = false;
@@ -131,12 +119,25 @@ int main(int argc, char** argv) {
     options.alpha = args.get_double("alpha");
     options.max_depth = args.get_int32("max-depth");
     // Fail fast with the offending value (rank counts, alpha, ...)
-    // instead of surfacing mid-run from the driver.
+    // before the CSV load, which no flag needs.
     options.validate();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "structure_tool: %s\n", error.what());
     return 1;
   }
+
+  const NamedData input = [&] {
+    try {
+      return load_csv_auto(data_path);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "structure_tool: %s\n", error.what());
+      std::exit(1);
+    }
+  }();
+  std::printf("loaded %s: %d variables, %lld samples (%s)\n",
+              data_path.c_str(), input.data.num_vars(),
+              static_cast<long long>(input.data.num_samples()),
+              std::string(to_string(input.data.kind())).c_str());
   // Echo the statistic the run will actually use — "auto" resolved
   // against the loaded dataset's kind, like --engine echoes its resolved
   // engine name.

@@ -4,10 +4,11 @@
 // every partial correlation is a function of the pairwise correlations of
 // the |S|+2 variables involved. So the data pass happens exactly once —
 // one builder invocation turns n double columns into an n x n correlation
-// matrix — and the per-test work is a small submatrix inversion. This is
-// the continuous analog of the TableBuilder split: the builder is the
-// counting pass, the CorrelationMatrix is the sufficient statistic, and
-// the statistic layer (gaussian_ci_test.cpp) never touches raw data.
+// matrix — and the per-test work is a small Cholesky factor of the
+// conditioning block. This is the continuous analog of the TableBuilder
+// split: the builder is the counting pass, the CorrelationMatrix is the
+// sufficient statistic, and the statistic layer (gaussian_ci_test.cpp)
+// never touches raw data.
 //
 // Two builders:
 //  * "scalar": one pair at a time, straight accumulation loop — the

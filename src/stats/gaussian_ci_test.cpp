@@ -1,7 +1,6 @@
 #include "stats/gaussian_ci_test.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "stats/special_functions.hpp"
@@ -9,65 +8,66 @@
 namespace fastbns {
 namespace {
 
-/// Pivots below this are treated as singular: the conditioning set
-/// determines one of the endpoints (e.g. S contains a copy of X), so the
-/// partial correlation is 0/0 and the test answers "independent" — given
-/// S the degenerate endpoint carries no remaining information.
+/// Pivots and residual variances below this are treated as singular: S is
+/// collinear, or it determines one of the endpoints (e.g. S contains a
+/// copy of X), so the partial correlation is 0/0 and the test answers
+/// "independent" — given S the degenerate endpoint carries no remaining
+/// information.
 constexpr double kSingularPivotEpsilon = 1e-12;
 
-/// In-place Gauss-Jordan inversion with partial pivoting of a k x k
-/// row-major matrix. Returns false when a pivot collapses (singular).
-/// k = |S| + 2 stays tiny (conditioning sets of PC-stable runs), so the
-/// O(k^3) scalar loop is the right tool — no LAPACK, no blocking.
-bool invert_in_place(double* a, std::size_t k,
-                     std::vector<std::size_t>& pivots) {
-  // Row-swap bookkeeping for the in-place variant, recorded to unswap
-  // columns at the end; the buffer is caller-owned scratch so deep
-  // conditioning sets never overflow a fixed array.
-  pivots.assign(2 * k, 0);
-  std::size_t* pivot_row = pivots.data();
-  std::size_t* pivot_col = pivots.data() + k;
-  for (std::size_t step = 0; step < k; ++step) {
-    // Largest remaining pivot in the untouched lower-right block.
-    std::size_t best = step;
-    double best_abs = std::fabs(a[step * k + step]);
-    for (std::size_t r = step + 1; r < k; ++r) {
-      const double abs = std::fabs(a[r * k + step]);
-      if (abs > best_abs) {
-        best = r;
-        best_abs = abs;
-      }
+/// Partial correlation of x and y given z (|z| >= 1) as a Schur
+/// complement of the unit-diagonal correlation matrix: factor
+/// R_zz = L L^T, forward-solve u = L^-1 r_zx and v = L^-1 r_zy, then
+///
+///   r = (r_xy - u.v) / sqrt((1 - u.u) (1 - v.v)).
+///
+/// Rows 0..d-1 of `factor` (d x d, row-major) hold L; rows d and d+1 hold
+/// u and v, which the same row loop produces, since forward substitution
+/// against L is the off-diagonal step of one more Cholesky row. Diagonal
+/// slots hold 1 / L_jj, the only form the diagonal is used in. A pivot of
+/// R_zz or a residual variance 1 - u.u, 1 - v.v below
+/// kSingularPivotEpsilon gives 0: S is (numerically) collinear or
+/// determines an endpoint. d stays tiny in PC-stable runs, so the O(d^3)
+/// scalar loop is the right tool — no LAPACK, no blocking.
+double partial_correlation(const CorrelationMatrix& stats, VarId x, VarId y,
+                           std::span<const VarId> z,
+                           std::vector<double>& factor) {
+  const std::size_t d = z.size();
+  factor.resize((d + 2) * d);
+  for (std::size_t row = 0; row < d + 2; ++row) {
+    const VarId var = row < d ? z[row] : (row == d ? x : y);
+    double* l_row = factor.data() + row * d;
+    const std::size_t width = row < d ? row : d;
+    for (std::size_t col = 0; col < width; ++col) {
+      const double* l_col = factor.data() + col * d;
+      double sum = stats.corr(var, z[col]);
+      for (std::size_t k = 0; k < col; ++k) sum -= l_row[k] * l_col[k];
+      l_row[col] = sum * l_col[col];
     }
-    if (best_abs < kSingularPivotEpsilon) return false;
-    if (best != step) {
-      for (std::size_t c = 0; c < k; ++c) {
-        std::swap(a[best * k + c], a[step * k + c]);
-      }
-    }
-    pivot_row[step] = best;
-    pivot_col[step] = step;
-    const double inv_pivot = 1.0 / a[step * k + step];
-    a[step * k + step] = 1.0;
-    for (std::size_t c = 0; c < k; ++c) a[step * k + c] *= inv_pivot;
-    for (std::size_t r = 0; r < k; ++r) {
-      if (r == step) continue;
-      const double factor = a[r * k + step];
-      if (factor == 0.0) continue;
-      a[r * k + step] = 0.0;
-      for (std::size_t c = 0; c < k; ++c) {
-        a[r * k + c] -= factor * a[step * k + c];
-      }
+    if (row < d) {
+      double pivot = 1.0;
+      for (std::size_t k = 0; k < row; ++k) pivot -= l_row[k] * l_row[k];
+      if (pivot < kSingularPivotEpsilon) return 0.0;
+      l_row[row] = 1.0 / std::sqrt(pivot);
     }
   }
-  // Undo the row swaps as column swaps (Gauss-Jordan inverts in place).
-  for (std::size_t step = k; step-- > 0;) {
-    if (pivot_row[step] != pivot_col[step]) {
-      for (std::size_t r = 0; r < k; ++r) {
-        std::swap(a[r * k + pivot_row[step]], a[r * k + pivot_col[step]]);
-      }
-    }
+  const double* u = factor.data() + d * d;
+  const double* v = u + d;
+  double uu = 0.0;
+  double vv = 0.0;
+  double uv = 0.0;
+  for (std::size_t k = 0; k < d; ++k) {
+    uu += u[k] * u[k];
+    vv += v[k] * v[k];
+    uv += u[k] * v[k];
   }
-  return true;
+  const double x_residual = 1.0 - uu;
+  const double y_residual = 1.0 - vv;
+  if (x_residual < kSingularPivotEpsilon ||
+      y_residual < kSingularPivotEpsilon) {
+    return 0.0;
+  }
+  return (stats.corr(x, y) - uv) / std::sqrt(x_residual * y_residual);
 }
 
 }  // namespace
@@ -102,39 +102,9 @@ CiResult GaussianCiTest::test(VarId x, VarId y, std::span<const VarId> z) {
   }
   double r = 0.0;
   if (!stats_->is_degenerate(x) && !stats_->is_degenerate(y)) {
-    if (d == 0) {
-      r = stats_->corr(x, y);
-    } else {
-      // Precision-matrix route: invert the correlation submatrix over
-      // [x, y, z...]; the partial correlation of the first two variables
-      // given the rest reads off the inverse directly.
-      const std::size_t k = static_cast<std::size_t>(d) + 2;
-      vars_.clear();
-      vars_.push_back(x);
-      vars_.push_back(y);
-      vars_.insert(vars_.end(), z.begin(), z.end());
-      scratch_.resize(k * k);
-      for (std::size_t a = 0; a < k; ++a) {
-        for (std::size_t b = 0; b < k; ++b) {
-          scratch_[a * k + b] = stats_->corr(vars_[a], vars_[b]);
-        }
-      }
-      if (invert_in_place(scratch_.data(), k, pivot_scratch_)) {
-        const double pxx = scratch_[0];
-        const double pyy = scratch_[k + 1];
-        const double pxy = scratch_[1];
-        if (pxx > 0.0 && pyy > 0.0) {
-          r = -pxy / std::sqrt(pxx * pyy);
-        }
-      }
-      // Singular submatrix (or a non-positive diagonal, which only
-      // rounding on a near-singular matrix produces): r stays 0 — the
-      // conditioning set already determines an endpoint, so the
-      // remaining association is nil.
-    }
+    r = d == 0 ? stats_->corr(x, y)
+               : partial_correlation(*stats_, x, y, z, scratch_);
   }
-  if (r > 1.0) r = 1.0;
-  if (r < -1.0) r = -1.0;
   // Clamp inside the open interval so atanh stays finite; at |r| this
   // close to 1 the decision is "dependent" at any practical alpha anyway.
   constexpr double kMaxAbsR = 1.0 - 1e-12;

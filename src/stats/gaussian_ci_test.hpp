@@ -5,18 +5,20 @@
 // Data pass and statistic are fully decoupled: construction runs one
 // covariance-builder pass (stats/covariance.hpp) to produce the n x n
 // correlation matrix, and every test after that is pure linear algebra —
-// invert the (|S|+2)-dimensional correlation submatrix of {X, Y} ∪ S,
-// read the partial correlation off the precision matrix, and apply the
+// a Cholesky factor of the |S| x |S| conditioning block, two forward
+// solves, and the partial correlation as a Schur complement, then the
 // Fisher transform:
 //
-//   r = -P_xy / sqrt(P_xx * P_yy),   z = sqrt(m - |S| - 3) * atanh(r),
+//   R_SS = L L^T,   u = L^-1 r_Sx,   v = L^-1 r_Sy,
+//   r = (r_xy - u.v) / sqrt((1 - u.u) (1 - v.v)),
+//   z = sqrt(m - |S| - 3) * atanh(r),
 //   p = 2 * P(N(0,1) > |z|);         independent iff p > alpha.
 //
 // Clones share the correlation matrix (shared_ptr; in the fork-based
 // process engine the pages are shared COW), so per-thread clones cost one
-// scratch buffer, not a data pass. The per-instance Gauss-Jordan scratch
-// makes instances stateful the same way DiscreteCiTest's table workspace
-// does — engines already clone per thread.
+// scratch buffer, not a data pass. The per-instance factor scratch makes
+// instances stateful the same way DiscreteCiTest's table workspace does —
+// engines already clone per thread.
 #pragma once
 
 #include <memory>
@@ -69,12 +71,9 @@ class GaussianCiTest final : public CiTest {
   GaussianCiTestOptions options_;
   std::shared_ptr<const CorrelationMatrix> stats_;
 
-  /// Gauss-Jordan scratch: the packed submatrix (k x k, k = |S| + 2),
-  /// the variable list of the current test, and the pivot bookkeeping.
-  /// Per instance, never shared.
+  /// Factor scratch: L of the conditioning block and the two forward
+  /// solves ((|S| + 2) x |S|). Per instance, never shared.
   std::vector<double> scratch_;
-  std::vector<VarId> vars_;
-  std::vector<std::size_t> pivot_scratch_;
 };
 
 /// Convenience factory matching make_g2_test's shape: Fisher-z with the

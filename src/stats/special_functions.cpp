@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <numbers>
 
 namespace fastbns {
 namespace {
@@ -75,13 +76,36 @@ double regularized_gamma_q(double a, double x) noexcept {
 double chi_square_survival(double statistic, double df) noexcept {
   if (statistic <= 0.0) return 1.0;
   if (!(df > 0.0)) return std::numeric_limits<double>::quiet_NaN();
-  return regularized_gamma_q(0.5 * df, 0.5 * statistic);
+  const double h = 0.5 * statistic;
+  if (df > kChiSquareFiniteSumMaxDf ||
+      statistic > kChiSquareFiniteSumMaxStatistic || df != std::floor(df)) {
+    return regularized_gamma_q(0.5 * df, h);
+  }
+  // Integer df: Q(df/2, h) is a finite sum. Each term is the one before
+  // times h / (j + offset), and every term is positive, so nothing cancels.
+  //   even df: e^-h sum_{j < df/2} h^j / j!
+  //   odd df:  erfc(sqrt h) + e^-h sum_{j < (df-1)/2} h^(j+1/2) / G(j+3/2)
+  const auto k = static_cast<int>(df);
+  const int terms = k / 2;
+  double tail = 0.0;
+  double term = 1.0;  // h^0 / 0!
+  double offset = 0.0;
+  if (k % 2 == 1) {
+    const double root_h = std::sqrt(h);
+    tail = std::erfc(root_h);
+    term = 2.0 * std::numbers::inv_sqrtpi * root_h;  // h^(1/2) / G(3/2)
+    offset = 0.5;
+  }
+  double sum = terms > 0 ? term : 0.0;
+  for (int j = 1; j < terms; ++j) {
+    term *= h / (j + offset);
+    sum += term;
+  }
+  return tail + std::exp(-h) * sum;
 }
 
 double standard_normal_survival(double x) noexcept {
-  // P(|Z| > |x|) = Q(1/2, x^2/2), split evenly between the two tails.
-  const double two_sided = regularized_gamma_q(0.5, 0.5 * x * x);
-  return x >= 0.0 ? 0.5 * two_sided : 1.0 - 0.5 * two_sided;
+  return 0.5 * std::erfc(x / std::numbers::sqrt2);
 }
 
 }  // namespace fastbns

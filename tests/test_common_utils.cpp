@@ -9,20 +9,20 @@
 #include "common/csv_writer.hpp"
 #include "common/omp_utils.hpp"
 #include "common/timer.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace fastbns {
 namespace {
 
 TEST(CsvWriter, WritesFileAndCreatesDirectories) {
-  const auto dir = std::filesystem::temp_directory_path() / "fastbns_csv_test";
-  std::filesystem::remove_all(dir);
-  const std::string path = (dir / "nested" / "out.csv").string();
+  const ScopedTempDir dir("fastbns_csv_test_");
+  const std::string path = (dir.path() / "nested" / "out.csv").string();
+  ASSERT_FALSE(std::filesystem::exists(dir.path() / "nested"));
   ASSERT_TRUE(write_text_file(path, "a,b\n1,2\n"));
   std::ifstream in(path);
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "a,b");
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvWriter, ResultDirHonorsEnvironment) {

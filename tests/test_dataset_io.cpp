@@ -8,19 +8,15 @@
 #include <initializer_list>
 #include <string>
 
+#include "scoped_temp_dir.hpp"
+
 namespace fastbns {
 namespace {
 
 class DatasetIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fastbns_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   [[nodiscard]] std::string path(const std::string& name) const {
-    return (dir_ / name).string();
+    return (dir_.path() / name).string();
   }
 
   /// Writes `contents` to `name` and expects both loaders to reject it
@@ -46,7 +42,7 @@ class DatasetIoTest : public ::testing::Test {
     }
   }
 
-  std::filesystem::path dir_;
+  ScopedTempDir dir_{"fastbns_io_test_"};
 };
 
 TEST_F(DatasetIoTest, RoundTripPreservesValuesAndNames) {

@@ -11,18 +11,14 @@
 #include "network/forward_sampler.hpp"
 #include "network/standard_networks.hpp"
 #include "pc/pc_stable.hpp"
+#include "scoped_temp_dir.hpp"
 
 namespace fastbns {
 namespace {
 
 class PipelineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "fastbns_pipeline";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-  std::filesystem::path dir_;
+  ScopedTempDir dir_{"fastbns_pipeline_"};
 };
 
 TEST_F(PipelineTest, SampleToCsvToLearnedSkeleton) {
@@ -30,7 +26,7 @@ TEST_F(PipelineTest, SampleToCsvToLearnedSkeleton) {
   const BayesianNetwork alarm = alarm_network();
   Rng rng(41);
   const DiscreteDataset sampled = forward_sample(alarm, 3000, rng);
-  const std::string csv_path = (dir_ / "records.csv").string();
+  const std::string csv_path = (dir_.path() / "records.csv").string();
   ASSERT_TRUE(save_csv(sampled, alarm.variable_names(), csv_path));
 
   // 2. Reload the CSV with explicit cardinalities (cardinalities read
@@ -55,7 +51,7 @@ TEST_F(PipelineTest, CsvRoundTripPreservesLearnedStructure) {
   const BayesianNetwork network = alarm_network();
   Rng rng(43);
   const DiscreteDataset original = forward_sample(network, 1200, rng);
-  const std::string path = (dir_ / "roundtrip.csv").string();
+  const std::string path = (dir_.path() / "roundtrip.csv").string();
   ASSERT_TRUE(save_csv(original, network.variable_names(), path));
   const NamedDataset reloaded =
       load_csv(path, DataLayout::kColumnMajor, network.cardinalities());

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 namespace fastbns {
 namespace {
@@ -98,6 +99,28 @@ TEST(ChiSquare, MedianApproximation) {
   for (double df : {2.0, 5.0, 10.0, 50.0}) {
     const double median = df * std::pow(1.0 - 2.0 / (9.0 * df), 3.0);
     EXPECT_NEAR(chi_square_survival(median, df), 0.5, 0.01) << "df=" << df;
+  }
+}
+
+TEST(ChiSquare, FiniteSumMatchesIncompleteGamma) {
+  // Every integer df the finite sum covers and two past it, at statistics
+  // from 1e-6 to 1500: both sides of kChiSquareFiniteSumMaxStatistic.
+  std::vector<double> statistics;
+  for (double stat = 1e-6; stat < 1500.0; stat *= 1.05) {
+    statistics.push_back(stat);
+  }
+  for (const double stat :
+       {kChiSquareFiniteSumMaxStatistic - 0.5, kChiSquareFiniteSumMaxStatistic,
+        kChiSquareFiniteSumMaxStatistic + 0.5, 1500.0}) {
+    statistics.push_back(stat);
+  }
+  const int max_df = static_cast<int>(kChiSquareFiniteSumMaxDf) + 2;
+  for (int df = 1; df <= max_df; ++df) {
+    for (const double stat : statistics) {
+      const double expected = regularized_gamma_q(0.5 * df, 0.5 * stat);
+      EXPECT_NEAR(chi_square_survival(stat, df), expected, 1e-12 * expected)
+          << "stat=" << stat << " df=" << df;
+    }
   }
 }
 
