@@ -1,17 +1,17 @@
-// Multi-process engine sweep: wall time of the fork-based rank group
-// (ranks x threads-per-rank) against the sequential reference on the
-// paper's benchmark networks, plus the per-depth allreduce-barrier
-// telemetry the engine records — how much of each depth is rank compute
-// and how much is the exchange itself.
+// Multi-process engine sweep: wall time of the fork-based ranks (ranks x
+// threads-per-rank) against the sequential reference on the paper's
+// benchmark networks, plus the per-depth barrier telemetry the engine
+// records — how much of each depth is rank compute and how much is the
+// forks, reaps and exchange around it.
 //
 // Every configuration must report the identical CI-test and edge count
 // (the result-identity claim); the table makes that visible next to the
 // timings. The depth rows decompose the widest configuration: `Seconds`
-// is the whole depth, `Gather s` the span from commands-written to
-// last-removal-merged, `Max rank s` the slowest rank's self-reported
-// compute — gather minus max-rank approximates the pure serialization +
-// pipe cost of the barrier — and `Max rank tests` the busiest rank's
-// executed tests, against `CI tests` for the whole depth.
+// is the whole depth, `Gather s` the span from the first child forked to
+// the last reply merged, `Max rank s` the slowest child's self-reported
+// compute — gather minus max-rank approximates the fork, reap,
+// serialization and pipe cost of the barrier — and `Max rank tests` the
+// busiest child's executed tests, against `CI tests` for the whole depth.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -49,7 +49,7 @@ void add_run_row(TablePrinter& table, const std::string& network,
 int main(int argc, char** argv) {
   ArgParser args("bench_process_ranks",
                  "fork-based rank-group sweep (ranks x threads-per-rank) "
-                 "with per-depth allreduce barrier timings");
+                 "with per-depth barrier timings");
   args.add_flag("samples", "samples; 0 = scale default", "0");
   if (!args.parse(argc, argv)) return 1;
 
@@ -95,8 +95,7 @@ int main(int argc, char** argv) {
 
     // Recovery overhead: the same widest configuration with a
     // deterministic rank-1 death injected at depth 1 — the supervisor
-    // must respawn it, replay the committed removal log and re-run the
-    // dead rank's works. `Recovery overhead` is faulted/clean wall
+    // must fork the dead child's list again and re-run its works. `Recovery overhead` is faulted/clean wall
     // time; the CI-test and edge columns prove the recovered run stays
     // bit-identical to the fault-free one.
     {
@@ -149,7 +148,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  emit_table("Multi-process rank sweep (fork + pipe allreduce)",
+  emit_table("Multi-process rank sweep (per-depth fork + pipe gather)",
              "process_ranks", table);
   return 0;
 }

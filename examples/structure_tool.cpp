@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(result.skeleton.total_ci_tests));
   // Surface every recovery the supervisor performed — a run that quietly
   // survived a dead rank should say so, because the wall-clock cost of
-  // the respawn/replay is otherwise invisible in the depth table.
+  // the respawned or re-dealt work is otherwise invisible in the depth
+  // table.
   if (const std::vector<RecoveryEvent>* events =
           process_engine_recovery_events(*engine);
       events != nullptr && !events->empty()) {

@@ -39,7 +39,7 @@ void set_bench_pinning_policy(const std::string& policy);
 /// Declares the multi-process configuration for subsequent emit_table /
 /// bench_json calls: the largest worker-rank count the bench swept
 /// (0 = single-process, the default) and the IPC transport the ranks
-/// exchanged removal sets over ("none" when single-process; the process
+/// sent their removals over ("none" when single-process; the process
 /// engine's is "fork+pipe"). Emitted as the context block's
 /// `rank_count` / `ipc_transport` fields so a BENCH_*.json records how
 /// it was produced. Process-global, like the result directory

@@ -59,12 +59,8 @@ class Dataset {
   [[nodiscard]] const DiscreteDataset& discrete() const;
   [[nodiscard]] const ContinuousDataset& continuous() const;
 
-  /// Shared handles, for tests that outlive the Dataset object (the
+  /// Shared handle, for tests that outlive the Dataset object (the
   /// Gaussian test keeps the continuous store alive through one).
-  [[nodiscard]] std::shared_ptr<const DiscreteDataset> discrete_ptr()
-      const noexcept {
-    return discrete_;
-  }
   [[nodiscard]] std::shared_ptr<const ContinuousDataset> continuous_ptr()
       const noexcept {
     return continuous_;

@@ -1,78 +1,69 @@
-// The multi-process rank engine: one forked process per rank, every
-// depth's works dealt round-robin over the ranks as explicit lists, and
-// an explicit allreduce for the commit barrier — the fork-based first
-// step toward distributed (MPI-style) skeleton learning.
+// The multi-process rank engine: every depth's works dealt round-robin
+// over the ranks as explicit lists, one forked child per rank and list,
+// and a gather of their replies as the commit barrier — the fork-based
+// first step toward distributed (MPI-style) skeleton learning.
 //
 // Topology of a run:
-//  - The driver process (this engine) forks rank_count worker ranks at
-//    the first run_depth (never at construction, so building an engine
-//    stays fork-free). Each rank inherits the CiTest prototype, the
-//    dataset it reads and any matrix it holds (Fisher-z's correlation
-//    matrix) copy-on-write. Nothing writes the dataset or the matrix
-//    after construction, so no rank copies a page of them.
-//  - Every rank keeps a full replica of the skeleton graph and derives
-//    each depth's work list itself with the same build_depth_works the
-//    driver uses — identical inputs give identical lists, so a work is
-//    addressed across the process boundary by nothing more than its
-//    index (endpoint ids double-check every reply; a divergent replica
-//    is a protocol error, not silent corruption). A rank runs exactly
-//    the indices its command lists; inside it, threads claim them one
-//    at a time from an atomic cursor.
+//  - The driver process (this engine) builds each depth's works, then
+//    forks one child for every live rank it deals a non-empty list
+//    (never at construction, so building an engine stays fork-free). The
+//    child inherits copy-on-write the CiTest prototype, the dataset it
+//    reads and any matrix it holds (Fisher-z's correlation matrix), the
+//    works, their adjacency snapshot and its own list. Nothing writes the
+//    dataset, the matrix or the snapshot while a child lives, so no child
+//    copies a page of them. A work crosses the process boundary as
+//    nothing more than its index into the driver's list (endpoint ids
+//    double-check every reply). Inside a child, threads claim the works
+//    of its list one at a time from an atomic cursor.
 //  - Each depth runs in rounds. A round deals the pending work indices
 //    round-robin over the live ranks — the i-th pending index goes to
-//    live rank i mod L — and sends each rank its list. The first round
-//    deals the whole work list and reaches every live rank, even one
-//    whose list is empty; each later round re-deals the lists of the
-//    ranks retired in the round before, and only to ranks it gives
-//    work. The lists are built after the first fork, so the ranks
-//    forked then do not inherit them.
-//  - The per-depth commit barrier is an allreduce rooted at the driver:
-//    the first round's RUN_DEPTH(depth, previous depth's union removal
-//    set, list) goes out to every rank; each rank applies the removals
-//    to its replica, runs its list, and replies with its removal set
-//    (each removal's accepting test rank) + test count; the driver
-//    merges the replies into the works vector (the same outcome slot
-//    every engine fills), logs the removed edges for the respawn
-//    replay, and carries the union forward to the next depth's first
-//    round.
+//    live rank i mod L — and forks a child for each rank it gives work.
+//    The first round deals the whole work list; each later round re-deals
+//    the lists of the ranks retired in the round before.
+//  - The per-depth commit barrier is a gather rooted at the driver: each
+//    child runs its list and sends one DEPTH_RESULT (the depth, its
+//    test count and compute time, and the index, endpoints and accepting
+//    test rank of each removal); the driver merges the replies in rank
+//    order into the works vector — the same outcome slot every engine
+//    fills — and reaps each child as soon as its reply merges. No child
+//    outlives its depth.
 //
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
 //  1. Retransmit — a reply that fails its CRC or its per-frame deadline
 //     is re-requested up to kRetransmitLimit times with linear backoff;
-//     ranks buffer their last encoded reply and resend it verbatim, and
-//     per-command sequence numbers make duplicate replies (a late
-//     original racing its own retransmission) harmlessly discardable.
-//  2. Respawn + replay — a rank that died (EOF) or wedged (deadline,
-//     retries exhausted — then SIGKILLed) is forked again and rebuilds
-//     its graph replica by replaying the removal log (every removal set
-//     the supervisor has sent, this depth's included), then re-runs its
-//     list. Each respawn is a new generation; the fault injector
-//     matches events per generation, so a gen-0 kill does not re-fire
-//     on the replacement (and a gen-1 event deliberately does — the
-//     death-during-recovery test).
+//     a child keeps its encoded reply and resends it verbatim until it is
+//     reaped. Its pipe carries nothing but that reply, so a late original
+//     racing its own retransmission dies unread with the reaped child.
+//  2. Respawn — a child that died (EOF) or wedged (deadline, retries
+//     exhausted — then SIGKILLed) is replaced by a fresh fork of the same
+//     list, which inherits the same works. Each respawn starts a new
+//     generation of the rank; the fault injector matches events per
+//     generation, so a gen-0 kill does not re-fire on the replacement
+//     (and a gen-1 event deliberately does — the death-during-recovery
+//     test).
 //  3. Re-partition — once a rank's max_rank_restarts budget is spent it
 //     is retired: the depth's next round re-deals its list over the
 //     surviving ranks, and later depths deal over the survivors alone.
-//  4. Degrade — when fork itself fails (initial spawn or a respawn) or
-//     no rank survives, the supervisor finishes the current depth's
-//     unmerged works in-process (std::thread clones with the exact rank
-//     semantics) and runs every subsequent depth's whole work list the
-//     same way. The run completes; only the topology changed.
+//  4. Degrade — when fork itself fails (or the fault schedule declares
+//     it failed) or no rank survives, the supervisor finishes the current
+//     depth's unmerged works in-process (std::thread clones with the
+//     exact rank semantics) and runs every subsequent depth's whole work
+//     list the same way. The run completes; only the topology changed.
 //
 // Result identity: a rank runs each of its works whole, in canonical
 // rank order with first-accept early stop — the edge-parallel engine's
 // per-work semantics — so adjacency, sepsets, removal depths and
 // executed-test counts are bit-identical to the sequential reference at
 // any rank_count / rank_threads combination, under every recovery rung:
-// a failed rank never contributes a partial reply (frames are atomic at
+// a failed child never contributes a partial reply (frames are atomic at
 // merge time), so each work is merged exactly once no matter who
 // eventually ran it.
 //
-// fork() discipline (see also ipc/process_group.hpp): ranks never enter
-// an OpenMP parallel region — libgomp's team threads do not exist in the
-// child — so rank_threads parallelism is plain std::thread over
-// per-thread CiTest clones forced to serial table builds; ranks leave
+// fork() discipline (see also ipc/process_group.hpp): children never
+// enter an OpenMP parallel region — libgomp's team threads do not exist
+// in the child — so rank_threads parallelism is plain std::thread over
+// per-thread CiTest clones forced to serial table builds; children leave
 // through _exit, never the parent's atexit/gtest/sanitizer epilogue.
 #include "engine/process_engine.hpp"
 
@@ -84,7 +75,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -99,15 +89,13 @@
 namespace fastbns {
 namespace {
 
-// Protocol tags. Commands flow parent→rank, replies rank→parent;
-// shutdown is the command pipe's EOF. Both directions validate the tag
-// set on receive (read_frame's allowed_tags) — an unknown tag is a loud
-// protocol error naming rank and tag, never a misparsed payload.
-constexpr std::uint32_t kTagRunDepth = 1;    ///< parent → rank
-constexpr std::uint32_t kTagDepthResult = 2; ///< rank → parent
-constexpr std::uint32_t kTagError = 3;       ///< rank → parent (fatal)
-constexpr std::uint32_t kTagReplay = 4;      ///< parent → respawned rank
-constexpr std::uint32_t kTagRetransmit = 5;  ///< parent → rank (resend)
+// Protocol tags. A child sends one reply; the parent can only ask for it
+// again. Both directions validate the tag set on receive (read_frame's
+// allowed_tags) — an unknown tag is a loud protocol error naming rank
+// and tag, never a misparsed payload.
+constexpr std::uint32_t kTagDepthResult = 2; ///< child → parent
+constexpr std::uint32_t kTagError = 3;       ///< child → parent (fatal)
+constexpr std::uint32_t kTagRetransmit = 5;  ///< parent → child (resend)
 
 /// Per-frame receive deadline; FASTBNS_RANK_TIMEOUT_MS overrides it (the
 /// fault sweeps tighten it so wedges surface in seconds).
@@ -117,10 +105,6 @@ constexpr int kDefaultRankTimeoutMs = 120000;
 constexpr int kRetransmitLimit = 2;
 /// Backoff step between retransmit requests; attempt k waits k steps.
 constexpr int kRetransmitBackoffMs = 10;
-/// Stale replies (duplicates of already-merged frames left over from a
-/// retransmit race) tolerated per gather before the rank is declared
-/// failed: a sane rank can queue at most kRetransmitLimit duplicates.
-constexpr int kMaxStaleReplies = 32;
 
 /// Strictly-parsed positive int from the environment; `fallback` when
 /// unset or malformed (a malformed timeout must not become timeout 0).
@@ -135,61 +119,7 @@ int env_positive_int(const char* name, int fallback) {
   return static_cast<int>(value);
 }
 
-/// Everything a rank needs beyond the COW-inherited prototype, fixed at
-/// spawn time in the parent (ranks parse nothing themselves).
-struct RankConfig {
-  int rank = 0;
-  VarId num_vars = 0;
-  std::int32_t rank_threads = 1;
-  /// The run's deterministic fault schedule; the rank filters it down to
-  /// itself through a RankFaultInjector (fault/fault_schedule.hpp).
-  FaultSchedule schedule;
-};
-
-/// A removed edge, as removal sets and the replay log carry it: the
-/// replica needs nothing else, and the driver commits the sepsets
-/// itself.
-struct Removal {
-  VarId x = 0;
-  VarId y = 0;
-};
-
-/// Writes a u32 count, then each removal's endpoints.
-void put_removals(WireWriter& writer, std::span<const Removal> removals) {
-  writer.put_u32(static_cast<std::uint32_t>(removals.size()));
-  for (const Removal& removal : removals) {
-    writer.put_i32(removal.x);
-    writer.put_i32(removal.y);
-  }
-}
-
-/// Reads what put_removals wrote and removes each edge from `replica`.
-void apply_removals(WireReader& reader, UndirectedGraph& replica) {
-  const std::uint32_t count = reader.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const VarId x = reader.get_i32();
-    const VarId y = reader.get_i32();
-    replica.remove_edge(x, y);
-  }
-}
-
-/// The command payload of one depth: the removals the replica must apply
-/// first, then the work indices the rank runs — exactly those.
-void encode_run_depth(WireWriter& writer, std::int32_t depth,
-                      std::uint32_t seq, bool grouped,
-                      std::span<const Removal> removals,
-                      std::span<const std::int64_t> indices) {
-  writer.put_i32(depth);
-  writer.put_u32(seq);
-  writer.put_u8(grouped ? 1 : 0);
-  put_removals(writer, removals);
-  writer.put_u32(static_cast<std::uint32_t>(indices.size()));
-  for (const std::int64_t index : indices) {
-    writer.put_u64(static_cast<std::uint64_t>(index));
-  }
-}
-
-/// Keeps a faulted rank alive but silent until the supervisor kills it,
+/// Keeps a faulted child alive but silent until the supervisor kills it,
 /// then _exits with `status`. Capped (10 minutes) so an orphan cannot
 /// outlive a crashed parent forever.
 [[noreturn]] void park_then_exit(int status) {
@@ -243,161 +173,123 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
   return total;
 }
 
-/// The rank main loop (runs inside the forked process — no OpenMP, no
-/// gtest, exit only through the return value / _exit).
-int run_rank(const RankConfig& config, const CiTest& prototype, int command_fd,
-             int result_fd) {
+/// Clones of `prototype` forced to serial table builds: sample-parallel
+/// builds are OpenMP regions, which must never run in a forked child, and
+/// the degrade rung already runs one std::thread per clone.
+std::vector<std::unique_ptr<CiTest>> serial_clones(const CiTest& prototype,
+                                                   std::size_t count) {
+  std::vector<std::unique_ptr<CiTest>> clones;
+  clones.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    clones.push_back(prototype.clone());
+    clones.back()->set_sample_parallel(false);
+  }
+  return clones;
+}
+
+/// One child's whole job, fixed in the parent before the fork; the child
+/// reads it from the memory it inherits.
+struct ChildTask {
+  std::vector<EdgeWork>& works;
+  const std::vector<std::int64_t>& list;
+  const CiTest& prototype;
+  std::int32_t depth = 0;
+  std::int32_t threads = 1;
+  /// The faults the rank's injector claimed for this child
+  /// (fault/fault_schedule.hpp); nullptr or 0 when none.
+  const FaultEvent* lethal = nullptr;
+  const FaultEvent* frame_fault = nullptr;
+  std::int32_t slow_ms = 0;
+  std::uint64_t seed = 0;
+};
+
+/// A forked child's life (no OpenMP, no gtest, exit only through the
+/// return value / _exit): runs its list, sends one DEPTH_RESULT, then
+/// answers RETRANSMIT with the same bytes until the parent reaps it.
+int run_child(const ChildTask& task, int rank, int command_fd,
+              int result_fd) {
   try {
-    RankFaultInjector injector(config.schedule, config.rank);
-    UndirectedGraph replica = UndirectedGraph::complete(config.num_vars);
-    // Rebuilt by each depth's build_depth_works; that depth's works point
-    // into it.
-    AdjacencySnapshot snapshot;
-    std::vector<std::unique_ptr<CiTest>> clones;
-    // The last encoded reply, kept verbatim for retransmission: after a
-    // corrupt or truncated frame the supervisor asks for these exact
-    // bytes again instead of re-running the depth.
-    std::vector<std::uint8_t> last_reply;
+    if (task.lethal != nullptr) {
+      if (task.lethal->kind == FaultKind::kKill) {
+        ::_exit(42);  // injected mid-depth death; the parent must notice
+      }
+      if (task.lethal->kind == FaultKind::kDropConn) {
+        // Sever the channel with the process still alive: the
+        // supervisor sees a clean EOF while waitpid still says
+        // "running" — no other fault produces that — and must run the
+        // same respawn ladder a death triggers.
+        ::close(result_fd);
+        ::close(command_fd);
+        park_then_exit(44);
+      }
+      // Wedge: alive but unresponsive — only the supervisor's per-frame
+      // deadline and SIGKILL clear it.
+      park_then_exit(43);
+    }
+    const WallTimer compute_timer;
+    std::vector<std::unique_ptr<CiTest>> clones = serial_clones(
+        task.prototype, static_cast<std::size_t>(task.threads));
+    const std::int64_t tests =
+        run_shard_works(task.works, task.list, task.depth, clones);
+    if (task.slow_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(task.slow_ms));
+    }
+    WireWriter writer;
+    writer.put_i32(task.depth);
+    writer.put_i64(tests);
+    writer.put_i64(static_cast<std::int64_t>(compute_timer.seconds() * 1e6));
+    const auto removed = static_cast<std::uint32_t>(
+        std::count_if(task.list.begin(), task.list.end(),
+                      [&](const std::int64_t index) {
+                        return task.works[static_cast<std::size_t>(index)]
+                            .removed();
+                      }));
+    writer.put_u32(removed);
+    for (const std::int64_t index : task.list) {
+      const EdgeWork& work = task.works[static_cast<std::size_t>(index)];
+      if (!work.removed()) continue;
+      writer.put_u64(static_cast<std::uint64_t>(index));
+      writer.put_i32(work.x);
+      writer.put_i32(work.y);
+      writer.put_u64(work.accepted);
+    }
+    const std::vector<std::uint8_t> reply =
+        encode_frame(kTagDepthResult, writer.payload());
+    bool sent = task.frame_fault != nullptr
+                    ? send_frame_with_fault(result_fd, kTagDepthResult,
+                                            writer.payload(), task.frame_fault,
+                                            task.seed, rank, task.depth)
+                    : write_frame_bytes(result_fd, reply);
+    if (task.frame_fault != nullptr &&
+        task.frame_fault->kind == FaultKind::kPartialWrite) {
+      // The prefix went out (send_frame_with_fault wrote half the frame);
+      // now sever the channel — the supervisor reads half a frame
+      // followed by EOF from a child that is still alive, and must
+      // respawn the rank.
+      ::close(result_fd);
+      ::close(command_fd);
+      park_then_exit(45);
+    }
     Frame frame;
-    for (;;) {
-      static constexpr std::uint32_t kCommandTags[] = {
-          kTagRunDepth, kTagReplay, kTagRetransmit};
+    static constexpr std::uint32_t kCommandTags[] = {kTagRetransmit};
+    while (sent) {
       const FrameReadStatus status =
           read_frame(command_fd, frame, /*timeout_ms=*/-1, kCommandTags);
-      if (status == FrameReadStatus::kEof) {
-        return 0;  // command pipe EOF: the parent shut the group down
-      }
+      if (status == FrameReadStatus::kEof) return 0;  // the parent is done
       if (status != FrameReadStatus::kOk) {
         // kBadTag (an unknown command is a supervisor logic bug — the
         // transport is checksummed) or kCorrupt: fail loudly with the
         // offending tag / status named; the parent surfaces the error.
         throw std::runtime_error(
-            "process engine rank " + std::to_string(config.rank) +
+            "process engine rank " + std::to_string(rank) +
             ": command channel " + std::string(to_string(status)) +
             (status == FrameReadStatus::kBadTag
                  ? " — unknown command tag " + std::to_string(frame.tag)
                  : ""));
       }
-      if (frame.tag == kTagReplay) {
-        // Replay after a respawn: rebuild the replica from the removal
-        // log. No reply — the RUN_DEPTH that follows produces the next
-        // frame.
-        WireReader reader(frame.payload);
-        injector.set_generation(reader.get_i32());
-        apply_removals(reader, replica);
-        continue;
-      }
-      if (frame.tag == kTagRetransmit) {
-        if (last_reply.empty()) {
-          throw std::runtime_error(
-              "process engine rank " + std::to_string(config.rank) +
-              ": asked to retransmit before any reply was sent");
-        }
-        if (!write_frame_bytes(result_fd, last_reply)) {
-          return 1;  // parent is gone; nothing left to report to
-        }
-        continue;
-      }
-      // kTagRunDepth.
-      WireReader reader(frame.payload);
-      const std::int32_t depth = reader.get_i32();
-      const std::uint32_t seq = reader.get_u32();
-      const bool grouped = reader.get_u8() != 0;
-      // The previous depth's union removal set, on the depth's first
-      // command only — every rank's replica replays the same removal
-      // stream the driver committed, so every replica agrees with the
-      // driver's graph by induction. (Later commands of the depth carry
-      // none: a re-dealt list goes to a replica that already applied
-      // them, a respawned one rebuilt itself through the replay frame.)
-      apply_removals(reader, replica);
-      std::vector<std::int64_t> mine(reader.get_u32());
-      for (std::int64_t& index : mine) {
-        index = static_cast<std::int64_t>(reader.get_u64());
-      }
-      if (const FaultEvent* lethal = injector.lethal_fault(depth)) {
-        if (lethal->kind == FaultKind::kKill) {
-          ::_exit(42);  // injected mid-depth death; the parent must notice
-        }
-        if (lethal->kind == FaultKind::kDropConn) {
-          // Sever the channel with the process still alive: the
-          // supervisor sees a clean EOF while waitpid still says
-          // "running" — no other fault produces that — and must run the
-          // same respawn ladder a death triggers.
-          ::close(result_fd);
-          ::close(command_fd);
-          park_then_exit(44);
-        }
-        // Wedge: alive but unresponsive — only the supervisor's
-        // per-frame deadline and SIGKILL clear it.
-        park_then_exit(43);
-      }
-      const WallTimer compute_timer;
-      std::vector<EdgeWork> works =
-          build_depth_works(replica, depth, grouped, snapshot);
-      for (const std::int64_t index : mine) {
-        if (index < 0 || static_cast<std::size_t>(index) >= works.size()) {
-          throw std::runtime_error(
-              "process engine rank " + std::to_string(config.rank) +
-              ": commanded work #" + std::to_string(index) +
-              " is outside its depth-" + std::to_string(depth) +
-              " work list (" + std::to_string(works.size()) +
-              " works) — replica divergence");
-        }
-      }
-      if (clones.empty()) {
-        clones.reserve(static_cast<std::size_t>(config.rank_threads));
-        for (std::int32_t t = 0; t < config.rank_threads; ++t) {
-          clones.push_back(prototype.clone());
-          // Serial table builds, always: sample-parallel builds are
-          // OpenMP regions, and OpenMP must never run in a forked rank.
-          clones.back()->set_sample_parallel(false);
-        }
-      }
-      const std::int64_t tests = run_shard_works(works, mine, depth, clones);
-      if (const std::int32_t slow = injector.slow_rank_ms(depth); slow > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(slow));
-      }
-      WireWriter writer;
-      writer.put_i32(depth);
-      writer.put_u32(seq);
-      writer.put_i64(tests);
-      writer.put_i64(
-          static_cast<std::int64_t>(compute_timer.seconds() * 1e6));
-      std::uint32_t removed = 0;
-      for (const std::int64_t index : mine) {
-        if (works[static_cast<std::size_t>(index)].removed()) ++removed;
-      }
-      writer.put_u32(removed);
-      for (const std::int64_t index : mine) {
-        const EdgeWork& work = works[static_cast<std::size_t>(index)];
-        if (!work.removed()) continue;
-        writer.put_u64(static_cast<std::uint64_t>(index));
-        writer.put_i32(work.x);
-        writer.put_i32(work.y);
-        writer.put_u64(work.accepted);
-      }
-      last_reply = encode_frame(kTagDepthResult, writer.payload());
-      const FaultEvent* frame_fault = injector.take_frame_fault(depth);
-      const bool sent =
-          frame_fault != nullptr
-              ? send_frame_with_fault(result_fd, kTagDepthResult,
-                                      writer.payload(), frame_fault,
-                                      injector.seed(), config.rank, depth)
-              : write_frame_bytes(result_fd, last_reply);
-      if (frame_fault != nullptr &&
-          frame_fault->kind == FaultKind::kPartialWrite) {
-        // The prefix went out (send_frame_with_fault wrote half the
-        // frame); now sever the channel — the supervisor reads half a
-        // frame followed by EOF from a rank that is still alive, and
-        // must respawn + replay.
-        ::close(result_fd);
-        ::close(command_fd);
-        park_then_exit(45);
-      }
-      if (!sent) {
-        return 1;  // parent is gone; nothing left to report to
-      }
+      sent = write_frame_bytes(result_fd, reply);
     }
+    return 1;  // the parent is gone; nothing left to report to
   } catch (const std::exception& error) {
     WireWriter writer;
     writer.put_string(error.what());
@@ -414,16 +306,12 @@ class ProcessEngine final : public SkeletonEngine {
 
   void prepare_run() override {
     group_.shutdown();
-    spawned_ = false;
-    rank_main_ = nullptr;
+    configured_ = false;
     state_.clear();
-    removal_log_.clear();
-    pending_removals_.clear();
     depth_stats_.clear();
     events_.clear();
     degraded_ = false;
     local_clones_.clear();
-    next_seq_ = 1;
   }
 
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
@@ -431,23 +319,14 @@ class ProcessEngine final : public SkeletonEngine {
                          const PcOptions& options) override {
     const WallTimer depth_timer;
     const std::size_t events_before = events_.size();
-    // A previous depth degraded, or the initial spawn failed (fork error
-    // or an injected spawn-fail): the whole depth runs in-process.
-    if (degraded_ ||
-        (!spawned_ && !spawn_ranks(works, depth, prototype, options))) {
+    if (!configured_) configure(depth, options);
+    // A previous depth degraded, or the fault schedule declared the run's
+    // first forks failed: the whole depth runs in-process.
+    if (degraded_) {
       return finish_depth_degraded(works, depth, prototype, all_indices(works),
                                    /*total_so_far=*/0, depth_timer,
                                    events_before);
     }
-    const bool grouped = options.group_endpoints;
-
-    // The previous depth's union removal set rides on the first round
-    // only. It joins the replay log *before* it is sent: a rank respawned
-    // during this depth replays a log that already holds it, so its
-    // re-issued list carries no removals.
-    std::vector<Removal> removals;
-    removals.swap(pending_removals_);
-    removal_log_.insert(removal_log_.end(), removals.begin(), removals.end());
 
     // Rounds (see the file comment). The gather merges in rank order, so
     // the error attribution stays deterministic; ranks own disjoint
@@ -456,14 +335,12 @@ class ProcessEngine final : public SkeletonEngine {
     // comes back is merged, retired (its list goes to the next round) or
     // a degrade verdict. The loop ends because every round either merges
     // everything or retires at least one more rank.
-    WallTimer gather_timer;
+    const WallTimer gather_timer;
     DepthTally tally;
     std::vector<std::int64_t> pending = all_indices(works);
     std::vector<std::vector<std::int64_t>> lists(
         static_cast<std::size_t>(rank_count_));
-    std::vector<std::uint32_t> seq(static_cast<std::size_t>(rank_count_), 0);
-    for (bool first_round = true; first_round || !pending.empty();
-         first_round = false) {
+    while (!pending.empty()) {
       std::vector<int> live;
       for (int rank = 0; rank < rank_count_; ++rank) {
         if (!state_[static_cast<std::size_t>(rank)].retired) {
@@ -482,39 +359,43 @@ class ProcessEngine final : public SkeletonEngine {
             pending[i]);
       }
       pending.clear();
-      // A rank that already died fails its try_send silently here — the
-      // gather discovers the EOF and runs the recovery ladder.
-      std::vector<int> sent;
+      std::vector<int> forked;
       for (const int rank : live) {
-        const auto slot = static_cast<std::size_t>(rank);
-        if (!first_round && lists[slot].empty()) continue;
-        seq[slot] = next_seq_++;
-        WireWriter writer;
-        encode_run_depth(writer, depth, seq[slot], grouped,
-                         first_round ? std::span<const Removal>(removals)
-                                     : std::span<const Removal>(),
-                         lists[slot]);
-        (void)group_.try_send(rank, kTagRunDepth, writer.payload());
-        sent.push_back(rank);
+        const auto& list = lists[static_cast<std::size_t>(rank)];
+        if (list.empty()) continue;
+        if (const std::string error =
+                fork_child(works, depth, prototype, rank, list);
+            !error.empty()) {
+          record_event(depth, rank, RecoveryAction::kDegrade,
+                       "forking its depth-" + std::to_string(depth) +
+                           " child failed (" + error +
+                           ") — finishing the run in-process");
+          // Nothing of this round has merged: every list it dealt
+          // finishes locally.
+          for (const auto& dealt : lists) {
+            pending.insert(pending.end(), dealt.begin(), dealt.end());
+          }
+          return finish_depth_degraded(works, depth, prototype, pending,
+                                       tally.tests, depth_timer,
+                                       events_before);
+        }
+        forked.push_back(rank);
       }
-      if (first_round) gather_timer.reset();
-      for (std::size_t i = 0; i < sent.size(); ++i) {
-        const auto slot = static_cast<std::size_t>(sent[i]);
-        switch (gather_rank(works, depth, grouped, sent[i], seq[slot],
-                            lists[slot], tally)) {
+      for (std::size_t i = 0; i < forked.size(); ++i) {
+        const auto& list = lists[static_cast<std::size_t>(forked[i])];
+        switch (gather_rank(works, depth, prototype, forked[i], list, tally)) {
           case Gather::kMerged:
             break;
           case Gather::kRetired:
-            pending.insert(pending.end(), lists[slot].begin(),
-                           lists[slot].end());
+            pending.insert(pending.end(), list.begin(), list.end());
             break;
           case Gather::kDegraded:
             // Everything not yet merged — this rank's list, the lists
             // of ranks not yet gathered and of ranks retired this round
             // — finishes locally, and so does every later depth.
-            for (std::size_t j = i; j < sent.size(); ++j) {
-              const auto& list = lists[static_cast<std::size_t>(sent[j])];
-              pending.insert(pending.end(), list.begin(), list.end());
+            for (std::size_t j = i; j < forked.size(); ++j) {
+              const auto& rest = lists[static_cast<std::size_t>(forked[j])];
+              pending.insert(pending.end(), rest.begin(), rest.end());
             }
             return finish_depth_degraded(works, depth, prototype, pending,
                                          tally.tests, depth_timer,
@@ -523,8 +404,9 @@ class ProcessEngine final : public SkeletonEngine {
       }
     }
 
+    const double gather_seconds = gather_timer.seconds();  // read first
     depth_stats_.push_back(
-        {depth, tally.tests, depth_timer.seconds(), gather_timer.seconds(),
+        {depth, tally.tests, depth_timer.seconds(), gather_seconds,
          tally.max_rank_seconds, tally.max_rank_tests,
          static_cast<std::int32_t>(events_.size() - events_before)});
     return tally.tests;
@@ -542,7 +424,7 @@ class ProcessEngine final : public SkeletonEngine {
 
  private:
   enum class Gather : std::uint8_t {
-    kMerged,    ///< reply merged into the works vector
+    kMerged,    ///< reply merged into the works vector, child reaped
     kRetired,   ///< restart budget spent; caller re-partitions its works
     kDegraded,  ///< fork machinery failed; caller degrades the run
   };
@@ -555,9 +437,10 @@ class ProcessEngine final : public SkeletonEngine {
   };
 
   struct RankState {
-    std::int32_t generation = 0;  ///< 0 = initial fork, g = g-th respawn
-    std::int32_t restarts = 0;    ///< respawn budget already consumed
-    bool retired = false;         ///< permanently re-partitioned away
+    /// The rank's view of the fault schedule; its generation is the
+    /// number of restarts the rank has used.
+    RankFaultInjector injector;
+    bool retired = false;  ///< permanently re-partitioned away
   };
 
   void record_event(std::int32_t depth, int rank, RecoveryAction action,
@@ -574,14 +457,41 @@ class ProcessEngine final : public SkeletonEngine {
     return indices;
   }
 
-  /// Receives and merges one rank's reply for (depth, seq), running the
-  /// retransmit rung and, past it, the respawn ladder.
+  /// Claims the faults the rank's injector arms for this child, then
+  /// forks it into the rank's slot (reaping whatever the slot held).
+  /// Returns the fork's error, empty on success.
+  std::string fork_child(std::vector<EdgeWork>& works, std::int32_t depth,
+                         const CiTest& prototype, int rank,
+                         const std::vector<std::int64_t>& list) {
+    RankFaultInjector& injector =
+        state_[static_cast<std::size_t>(rank)].injector;
+    const ChildTask task{.works = works,
+                         .list = list,
+                         .prototype = prototype,
+                         .depth = depth,
+                         .threads = rank_threads_,
+                         .lethal = injector.lethal_fault(depth),
+                         .frame_fault = injector.take_frame_fault(depth),
+                         .slow_ms = injector.slow_rank_ms(depth),
+                         .seed = injector.seed()};
+    try {
+      group_.spawn(rank, [&task](int child_rank, int command_fd,
+                                 int result_fd) {
+        return run_child(task, child_rank, command_fd, result_fd);
+      });
+    } catch (const std::exception& error) {
+      return error.what();
+    }
+    return {};
+  }
+
+  /// Receives and merges the reply of `rank`'s child for `depth`, running
+  /// the retransmit rung and, past it, the respawn ladder.
   Gather gather_rank(std::vector<EdgeWork>& works, std::int32_t depth,
-                     bool grouped, int rank, std::uint32_t seq,
-                     const std::vector<std::int64_t>& indices,
+                     const CiTest& prototype, int rank,
+                     const std::vector<std::int64_t>& list,
                      DepthTally& tally) {
     int attempt = 0;
-    int stale = 0;
     std::string failure;
     for (;;) {
       Frame frame;
@@ -591,9 +501,9 @@ class ProcessEngine final : public SkeletonEngine {
           group_.try_receive(rank, frame, deadline_ms_, kReplyTags);
       if (status == FrameReadStatus::kOk) {
         if (frame.tag == kTagError) {
-          // The rank itself hit an exception (bad data, replica
-          // divergence, a logic bug): unrecoverable by design — a
-          // respawn would deterministically hit it again.
+          // The child itself hit an exception (bad data, a logic bug):
+          // unrecoverable by design — a respawn would deterministically
+          // hit it again.
           WireReader reader(frame.payload);
           const std::string message = reader.get_string();
           group_.shutdown();
@@ -602,22 +512,11 @@ class ProcessEngine final : public SkeletonEngine {
                                    " failed: " + message);
         }
         WireReader reader(frame.payload);
-        const std::int32_t reply_depth = reader.get_i32();
-        const std::uint32_t reply_seq = reader.get_u32();
-        if (reply_depth != depth || reply_seq != seq) {
-          // A duplicate of an already-merged reply (a late original
-          // racing its own retransmission). Harmless; discard and read
-          // on — bounded, so a rank stuck replaying old frames still
-          // fails over to the ladder.
-          if (++stale <= kMaxStaleReplies) continue;
-          failure = "it kept replaying stale frames (last: depth " +
-                    std::to_string(reply_depth) + ", seq " +
-                    std::to_string(reply_seq) + ")";
-        } else {
-          merge_reply(works, reader, rank, tally);
-          return Gather::kMerged;
-        }
-      } else if (status == FrameReadStatus::kBadTag) {
+        merge_reply(works, depth, reader, rank, tally);
+        group_.kill_rank(rank);
+        return Gather::kMerged;
+      }
+      if (status == FrameReadStatus::kBadTag) {
         // Satellite of the checksummed transport: the frame is
         // CRC-valid, so an unknown tag is a protocol logic bug, not
         // line noise — fail loudly naming rank and tag, never merge.
@@ -627,9 +526,10 @@ class ProcessEngine final : public SkeletonEngine {
             " replied with unknown protocol tag " + std::to_string(frame.tag) +
             " — protocol error (the transport is checksummed, so this is "
             "a logic bug, not wire corruption)");
-      } else if ((status == FrameReadStatus::kCorrupt ||
-                  status == FrameReadStatus::kTimeout) &&
-                 attempt < kRetransmitLimit) {
+      }
+      if ((status == FrameReadStatus::kCorrupt ||
+           status == FrameReadStatus::kTimeout) &&
+          attempt < kRetransmitLimit) {
         // Rung 1: ask for the buffered reply again, with linear backoff.
         ++attempt;
         record_event(depth, rank, RecoveryAction::kRetransmit,
@@ -660,22 +560,24 @@ class ProcessEngine final : public SkeletonEngine {
         failure = "its replies kept failing the frame checksum after " +
                   std::to_string(attempt) + " retransmit request(s)";
       }
-      return respawn_ladder(works, depth, grouped, rank, indices, tally,
+      return respawn_ladder(works, depth, prototype, rank, list, tally,
                             failure);
     }
   }
 
-  /// Rungs 2 and 3: respawn-with-replay while the restart budget lasts,
-  /// then retire the rank (the caller re-partitions its works). A fork
-  /// that fails — really or by injected decree — returns the degrade
-  /// verdict instead.
+  /// Rungs 2 and 3: a fresh fork of the same list while the restart
+  /// budget lasts (a replacement that fails too comes back here through
+  /// gather_rank), then retire the rank (the caller re-partitions its
+  /// works). A fork that fails — really or by injected decree — returns
+  /// the degrade verdict instead.
   Gather respawn_ladder(std::vector<EdgeWork>& works, std::int32_t depth,
-                        bool grouped, int rank,
-                        const std::vector<std::int64_t>& indices,
+                        const CiTest& prototype, int rank,
+                        const std::vector<std::int64_t>& list,
                         DepthTally& tally, const std::string& reason) {
     RankState& state = state_[static_cast<std::size_t>(rank)];
-    while (state.restarts < max_restarts_) {
-      const std::int32_t generation = ++state.restarts;
+    if (state.injector.generation() < max_restarts_) {
+      const std::int32_t generation = state.injector.generation() + 1;
+      state.injector.set_generation(generation);
       if (schedule_.spawn_should_fail(rank, generation)) {
         record_event(depth, rank, RecoveryAction::kDegrade,
                      reason + "; respawn generation " +
@@ -684,52 +586,48 @@ class ProcessEngine final : public SkeletonEngine {
                          "finishing the run in-process");
         return Gather::kDegraded;
       }
-      try {
-        group_.respawn(rank, rank_main_);
-      } catch (const std::exception& error) {
+      if (const std::string error =
+              fork_child(works, depth, prototype, rank, list);
+          !error.empty()) {
         record_event(depth, rank, RecoveryAction::kDegrade,
                      reason + "; respawn generation " +
-                         std::to_string(generation) + " failed (" +
-                         error.what() + ") — finishing the run in-process");
+                         std::to_string(generation) + " failed (" + error +
+                         ") — finishing the run in-process");
         return Gather::kDegraded;
       }
-      state.generation = generation;
-      record_event(
-          depth, rank, RecoveryAction::kRespawn,
-          reason + "; respawned as generation " + std::to_string(generation) +
-              ", replaying " + std::to_string(removal_log_.size()) +
-              " logged removals and re-running its " +
-              std::to_string(indices.size()) + " works");
-      // Rebuild the replica from the log (which already holds this
-      // depth's removals), then re-issue the rank's list with none. A
-      // send that fails here means the replacement died instantly; the
-      // loop charges another restart and tries again.
-      WireWriter replay;
-      replay.put_i32(generation);
-      put_removals(replay, removal_log_);
-      if (!group_.try_send(rank, kTagReplay, replay.payload())) continue;
-      const std::uint32_t seq = next_seq_++;
-      WireWriter command;
-      encode_run_depth(command, depth, seq, grouped, {}, indices);
-      if (!group_.try_send(rank, kTagRunDepth, command.payload())) continue;
-      return gather_rank(works, depth, grouped, rank, seq, indices, tally);
+      record_event(depth, rank, RecoveryAction::kRespawn,
+                   reason + "; respawned as generation " +
+                       std::to_string(generation) + " to re-run its " +
+                       std::to_string(list.size()) + " works");
+      return gather_rank(works, depth, prototype, rank, list, tally);
     }
     record_event(depth, rank, RecoveryAction::kRepartition,
-                 reason + "; restart budget (" +
-                     std::to_string(max_restarts_) +
+                 reason + "; restart budget (" + std::to_string(max_restarts_) +
                      ") exhausted — retiring the rank and re-partitioning "
                      "its " +
-                     std::to_string(indices.size()) +
+                     std::to_string(list.size()) +
                      " works onto the survivors");
     group_.kill_rank(rank);
     state.retired = true;
     return Gather::kRetired;
   }
 
-  /// Merges one validated DepthResult payload (cursor past depth + seq)
-  /// into the works vector and the pending-removal set.
-  void merge_reply(std::vector<EdgeWork>& works, WireReader& reader,
-                   int rank, DepthTally& tally) {
+  /// Checks one DepthResult payload against the driver's works and merges
+  /// it into them. Any mismatch is a protocol error: the child ran a copy
+  /// of these very works.
+  void merge_reply(std::vector<EdgeWork>& works, std::int32_t depth,
+                   WireReader& reader, int rank, DepthTally& tally) {
+    const auto protocol_error = [&](const std::string& what) {
+      group_.shutdown();
+      return std::runtime_error("process engine: rank " +
+                                std::to_string(rank) + " " + what +
+                                " — protocol error");
+    };
+    const std::int32_t reply_depth = reader.get_i32();
+    if (reply_depth != depth) {
+      throw protocol_error("replied for depth " + std::to_string(reply_depth) +
+                           " during depth " + std::to_string(depth));
+    }
     const std::int64_t tests = reader.get_i64();
     tally.tests += tests;
     tally.max_rank_tests = std::max(tally.max_rank_tests, tests);
@@ -741,39 +639,28 @@ class ProcessEngine final : public SkeletonEngine {
       const VarId x = reader.get_i32();
       const VarId y = reader.get_i32();
       const std::uint64_t accepted = reader.get_u64();
-      // The index addresses the rank's replica-built list; it is only
-      // meaningful if that list matches the driver's. The endpoint
-      // check turns a divergent replica into a loud protocol error.
+      const std::string removal = "removed work #" + std::to_string(index) +
+                                  " (" + std::to_string(x) + ", " +
+                                  std::to_string(y) + ")";
       if (index >= works.size() || works[index].x != x ||
           works[index].y != y) {
-        group_.shutdown();
-        throw std::runtime_error(
-            "process engine: rank " + std::to_string(rank) +
-            " removed work #" + std::to_string(index) + " (" +
-            std::to_string(x) + ", " + std::to_string(y) +
-            "), which does not match the driver's work list — replica "
-            "divergence");
+        throw protocol_error(removal +
+                             ", which does not match the driver's work list");
       }
       EdgeWork& work = works[index];
-      // A rank past the work's tests cannot come from an identical list;
-      // checked here because the commit's unranking only asserts the
+      // Checked here because the commit's unranking only asserts the
       // bound.
       if (accepted >= work.total_tests()) {
-        group_.shutdown();
-        throw std::runtime_error(
-            "process engine: rank " + std::to_string(rank) +
-            " removed work #" + std::to_string(index) + " (" +
-            std::to_string(x) + ", " + std::to_string(y) + ") at test rank " +
-            std::to_string(accepted) + ", but the driver's work has " +
-            std::to_string(work.total_tests()) +
-            " tests — replica divergence");
+        throw protocol_error(removal + " at test rank " +
+                             std::to_string(accepted) +
+                             ", but the driver's work has " +
+                             std::to_string(work.total_tests()) + " tests");
       }
       work.accepted = accepted;
-      pending_removals_.push_back({x, y});
     }
   }
 
-  /// Rung 4: the group is gone (or never existed). Finish this depth's
+  /// Rung 4: the group is gone (or never forked). Finish this depth's
   /// unmerged works in-process with rank-identical semantics; every
   /// later depth of the run comes back here with its whole work list.
   std::int64_t finish_depth_degraded(std::vector<EdgeWork>& works,
@@ -788,13 +675,9 @@ class ProcessEngine final : public SkeletonEngine {
     std::int64_t local = 0;
     if (!indices.empty()) {
       if (local_clones_.empty()) {
-        const auto threads = static_cast<std::size_t>(std::max<std::int32_t>(
-            1, rank_count_ > 0 ? rank_count_ * rank_threads_ : 1));
-        local_clones_.reserve(threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-          local_clones_.push_back(prototype.clone());
-          local_clones_.back()->set_sample_parallel(false);
-        }
+        local_clones_ = serial_clones(
+            prototype, static_cast<std::size_t>(std::max<std::int32_t>(
+                           1, rank_count_ * rank_threads_)));
       }
       local = run_shard_works(works, indices, depth, local_clones_);
     }
@@ -806,80 +689,41 @@ class ProcessEngine final : public SkeletonEngine {
     return total_so_far + local;
   }
 
-  /// Resolves the run's configuration and forks the group. Returns false
-  /// — after recording the degrade event — when the spawn fails for
-  /// real or by injected decree; the engine then never retries forking.
-  bool spawn_ranks(const std::vector<EdgeWork>& works, std::int32_t depth,
-                   const CiTest& prototype, const PcOptions& options) {
-    spawned_ = true;  // one attempt per run, success or not
+  /// Resolves the run's configuration at its first depth and gives every
+  /// rank an empty slot and a fault injector. When the fault schedule
+  /// declares the run's first forks failed, records the degrade event and
+  /// leaves the run degraded.
+  void configure(std::int32_t depth, const PcOptions& options) {
+    configured_ = true;
     schedule_ = options.fault_schedule.empty()
                     ? FaultSchedule::from_env()
                     : FaultSchedule::parse(options.fault_schedule);
     deadline_ms_ =
         env_positive_int("FASTBNS_RANK_TIMEOUT_MS", kDefaultRankTimeoutMs);
     max_restarts_ = options.max_rank_restarts;
-    // Every rank's replica starts as the complete graph over the
-    // variables, which the first depth's works (depth 0's complete
-    // graph) name; later depths' shrinking lists could miss some.
-    num_vars_ = 0;
-    for (const EdgeWork& work : works) {
-      num_vars_ = std::max(num_vars_, std::max(work.x, work.y) + 1);
-    }
     rank_count_ = resolve_rank_count(options.rank_count);
     rank_threads_ = resolve_rank_threads(options.rank_threads, rank_count_,
                                          options.num_threads);
-
-    std::vector<RankConfig> configs(static_cast<std::size_t>(rank_count_));
     for (std::int32_t rank = 0; rank < rank_count_; ++rank) {
-      RankConfig& config = configs[static_cast<std::size_t>(rank)];
-      config.rank = rank;
-      config.num_vars = num_vars_;
-      config.rank_threads = rank_threads_;
-      config.schedule = schedule_;
+      state_.push_back({RankFaultInjector(schedule_, rank)});
     }
-    const CiTest* prototype_ptr = &prototype;
-    rank_main_ = [configs = std::move(configs), prototype_ptr](
-                     int rank, int command_fd, int result_fd) {
-      return run_rank(configs[static_cast<std::size_t>(rank)], *prototype_ptr,
-                      command_fd, result_fd);
-    };
-    state_.assign(static_cast<std::size_t>(rank_count_), {});
+    group_ = ProcessGroup(rank_count_);
     if (schedule_.spawn_should_fail(/*rank=*/-1, /*generation=*/0)) {
       record_event(depth, -1, RecoveryAction::kDegrade,
                    "initial spawn declared failed by the fault schedule — "
                    "running in-process");
-      return false;
+      degraded_ = true;
     }
-    try {
-      group_ = ProcessGroup::spawn(rank_count_, rank_main_);
-    } catch (const std::exception& error) {
-      record_event(depth, -1, RecoveryAction::kDegrade,
-                   std::string("initial spawn failed (") + error.what() +
-                       ") — running in-process");
-      return false;
-    }
-    return true;
   }
 
   ProcessGroup group_;
-  ProcessGroup::RankMain rank_main_;
-  bool spawned_ = false;
+  bool configured_ = false;
   std::int32_t rank_count_ = 0;
   std::int32_t rank_threads_ = 1;
-  VarId num_vars_ = 0;
   FaultSchedule schedule_;
   int deadline_ms_ = kDefaultRankTimeoutMs;
   std::int32_t max_restarts_ = 1;
-  /// Per-command sequence numbers, echoed in replies: the duplicate
-  /// detector of the retransmit rung.
-  std::uint32_t next_seq_ = 1;
   std::vector<RankState> state_;
-  /// Every removal sent to the ranks so far, in order — what a
-  /// respawned rank replays to rebuild its replica.
-  std::vector<Removal> removal_log_;
-  /// The union removal set of the previous depth, pending the next
-  /// depth's first round.
-  std::vector<Removal> pending_removals_;
   std::vector<ProcessDepthStats> depth_stats_;
   std::vector<RecoveryEvent> events_;
   /// True once rung 4 fired: the rest of the run executes in-process.

@@ -13,19 +13,19 @@
 namespace fastbns {
 
 /// Per-depth telemetry of the last process-engine run, recorded on the
-/// driver side of the allreduce barrier.
+/// driver side of the depth barrier.
 struct ProcessDepthStats {
   std::int32_t depth = 0;
   std::int64_t ci_tests = 0;
-  /// Whole run_depth wall time (broadcast + rank compute + gather).
+  /// Whole run_depth wall time (dealing + forks + rank compute + gather).
   double seconds = 0.0;
-  /// Allreduce barrier: commands written → last rank's removal set
-  /// merged. The parent does no CI work, so this is the depth's critical
-  /// path through the ranks plus the exchange itself.
+  /// Depth barrier: first child forked → last child's reply merged and
+  /// the child reaped. The parent does no CI work, so this is the
+  /// depth's critical path through the ranks plus the exchange itself.
   double gather_seconds = 0.0;
   /// Slowest rank's self-reported compute time for the depth;
-  /// gather_seconds - max_rank_seconds approximates the pure
-  /// serialization + pipe cost of the barrier.
+  /// gather_seconds - max_rank_seconds approximates the fork, reap,
+  /// serialization and pipe cost of the barrier.
   double max_rank_seconds = 0.0;
   /// The busiest merged reply's executed tests: how evenly the deal
   /// spread the depth, ci_tests / rank count at best. Like the gather
@@ -41,7 +41,7 @@ struct ProcessDepthStats {
 /// checksummed transport recovered without touching the rank.
 enum class RecoveryAction : std::uint8_t {
   kRetransmit,   ///< asked the rank to resend a corrupt/late frame
-  kRespawn,      ///< forked a replacement and replayed the removal log
+  kRespawn,      ///< forked a replacement child for the same list
   kRepartition,  ///< retired the rank; its works went to the survivors
   kDegrade,      ///< abandoned forked execution for the in-process engine
 };

@@ -3,9 +3,10 @@
 // A schedule is a semicolon-separated list of fault events parsed from
 // PcOptions::fault_schedule or FASTBNS_FAULT_SCHEDULE. Each event names
 // a kind, a target rank (or any), the depth it arms at, the rank
-// generation it applies to (0 = the initially forked rank, g = the g-th
-// respawn — so a schedule can kill a respawned rank mid-replay), and a
-// millisecond parameter for the delay kinds:
+// generation it applies to (0 = the rank before any restart, g = after
+// its g-th respawn — so a schedule can kill a respawned rank while it
+// re-runs the list its predecessor lost), and a millisecond parameter
+// for the delay kinds:
 //
 //   schedule := entry (';' entry)*
 //   entry    := kind ('@' kv (',' kv)*)?  |  'seed=' N
@@ -14,16 +15,18 @@
 //   kv       := rank=N | depth=N | gen=N | ms=N
 //   N        := a decimal integer in [0, 2147483647]
 //
-// Two consumers split the kinds: the forked rank's main loop executes
-// kill (exit without replying), wedge (stop responding until the
-// supervisor's per-frame deadline kills it), slow-rank (sleep ms before
-// every reply from `depth` on), drop-conn (sever the channel — close the
-// fds with the process still alive, so the supervisor reads EOF while
-// waitpid says "still running"), and the frame faults (delay-frame,
+// The supervisor decides every fault before it forks: it keeps one
+// RankFaultInjector per rank and hands each forked child the events the
+// injector claims for the child's depth. The child executes kill (exit
+// without replying), wedge (stop responding until the supervisor's
+// per-frame deadline kills it), slow-rank (sleep ms before every reply
+// from `depth` on), drop-conn (sever the channel — close the fds with
+// the process still alive, so the supervisor reads EOF while waitpid
+// says "still running"), and the frame faults (delay-frame,
 // corrupt-frame, truncate-frame, partial-write — applied to the outgoing
 // result frame, where the checksummed retrying frame layer must recover;
 // partial-write sends a frame prefix and then severs the channel, so the
-// supervisor reads half a frame followed by EOF); the supervisor
+// supervisor reads half a frame followed by EOF); the supervisor itself
 // executes spawn-fail (a fork/respawn that is declared to have failed —
 // the deterministic trigger of the degrade-in-process rung). All
 // randomness (which payload byte a corrupt-frame flips) derives from the
@@ -62,8 +65,9 @@ enum class FaultKind : std::uint8_t {
   /// the retransmitted frame behind the garbage.
   kTruncateFrame,
   /// Declare the fork of this rank (gen > 0: its gen-th respawn;
-  /// rank=-1, gen=0: the initial whole-group spawn) to have failed —
-  /// the supervisor must finish the run in-process.
+  /// gen=0: the run's first forks, which the supervisor checks once for
+  /// the whole group) to have failed — the supervisor must finish the
+  /// run in-process.
   kSpawnFail,
   /// Sever the channel without replying when a depth >= the event's
   /// arms: close both channel fds (EOF at the supervisor) while the
@@ -74,8 +78,8 @@ enum class FaultKind : std::uint8_t {
   /// Write only a prefix of the reply frame and then sever the channel,
   /// once, with the process parked alive — the only fault in the sweep
   /// that produces half a frame followed by EOF. The receiver sees a
-  /// partial frame ending in EOF (kEof, not kTimeout) and must respawn +
-  /// replay.
+  /// partial frame ending in EOF (kEof, not kTimeout) and must respawn
+  /// the rank.
   kPartialWrite,
 };
 
@@ -89,8 +93,8 @@ struct FaultEvent {
   std::int32_t rank = -1;
   /// The event arms at this depth (fires at the first depth >= it).
   std::int32_t depth = 0;
-  /// Rank generation the event applies to: 0 = the initially forked
-  /// process, g = the rank's g-th respawn.
+  /// Rank generation the event applies to: 0 = before any restart, g =
+  /// after the rank's g-th respawn.
   std::int32_t generation = 0;
   /// Milliseconds for kSlowRank / kDelayFrame.
   std::int32_t ms = 20;
@@ -120,15 +124,16 @@ struct FaultSchedule {
 
   /// True when any event declares the fork of `rank` at `generation`
   /// failed (kSpawnFail; rank -1 in the event or as the query matches
-  /// whole-group spawns).
+  /// every rank, so the query (-1, 0) asks about the run's first forks).
   [[nodiscard]] bool spawn_should_fail(std::int32_t rank,
                                        std::int32_t generation) const noexcept;
 };
 
-/// The rank-side consumer: filters the schedule down to one rank and
-/// tracks which one-shot events already fired inside this process
-/// generation. Lives in the forked rank; a respawned rank starts a fresh
-/// injector at its new generation.
+/// One rank's view of the schedule: filters it down to the rank and
+/// tracks which one-shot events already fired in the rank's current
+/// generation. The supervisor keeps one per rank and consults it before
+/// each fork of the rank, so a one-shot event fires once per (rank,
+/// generation) however many depths' children the rank runs.
 class RankFaultInjector {
  public:
   RankFaultInjector(FaultSchedule schedule, std::int32_t rank)
@@ -136,8 +141,8 @@ class RankFaultInjector {
         fired_(schedule_.events.size(), false),
         rank_(rank) {}
 
-  /// The generation this process believes it is (set from the replay
-  /// command on respawned ranks; 0 on the initial fork).
+  /// The number of restarts the rank has used (0 until its first
+  /// respawn); the supervisor raises it at each respawn.
   void set_generation(std::int32_t generation) noexcept {
     generation_ = generation;
   }
@@ -145,16 +150,17 @@ class RankFaultInjector {
   [[nodiscard]] std::uint64_t seed() const noexcept { return schedule_.seed; }
 
   /// The first armed kill/wedge/drop-conn event for `depth`, or nullptr.
-  /// The caller executes it (these do not return control, so no fired
-  /// bookkeeping is needed).
+  /// The child executes it (each ends the generation: the rank is
+  /// respawned or retired, so no fired bookkeeping is needed).
   [[nodiscard]] const FaultEvent* lethal_fault(std::int32_t depth) const;
 
   /// Claims the first unfired frame fault (delay/corrupt/truncate/
   /// partial-write) armed at `depth`, marking it fired; nullptr when
   /// none. One-shot: the retransmitted frame after a caught corruption
-  /// goes out clean. (partial-write does not return control either — the
-  /// rank severs its channel after the prefix — but it rides the frame-
-  /// fault channel because it fires on a specific outgoing reply.)
+  /// goes out clean, and so do the rank's later replies. (partial-write
+  /// does not return control either — the rank severs its channel after
+  /// the prefix — but it rides the frame-fault channel because it fires
+  /// on a specific outgoing reply.)
   [[nodiscard]] const FaultEvent* take_frame_fault(std::int32_t depth);
 
   /// Total slow-rank sleep for a reply at `depth` (0 when none apply).

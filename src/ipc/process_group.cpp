@@ -4,11 +4,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <chrono>
+#include <algorithm>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace fastbns {
@@ -32,6 +30,9 @@ void close_fd(int& fd) noexcept {
 
 }  // namespace
 
+ProcessGroup::ProcessGroup(int rank_count)
+    : ranks_(static_cast<std::size_t>(std::max(rank_count, 0))) {}
+
 ProcessGroup::~ProcessGroup() { shutdown(); }
 
 ProcessGroup::ProcessGroup(ProcessGroup&& other) noexcept
@@ -48,31 +49,14 @@ ProcessGroup& ProcessGroup::operator=(ProcessGroup&& other) noexcept {
   return *this;
 }
 
-ProcessGroup ProcessGroup::spawn(int rank_count, const RankMain& rank_main) {
-  if (rank_count < 1) {
-    throw std::runtime_error("ProcessGroup::spawn: rank_count must be >= 1, got " +
-                             std::to_string(rank_count));
-  }
-  ignore_sigpipe_once();
-  ProcessGroup group;
-  group.ranks_.resize(static_cast<std::size_t>(rank_count));
-  for (int rank = 0; rank < rank_count; ++rank) {
-    try {
-      group.fork_into_slot(rank, rank_main);
-    } catch (...) {
-      group.shutdown();
-      throw;
-    }
-  }
-  return group;
-}
-
 void ProcessGroup::close_rank_fds(Rank& slot) noexcept {
   close_fd(slot.command_fd);
   close_fd(slot.result_fd);
 }
 
-void ProcessGroup::fork_into_slot(int rank, const RankMain& rank_main) {
+void ProcessGroup::spawn(int rank, const RankMain& rank_main) {
+  ignore_sigpipe_once();
+  kill_rank(rank);  // no-op on an empty slot; frees channels + reaps
   Rank& slot = ranks_.at(static_cast<std::size_t>(rank));
   int command[2] = {-1, -1};  // parent writes [1], the rank reads [0]
   int result[2] = {-1, -1};   // the rank writes [1], parent reads [0]
@@ -93,12 +77,11 @@ void ProcessGroup::fork_into_slot(int rank, const RankMain& rank_main) {
                              std::to_string(rank));
   }
   if (pid == 0) {
-    // Rank side. Drop every fd that belongs to the parent or to the
-    // sibling ranks alive at fork time: a rank holding a sibling's
-    // command write-end would keep that sibling alive past the parent's
-    // EOF-based shutdown. (Respawned ranks inherit every current
-    // sibling's fds, so the loop covers the whole table, skipping the
-    // closed slots.) Then drop the parent's ends of this rank's pipes.
+    // Rank side. Drop the parent's ends of every other slot's pipes: a
+    // rank holding a sibling's command write-end would keep that sibling
+    // from seeing EOF when the parent closes the pipe or dies. The loop
+    // covers the whole table, skipping the empty slots. Then drop the
+    // parent's ends of this rank's pipes.
     for (Rank& sibling : ranks_) {
       close_rank_fds(sibling);
     }
@@ -117,12 +100,6 @@ void ProcessGroup::fork_into_slot(int rank, const RankMain& rank_main) {
   ::close(command[0]);
   ::close(result[1]);
   slot = {pid, command[1], result[0]};
-}
-
-void ProcessGroup::respawn(int rank, const RankMain& rank_main) {
-  ignore_sigpipe_once();
-  kill_rank(rank);  // idempotent on a dead slot; frees channels + reaps
-  fork_into_slot(rank, rank_main);
 }
 
 void ProcessGroup::kill_rank(int rank) noexcept {
@@ -185,38 +162,8 @@ std::string ProcessGroup::describe_rank(int rank) const noexcept {
   return "terminated";
 }
 
-void ProcessGroup::shutdown(int timeout_ms) noexcept {
-  if (ranks_.empty()) return;
-  // Phase 1: EOF every command channel — a healthy rank's read loop ends
-  // and it _exit(0)s on its own.
-  for (Rank& rank : ranks_) {
-    close_rank_fds(rank);
-  }
-  // Phase 2: reap with a deadline.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  bool all_reaped = false;
-  while (!all_reaped && std::chrono::steady_clock::now() < deadline) {
-    all_reaped = true;
-    for (Rank& rank : ranks_) {
-      if (rank.pid < 0) continue;
-      const pid_t reaped = ::waitpid(rank.pid, nullptr, WNOHANG);
-      if (reaped == rank.pid || (reaped < 0 && errno == ECHILD)) {
-        rank.pid = -1;
-      } else {
-        all_reaped = false;
-      }
-    }
-    if (!all_reaped) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  // Phase 3: whatever ignored the EOF gets SIGKILL; the blocking reap
-  // after a SIGKILL cannot hang.
-  for (Rank& rank : ranks_) {
-    if (rank.pid < 0) continue;
-    ::kill(rank.pid, SIGKILL);
-    ::waitpid(rank.pid, nullptr, 0);
-    rank.pid = -1;
-  }
+void ProcessGroup::shutdown() noexcept {
+  for (int rank = 0; rank < rank_count(); ++rank) kill_rank(rank);
   ranks_.clear();
 }
 

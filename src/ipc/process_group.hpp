@@ -1,8 +1,9 @@
-// Fork-based worker-rank group with a waitpid supervisor.
+// Fork-based worker-rank slots with a waitpid supervisor.
 //
-// spawn() forks N ranks; each runs a caller-supplied function over a
-// command/result pipe pair (commands flow parent→rank, results
-// rank→parent) and _exit()s — never returning into the parent's
+// A group is a fixed number of slots, all empty at construction.
+// spawn() forks one process into one slot; it runs a caller-supplied
+// function over a command/result pipe pair (commands flow parent→rank,
+// results rank→parent) and _exit()s — never returning into the parent's
 // atexit/test-framework machinery. Each side inherits both pipes and
 // closes the ends it does not own. The parent talks to ranks through
 // try_send()/try_receive(), which report a channel failure as a status
@@ -16,8 +17,9 @@
 //  - SIGPIPE is ignored process-wide (once, at first spawn) so writing to
 //    a dead rank surfaces as EPIPE instead of killing the parent.
 //  - Ranks inherit the parent's entire address space copy-on-write: the
-//    CiTest prototype and the dataset it reads. Nothing writes the
-//    dataset after construction, so no page of it is copied.
+//    CiTest prototype, the dataset it reads and whatever the caller built
+//    before the fork. Nothing writes the dataset after construction, so
+//    no page of it is copied.
 //  - Ranks must never enter an OpenMP parallel region: libgomp's thread
 //    team does not survive fork(). Rank functions use std::thread.
 #pragma once
@@ -43,57 +45,51 @@ class ProcessGroup {
   using RankMain = std::function<int(int rank, int command_fd, int result_fd)>;
 
   ProcessGroup() = default;
+  /// `rank_count` empty slots; spawn() fills one.
+  explicit ProcessGroup(int rank_count);
   ~ProcessGroup();
   ProcessGroup(ProcessGroup&& other) noexcept;
   ProcessGroup& operator=(ProcessGroup&& other) noexcept;
   ProcessGroup(const ProcessGroup&) = delete;
   ProcessGroup& operator=(const ProcessGroup&) = delete;
 
-  /// Forks `rank_count` ranks, each running `rank_main` and then
-  /// _exit()ing with its return value. Throws std::runtime_error when
-  /// pipe creation or fork fails (already-spawned ranks are torn down
-  /// first).
-  [[nodiscard]] static ProcessGroup spawn(int rank_count,
-                                          const RankMain& rank_main);
-
   [[nodiscard]] int rank_count() const noexcept {
     return static_cast<int>(ranks_.size());
   }
   [[nodiscard]] bool empty() const noexcept { return ranks_.empty(); }
 
+  /// Forks a fresh process running `rank_main` into slot `rank` over two
+  /// fresh pipes, killing and reaping whatever the slot held first. The
+  /// process closes every fd of the other slots it inherited, then
+  /// _exit()s with rank_main's return value. Throws std::runtime_error
+  /// when pipe creation or fork() fails, with the slot left empty — the
+  /// caller's cue to degrade rather than retry forever.
+  void spawn(int rank, const RankMain& rank_main);
+
   /// Sends one frame to `rank`; false when its pipe is broken or the
-  /// slot is dead (kill_rank'ed and not yet respawned). Never throws,
-  /// never tears the group down.
+  /// slot is empty. Never throws, never tears the group down.
   [[nodiscard]] bool try_send(int rank, std::uint32_t tag,
                               std::span<const std::uint8_t> payload) noexcept;
 
   /// Receives one frame from `rank` with the wire layer's full status
   /// vocabulary (kOk / kEof / kTimeout / kCorrupt / kBadTag — see
-  /// read_frame, including the allowed-tag validation). A dead slot
+  /// read_frame, including the allowed-tag validation). An empty slot
   /// reports kEof immediately. Never throws, never tears the group down.
   [[nodiscard]] FrameReadStatus try_receive(
       int rank, Frame& out, int timeout_ms,
       std::span<const std::uint32_t> allowed_tags = {});
 
-  /// True while the slot has live pipes (spawned or respawned, not yet
-  /// kill_rank'ed). A rank that exited on its own still reports true
-  /// until kill_rank reaps it — liveness is discovered through
-  /// try_receive's kEof, not polled.
+  /// True while the slot has live pipes (spawned, not yet kill_rank'ed).
+  /// A rank that exited on its own still reports true until kill_rank
+  /// reaps it — liveness is discovered through try_receive's kEof, not
+  /// polled.
   [[nodiscard]] bool rank_open(int rank) const noexcept;
 
-  /// SIGKILLs and reaps `rank` (no-op on a dead slot), closing its
-  /// pipes. The slot stays dead — try_send/try_receive fail — until
-  /// respawn() refills it. Safe on ranks that already exited (the kill
-  /// is a no-op; the reap still collects the zombie).
+  /// Closes `rank`'s pipes, then SIGKILLs and reaps its process (no-op
+  /// on an empty slot). The slot stays empty — try_send/try_receive
+  /// fail — until spawn() refills it. Safe on ranks that already exited
+  /// (the kill is a no-op; the reap still collects the zombie).
   void kill_rank(int rank) noexcept;
-
-  /// Refills a dead (or still-open: it is kill_rank'ed first) slot with
-  /// a fresh fork of `rank_main` over fresh pipes. Throws
-  /// std::runtime_error when pipe creation or fork() fails — the
-  /// caller's cue to degrade rather than retry forever. The respawned
-  /// process closes every sibling fd it inherited, like the initial
-  /// spawn.
-  void respawn(int rank, const RankMain& rank_main);
 
   /// Exit forensics for `rank` ("exited with status 3", "killed by
   /// signal 9", "still running (wedged or slow)") for error messages and
@@ -103,10 +99,9 @@ class ProcessGroup {
   /// the slot reads "already reaped".
   [[nodiscard]] std::string describe_rank(int rank) const noexcept;
 
-  /// Graceful teardown: closes the command pipes (ranks see EOF and
-  /// exit), reaps with a deadline, SIGKILLs and reaps whatever remains.
-  /// Safe to call repeatedly; the destructor calls it too.
-  void shutdown(int timeout_ms = 5000) noexcept;
+  /// kill_rank()s every slot and drops the slots. Safe to call
+  /// repeatedly; the destructor calls it too.
+  void shutdown() noexcept;
 
  private:
   struct Rank {
@@ -117,10 +112,6 @@ class ProcessGroup {
 
   /// Closes a slot's channel fds — every teardown path funnels through it.
   static void close_rank_fds(Rank& slot) noexcept;
-
-  /// Forks a fresh process into slot `rank` over two fresh pipes; throws
-  /// std::runtime_error on pipe/fork failure with the slot left dead.
-  void fork_into_slot(int rank, const RankMain& rank_main);
 
   std::vector<Rank> ranks_;
 };

@@ -79,12 +79,6 @@ void WireReader::get_raw(void* out, std::size_t size) {
   offset_ += size;
 }
 
-std::uint8_t WireReader::get_u8() {
-  std::uint8_t value = 0;
-  get_raw(&value, sizeof(value));
-  return value;
-}
-
 std::uint32_t WireReader::get_u32() {
   std::uint32_t value = 0;
   get_raw(&value, sizeof(value));

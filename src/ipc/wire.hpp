@@ -1,5 +1,5 @@
 // Checksummed message frames and a tiny binary wire format — the
-// transport vocabulary of the multi-process engine's allreduce barrier.
+// transport vocabulary of the multi-process engine's depth barrier.
 //
 // A frame on the wire is [u32 magic][u32 payload length][u32 tag]
 // [u32 crc32(tag ‖ payload)][payload bytes], in host byte order (both
@@ -28,7 +28,6 @@ namespace fastbns {
 /// order (frames never cross a machine boundary; ranks are forks).
 class WireWriter {
  public:
-  void put_u8(std::uint8_t value) { bytes_.push_back(value); }
   void put_u32(std::uint32_t value) { put_raw(&value, sizeof(value)); }
   void put_i32(std::int32_t value) { put_raw(&value, sizeof(value)); }
   void put_u64(std::uint64_t value) { put_raw(&value, sizeof(value)); }
@@ -55,7 +54,6 @@ class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  [[nodiscard]] std::uint8_t get_u8();
   [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] std::int32_t get_i32();
   [[nodiscard]] std::uint64_t get_u64();

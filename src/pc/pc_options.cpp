@@ -81,7 +81,7 @@ void PcOptions::validate() const {
     throw std::invalid_argument(
         "PcOptions::max_rank_restarts is " + std::to_string(max_rank_restarts) +
         ", exceeding kMaxRankRestarts (" + std::to_string(kMaxRankRestarts) +
-        "); each restart forks, replays and re-runs a depth, so this is "
+        "); each restart forks and re-runs a list, so this is "
         "almost certainly a typo");
   }
   // Parses the fault-schedule grammar, so a typoed injection fails the

@@ -25,14 +25,14 @@ enum class EngineKind : std::uint8_t {
   /// Fast-BNS-par (Section IV-B): CI-level parallelism. At depth >= 1
   /// each thread claims whole works from one atomic cursor.
   kCiParallel,
-  /// Multi-process rank-partition extension: the driver forks rank_count
-  /// worker processes, which read the CI test and dataset they inherit
-  /// at fork, deals every depth's works round-robin over them as
-  /// explicit lists, and the per-depth commit barrier becomes an
-  /// allreduce over length-prefixed pipe frames: replies carry (index,
-  /// x, y, accepted rank) per removal and the driver unranks each sepset
-  /// itself — the fork-based first step of the roadmap's distributed
-  /// (MPI-style) skeleton learning.
+  /// Multi-process rank-partition extension: the driver deals every
+  /// depth's works round-robin over rank_count ranks as explicit lists
+  /// and forks one child per rank and non-empty list, which reads the CI
+  /// test, the dataset and the works it inherits at fork. The per-depth
+  /// commit barrier becomes a gather of length-prefixed pipe frames:
+  /// replies carry (index, x, y, accepted rank) per removal and the
+  /// driver unranks each sepset itself — the fork-based first step of
+  /// the roadmap's distributed (MPI-style) skeleton learning.
   kProcess,
 };
 
@@ -95,10 +95,9 @@ struct PcOptions {
   /// fork() — so this is deliberately separate from num_threads.
   std::int32_t rank_threads = 0;
   /// Fault tolerance of the multi-process engine (kProcess only): how
-  /// many times a dead or wedged rank may be respawned (its graph
-  /// replica rebuilt by replaying the committed removal log) before the
-  /// supervisor stops restarting it and re-partitions its works onto
-  /// the surviving ranks instead. 0 = never respawn (straight to
+  /// many times a rank's dead or wedged child may be respawned (a fresh
+  /// fork of the same list) before the supervisor stops restarting the
+  /// rank and re-partitions its works onto the surviving ranks instead. 0 = never respawn (straight to
   /// re-partition). Either way the run completes with the bit-identical
   /// result; only the recovery cost differs.
   std::int32_t max_rank_restarts = 1;
@@ -120,8 +119,8 @@ struct PcOptions {
   /// cap is deliberately far below kMaxThreads — 1024 ranks is already
   /// beyond any single box this engine forks on.
   static constexpr std::int32_t kMaxRanks = 1024;
-  /// Largest accepted max_rank_restarts: each restart forks, replays
-  /// and re-runs a depth, so a budget beyond this is a typo, not a plan.
+  /// Largest accepted max_rank_restarts: each restart forks and re-runs
+  /// a list, so a budget beyond this is a typo, not a plan.
   static constexpr std::int32_t kMaxRankRestarts = 64;
 
   /// Throws std::invalid_argument when any field is out of range:

@@ -210,10 +210,4 @@ std::unique_ptr<CiTest> DiscreteCiTest::clone() const {
   return copy;
 }
 
-std::unique_ptr<CiTest> make_g2_test(const DiscreteDataset& data, double alpha) {
-  CiTestOptions options;
-  options.alpha = alpha;
-  return std::make_unique<DiscreteCiTest>(data, options);
-}
-
 }  // namespace fastbns

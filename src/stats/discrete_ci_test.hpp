@@ -121,9 +121,4 @@ class DiscreteCiTest final : public CiTest {
   mutable std::vector<Count> margin_z_;
 };
 
-/// Convenience factory matching the paper's default configuration
-/// (G^2, alpha = 0.05, column-major).
-[[nodiscard]] std::unique_ptr<CiTest> make_g2_test(const DiscreteDataset& data,
-                                                   double alpha = 0.05);
-
 }  // namespace fastbns

@@ -147,11 +147,4 @@ std::uint64_t GaussianCiTest::config_token() const noexcept {
   return hash;
 }
 
-std::unique_ptr<CiTest> make_fisher_z_test(const ContinuousDataset& data,
-                                           double alpha) {
-  GaussianCiTestOptions options;
-  options.alpha = alpha;
-  return std::make_unique<GaussianCiTest>(data, options);
-}
-
 }  // namespace fastbns

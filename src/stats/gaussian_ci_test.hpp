@@ -76,9 +76,4 @@ class GaussianCiTest final : public CiTest {
   std::vector<double> scratch_;
 };
 
-/// Convenience factory matching make_g2_test's shape: Fisher-z with the
-/// default (blocked) covariance builder.
-[[nodiscard]] std::unique_ptr<CiTest> make_fisher_z_test(
-    const ContinuousDataset& data, double alpha = 0.05);
-
 }  // namespace fastbns

@@ -62,6 +62,8 @@ bool takes_bitset_pass(SimdTier tier, const TableBuildContext& context,
          job.cells.size() <= table_detail::kBitsetCells;
 }
 
+#if FASTBNS_X86_SIMD
+
 /// One table's flattened composition inputs: the xy codes (the stream
 /// the context carries) and the conditioning columns with their Horner
 /// multipliers.
@@ -84,27 +86,6 @@ inline std::uint32_t compose_one(const ComposeArgs& a, std::size_t s) {
   }
   return acc;
 }
-
-using ComposeFn = void (*)(const ComposeArgs&, std::size_t, std::size_t,
-                           std::uint32_t*);
-/// Half-width variant: indices are known to fit 16 bits and the xy codes
-/// are bytes — twice the lanes, half the index traffic.
-using Compose16Fn = void (*)(const ComposeArgs&, std::size_t, std::size_t,
-                             std::uint16_t*);
-
-void compose_scalar(const ComposeArgs& a, std::size_t s0, std::size_t count,
-                    std::uint32_t* idx) {
-  for (std::size_t i = 0; i < count; ++i) idx[i] = compose_one(a, s0 + i);
-}
-
-void compose16_scalar(const ComposeArgs& a, std::size_t s0, std::size_t count,
-                      std::uint16_t* idx) {
-  for (std::size_t i = 0; i < count; ++i) {
-    idx[i] = static_cast<std::uint16_t>(compose_one(a, s0 + i));
-  }
-}
-
-#if FASTBNS_X86_SIMD
 
 __attribute__((target("avx2"))) void compose_avx2(const ComposeArgs& a,
                                                   std::size_t s0,
@@ -130,6 +111,8 @@ __attribute__((target("avx2"))) void compose_avx2(const ComposeArgs& a,
   for (; i < count; ++i) idx[i] = compose_one(a, s0 + i);
 }
 
+/// Half-width variant: indices are known to fit 16 bits and the xy codes
+/// are bytes — twice the lanes, half the index traffic.
 __attribute__((target("avx2"))) void compose16_avx2(const ComposeArgs& a,
                                                     std::size_t s0,
                                                     std::size_t count,
@@ -281,24 +264,6 @@ __attribute__((target("avx2,popcnt"))) void count_by_bitsets(
 
 #endif  // FASTBNS_X86_SIMD
 
-ComposeFn compose_for(SimdTier tier) {
-#if FASTBNS_X86_SIMD
-  if (tier == SimdTier::kAvx2) return &compose_avx2;
-#else
-  (void)tier;
-#endif
-  return &compose_scalar;
-}
-
-Compose16Fn compose16_for(SimdTier tier) {
-#if FASTBNS_X86_SIMD
-  if (tier == SimdTier::kAvx2) return &compose16_avx2;
-#else
-  (void)tier;
-#endif
-  return &compose16_scalar;
-}
-
 class SerialTableBuilder final : public TableBuilder {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -306,15 +271,14 @@ class SerialTableBuilder final : public TableBuilder {
   }
 
   void build(const TableBuildContext& context, const TableJob& job) override {
+#if FASTBNS_X86_SIMD
     const SimdTier tier = active_simd_tier();
     ScratchArena& arena =
         context.scratch != nullptr ? *context.scratch : fallback_arena_;
-#if FASTBNS_X86_SIMD
     if (takes_bitset_pass(tier, context, job)) {
       count_by_bitsets(context, job, arena);
       return;
     }
-#endif
     const std::size_t d = job.z.size();
     const std::uint8_t* xy8 =
         context.xy_codes8.empty() ? nullptr : context.xy_codes8.data();
@@ -347,8 +311,6 @@ class SerialTableBuilder final : public TableBuilder {
                            plan.cards.data(), d};
     Count* cells = job.cells.data();
 
-    const Compose16Fn compose16 = compose16_for(tier);
-    const ComposeFn compose32 = compose_for(tier);
     const std::span<std::uint16_t> idx16 =
         narrow ? arena.cell_indices16(kBlockSamples)
                : std::span<std::uint16_t>{};
@@ -359,13 +321,16 @@ class SerialTableBuilder final : public TableBuilder {
     for (std::size_t s0 = 0; s0 < m; s0 += kBlockSamples) {
       const std::size_t count = std::min(kBlockSamples, m - s0);
       if (narrow) {
-        compose16(args, s0, count, idx16.data());
+        compose16_avx2(args, s0, count, idx16.data());
         retire(cells, idx16.data(), count);
       } else {
-        compose32(args, s0, count, idx32.data());
+        compose_avx2(args, s0, count, idx32.data());
         retire(cells, idx32.data(), count);
       }
     }
+#else
+    table_detail::count_single_scalar(context, job);
+#endif
   }
 
   [[nodiscard]] bool reads_xy_codes(const TableBuildContext& context,

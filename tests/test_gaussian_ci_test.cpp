@@ -294,16 +294,6 @@ TEST(GaussianCiTest, WorkloadMetadataDegradesCleanly) {
   EXPECT_FALSE(test.set_sample_parallel(true));
 }
 
-TEST(GaussianCiTest, FactoryMatchesDirectConstruction) {
-  const auto data = chain_dataset(800, 47);
-  const std::unique_ptr<CiTest> from_factory = make_fisher_z_test(data);
-  GaussianCiTest direct(data, {});
-  const CiResult a = from_factory->test(0, 1, std::vector<VarId>{2});
-  const CiResult b = direct.test(0, 1, std::vector<VarId>{2});
-  EXPECT_EQ(a.statistic, b.statistic);
-  EXPECT_EQ(a.independent, b.independent);
-}
-
 TEST(GaussianCiTest, StandardNormalSurvivalMatchesIncompleteGamma) {
   for (double x = -8.0; x <= 8.0; x += 0.0625) {
     const double expected = gamma_survival(x);

@@ -183,8 +183,8 @@ TEST(GoldenSkeleton, AlarmAndInsuranceMatchCommittedDigests) {
 TEST(GoldenSkeleton, ProcessEngineReproducesTheCommittedDigests) {
   // The distributed engine must agree not just with the in-process
   // engines (the fuzz suite's job) but with the pinned artifacts
-  // themselves — a serialization reached through fork + allreduce, byte
-  // for byte. FASTBNS_GOLDEN_RANKS (default 2) sets the rank count so
+  // themselves — a serialization reached through per-depth forks and the
+  // gather of their replies, byte for byte. FASTBNS_GOLDEN_RANKS (default 2) sets the rank count so
   // the CI process leg can sweep it.
   std::int32_t ranks = 2;
   if (const char* env = std::getenv("FASTBNS_GOLDEN_RANKS");

@@ -33,7 +33,6 @@ namespace {
 
 TEST(Wire, WriterReaderRoundTripAllTypes) {
   WireWriter writer;
-  writer.put_u8(0xAB);
   writer.put_u32(0xDEADBEEFu);
   writer.put_i32(-12345);
   writer.put_u64(0x0123456789ABCDEFull);
@@ -41,7 +40,6 @@ TEST(Wire, WriterReaderRoundTripAllTypes) {
   writer.put_string("sepset \"payload\"\n");
 
   WireReader reader(writer.payload());
-  EXPECT_EQ(reader.get_u8(), 0xAB);
   EXPECT_EQ(reader.get_u32(), 0xDEADBEEFu);
   EXPECT_EQ(reader.get_i32(), -12345);
   EXPECT_EQ(reader.get_u64(), 0x0123456789ABCDEFull);
@@ -297,8 +295,15 @@ TEST(PipeChannel, BlockedFrameReadSurvivesSignalDeliveryWithoutSaRestart) {
 // The ProcessGroup supervisor over forked ranks.
 // ---------------------------------------------------------------------
 
+/// Forks `rank_main` into every slot of a fresh `rank_count`-slot group.
+ProcessGroup spawn_all(int rank_count, const ProcessGroup::RankMain& rank_main) {
+  ProcessGroup group(rank_count);
+  for (int rank = 0; rank < rank_count; ++rank) group.spawn(rank, rank_main);
+  return group;
+}
+
 TEST(ProcessGroupSupervisor, RanksEchoFramesAndShutDownCleanly) {
-  ProcessGroup group = ProcessGroup::spawn(
+  ProcessGroup group = spawn_all(
       3,
       [](int rank, int command_fd, int result_fd) {
         Frame frame;
@@ -310,7 +315,7 @@ TEST(ProcessGroupSupervisor, RanksEchoFramesAndShutDownCleanly) {
           if (!write_frame(result_fd, frame.tag + 1, reply.payload()))
             return 1;
         }
-        return 0;  // EOF on the command channel is the shutdown signal
+        return 0;
       });
   ASSERT_EQ(group.rank_count(), 3);
   for (int round = 0; round < 3; ++round) {
@@ -335,7 +340,7 @@ TEST(ProcessGroupSupervisor, RanksEchoFramesAndShutDownCleanly) {
 }
 
 TEST(ProcessGroupSupervisor, DeadRankYieldsAClearErrorNamingTheRankNotAHang) {
-  ProcessGroup group = ProcessGroup::spawn(
+  ProcessGroup group = spawn_all(
       2,
       [](int rank, int command_fd, int result_fd) {
         Frame frame;
@@ -392,19 +397,25 @@ TEST(ProcessGroupSupervisor, KillRankAndRespawnRefillTheSlotWithAFreshChannel) {
     }
     return 0;
   };
-  ProcessGroup group = ProcessGroup::spawn(2, echo);
+  ProcessGroup group(2);
+  // Slots start empty: nothing to send to, EOF from, or kill.
+  EXPECT_FALSE(group.rank_open(0));
+  EXPECT_FALSE(group.try_send(0, 1, {}));
+  group.kill_rank(0);
+  group.spawn(0, echo);
+  group.spawn(1, echo);
   ASSERT_TRUE(group.rank_open(1));
   group.kill_rank(1);
-  // The slot is dead until respawned: sends fail, receives report EOF
-  // immediately, and none of it throws or tears the group down.
+  // The slot is empty until spawned again: sends fail, receives report
+  // EOF immediately, and none of it throws or tears the group down.
   EXPECT_FALSE(group.rank_open(1));
   EXPECT_FALSE(group.try_send(1, 1, {}));
   Frame frame;
   EXPECT_EQ(group.try_receive(1, frame, /*timeout_ms=*/1000),
             FrameReadStatus::kEof);
   EXPECT_TRUE(group.rank_open(0));  // the sibling is untouched
-  // Respawning allocates fresh pipe pairs.
-  group.respawn(1, echo);
+  // Spawning again allocates fresh pipe pairs.
+  group.spawn(1, echo);
   ASSERT_TRUE(group.rank_open(1));
   ASSERT_TRUE(group.try_send(1, 3, {}));
   ASSERT_EQ(group.try_receive(1, frame, /*timeout_ms=*/10000),
@@ -416,14 +427,14 @@ TEST(ProcessGroupSupervisor, KillRankAndRespawnRefillTheSlotWithAFreshChannel) {
 
 TEST(ProcessGroupSupervisor, RankDeathDuringShutdownNeitherHangsNorThrows) {
   // Ranks that exit on their own — possibly in the middle of the
-  // shutdown sequence's EOF/reap window — must still be reaped cleanly.
-  ProcessGroup group = ProcessGroup::spawn(
+  // shutdown sequence's kill/reap loop — must still be reaped cleanly.
+  ProcessGroup group = spawn_all(
       3,
       [](int rank, int command_fd, int result_fd) {
         (void)command_fd;
         (void)result_fd;
         // Rank 0 dies instantly, rank 1 a beat later (racing the
-        // reap loop), rank 2 waits for the EOF like a healthy rank.
+        // reap loop), rank 2 blocks on its command channel until killed.
         if (rank == 0) return 9;
         if (rank == 1) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));

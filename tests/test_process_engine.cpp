@@ -1,20 +1,23 @@
 // The multi-process engine against the library's central claim: forked
-// ranks exchanging removal sets over their IPC channels must produce the
-// bit-identical skeleton (adjacency + sepsets + removal depths) and the
-// identical executed-test count the in-process engines produce — at
-// every rank count, including one rank and more ranks than useful. Plus
-// the fault-tolerance layer: under every deterministic injected fault
-// (kill, wedge, corrupt/truncate/delay-frame, slow rank, spawn failure,
-// and the channel-severing drop-conn/partial-write) the supervisor's
-// recovery ladder — retransmit, respawn + removal-log replay,
-// re-partition, degrade to the in-process engine — must complete the run
-// with the identical fingerprint, and the recovery telemetry must name
-// what happened. Plus child-exception propagation, the end-to-end
-// learn_structure path, whose ranks read the dataset they inherit at
-// fork, and the rank/thread resolution rules.
+// rank children sending their removals over their IPC channels must
+// produce the bit-identical skeleton (adjacency + sepsets + removal
+// depths) and the identical executed-test count the in-process engines
+// produce — at every rank count, including one rank and more ranks than
+// useful. Plus the fault-tolerance layer: under every deterministic
+// injected fault (kill, wedge, corrupt/truncate/delay-frame, slow rank,
+// spawn failure, and the channel-severing drop-conn/partial-write) the
+// supervisor's recovery ladder — retransmit, respawn (a fresh fork of
+// the same list), re-partition, degrade to the in-process engine — must
+// complete the run with the identical fingerprint, reap every child it
+// forked, and name what happened in the recovery telemetry. Plus
+// child-exception propagation, the end-to-end learn_structure path,
+// whose ranks read the dataset they inherit at fork, and the rank/thread
+// resolution rules.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -48,7 +51,8 @@ TEST(ProcessEngine, MatchesTheSequentialReferenceAcrossRankCounts) {
   // Three seeds x {1, 2, 4} ranks x {1, 2} threads-per-rank, each
   // fingerprinted against fastbns-seq. One rank pins the degenerate
   // group, four ranks exceed the work some shallow depths have — the
-  // allreduce must stay correct when a rank's deal is empty.
+  // barrier must stay correct when a rank's deal is empty and it forks
+  // no child.
   for (std::uint64_t seed : {0ull, 3ull, 7ull}) {
     const fuzz::FuzzInstance instance = fuzz::make_instance(seed);
     const VarId n = instance.data.num_vars();
@@ -183,14 +187,14 @@ std::string describe_events(const std::vector<RecoveryEvent>& events) {
   return text.empty() ? "(no events)" : text;
 }
 
-TEST(ProcessEngine, EnvInjectedRankDeathRecoversViaRespawnAndReplay) {
-  // FASTBNS_FAULT_SCHEDULE="kill@rank=1,depth=1" makes that rank exit
-  // when the depth's command arrives — the deterministic stand-in for an
-  // OOM-killed or crashed worker, reaching the engine through the same
-  // env path CI's fault sweep uses. The supervisor respawns the rank,
-  // replays the committed removal log, and the result stays
-  // bit-identical. (The clear-error contract for unsupervised dead ranks
-  // is covered at the ProcessGroup level in test_ipc.)
+TEST(ProcessEngine, EnvInjectedRankDeathRecoversViaRespawn) {
+  // FASTBNS_FAULT_SCHEDULE="kill@rank=1,depth=1" makes that rank's
+  // depth-1 child exit before it runs its list — the deterministic
+  // stand-in for an OOM-killed or crashed worker, reaching the engine
+  // through the same env path CI's fault sweep uses. The supervisor forks
+  // the same list again, and the result stays bit-identical. (The
+  // clear-error contract for unsupervised dead ranks is covered at the
+  // ProcessGroup level in test_ipc.)
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   std::int64_t reference_tests = 0;
   const fuzz::SkeletonFingerprint reference =
@@ -225,9 +229,10 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
     std::int32_t respawn_depth = -1;
   } cases[] = {
       {"kill@rank=1,depth=1", true},
-      // Past depth 1 the replayed log holds depth-1 removals, whose
-      // sepsets the driver unranks from the ranks' accepted ranks. The
-      // instance reaches depth 3, so the kill must fire at depth 2.
+      // Past depth 1 the respawned child re-runs works built after the
+      // depth-1 commit, whose sepsets the driver unranks from the ranks'
+      // accepted ranks. The instance reaches depth 3, so the kill must
+      // fire at depth 2.
       {"kill@rank=1,depth=2", true, 2},
       {"kill@rank=0,depth=0", true},
       {"wedge@rank=0,depth=1", true},
@@ -271,6 +276,52 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
   }
 }
 
+TEST(ProcessEngine, NoRankOutlivesTheLearn) {
+  // A child lives for one depth: the supervisor reaps it as soon as its
+  // reply merges, when it replaces a failed child, and when it retires a
+  // rank. So once learn_skeleton returns, the engine — still alive, its
+  // group included — has no child left, not even a zombie: clean, and
+  // under each fault that leaves a child dead, severed or wedged. The
+  // 400 ms deadline lets the wedge trip in test time.
+  const ScopedEnv deadline("FASTBNS_RANK_TIMEOUT_MS", "400");
+  const fuzz::FuzzInstance instance = fuzz::make_instance(2);
+  for (const std::string schedule :
+       {"", "kill@rank=1,depth=1", "drop-conn@rank=1,depth=1",
+        "partial-write@rank=1,depth=1", "wedge@rank=0,depth=1"}) {
+    const auto engine = EngineRegistry::instance().create("process");
+    const DiscreteCiTest test(instance.data, CiTestOptions{});
+    PcOptions options = process_options(2);
+    options.fault_schedule = schedule;
+    (void)learn_skeleton(instance.data.num_vars(), test, options, *engine);
+    const std::vector<RecoveryEvent>& events =
+        *process_engine_recovery_events(*engine);
+    EXPECT_EQ(events.empty(), schedule.empty())
+        << "schedule=" << schedule << "\n" << describe_events(events);
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "schedule=" << schedule;
+    EXPECT_EQ(errno, ECHILD) << "schedule=" << schedule;
+  }
+}
+
+TEST(ProcessEngine, OneShotFrameFaultFiresOncePerRun) {
+  // The supervisor keeps one fault injector per rank across the run's
+  // forks, so a one-shot frame fault fires on the first reply it arms
+  // for and never again in that rank generation — not once per depth's
+  // child. The instance reaches depth 2 or more, so rank 1 sends several
+  // replies.
+  const fuzz::FuzzInstance instance = fuzz::make_instance(2);
+  PcOptions options = process_options(2);
+  options.fault_schedule = "corrupt-frame@rank=1,depth=0;seed=7";
+  const FaultRun run = run_process(instance, options);
+  ASSERT_GE(run.depth_stats.size(), 3u);
+  EXPECT_EQ(std::count_if(run.events.begin(), run.events.end(),
+                          [](const RecoveryEvent& event) {
+                            return event.action == RecoveryAction::kRetransmit;
+                          }),
+            1)
+      << describe_events(run.events);
+}
+
 TEST(ProcessEngine, DoubleRankDeathInOneDepthRecoversBothRanks) {
   const fuzz::FuzzInstance instance = fuzz::make_instance(3);
   const fuzz::SkeletonFingerprint reference = sequential_fingerprint(instance);
@@ -286,9 +337,8 @@ TEST(ProcessEngine, DoubleRankDeathInOneDepthRecoversBothRanks) {
 }
 
 TEST(ProcessEngine, DeathAtDepthZeroBeforeAnyBarrierRecovers) {
-  // The respawned rank replays an empty removal log (depth 0 sends no
-  // removals) — the degenerate replay that must still leave its replica
-  // equal to the complete graph.
+  // The first child of the run dies: the respawn re-runs its depth-0
+  // list before any depth has committed.
   const fuzz::FuzzInstance instance = fuzz::make_instance(5);
   const fuzz::SkeletonFingerprint reference = sequential_fingerprint(instance);
   PcOptions options = process_options(2);
@@ -303,7 +353,7 @@ TEST(ProcessEngine, DeathAtDepthZeroBeforeAnyBarrierRecovers) {
 
 TEST(ProcessEngine, RespawnedRankDyingDuringRecoveryUsesTheNextRestart) {
   // gen=1 events target the first respawn: the replacement dies while
-  // re-running the replayed depth and a second respawn finishes it.
+  // re-running the lost list and a second respawn finishes it.
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   const fuzz::SkeletonFingerprint reference = sequential_fingerprint(instance);
   PcOptions options = process_options(2);
