@@ -74,7 +74,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nShape check: every ablated variant >= full Fast-BNS-seq; removing\n"
       "grouping raises the CI-test count (the 2/(2-rho) effect); removing\n"
-      "the layout slows each test; materialization adds set-enumeration\n"
-      "overhead and memory traffic.\n");
+      "the layout slows each test; \"- on-the-fly sets\" compares the\n"
+      "successor-generated sets of the full engine with sets unranked one by\n"
+      "one and copied out of a materialized buffer, which adds\n"
+      "set-enumeration overhead and memory traffic.\n");
   return 0;
 }

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot building blocks:
 // contingency-table construction under both layouts, the group-protocol
-// code reuse, combination unranking and d-separation.
+// code reuse, combination unranking against its successor, and d-separation.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -92,7 +92,7 @@ void BM_UnrankCombination(benchmark::State& state) {
 BENCHMARK(BM_UnrankCombination)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_NextCombination(benchmark::State& state) {
-  const std::int32_t p = 64;
+  const auto p = static_cast<std::int32_t>(state.range(0));
   std::vector<std::int32_t> combination{0, 1, 2};
   for (auto _ : state) {
     if (!next_combination(p, combination)) {
@@ -101,7 +101,7 @@ void BM_NextCombination(benchmark::State& state) {
     benchmark::DoNotOptimize(combination.data());
   }
 }
-BENCHMARK(BM_NextCombination);
+BENCHMARK(BM_NextCombination)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_DSeparation(benchmark::State& state) {
   const BayesianNetwork alarm = alarm_network();

@@ -3,9 +3,12 @@
 //
 // This is the paper's "generating conditioning sets on-the-fly" machinery
 // (Section IV-C): a work stores only its edge and test counts, and a test
-// is named by its rank r; given p = |adj(Vi)\{Vj}|, q = depth and r,
-// `unrank_combination` reconstructs the r-th q-subset of {0..p-1} in
-// lexicographic order without materializing the C(p, q) earlier subsets.
+// is named by its rank r over the q-subsets of {0..p-1}, p =
+// |adj(Vi)\{Vj}| and q = depth. A run visits ranks in order, so it starts
+// at {0..q-1} and steps with `next_combination`. `unrank_combination`
+// reconstructs the r-th subset directly, without the C(p, q) earlier
+// ones: the commit unranks each removal's sepset from its accepting rank
+// this way, and the materialized baseline unranks every set.
 #pragma once
 
 #include <cstdint>

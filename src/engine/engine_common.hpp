@@ -66,8 +66,8 @@ std::int64_t process_materialized(EdgeWork& work, std::int32_t depth,
 /// (x, y) equals this work's (y, x) — so reordered or filtered work lists
 /// can never skip an unrelated edge (or run a removed edge's second
 /// direction). `materialized` selects the flat-buffer strategy over
-/// on-the-fly unranking (run_edge_tests, always through the group
-/// protocol); `use_group_protocol` applies to the flat-buffer strategy.
+/// on-the-fly sets (run_edge_tests, always through the group protocol);
+/// `use_group_protocol` applies to the flat-buffer strategy.
 std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
                                   std::int32_t depth, CiTest& test,
                                   bool grouped, bool materialized,

@@ -1,6 +1,7 @@
 // Fast-BNS-seq: the optimized sequential kernel — endpoint grouping,
-// on-the-fly conditioning-set unranking, and endpoint-code reuse through
-// the group protocol (Section IV-C). The ablation toggles in PcOptions
+// on-the-fly conditioning sets (each the lexicographic successor of the
+// last), and endpoint-code reuse through the group protocol (Section
+// IV-C). The ablation toggles in PcOptions
 // switch the individual optimizations back off.
 #include "engine/engine_common.hpp"
 #include "engine/engines.hpp"

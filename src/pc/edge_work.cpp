@@ -3,9 +3,52 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 namespace fastbns {
+namespace {
+
+/// Pool indices of one conditioning set, the first `depth` entries used.
+using SetIndices = std::array<std::int32_t, kMaxConditioningDepth>;
+
+/// One direction's candidate pool: adj(x)\{y} for direction 1, adj(y)\{x}
+/// for direction 2, read as the owner's snapshot row with the other
+/// endpoint's position skipped. Both the run's successor loop and
+/// conditioning_set_for map pool indices to variable ids through it.
+class CandidatePool {
+ public:
+  CandidatePool() = default;
+  CandidatePool(const EdgeWork& work, bool first_direction)
+      : row_(work.snapshot->row(first_direction ? work.x : work.y)) {
+    const VarId excluded = first_direction ? work.y : work.x;
+    skip_ = static_cast<std::int32_t>(
+        std::lower_bound(row_.begin(), row_.end(), excluded) - row_.begin());
+    assert(static_cast<std::size_t>(skip_) < row_.size() &&
+           row_[static_cast<std::size_t>(skip_)] == excluded);
+  }
+
+  /// The pool's size: the row without the skipped endpoint.
+  [[nodiscard]] std::int32_t size() const noexcept {
+    return static_cast<std::int32_t>(row_.size()) - 1;
+  }
+
+  /// Writes the variables at the ascending pool `indices` into `z`, which
+  /// holds indices.size() entries.
+  void write(std::span<const std::int32_t> indices,
+             std::vector<VarId>& z) const noexcept {
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const std::int32_t index = indices[i];
+      z[i] = row_[static_cast<std::size_t>(index < skip_ ? index : index + 1)];
+    }
+  }
+
+ private:
+  std::span<const VarId> row_;
+  std::int32_t skip_ = 0;  ///< the skipped endpoint's position in row_
+};
+
+}  // namespace
 
 void AdjacencySnapshot::assign(const UndirectedGraph& graph) {
   const VarId n = graph.num_nodes();
@@ -78,26 +121,15 @@ void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
                           std::uint64_t r, std::vector<VarId>& z_out) {
   z_out.resize(static_cast<std::size_t>(depth));
   if (depth == 0) return;
-  std::array<std::int32_t, 32> indices{};
-  assert(depth <= static_cast<std::int32_t>(indices.size()));
-  const std::span<std::int32_t> index_span(indices.data(),
-                                           static_cast<std::size_t>(depth));
-  // Direction 1 draws from adj(x)\{y}, direction 2 from adj(y)\{x}: the
-  // owner's row with the other endpoint's position skipped.
+  assert(depth <= kMaxConditioningDepth);
+  SetIndices buffer{};
+  const std::span<std::int32_t> indices(buffer.data(),
+                                        static_cast<std::size_t>(depth));
   const bool first = r < work.total1;
-  const std::span<const VarId> row =
-      work.snapshot->row(first ? work.x : work.y);
-  const VarId excluded = first ? work.y : work.x;
-  const auto skip = static_cast<std::int32_t>(
-      std::lower_bound(row.begin(), row.end(), excluded) - row.begin());
-  assert(static_cast<std::size_t>(skip) < row.size() &&
-         row[static_cast<std::size_t>(skip)] == excluded);
-  unrank_combination(static_cast<std::int32_t>(row.size()) - 1, depth,
-                     first ? r : r - work.total1, index_span);
-  for (std::int32_t i = 0; i < depth; ++i) {
-    const std::int32_t index = indices[i];
-    z_out[i] = row[static_cast<std::size_t>(index < skip ? index : index + 1)];
-  }
+  const CandidatePool pool(work, first);
+  unrank_combination(pool.size(), depth, first ? r : r - work.total1,
+                     indices);
+  pool.write(indices, z_out);
 }
 
 std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
@@ -107,6 +139,12 @@ std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
   const std::uint64_t total = work.total_tests();
   if (total == 0) return 0;
   test.begin_group(work.x, work.y);
+  z.resize(static_cast<std::size_t>(depth));
+  assert(depth <= kMaxConditioningDepth);
+  SetIndices buffer{};
+  const std::span<std::int32_t> indices(buffer.data(),
+                                        static_cast<std::size_t>(depth));
+  CandidatePool pool;
 
   // The accepting rank stays in a local until the run ends: the loop
   // stores nothing into the works, whose neighbours other threads run.
@@ -114,7 +152,21 @@ std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
   std::uint64_t end = total;
   std::uint64_t r = 0;
   for (; r < end; ++r) {
-    conditioning_set_for(work, depth, r, z);
+    // Sets by lexicographic successor: a direction starts at pool indices
+    // {0, ..., d-1} (direction 2 at rank total1, so at rank 0 when
+    // direction 1 has no test) and every other rank advances the last
+    // set. Depth 0 tests the empty set and never reads the snapshot.
+    if (depth > 0) {
+      if (r == 0 || r == work.total1) {
+        pool = CandidatePool(work, /*first_direction=*/r < work.total1);
+        std::iota(indices.begin(), indices.end(), 0);
+      } else {
+        [[maybe_unused]] const bool advanced =
+            next_combination(pool.size(), indices);
+        assert(advanced);
+      }
+      pool.write(indices, z);
+    }
     if (test.test_in_group(z).independent && accepted == kNotRemoved) {
       // Lowest-rank accepting set defines the sepset (determinism across
       // engines and thread counts); its group still runs to the end.

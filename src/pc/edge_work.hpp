@@ -4,11 +4,12 @@
 // the edge's endpoints, a pointer to the depth's adjacency snapshot, how
 // many CI tests each direction has and one outcome slot, the rank of the
 // first accepting test. The candidate pools adj(x)\{y} and adj(y)\{x}
-// are read off the snapshot, never copied, and conditioning sets are
-// recovered from ranks by lexicographic unranking: a work stores no set
-// indices (Section IV-C, "generating conditioning sets on-the-fly"), and
-// the commit unranks each removal's sepset from its accepting rank the
-// same way.
+// are read off the snapshot, never copied, and a work stores no set
+// indices (Section IV-C, "generating conditioning sets on-the-fly"): a
+// run visits ranks in order, so it steps from each set to its
+// lexicographic successor. Sets are unranked only where a rank comes
+// alone: the commit recovers each removal's sepset from its accepting
+// rank, and the naive baseline materializes every set that way.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +44,12 @@ class AdjacencySnapshot {
   std::vector<std::size_t> offsets_;  ///< num_nodes + 1 entries
   std::vector<VarId> neighbors_;      ///< 2 * num_edges entries
 };
+
+/// The deepest level the driver runs, so the most variables a
+/// conditioning set holds: the fixed index buffers of run_edge_tests and
+/// conditioning_set_for have this many entries. No realistic dataset
+/// supports sets anywhere near this deep.
+inline constexpr std::int32_t kMaxConditioningDepth = 31;
 
 /// `EdgeWork::accepted` while no test of the work has accepted. No rank
 /// can take this value: ranks stay below total_tests() <= 2^64 - 1.
@@ -90,9 +97,10 @@ static_assert(std::is_trivially_copyable_v<EdgeWork> &&
     AdjacencySnapshot& snapshot);
 
 /// Reconstructs the conditioning set of test rank `r` of `work` at depth
-/// `d` into `z_out` (ascending variable ids): the rank's subset of the
-/// owner's snapshot row with the other endpoint skipped. Requires
-/// r < work.total_tests().
+/// `d` into `z_out` (ascending variable ids) by unranking: the rank's
+/// subset of the owner's snapshot row with the other endpoint skipped.
+/// Requires r < work.total_tests(). The commit calls it once per removal;
+/// run_edge_tests produces the same sets by successor instead.
 void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
                           std::uint64_t r, std::vector<VarId>& z_out);
 
@@ -102,17 +110,21 @@ void conditioning_set_for(const EdgeWork& work, std::int32_t depth,
 /// stops at the end of the group [k * group, (k + 1) * group) in which
 /// that test falls: the tests after it in its group still execute (the
 /// gs redundancy of Section IV-B), and group 1 stops at the accepting
-/// test itself. A work nothing accepts runs all its tests. Conditioning
-/// sets are written into `z`, a buffer the caller owns and reuses across
-/// calls, so the loop allocates nothing. Returns the number of CI tests
-/// executed.
+/// test itself. A work nothing accepts runs all its tests. The set of
+/// rank r equals conditioning_set_for(work, depth, r), but the loop never
+/// unranks: each direction starts at its first set and every later test
+/// takes the lexicographic successor of the one before. Sets are written
+/// into `z`, a buffer the caller owns and reuses across calls, so the
+/// loop allocates nothing. Returns the number of CI tests executed.
 std::int64_t run_edge_tests(EdgeWork& work, std::int32_t depth,
                             std::uint64_t group, CiTest& test,
                             std::vector<VarId>& z);
 
 /// Materializes all conditioning sets of `work` (flattened, each of size
-/// `depth`) — the naive baseline's memory-hungry strategy. Throws
-/// std::runtime_error beyond `limit` sets.
+/// `depth`) — the naive baseline's memory-hungry strategy. Each set is
+/// unranked on its own, so the naive rows stay a reference independent of
+/// run_edge_tests' successor loop. Throws std::runtime_error beyond
+/// `limit` sets.
 [[nodiscard]] std::vector<VarId> materialize_conditioning_sets(
     const EdgeWork& work, std::int32_t depth,
     std::uint64_t limit = std::uint64_t{1} << 27);

@@ -56,8 +56,9 @@ struct PcOptions {
   /// Ablation toggle: treat Vi-Vj / Vj-Vi as one work unit (Section IV-C).
   /// Forced off by kNaiveSequential.
   bool group_endpoints = true;
-  /// Ablation toggle: unrank conditioning sets on demand instead of
-  /// materializing them per edge. Forced off by kNaiveSequential.
+  /// Ablation toggle: generate conditioning sets on the fly, each the
+  /// successor of the last, instead of materializing them per edge.
+  /// Forced off by kNaiveSequential.
   bool on_the_fly_sets = true;
   /// Significance level used by the learn_structure() convenience wrapper
   /// when it constructs the G^2 test.

@@ -13,13 +13,15 @@
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
 #include "engine/skeleton_engine.hpp"
+#include "stats/table_builder_detail.hpp"
 
 namespace fastbns {
 namespace {
 
-/// Hard cap tied to the fixed-size index buffers in edge_work.cpp; no
-/// realistic dataset supports conditioning sets anywhere near this deep.
-constexpr std::int32_t kDepthLimit = 31;
+static_assert(static_cast<std::size_t>(kMaxConditioningDepth) <=
+                  table_detail::kMaxDepth,
+              "the table kernels' buffers must hold every conditioning set "
+              "the depth loop reaches");
 
 /// Removes each removed work's edge and records its sepset, unranked from
 /// the accepting rank against the snapshot the works point into (the
@@ -77,7 +79,7 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
   // Each depth >= 1 rebuilds it; the depth's works and commit read it.
   AdjacencySnapshot snapshot;
 
-  for (std::int32_t depth = 0; depth <= kDepthLimit; ++depth) {
+  for (std::int32_t depth = 0; depth <= kMaxConditioningDepth; ++depth) {
     if (options.max_depth >= 0 && depth > options.max_depth) break;
     if (result.graph.num_edges() == 0) break;
 

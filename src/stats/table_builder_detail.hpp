@@ -14,8 +14,9 @@
 
 namespace fastbns::table_detail {
 
-/// Hard cap tied to the driver's depth limit; matches the fixed-size
-/// index buffers in edge_work.cpp.
+/// The most conditioning variables one table job carries. It must hold
+/// every set the driver reaches (kMaxConditioningDepth in
+/// pc/edge_work.hpp), which skeleton.cpp checks at compile time.
 inline constexpr std::size_t kMaxDepth = 32;
 
 /// Per-job access plan: conditioning column pointers (column-major) or

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -161,17 +163,39 @@ std::vector<VarId> pool_of(const UndirectedGraph& g, VarId owner,
   return pool;
 }
 
+/// Records every conditioning set it is asked about and accepts none, so
+/// run_edge_tests visits all of a work's ranks.
+class RecordingTest final : public CiTest {
+ public:
+  CiResult test(VarId, VarId, std::span<const VarId> z) override {
+    ++tests_performed_;
+    sets.emplace_back(z.begin(), z.end());
+    return {.independent = false};
+  }
+  [[nodiscard]] std::unique_ptr<CiTest> clone() const override {
+    return std::make_unique<RecordingTest>(*this);
+  }
+
+  std::vector<std::vector<VarId>> sets;
+};
+
 TEST(ConditioningSetFor, EveryRankMatchesBruteForceAroundTheSkippedEndpoint) {
   // 7 nodes, complete minus {0-6, 2-4, 3-5}: rows of different lengths in
-  // which the excluded endpoint sits first, in the middle or last.
-  UndirectedGraph g = UndirectedGraph::complete(7);
-  g.remove_edge(0, 6);
-  g.remove_edge(2, 4);
-  g.remove_edge(3, 5);
+  // which the excluded endpoint sits first, in the middle or last. Then
+  // small_graph() at depth 2, whose edge (0, 2) has no test in direction
+  // 1 and one in direction 2. Both conditioning_set_for (by unranking)
+  // and run_edge_tests (by successor) must list the brute-force sets.
+  UndirectedGraph seven = UndirectedGraph::complete(7);
+  seven.remove_edge(0, 6);
+  seven.remove_edge(2, 4);
+  seven.remove_edge(3, 5);
+  const std::vector<std::pair<UndirectedGraph, std::int32_t>> cases = {
+      {seven, 1}, {seven, 2}, {seven, 3}, {small_graph(), 2}};
   int first = 0;
   int middle = 0;
   int last = 0;
-  for (const std::int32_t depth : {1, 2, 3}) {
+  int direction2_only = 0;
+  for (const auto& [g, depth] : cases) {
     for (const bool grouped : {true, false}) {
       AdjacencySnapshot snapshot;
       const auto works = build_depth_works(g, depth, grouped, snapshot);
@@ -189,6 +213,7 @@ TEST(ConditioningSetFor, EveryRankMatchesBruteForceAroundTheSkippedEndpoint) {
               brute_force_subsets(pool_of(g, work.y, work.x), depth);
           ASSERT_EQ(work.total2, second.size());
           expected.insert(expected.end(), second.begin(), second.end());
+          if (work.total1 == 0 && work.total2 > 0) ++direction2_only;
         } else {
           ASSERT_EQ(work.total2, 0u);
         }
@@ -198,6 +223,14 @@ TEST(ConditioningSetFor, EveryRankMatchesBruteForceAroundTheSkippedEndpoint) {
               << "depth " << depth << (grouped ? " grouped" : " ungrouped")
               << " work (" << work.x << ", " << work.y << ") rank " << r;
         }
+        EdgeWork run = work;
+        RecordingTest recorder;
+        const std::int64_t executed = run_edge_tests(run, depth, 1, recorder, z);
+        EXPECT_EQ(executed, static_cast<std::int64_t>(expected.size()));
+        EXPECT_FALSE(run.removed());
+        EXPECT_EQ(recorder.sets, expected)
+            << "depth " << depth << (grouped ? " grouped" : " ungrouped")
+            << " work (" << work.x << ", " << work.y << ")";
         // Where the excluded endpoint sits in each owner's row.
         for (const auto& [owner, excluded] :
              {std::pair{work.x, work.y}, std::pair{work.y, work.x}}) {
@@ -217,6 +250,7 @@ TEST(ConditioningSetFor, EveryRankMatchesBruteForceAroundTheSkippedEndpoint) {
   EXPECT_GT(first, 0);
   EXPECT_GT(middle, 0);
   EXPECT_GT(last, 0);
+  EXPECT_GT(direction2_only, 0);  // (0, 2) of small_graph() at depth 2
 }
 
 /// Oracle over chain 0 -> 1 -> 2 -> 3 -> 4; at depth 1 the edge (0, 2)
