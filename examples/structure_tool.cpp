@@ -3,7 +3,7 @@
 // (continuous, Fisher-z), auto-detected — and emit the result as an edge
 // list and/or a Graphviz DOT file.
 //
-//   ./structure_tool --data records.csv --engine ci --threads 4 \
+//   ./structure_tool --data records.csv --engine ci --threads 4
 //                    --alpha 0.01 --dot out.dot
 #include <cstdio>
 #include <memory>

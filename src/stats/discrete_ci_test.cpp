@@ -1,5 +1,6 @@
 #include "stats/discrete_ci_test.hpp"
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -14,6 +15,37 @@ namespace {
 /// edge is kept (dependent, p = 0, df = -1 flags the skip).
 constexpr CiResult oversized_result() {
   return CiResult{0.0, 0.0, -1, /*independent=*/false};
+}
+
+/// Counts below this read k ln k from the table; larger ones take the
+/// logarithm. 4,096 entries (32 KiB) hold every count of a table over at
+/// most 4,095 samples and the small cells of larger ones. The size is
+/// fixed rather than the dataset's sample count, so a large dataset adds
+/// no memory for it (m + 1 entries would be 160 KB at 20,000 samples,
+/// in every forked rank too).
+constexpr std::size_t kKLogKEntries = 4096;
+
+/// k ln k for k < kKLogKEntries, with 0 ln 0 = 0. One table per process,
+/// filled on first use: every test, clone and dataset reads the same one,
+/// so constructing a test, which every learn does, costs a guard check
+/// instead of 4,096 logarithms.
+const std::array<double, kKLogKEntries>& k_log_k_table() {
+  static const std::array<double, kKLogKEntries> table = [] {
+    std::array<double, kKLogKEntries> values{};
+    for (std::size_t k = 1; k < kKLogKEntries; ++k) {
+      const double dk = static_cast<double>(k);
+      values[k] = dk * std::log(dk);
+    }
+    return values;
+  }();
+  return table;
+}
+
+double k_log_k(const std::array<double, kKLogKEntries>& table, Count k) {
+  const auto index = static_cast<std::size_t>(k);
+  if (index < kKLogKEntries) return table[index];
+  const double dk = static_cast<double>(k);
+  return dk * std::log(dk);
 }
 
 }  // namespace
@@ -35,6 +67,9 @@ DiscreteCiTest::DiscreteCiTest(const DiscreteDataset& data, CiTestOptions option
     throw std::invalid_argument(
         "DiscreteCiTest: column-major access requires a column-major buffer");
   }
+  // Fill the k ln k table here, before any engine forks: the process
+  // engine's ranks then inherit it instead of each filling its own.
+  static_cast<void>(k_log_k_table());
 }
 
 std::size_t DiscreteCiTest::conditioning_cells(VarId x, VarId y,
@@ -114,10 +149,16 @@ CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
                                   std::size_t cz_total) const {
   const auto cx = static_cast<std::size_t>(cx_);
   const auto cy = static_cast<std::size_t>(cy_);
+  const std::array<double, kKLogKEntries>& table = k_log_k_table();
 
+  // G^2 = 2 sum N ln(N * Nz / (Nxz * Nyz))
+  //     = 2 [sum N ln N - sum Nxz ln Nxz - sum Nyz ln Nyz + sum Nz ln Nz],
+  // every term an integer count's k ln k: no logarithm or division per
+  // cell while the counts stay in the table.
   margin_xz_.assign(cx * cz_total, 0);
   margin_yz_.assign(cy * cz_total, 0);
   margin_z_.assign(cz_total, 0);
+  double half_statistic = 0.0;
   for (std::size_t x = 0; x < cx; ++x) {
     for (std::size_t y = 0; y < cy; ++y) {
       const Count* row = cells.data() + (x * cy + y) * cz_total;
@@ -126,27 +167,14 @@ CiResult DiscreteCiTest::evaluate(std::span<const Count> cells,
         margin_xz_[x * cz_total + zc] += nxyz;
         margin_yz_[y * cz_total + zc] += nxyz;
         margin_z_[zc] += nxyz;
+        half_statistic += k_log_k(table, nxyz);
       }
     }
   }
-
-  // G^2 = 2 sum N log(N * Nz / (Nxz * Nyz)).
-  double statistic = 0.0;
-  for (std::size_t x = 0; x < cx; ++x) {
-    for (std::size_t y = 0; y < cy; ++y) {
-      const Count* row = cells.data() + (x * cy + y) * cz_total;
-      for (std::size_t zc = 0; zc < cz_total; ++zc) {
-        const Count nxyz = row[zc];
-        if (nxyz == 0) continue;
-        const double num = static_cast<double>(nxyz) *
-                           static_cast<double>(margin_z_[zc]);
-        const double den =
-            static_cast<double>(margin_xz_[x * cz_total + zc]) *
-            static_cast<double>(margin_yz_[y * cz_total + zc]);
-        statistic += 2.0 * static_cast<double>(nxyz) * std::log(num / den);
-      }
-    }
-  }
+  for (const Count n : margin_xz_) half_statistic -= k_log_k(table, n);
+  for (const Count n : margin_yz_) half_statistic -= k_log_k(table, n);
+  for (const Count n : margin_z_) half_statistic += k_log_k(table, n);
+  double statistic = 2.0 * half_statistic;
   if (statistic < 0.0) statistic = 0.0;  // guard tiny negative round-off
 
   // Standard degrees of freedom: (|X|-1)(|Y|-1) * prod |Z_i|.

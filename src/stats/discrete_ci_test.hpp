@@ -3,8 +3,14 @@
 //
 // The class is a thin statistic layer: it owns the endpoint codes, the
 // marginals and the G^2 evaluation, while the counting pass that fills
-// N_xyz lives behind a TableBuilder kernel (stats/table_builder.hpp). The
-// paper's data-path optimizations map onto that split:
+// N_xyz lives behind a TableBuilder kernel (stats/table_builder.hpp).
+// G^2 is summed as 2 [sum N_xyz ln N_xyz - sum N_xz ln N_xz -
+// sum N_yz ln N_yz + sum N_z ln N_z], each count's k ln k read from one
+// process-wide table of k < 4,096 (std::log past it), so a small table
+// costs no logarithm or division per cell. The table is fixed-size and
+// filled once per process (on first construction, so forked ranks
+// inherit it): no dataset, clone or learn pays for it in time or memory.
+// The paper's data-path optimizations map onto the class's split:
 //  * column-major streaming of exactly the |S|+2 variables a test touches
 //    (cache-friendly storage, Section IV-C) — with an opt-in row-major
 //    path so benches can ablate the layout choice;
@@ -89,6 +95,8 @@ class DiscreteCiTest final : public CiTest {
   /// The kernel builds go through: the serial kernel, or sample-parallel
   /// when the option / runtime hint says so.
   [[nodiscard]] TableBuilder& active_builder() const noexcept;
+  /// G^2 over the counted cells, from the k ln k table, with its df and
+  /// chi-square p-value.
   [[nodiscard]] CiResult evaluate(std::span<const Count> cells,
                                   std::size_t cz_total) const;
 

@@ -101,7 +101,7 @@ TEST(ArgParser, UndeclaredFlagLookupThrows) {
   ArgParser parser = make_parser();
   const char* argv[] = {"prog"};
   ASSERT_TRUE(parser.parse(1, argv));
-  EXPECT_THROW(parser.get("nope"), std::invalid_argument);
+  EXPECT_THROW((void)parser.get("nope"), std::invalid_argument);
 }
 
 /// Parses `--<flag>=<value>` and expects `read` to throw

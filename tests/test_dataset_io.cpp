@@ -145,7 +145,7 @@ TEST_F(DatasetIoTest, QuotedHeaderNamesLoseOneSurroundingPairOfQuotes) {
 }
 
 TEST_F(DatasetIoTest, MissingFileFails) {
-  EXPECT_THROW(load_csv(path("does_not_exist.csv")), std::runtime_error);
+  EXPECT_THROW((void)load_csv(path("does_not_exist.csv")), std::runtime_error);
 }
 
 TEST_F(DatasetIoTest, WindowsLineEndingsHandled) {

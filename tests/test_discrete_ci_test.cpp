@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "stats/simd_dispatch.hpp"
+#include "stats/special_functions.hpp"
 #include "stats/table_builder_detail.hpp"
 
 namespace fastbns {
@@ -39,6 +45,127 @@ DiscreteDataset correlated_dataset(Count m, std::uint64_t seed,
     data.set(s, 2, static_cast<DataValue>(rng.next_below(2)));
   }
   return data;
+}
+
+/// The reference statistic: the log form of G^2,
+/// 2 sum N ln(N * Nz / (Nxz * Nyz)) over the non-empty cells, with one
+/// logarithm and one division per cell, over counts read sample by sample
+/// through value(), with the standard df and the chi-square p-value.
+CiResult log_form_g2(const DiscreteDataset& data, VarId x, VarId y,
+                     const std::vector<VarId>& z, double alpha) {
+  const auto cx = static_cast<std::size_t>(data.cardinality(x));
+  const auto cy = static_cast<std::size_t>(data.cardinality(y));
+  std::size_t cz_total = 1;
+  for (const VarId zi : z) {
+    cz_total *= static_cast<std::size_t>(data.cardinality(zi));
+  }
+  std::vector<Count> cells(cx * cy * cz_total, 0);
+  for (Count s = 0; s < data.num_samples(); ++s) {
+    std::size_t zc = 0;
+    for (const VarId zi : z) {
+      zc = zc * static_cast<std::size_t>(data.cardinality(zi)) +
+           data.value(s, zi);
+    }
+    ++cells[(data.value(s, x) * cy + data.value(s, y)) * cz_total + zc];
+  }
+
+  std::vector<Count> margin_xz(cx * cz_total, 0);
+  std::vector<Count> margin_yz(cy * cz_total, 0);
+  std::vector<Count> margin_z(cz_total, 0);
+  for (std::size_t a = 0; a < cx; ++a) {
+    for (std::size_t b = 0; b < cy; ++b) {
+      for (std::size_t zc = 0; zc < cz_total; ++zc) {
+        const Count nxyz = cells[(a * cy + b) * cz_total + zc];
+        margin_xz[a * cz_total + zc] += nxyz;
+        margin_yz[b * cz_total + zc] += nxyz;
+        margin_z[zc] += nxyz;
+      }
+    }
+  }
+  double statistic = 0.0;
+  for (std::size_t a = 0; a < cx; ++a) {
+    for (std::size_t b = 0; b < cy; ++b) {
+      for (std::size_t zc = 0; zc < cz_total; ++zc) {
+        const Count nxyz = cells[(a * cy + b) * cz_total + zc];
+        if (nxyz == 0) continue;
+        const double num = static_cast<double>(nxyz) *
+                           static_cast<double>(margin_z[zc]);
+        const double den = static_cast<double>(margin_xz[a * cz_total + zc]) *
+                           static_cast<double>(margin_yz[b * cz_total + zc]);
+        statistic += 2.0 * static_cast<double>(nxyz) * std::log(num / den);
+      }
+    }
+  }
+  if (statistic < 0.0) statistic = 0.0;
+
+  const auto df = static_cast<std::int64_t>((cx - 1) * (cy - 1) * cz_total);
+  if (df <= 0) return CiResult{0.0, 1.0, df, /*independent=*/true};
+  const double p = chi_square_survival(statistic, static_cast<double>(df));
+  return CiResult{statistic, p, df, p > alpha};
+}
+
+/// Columns x (cardinality cx), y (cy), z1 (2) and z2 (3). x is
+/// (z1 + z2) mod cx half the time; y is x mod cy half the time when
+/// `dependent`, and is uniform otherwise.
+DiscreteDataset reference_dataset(Count m, std::int32_t cx, std::int32_t cy,
+                                  bool dependent, std::uint64_t seed) {
+  DiscreteDataset data(4, m, {cx, cy, 2, 3}, DataLayout::kColumnMajor);
+  Rng rng(seed);
+  for (Count s = 0; s < m; ++s) {
+    const auto z1 = static_cast<std::int32_t>(rng.next_below(2));
+    const auto z2 = static_cast<std::int32_t>(rng.next_below(3));
+    const std::int32_t x = rng.next_below(2) == 0
+                               ? (z1 + z2) % cx
+                               : static_cast<std::int32_t>(rng.next_below(
+                                     static_cast<std::uint64_t>(cx)));
+    const std::int32_t y = dependent && rng.next_below(2) == 0
+                               ? x % cy
+                               : static_cast<std::int32_t>(rng.next_below(
+                                     static_cast<std::uint64_t>(cy)));
+    data.set(s, 0, static_cast<DataValue>(x));
+    data.set(s, 1, static_cast<DataValue>(y));
+    data.set(s, 2, static_cast<DataValue>(z1));
+    data.set(s, 3, static_cast<DataValue>(z2));
+  }
+  return data;
+}
+
+TEST(DiscreteCiTest, StatisticMatchesLogFormReference) {
+  // The k ln k form sums terms as large as m ln m that cancel, so its
+  // last bits differ from the log form's. The sample counts put cells and
+  // margins on both sides of the k ln k table's last entry (4,095); with
+  // an empty z, Nz = m.
+  std::uint64_t seed = 0;
+  for (const Count m : {63, 800, 4095, 4096, 4097, 20000}) {
+    for (const std::int32_t cx : {2, 3, 4}) {
+      for (const std::int32_t cy : {2, 3, 4}) {
+        for (const bool dependent : {false, true}) {
+          const auto data = reference_dataset(m, cx, cy, dependent, ++seed);
+          for (const std::vector<VarId>& z : std::vector<std::vector<VarId>>{
+                   {}, {2}, {3}, {2, 3}}) {
+            SCOPED_TRACE("m=" + std::to_string(m) + " cx=" +
+                         std::to_string(cx) + " cy=" + std::to_string(cy) +
+                         (dependent ? " dependent" : " independent") +
+                         " |z|=" + std::to_string(z.size()));
+            const CiResult expected = log_form_g2(data, 0, 1, z, 0.05);
+            DiscreteCiTest single(data, {});
+            DiscreteCiTest grouped(data, {});
+            grouped.begin_group(0, 1);
+            for (const CiResult& actual :
+                 {single.test(0, 1, z), grouped.test_in_group(z)}) {
+              EXPECT_EQ(actual.degrees_of_freedom,
+                        expected.degrees_of_freedom);
+              EXPECT_EQ(actual.independent, expected.independent);
+              EXPECT_LE(std::abs(actual.statistic - expected.statistic),
+                        1e-9 * std::max(1.0, expected.statistic));
+              EXPECT_LE(std::abs(actual.p_value - expected.p_value),
+                        1e-9 * expected.p_value);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(DiscreteCiTest, DetectsMarginalIndependence) {
@@ -81,7 +208,7 @@ TEST(DiscreteCiTest, GroupProtocolMatchesDirectCalls) {
   DiscreteCiTest direct(data, {});
   DiscreteCiTest grouped(data, {});
   grouped.begin_group(0, 1);
-  for (const std::vector<VarId> z :
+  for (const std::vector<VarId>& z :
        {std::vector<VarId>{}, std::vector<VarId>{2}}) {
     const CiResult a = direct.test(0, 1, z);
     const CiResult b = grouped.test_in_group(z);

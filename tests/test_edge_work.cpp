@@ -405,7 +405,7 @@ TEST(MaterializeConditioningSets, LimitGuard) {
   UndirectedGraph g = UndirectedGraph::complete(40);
   AdjacencySnapshot snapshot;
   const auto works = build_depth_works(g, 3, true, snapshot);
-  EXPECT_THROW(materialize_conditioning_sets(works[0], 3, /*limit=*/10),
+  EXPECT_THROW((void)materialize_conditioning_sets(works[0], 3, /*limit=*/10),
                std::runtime_error);
 }
 

@@ -84,13 +84,13 @@ TEST(RandomNetwork, InfeasibleEdgeCountThrows) {
   RandomNetworkConfig config;
   config.num_nodes = 5;
   config.num_edges = 100;  // > C(5,2) under any constraint
-  EXPECT_THROW(generate_random_network(config), std::invalid_argument);
+  EXPECT_THROW((void)generate_random_network(config), std::invalid_argument);
 }
 
 TEST(RandomNetwork, ZeroNodesThrows) {
   RandomNetworkConfig config;
   config.num_nodes = 0;
-  EXPECT_THROW(generate_random_network(config), std::invalid_argument);
+  EXPECT_THROW((void)generate_random_network(config), std::invalid_argument);
 }
 
 TEST(RandomNetwork, LargeScaleGenerationIsFeasible) {

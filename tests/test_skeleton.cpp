@@ -100,7 +100,7 @@ TEST(Skeleton, InvalidGroupSizeThrows) {
   DSeparationOracle oracle(dag);
   PcOptions options;
   options.group_size = 0;
-  EXPECT_THROW(learn_skeleton(3, oracle, options), std::invalid_argument);
+  EXPECT_THROW((void)learn_skeleton(3, oracle, options), std::invalid_argument);
 }
 
 TEST(Skeleton, ValidateMessagesNameTheOffendingValue) {
@@ -196,7 +196,7 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
   PcOptions tiny_cap;
   tiny_cap.max_table_cells = 3;
   EXPECT_THROW(tiny_cap.validate(), std::invalid_argument);
-  EXPECT_THROW(learn_skeleton(3, oracle, tiny_cap), std::invalid_argument);
+  EXPECT_THROW((void)learn_skeleton(3, oracle, tiny_cap), std::invalid_argument);
   // Thread counts beyond kMaxThreads are typos, not machines.
   PcOptions typo_threads;
   typo_threads.num_threads = PcOptions::kMaxThreads + 1;
@@ -242,7 +242,7 @@ TEST(Skeleton, ValidateRejectsNonsensicalOptionsUpFront) {
   contention.max_table_cells = 32;
   EXPECT_NO_THROW(contention.validate());  // fields are individually fine
   contention.engine = EngineKind::kSampleParallel;
-  EXPECT_THROW(learn_skeleton(3, oracle, contention), std::invalid_argument);
+  EXPECT_THROW((void)learn_skeleton(3, oracle, contention), std::invalid_argument);
   contention.engine = EngineKind::kCiParallel;
   EXPECT_NO_THROW((void)learn_skeleton(3, oracle, contention));
   // The same engines pass once the cap clears the thread count.

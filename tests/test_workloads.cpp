@@ -45,7 +45,7 @@ TEST(Workloads, DifferentSampleCountsDiffer) {
 }
 
 TEST(Workloads, UnknownNetworkThrows) {
-  EXPECT_THROW(make_workload("nope", 100), std::invalid_argument);
+  EXPECT_THROW((void)make_workload("nope", 100), std::invalid_argument);
 }
 
 TEST(Workloads, ScaleDefaultsToSmall) {
@@ -113,7 +113,9 @@ TEST(RunSkeleton, EveryConfigLearnsTheSequentialResult) {
     // the grouped configs must execute exactly the reference's tests.
     const bool grouped = config.group_endpoints &&
                          config.engine != EngineKind::kNaiveSequential;
-    if (grouped) EXPECT_EQ(run.ci_tests, reference.ci_tests) << label;
+    if (grouped) {
+      EXPECT_EQ(run.ci_tests, reference.ci_tests) << label;
+    }
   }
 }
 
