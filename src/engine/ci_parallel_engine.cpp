@@ -1,7 +1,8 @@
 // The Fast-BNS CI-level parallel engine (Section IV-B).
 //
-// Depth 0 uses plain edge-level parallelism: each edge needs exactly one
-// marginal test, so the workload is known and balanced up front. For
+// Depth 0 uses plain edge-level parallelism: each pair needs exactly one
+// marginal test, so the workload is known and balanced up front, and a
+// static partition of the pair bitmap's words needs no work list. For
 // depth >= 1, each thread claims the next whole work from one atomic
 // cursor and runs its tests in rank order, gs at a time, to the end of
 // the group in which the first test accepts. A thread that finishes a
@@ -18,29 +19,19 @@
 namespace fastbns {
 namespace {
 
-/// Depth 0: a static edge-level partition is optimal (the paper's
-/// prescription for depth zero). Returns the number of CI tests executed.
-std::int64_t run_depth_zero_edge_parallel(
-    std::vector<EdgeWork>& works,
-    std::vector<std::unique_ptr<CiTest>>& clones) {
-  std::int64_t tests = 0;
-#pragma omp parallel reduction(+ : tests)
-  {
-    CiTest& test = *clones[current_thread()];
-    std::vector<VarId> z;
-#pragma omp for schedule(static)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(works.size());
-         ++i) {
-      tests += run_edge_tests(works[i], /*depth=*/0, /*group=*/1, test, z);
-    }
-  }
-  return tests;
-}
-
 class CiParallelEngine final : public ClonePoolEngine {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
     return "fastbns-par(ci-level)";
+  }
+
+  std::int64_t run_depth_zero(VarId num_nodes, const CiTest& prototype,
+                              const PcOptions& options,
+                              std::span<std::uint64_t> removed) override {
+    return run_depth_zero_static(
+        num_nodes, {.grouped = options.group_endpoints},
+        tests_.acquire(prototype, static_cast<std::size_t>(hardware_threads())),
+        removed);
   }
 
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
@@ -50,10 +41,8 @@ class CiParallelEngine final : public ClonePoolEngine {
     std::vector<std::unique_ptr<CiTest>>& clones =
         tests_.acquire(prototype, static_cast<std::size_t>(max_threads));
 
-    if (depth == 0) {
-      return run_depth_zero_edge_parallel(works, clones);
-    }
-
+    // A depth-0 list (the run_depth_zero default of a wrapping engine)
+    // runs like any other: one test per work.
     const auto gs = static_cast<std::uint64_t>(options.group_size);
     std::atomic<std::size_t> cursor{0};
     std::int64_t tests = 0;

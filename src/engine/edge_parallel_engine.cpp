@@ -15,6 +15,15 @@ class EdgeParallelEngine final : public ClonePoolEngine {
     return "edge-parallel";
   }
 
+  std::int64_t run_depth_zero(VarId num_nodes, const CiTest& prototype,
+                              const PcOptions& options,
+                              std::span<std::uint64_t> removed) override {
+    return run_depth_zero_static(
+        num_nodes, {.grouped = options.group_endpoints},
+        tests_.acquire(prototype, static_cast<std::size_t>(hardware_threads())),
+        removed);
+  }
+
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
                          const CiTest& prototype,
                          const PcOptions& /*options*/) override {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <typeinfo>
 
+#include "common/omp_utils.hpp"
+#include "pc/pair_index.hpp"
+
 namespace fastbns {
 namespace {
 
@@ -93,6 +96,60 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
       tests += process_materialized(work, depth, test, use_group_protocol);
     } else {
       tests += run_edge_tests(work, depth, /*group=*/1, test, z);
+    }
+  }
+  return tests;
+}
+
+std::int64_t run_depth_zero_words(VarId num_nodes, std::uint64_t begin,
+                                  std::uint64_t end, DepthZeroCalls calls,
+                                  CiTest& test,
+                                  std::span<std::uint64_t> removed) {
+  const std::uint64_t pairs = pair_count(num_nodes);
+  const std::span<const VarId> empty_set;
+  std::int64_t tests = 0;
+  const auto independent = [&](VarId x, VarId y) {
+    ++tests;
+    if (!calls.group_protocol) return test.test(x, y, empty_set).independent;
+    test.begin_group(x, y);
+    return test.test_in_group(empty_set).independent;
+  };
+  for (std::uint64_t w = begin; w < end; ++w) {
+    auto [lo, hi] = word_first_pair(w);
+    const std::uint64_t count =
+        std::min(kPairsPerWord, pairs - w * kPairsPerWord);
+    std::uint64_t bits = 0;
+    for (std::uint64_t b = 0; b < count; ++b) {
+      bool separated = independent(lo, hi);
+      if (!calls.grouped &&
+          !(separated && calls.reverse_only_if_dependent)) {
+        separated = independent(hi, lo) || separated;
+      }
+      if (separated) bits |= std::uint64_t{1} << b;
+      if (++lo == hi) {
+        ++hi;
+        lo = 0;
+      }
+    }
+    removed[w] = bits;
+  }
+  return tests;
+}
+
+std::int64_t run_depth_zero_static(
+    VarId num_nodes, DepthZeroCalls calls,
+    std::vector<std::unique_ptr<CiTest>>& clones,
+    std::span<std::uint64_t> removed) {
+  std::int64_t tests = 0;
+#pragma omp parallel reduction(+ : tests)
+  {
+    CiTest& test = *clones[current_thread()];
+#pragma omp for schedule(static)
+    for (std::int64_t w = 0; w < static_cast<std::int64_t>(removed.size());
+         ++w) {
+      const auto word = static_cast<std::uint64_t>(w);
+      tests += run_depth_zero_words(num_nodes, word, word + 1, calls, test,
+                                    removed);
     }
   }
   return tests;

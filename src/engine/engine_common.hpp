@@ -1,11 +1,13 @@
 // Helpers shared by the concrete skeleton engines: per-thread CiTest
 // clone caching, the materialized-set inner loop of the naive/ablation
-// paths, and the sequential depth runner the three sequential-kernel
-// engines delegate to.
+// paths, the sequential depth runner the three sequential-kernel
+// engines delegate to, and depth 0's loop over the words of the pair
+// bitmap.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "engine/skeleton_engine.hpp"
@@ -72,5 +74,38 @@ std::int64_t run_sequential_depth(std::vector<EdgeWork>& works,
                                   std::int32_t depth, CiTest& test,
                                   bool grouped, bool materialized,
                                   bool use_group_protocol);
+
+/// How depth 0 calls the test on the pair {lo, hi}: the calls its works
+/// in the depth-0 list of the complete graph make under run_depth.
+struct DepthZeroCalls {
+  /// One test of (lo, hi); otherwise (lo, hi), then (hi, lo).
+  bool grouped = true;
+  /// Ungrouped only: (hi, lo) runs only when (lo, hi) tested dependent,
+  /// the sequential runner's PC-stable skip. The parallel engines run
+  /// every work, so both directions.
+  bool reverse_only_if_dependent = false;
+  /// begin_group + test_in_group; false calls test(x, y, {}), as the
+  /// naive baseline does.
+  bool group_protocol = true;
+};
+
+/// Depth 0 over words [begin, end) of the pair bitmap of `num_nodes`
+/// variables (pc/pair_index.hpp): runs each pair's marginal tests as
+/// `calls` says and overwrites each word of `removed` with its pairs'
+/// removal bits (set when a test accepted). The last word's bits past the
+/// last pair stay clear. Returns the number of CI tests executed.
+std::int64_t run_depth_zero_words(VarId num_nodes, std::uint64_t begin,
+                                  std::uint64_t end, DepthZeroCalls calls,
+                                  CiTest& test,
+                                  std::span<std::uint64_t> removed);
+
+/// Depth 0 of the in-process parallel engines: a static OpenMP partition
+/// of the bitmap's words, the paper's prescription for depth 0 (each
+/// pair needs one test, so the load is known up front). Each word is
+/// written by exactly one thread, through run_depth_zero_words.
+std::int64_t run_depth_zero_static(
+    VarId num_nodes, DepthZeroCalls calls,
+    std::vector<std::unique_ptr<CiTest>>& clones,
+    std::span<std::uint64_t> removed);
 
 }  // namespace fastbns

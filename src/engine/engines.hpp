@@ -30,14 +30,15 @@ namespace fastbns {
 /// thread claims whole works from one atomic cursor.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_ci_parallel_engine();
 
-/// Multi-process rank-partition extension: every depth the driver deals
-/// its works round-robin over the ranks and forks one child per rank and
-/// non-empty list, which reads the CI test, the dataset and the works it
-/// inherits at fork; the depth barrier is a gather of pipe frames
-/// (src/ipc/) whose replies carry (index, x, y, accepted rank) per
-/// removal, and the driver unranks each sepset itself —
-/// bit-identical to edge-parallel, supervised so a dead rank is recovered
-/// instead of hanging the run.
+/// Multi-process rank-partition extension: every depth the engine deals
+/// its units (the pair bitmap's words at depth 0, the works after)
+/// round-robin over the ranks and forks one child per rank and non-empty
+/// list, which reads the CI test, the dataset and the units it inherits
+/// at fork; the depth barrier is a gather of pipe frames (src/ipc/) whose
+/// replies carry (word, bits) per word with a removal at depth 0 and
+/// (index, x, y, accepted rank) per removal after, and the driver
+/// unranks each sepset itself — bit-identical to edge-parallel,
+/// supervised so a dead rank is recovered instead of hanging the run.
 [[nodiscard]] std::unique_ptr<SkeletonEngine> make_process_engine();
 
 }  // namespace fastbns

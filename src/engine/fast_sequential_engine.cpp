@@ -16,6 +16,16 @@ class FastSequentialEngine final : public ClonePoolEngine {
     return "fastbns-seq";
   }
 
+  std::int64_t run_depth_zero(VarId num_nodes, const CiTest& prototype,
+                              const PcOptions& options,
+                              std::span<std::uint64_t> removed) override {
+    return run_depth_zero_words(num_nodes, 0, removed.size(),
+                                {.grouped = options.group_endpoints,
+                                 .reverse_only_if_dependent = true},
+                                *tests_.acquire(prototype, 1).front(),
+                                removed);
+  }
+
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
                          const CiTest& prototype,
                          const PcOptions& options) override {

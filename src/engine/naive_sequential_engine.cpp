@@ -19,6 +19,17 @@ class NaiveSequentialEngine final : public ClonePoolEngine {
     return false;
   }
 
+  std::int64_t run_depth_zero(VarId num_nodes, const CiTest& prototype,
+                              const PcOptions& /*options*/,
+                              std::span<std::uint64_t> removed) override {
+    return run_depth_zero_words(num_nodes, 0, removed.size(),
+                                {.grouped = false,
+                                 .reverse_only_if_dependent = true,
+                                 .group_protocol = false},
+                                *tests_.acquire(prototype, 1).front(),
+                                removed);
+  }
+
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
                          const CiTest& prototype,
                          const PcOptions& /*options*/) override {

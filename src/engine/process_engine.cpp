@@ -1,32 +1,34 @@
-// The multi-process rank engine: every depth's works dealt round-robin
+// The multi-process rank engine: every depth's units dealt round-robin
 // over the ranks as explicit lists, one forked child per rank and list,
 // and a gather of their replies as the commit barrier — the fork-based
 // first step toward distributed (MPI-style) skeleton learning.
 //
 // Topology of a run:
-//  - The driver process (this engine) builds each depth's works, then
-//    forks one child for every live rank it deals a non-empty list
-//    (never at construction, so building an engine stays fork-free). The
-//    child inherits copy-on-write the CiTest prototype, the dataset it
-//    reads and any matrix it holds (Fisher-z's correlation matrix), the
-//    works, their adjacency snapshot and its own list. Nothing writes the
-//    dataset, the matrix or the snapshot while a child lives, so no child
-//    copies a page of them. A work crosses the process boundary as
-//    nothing more than its index into the driver's list (endpoint ids
-//    double-check every reply). Inside a child, threads claim the works
-//    of its list one at a time from an atomic cursor.
-//  - Each depth runs in rounds. A round deals the pending work indices
+//  - A depth's unit is a word of the pair bitmap at depth 0 (the 64
+//    pairs pc/pair_index.hpp puts in it, one marginal test each) and a
+//    work of the driver's list at depth >= 1. The engine forks one child
+//    for every live rank it deals a non-empty list (never at
+//    construction, so building an engine stays fork-free). The child
+//    inherits copy-on-write the CiTest prototype, the dataset it reads
+//    and any matrix it holds (Fisher-z's correlation matrix), the works
+//    and their adjacency snapshot or the bitmap, and its own list.
+//    Nothing writes the dataset, the matrix or the snapshot while a child
+//    lives, so no child copies a page of them. A unit crosses the process
+//    boundary as nothing more than its index. Inside a child, threads
+//    claim the units of its list one at a time from an atomic cursor.
+//  - Each depth runs in rounds. A round deals the pending unit indices
 //    round-robin over the live ranks — the i-th pending index goes to
 //    live rank i mod L — and forks a child for each rank it gives work.
-//    The first round deals the whole work list; each later round re-deals
-//    the lists of the ranks retired in the round before.
+//    The first round deals every unit; each later round re-deals the
+//    lists of the ranks retired in the round before.
 //  - The per-depth commit barrier is a gather rooted at the driver: each
-//    child runs its list and sends one DEPTH_RESULT (the depth, its
-//    test count and compute time, and the index, endpoints and accepting
-//    test rank of each removal); the driver merges the replies in rank
-//    order into the works vector — the same outcome slot every engine
-//    fills — and reaps each child as soon as its reply merges. No child
-//    outlives its depth.
+//    child runs its list and sends one DEPTH_RESULT (the depth, its test
+//    count and compute time, and its outcomes: at depth 0 the index and
+//    bits of each word with a removal, at depth >= 1 the index, endpoints
+//    and accepting test rank of each removed work). The driver checks
+//    every outcome against what it dealt that rank, merges the replies in
+//    rank order into the bitmap or the works vector, and reaps each child
+//    as soon as its reply merges. No child outlives its depth.
 //
 // Fault tolerance (the supervisor's recovery ladder, mildest rung
 // first; every rung preserves result identity):
@@ -37,7 +39,7 @@
 //     racing its own retransmission dies unread with the reaped child.
 //  2. Respawn — a child that died (EOF) or wedged (deadline, retries
 //     exhausted — then SIGKILLed) is replaced by a fresh fork of the same
-//     list, which inherits the same works. Each respawn starts a new
+//     list, which inherits the same job. Each respawn starts a new
 //     generation of the rank; the fault injector matches events per
 //     generation, so a gen-0 kill does not re-fire on the replacement
 //     (and a gen-1 event deliberately does — the death-during-recovery
@@ -47,18 +49,18 @@
 //     surviving ranks, and later depths deal over the survivors alone.
 //  4. Degrade — when fork itself fails (or the fault schedule declares
 //     it failed) or no rank survives, the supervisor finishes the current
-//     depth's unmerged works in-process (std::thread clones with the
-//     exact rank semantics) and runs every subsequent depth's whole work
-//     list the same way. The run completes; only the topology changed.
+//     depth's unmerged units in-process (std::thread clones with the
+//     exact rank semantics) and runs all units of every subsequent depth
+//     the same way. The run completes; only the topology changed.
 //
-// Result identity: a rank runs each of its works whole, in canonical
-// rank order with first-accept early stop — the edge-parallel engine's
-// per-work semantics — so adjacency, sepsets, removal depths and
-// executed-test counts are bit-identical to the sequential reference at
-// any rank_count / rank_threads combination, under every recovery rung:
-// a failed child never contributes a partial reply (frames are atomic at
-// merge time), so each work is merged exactly once no matter who
-// eventually ran it.
+// Result identity: a rank runs each of its units whole — a word's pairs
+// with the edge-parallel engine's depth-0 calls, a work in canonical rank
+// order with first-accept early stop — so adjacency, sepsets, removal
+// depths and executed-test counts are bit-identical to the sequential
+// reference at any rank_count / rank_threads combination, under every
+// recovery rung: a failed child never contributes a partial reply
+// (frames are atomic at merge time), so each unit is merged exactly once
+// no matter who eventually ran it.
 //
 // fork() discipline (see also ipc/process_group.hpp): children never
 // enter an OpenMP parallel region — libgomp's team threads do not exist
@@ -75,6 +77,7 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -82,9 +85,11 @@
 
 #include "common/omp_utils.hpp"
 #include "common/timer.hpp"
+#include "engine/engine_common.hpp"
 #include "fault/fault_schedule.hpp"
 #include "ipc/process_group.hpp"
 #include "ipc/wire.hpp"
+#include "pc/pair_index.hpp"
 
 namespace fastbns {
 namespace {
@@ -129,17 +134,39 @@ int env_positive_int(const char* name, int fallback) {
   ::_exit(status);
 }
 
-/// Runs the works `mine` lists with one std::thread per clone (the
+/// One depth's job, fixed in the parent before its first fork; a child
+/// reads it from the memory it inherits. Its units are the works when
+/// there are works, otherwise the words of depth 0's pair bitmap.
+struct DepthJob {
+  std::int32_t depth = 0;
+  /// The depth's work list; nullptr when the depth runs bitmap words.
+  std::vector<EdgeWork>* works = nullptr;
+  /// Bitmap words only: the variables, how each pair is tested, and the
+  /// bitmap each word's removal bits are written to.
+  VarId num_nodes = 0;
+  DepthZeroCalls calls{};
+  std::span<std::uint64_t> removed{};
+
+  [[nodiscard]] std::size_t units() const noexcept {
+    return works != nullptr ? works->size() : removed.size();
+  }
+  /// Whether unit `index` removed an edge.
+  [[nodiscard]] bool removes(std::int64_t index) const noexcept {
+    const auto i = static_cast<std::size_t>(index);
+    return works != nullptr ? (*works)[i].removed() : removed[i] != 0;
+  }
+};
+
+/// Runs the units `mine` lists with one std::thread per clone (the
 /// calling thread serves clone 0). Each thread claims its next position
-/// in `mine` from one atomic cursor and runs that work whole, so a
-/// preempted thread delays only the work it holds; the joins publish the
-/// works. Rethrows the first worker exception after all joins. Also the
-/// degrade rung's local executor — the semantics must stay byte-for-byte
-/// those of a rank.
-std::int64_t run_shard_works(std::vector<EdgeWork>& works,
-                             const std::vector<std::int64_t>& mine,
-                             std::int32_t depth,
-                             std::vector<std::unique_ptr<CiTest>>& clones) {
+/// in `mine` from one atomic cursor and runs that unit whole — a work,
+/// or the pairs of a bitmap word — so a preempted thread delays only the
+/// unit it holds; the joins publish the outcomes. Rethrows the first
+/// worker exception after all joins. Also the degrade rung's local
+/// executor — the semantics must stay byte-for-byte those of a rank.
+std::int64_t run_shard(const DepthJob& job,
+                       const std::vector<std::int64_t>& mine,
+                       std::vector<std::unique_ptr<CiTest>>& clones) {
   const auto threads = clones.size();
   std::vector<std::int64_t> tests(threads, 0);
   std::vector<std::exception_ptr> errors(threads);
@@ -152,8 +179,12 @@ std::int64_t run_shard_works(std::vector<EdgeWork>& works,
       for (std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
            p < mine.size();
            p = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        executed += run_edge_tests(works[static_cast<std::size_t>(mine[p])],
-                                   depth, /*group=*/1, test, z);
+        const auto unit = static_cast<std::size_t>(mine[p]);
+        executed += job.works != nullptr
+                        ? run_edge_tests((*job.works)[unit], job.depth,
+                                         /*group=*/1, test, z)
+                        : run_depth_zero_words(job.num_nodes, unit, unit + 1,
+                                               job.calls, test, job.removed);
       }
       tests[t] = executed;
     } catch (...) {
@@ -187,13 +218,35 @@ std::vector<std::unique_ptr<CiTest>> serial_clones(const CiTest& prototype,
   return clones;
 }
 
+/// Writes the outcomes of the units `list` names, behind their count: the
+/// index and bits of each word with a removal, or the index, endpoints
+/// and accepting rank of each removed work.
+void put_outcomes(const DepthJob& job, const std::vector<std::int64_t>& list,
+                  WireWriter& writer) {
+  writer.put_u32(static_cast<std::uint32_t>(
+      std::count_if(list.begin(), list.end(),
+                    [&](std::int64_t index) { return job.removes(index); })));
+  for (const std::int64_t index : list) {
+    if (!job.removes(index)) continue;
+    const auto i = static_cast<std::size_t>(index);
+    writer.put_u64(i);
+    if (job.works == nullptr) {
+      writer.put_u64(job.removed[i]);
+      continue;
+    }
+    const EdgeWork& work = (*job.works)[i];
+    writer.put_i32(work.x);
+    writer.put_i32(work.y);
+    writer.put_u64(work.accepted);
+  }
+}
+
 /// One child's whole job, fixed in the parent before the fork; the child
 /// reads it from the memory it inherits.
 struct ChildTask {
-  std::vector<EdgeWork>& works;
+  const DepthJob& job;
   const std::vector<std::int64_t>& list;
   const CiTest& prototype;
-  std::int32_t depth = 0;
   std::int32_t threads = 1;
   /// The faults the rank's injector claimed for this child
   /// (fault/fault_schedule.hpp); nullptr or 0 when none.
@@ -229,36 +282,21 @@ int run_child(const ChildTask& task, int rank, int command_fd,
     const WallTimer compute_timer;
     std::vector<std::unique_ptr<CiTest>> clones = serial_clones(
         task.prototype, static_cast<std::size_t>(task.threads));
-    const std::int64_t tests =
-        run_shard_works(task.works, task.list, task.depth, clones);
+    const std::int64_t tests = run_shard(task.job, task.list, clones);
     if (task.slow_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(task.slow_ms));
     }
     WireWriter writer;
-    writer.put_i32(task.depth);
+    writer.put_i32(task.job.depth);
     writer.put_i64(tests);
     writer.put_i64(static_cast<std::int64_t>(compute_timer.seconds() * 1e6));
-    const auto removed = static_cast<std::uint32_t>(
-        std::count_if(task.list.begin(), task.list.end(),
-                      [&](const std::int64_t index) {
-                        return task.works[static_cast<std::size_t>(index)]
-                            .removed();
-                      }));
-    writer.put_u32(removed);
-    for (const std::int64_t index : task.list) {
-      const EdgeWork& work = task.works[static_cast<std::size_t>(index)];
-      if (!work.removed()) continue;
-      writer.put_u64(static_cast<std::uint64_t>(index));
-      writer.put_i32(work.x);
-      writer.put_i32(work.y);
-      writer.put_u64(work.accepted);
-    }
+    put_outcomes(task.job, task.list, writer);
     const std::vector<std::uint8_t> reply =
         encode_frame(kTagDepthResult, writer.payload());
     bool sent = task.frame_fault != nullptr
                     ? send_frame_with_fault(result_fd, kTagDepthResult,
                                             writer.payload(), task.frame_fault,
-                                            task.seed, rank, task.depth)
+                                            task.seed, rank, task.job.depth)
                     : write_frame_bytes(result_fd, reply);
     if (task.frame_fault != nullptr &&
         task.frame_fault->kind == FaultKind::kPartialWrite) {
@@ -314,102 +352,19 @@ class ProcessEngine final : public SkeletonEngine {
     local_clones_.clear();
   }
 
+  std::int64_t run_depth_zero(VarId num_nodes, const CiTest& prototype,
+                              const PcOptions& options,
+                              std::span<std::uint64_t> removed) override {
+    return run_job({.num_nodes = num_nodes,
+                    .calls = {.grouped = options.group_endpoints},
+                    .removed = removed},
+                   prototype, options);
+  }
+
   std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
                          const CiTest& prototype,
                          const PcOptions& options) override {
-    const WallTimer depth_timer;
-    const std::size_t events_before = events_.size();
-    if (!configured_) configure(depth, options);
-    // A previous depth degraded, or the fault schedule declared the run's
-    // first forks failed: the whole depth runs in-process.
-    if (degraded_) {
-      return finish_depth_degraded(works, depth, prototype, all_indices(works),
-                                   /*total_so_far=*/0, depth_timer,
-                                   events_before);
-    }
-
-    // Rounds (see the file comment). The gather merges in rank order, so
-    // the error attribution stays deterministic; ranks own disjoint
-    // works, so merge order cannot change an outcome. Each rank's failure
-    // is handled inside gather_rank (retransmit → respawn ladder); what
-    // comes back is merged, retired (its list goes to the next round) or
-    // a degrade verdict. The loop ends because every round either merges
-    // everything or retires at least one more rank.
-    const WallTimer gather_timer;
-    DepthTally tally;
-    std::vector<std::int64_t> pending = all_indices(works);
-    std::vector<std::vector<std::int64_t>> lists(
-        static_cast<std::size_t>(rank_count_));
-    while (!pending.empty()) {
-      std::vector<int> live;
-      for (int rank = 0; rank < rank_count_; ++rank) {
-        if (!state_[static_cast<std::size_t>(rank)].retired) {
-          live.push_back(rank);
-        }
-      }
-      if (live.empty()) {
-        record_event(depth, -1, RecoveryAction::kDegrade,
-                     "no rank survived the depth — finishing in-process");
-        return finish_depth_degraded(works, depth, prototype, pending,
-                                     tally.tests, depth_timer, events_before);
-      }
-      for (std::vector<std::int64_t>& list : lists) list.clear();
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        lists[static_cast<std::size_t>(live[i % live.size()])].push_back(
-            pending[i]);
-      }
-      pending.clear();
-      std::vector<int> forked;
-      for (const int rank : live) {
-        const auto& list = lists[static_cast<std::size_t>(rank)];
-        if (list.empty()) continue;
-        if (const std::string error =
-                fork_child(works, depth, prototype, rank, list);
-            !error.empty()) {
-          record_event(depth, rank, RecoveryAction::kDegrade,
-                       "forking its depth-" + std::to_string(depth) +
-                           " child failed (" + error +
-                           ") — finishing the run in-process");
-          // Nothing of this round has merged: every list it dealt
-          // finishes locally.
-          for (const auto& dealt : lists) {
-            pending.insert(pending.end(), dealt.begin(), dealt.end());
-          }
-          return finish_depth_degraded(works, depth, prototype, pending,
-                                       tally.tests, depth_timer,
-                                       events_before);
-        }
-        forked.push_back(rank);
-      }
-      for (std::size_t i = 0; i < forked.size(); ++i) {
-        const auto& list = lists[static_cast<std::size_t>(forked[i])];
-        switch (gather_rank(works, depth, prototype, forked[i], list, tally)) {
-          case Gather::kMerged:
-            break;
-          case Gather::kRetired:
-            pending.insert(pending.end(), list.begin(), list.end());
-            break;
-          case Gather::kDegraded:
-            // Everything not yet merged — this rank's list, the lists
-            // of ranks not yet gathered and of ranks retired this round
-            // — finishes locally, and so does every later depth.
-            for (std::size_t j = i; j < forked.size(); ++j) {
-              const auto& rest = lists[static_cast<std::size_t>(forked[j])];
-              pending.insert(pending.end(), rest.begin(), rest.end());
-            }
-            return finish_depth_degraded(works, depth, prototype, pending,
-                                         tally.tests, depth_timer,
-                                         events_before);
-        }
-      }
-    }
-
-    const double gather_seconds = gather_timer.seconds();  // read first
-    depth_stats_.push_back(
-        {depth, tally.tests, depth_timer.seconds(), gather_seconds,
-         tally.max_rank_seconds, tally.max_rank_tests,
-         static_cast<std::int32_t>(events_.size() - events_before)});
-    return tally.tests;
+    return run_job({.depth = depth, .works = &works}, prototype, options);
   }
 
   [[nodiscard]] const std::vector<ProcessDepthStats>& depth_stats()
@@ -424,8 +379,8 @@ class ProcessEngine final : public SkeletonEngine {
 
  private:
   enum class Gather : std::uint8_t {
-    kMerged,    ///< reply merged into the works vector, child reaped
-    kRetired,   ///< restart budget spent; caller re-partitions its works
+    kMerged,    ///< reply merged into the job's outcomes, child reaped
+    kRetired,   ///< restart budget spent; caller re-partitions its units
     kDegraded,  ///< fork machinery failed; caller degrades the run
   };
 
@@ -443,15 +398,111 @@ class ProcessEngine final : public SkeletonEngine {
     bool retired = false;  ///< permanently re-partitioned away
   };
 
+  /// Runs one depth's job over the ranks and returns its executed tests.
+  std::int64_t run_job(const DepthJob& job, const CiTest& prototype,
+                       const PcOptions& options) {
+    const std::int32_t depth = job.depth;
+    const WallTimer depth_timer;
+    const std::size_t events_before = events_.size();
+    if (!configured_) configure(depth, options);
+    // A previous depth degraded, or the fault schedule declared the run's
+    // first forks failed: the whole depth runs in-process.
+    if (degraded_) {
+      return finish_depth_degraded(job, prototype, all_indices(job.units()),
+                                   /*total_so_far=*/0, depth_timer,
+                                   events_before);
+    }
+
+    // Rounds (see the file comment). The gather merges in rank order, so
+    // the error attribution stays deterministic; ranks own disjoint
+    // units, so merge order cannot change an outcome. Each rank's failure
+    // is handled inside gather_rank (retransmit → respawn ladder); what
+    // comes back is merged, retired (its list goes to the next round) or
+    // a degrade verdict. The loop ends because every round either merges
+    // everything or retires at least one more rank.
+    const WallTimer gather_timer;
+    DepthTally tally;
+    std::vector<std::int64_t> pending = all_indices(job.units());
+    std::vector<std::vector<std::int64_t>> lists(
+        static_cast<std::size_t>(rank_count_));
+    while (!pending.empty()) {
+      std::vector<int> live;
+      for (int rank = 0; rank < rank_count_; ++rank) {
+        if (!state_[static_cast<std::size_t>(rank)].retired) {
+          live.push_back(rank);
+        }
+      }
+      if (live.empty()) {
+        record_event(depth, -1, RecoveryAction::kDegrade,
+                     "no rank survived the depth — finishing in-process");
+        return finish_depth_degraded(job, prototype, pending, tally.tests,
+                                     depth_timer, events_before);
+      }
+      for (std::vector<std::int64_t>& list : lists) list.clear();
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        lists[static_cast<std::size_t>(live[i % live.size()])].push_back(
+            pending[i]);
+      }
+      pending.clear();
+      std::vector<int> forked;
+      for (const int rank : live) {
+        const auto& list = lists[static_cast<std::size_t>(rank)];
+        if (list.empty()) continue;
+        if (const std::string error = fork_child(job, prototype, rank, list);
+            !error.empty()) {
+          record_event(depth, rank, RecoveryAction::kDegrade,
+                       "forking its depth-" + std::to_string(depth) +
+                           " child failed (" + error +
+                           ") — finishing the run in-process");
+          // Nothing of this round has merged: every list it dealt
+          // finishes locally.
+          for (const auto& dealt : lists) {
+            pending.insert(pending.end(), dealt.begin(), dealt.end());
+          }
+          return finish_depth_degraded(job, prototype, pending, tally.tests,
+                                       depth_timer, events_before);
+        }
+        forked.push_back(rank);
+      }
+      for (std::size_t i = 0; i < forked.size(); ++i) {
+        const auto& list = lists[static_cast<std::size_t>(forked[i])];
+        switch (gather_rank(job, prototype, forked[i], list, tally)) {
+          case Gather::kMerged:
+            break;
+          case Gather::kRetired:
+            pending.insert(pending.end(), list.begin(), list.end());
+            break;
+          case Gather::kDegraded:
+            // Everything not yet merged — this rank's list, the lists
+            // of ranks not yet gathered and of ranks retired this round
+            // — finishes locally, and so does every later depth.
+            for (std::size_t j = i; j < forked.size(); ++j) {
+              const auto& rest = lists[static_cast<std::size_t>(forked[j])];
+              pending.insert(pending.end(), rest.begin(), rest.end());
+            }
+            return finish_depth_degraded(job, prototype, pending,
+                                         tally.tests, depth_timer,
+                                         events_before);
+        }
+      }
+    }
+
+    const double gather_seconds = gather_timer.seconds();  // read first
+    depth_stats_.push_back(
+        {depth, tally.tests, depth_timer.seconds(), gather_seconds,
+         tally.max_rank_seconds, tally.max_rank_tests,
+         static_cast<std::int32_t>(events_.size() - events_before)});
+    return tally.tests;
+  }
+
   void record_event(std::int32_t depth, int rank, RecoveryAction action,
                     std::string detail) {
     events_.push_back({depth, rank, action, std::move(detail)});
   }
 
-  static std::vector<std::int64_t> all_indices(
-      const std::vector<EdgeWork>& works) {
-    std::vector<std::int64_t> indices(works.size());
-    for (std::size_t i = 0; i < works.size(); ++i) {
+  static std::vector<std::int64_t> all_indices(std::size_t count) {
+    std::vector<std::int64_t> indices(count);
+    for (std::size_t i = 0; i < count; ++i) {
       indices[i] = static_cast<std::int64_t>(i);
     }
     return indices;
@@ -460,15 +511,14 @@ class ProcessEngine final : public SkeletonEngine {
   /// Claims the faults the rank's injector arms for this child, then
   /// forks it into the rank's slot (reaping whatever the slot held).
   /// Returns the fork's error, empty on success.
-  std::string fork_child(std::vector<EdgeWork>& works, std::int32_t depth,
-                         const CiTest& prototype, int rank,
-                         const std::vector<std::int64_t>& list) {
+  std::string fork_child(const DepthJob& job, const CiTest& prototype,
+                         int rank, const std::vector<std::int64_t>& list) {
+    const std::int32_t depth = job.depth;
     RankFaultInjector& injector =
         state_[static_cast<std::size_t>(rank)].injector;
-    const ChildTask task{.works = works,
+    const ChildTask task{.job = job,
                          .list = list,
                          .prototype = prototype,
-                         .depth = depth,
                          .threads = rank_threads_,
                          .lethal = injector.lethal_fault(depth),
                          .frame_fault = injector.take_frame_fault(depth),
@@ -487,10 +537,10 @@ class ProcessEngine final : public SkeletonEngine {
 
   /// Receives and merges the reply of `rank`'s child for `depth`, running
   /// the retransmit rung and, past it, the respawn ladder.
-  Gather gather_rank(std::vector<EdgeWork>& works, std::int32_t depth,
-                     const CiTest& prototype, int rank,
+  Gather gather_rank(const DepthJob& job, const CiTest& prototype, int rank,
                      const std::vector<std::int64_t>& list,
                      DepthTally& tally) {
+    const std::int32_t depth = job.depth;
     int attempt = 0;
     std::string failure;
     for (;;) {
@@ -512,7 +562,7 @@ class ProcessEngine final : public SkeletonEngine {
                                    " failed: " + message);
         }
         WireReader reader(frame.payload);
-        merge_reply(works, depth, reader, rank, tally);
+        merge_reply(job, reader, rank, list, tally);
         group_.kill_rank(rank);
         return Gather::kMerged;
       }
@@ -560,20 +610,19 @@ class ProcessEngine final : public SkeletonEngine {
         failure = "its replies kept failing the frame checksum after " +
                   std::to_string(attempt) + " retransmit request(s)";
       }
-      return respawn_ladder(works, depth, prototype, rank, list, tally,
-                            failure);
+      return respawn_ladder(job, prototype, rank, list, tally, failure);
     }
   }
 
   /// Rungs 2 and 3: a fresh fork of the same list while the restart
   /// budget lasts (a replacement that fails too comes back here through
   /// gather_rank), then retire the rank (the caller re-partitions its
-  /// works). A fork that fails — really or by injected decree — returns
+  /// units). A fork that fails — really or by injected decree — returns
   /// the degrade verdict instead.
-  Gather respawn_ladder(std::vector<EdgeWork>& works, std::int32_t depth,
-                        const CiTest& prototype, int rank,
-                        const std::vector<std::int64_t>& list,
+  Gather respawn_ladder(const DepthJob& job, const CiTest& prototype,
+                        int rank, const std::vector<std::int64_t>& list,
                         DepthTally& tally, const std::string& reason) {
+    const std::int32_t depth = job.depth;
     RankState& state = state_[static_cast<std::size_t>(rank)];
     if (state.injector.generation() < max_restarts_) {
       const std::int32_t generation = state.injector.generation() + 1;
@@ -586,8 +635,7 @@ class ProcessEngine final : public SkeletonEngine {
                          "finishing the run in-process");
         return Gather::kDegraded;
       }
-      if (const std::string error =
-              fork_child(works, depth, prototype, rank, list);
+      if (const std::string error = fork_child(job, prototype, rank, list);
           !error.empty()) {
         record_event(depth, rank, RecoveryAction::kDegrade,
                      reason + "; respawn generation " +
@@ -598,25 +646,31 @@ class ProcessEngine final : public SkeletonEngine {
       record_event(depth, rank, RecoveryAction::kRespawn,
                    reason + "; respawned as generation " +
                        std::to_string(generation) + " to re-run its " +
-                       std::to_string(list.size()) + " works");
-      return gather_rank(works, depth, prototype, rank, list, tally);
+                       std::to_string(list.size()) + " " + unit_name(job));
+      return gather_rank(job, prototype, rank, list, tally);
     }
     record_event(depth, rank, RecoveryAction::kRepartition,
                  reason + "; restart budget (" + std::to_string(max_restarts_) +
                      ") exhausted — retiring the rank and re-partitioning "
                      "its " +
-                     std::to_string(list.size()) +
-                     " works onto the survivors");
+                     std::to_string(list.size()) + " " + unit_name(job) +
+                     " onto the survivors");
     group_.kill_rank(rank);
     state.retired = true;
     return Gather::kRetired;
   }
 
-  /// Checks one DepthResult payload against the driver's works and merges
-  /// it into them. Any mismatch is a protocol error: the child ran a copy
-  /// of these very works.
-  void merge_reply(std::vector<EdgeWork>& works, std::int32_t depth,
-                   WireReader& reader, int rank, DepthTally& tally) {
+  /// What the job's units are called in recovery events.
+  static std::string unit_name(const DepthJob& job) {
+    return job.works != nullptr ? "works" : "pair words";
+  }
+
+  /// Checks one DepthResult payload against what the driver dealt `rank`
+  /// (`list`) and merges it into the job's outcomes. Any mismatch is a
+  /// protocol error: the child ran a copy of this very job.
+  void merge_reply(const DepthJob& job, WireReader& reader, int rank,
+                   const std::vector<std::int64_t>& list, DepthTally& tally) {
+    const std::int32_t depth = job.depth;
     const auto protocol_error = [&](const std::string& what) {
       group_.shutdown();
       return std::runtime_error("process engine: rank " +
@@ -633,9 +687,34 @@ class ProcessEngine final : public SkeletonEngine {
     tally.max_rank_tests = std::max(tally.max_rank_tests, tests);
     tally.max_rank_seconds = std::max(
         tally.max_rank_seconds, static_cast<double>(reader.get_i64()) * 1e-6);
-    const std::uint32_t removed = reader.get_u32();
-    for (std::uint32_t i = 0; i < removed; ++i) {
+    const std::uint32_t outcomes = reader.get_u32();
+    // Words come back in the order they were dealt, so one pass over the
+    // list checks that each was dealt to this rank, and only once.
+    std::size_t dealt = 0;
+    for (std::uint32_t i = 0; i < outcomes; ++i) {
       const auto index = static_cast<std::size_t>(reader.get_u64());
+      if (job.works == nullptr) {
+        const std::uint64_t bits = reader.get_u64();
+        const std::string word = "sent pair word #" + std::to_string(index);
+        while (dealt < list.size() &&
+               static_cast<std::size_t>(list[dealt]) != index) {
+          ++dealt;
+        }
+        if (dealt == list.size()) {
+          throw protocol_error(word + ", which the driver did not deal it");
+        }
+        ++dealt;
+        const std::uint64_t pairs =
+            pair_count(job.num_nodes) - index * kPairsPerWord;
+        if (pairs < kPairsPerWord && bits >> pairs != 0) {
+          throw protocol_error(word + " with a bit past the last of the " +
+                               std::to_string(pair_count(job.num_nodes)) +
+                               " pairs");
+        }
+        job.removed[index] = bits;
+        continue;
+      }
+      std::vector<EdgeWork>& works = *job.works;
       const VarId x = reader.get_i32();
       const VarId y = reader.get_i32();
       const std::uint64_t accepted = reader.get_u64();
@@ -661,10 +740,9 @@ class ProcessEngine final : public SkeletonEngine {
   }
 
   /// Rung 4: the group is gone (or never forked). Finish this depth's
-  /// unmerged works in-process with rank-identical semantics; every
-  /// later depth of the run comes back here with its whole work list.
-  std::int64_t finish_depth_degraded(std::vector<EdgeWork>& works,
-                                     std::int32_t depth,
+  /// unmerged units in-process with rank-identical semantics; every
+  /// later depth of the run comes back here with all of its units.
+  std::int64_t finish_depth_degraded(const DepthJob& job,
                                      const CiTest& prototype,
                                      const std::vector<std::int64_t>& indices,
                                      std::int64_t total_so_far,
@@ -679,10 +757,10 @@ class ProcessEngine final : public SkeletonEngine {
             prototype, static_cast<std::size_t>(std::max<std::int32_t>(
                            1, rank_count_ * rank_threads_)));
       }
-      local = run_shard_works(works, indices, depth, local_clones_);
+      local = run_shard(job, indices, local_clones_);
     }
     depth_stats_.push_back(
-        {depth, total_so_far + local, depth_timer.seconds(),
+        {job.depth, total_so_far + local, depth_timer.seconds(),
          /*gather_seconds=*/0.0, /*max_rank_seconds=*/0.0,
          /*max_rank_tests=*/0,
          static_cast<std::int32_t>(events_.size() - events_before)});

@@ -5,8 +5,10 @@
 // executed (sequentially, edge-parallel, sample-parallel, or by threads
 // that claim whole works from one atomic cursor, the CI-level scheme of
 // Section IV-B). The depth loop, graph and sepset bookkeeping live in the
-// driver (learn_skeleton); an engine sees exactly one depth's work list
-// at a time.
+// driver (learn_skeleton). Depth 0 runs without works: the engine tests
+// every pair over the triangular pair index (pc/pair_index.hpp) and
+// returns one removal bit per pair. At depth >= 1 an engine sees exactly
+// one depth's work list at a time.
 //
 // Engines are stateful (they cache per-thread CiTest clones across
 // depths), so one instance serves one learn_skeleton run at a time.
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -34,11 +37,27 @@ class SkeletonEngine {
   /// when a new prototype lands at a recycled address.
   virtual void prepare_run() {}
 
+  /// Runs depth 0: the marginal test I(x, y | {}) of every pair of the
+  /// `num_nodes` variables, calling the test exactly as run_depth would
+  /// on the depth-0 list of the complete graph. Sets bit p of `removed`
+  /// (pair_words(num_nodes) words, zero on entry) when pair p tests
+  /// independent; the driver builds the graph from the clear bits and
+  /// records an empty sepset for every set one. Returns the number of CI
+  /// tests executed.
+  /// The default builds that depth-0 list (build_depth_zero_works) and
+  /// runs it through run_depth, so a backend that implements only
+  /// run_depth still works; the builtin engines override it with a loop
+  /// over the bitmap's words that builds no list.
+  virtual std::int64_t run_depth_zero(VarId num_nodes,
+                                      const CiTest& prototype,
+                                      const PcOptions& options,
+                                      std::span<std::uint64_t> removed);
+
   /// Runs the pending CI tests of one depth over `works` (built by
-  /// build_depth_works from the driver's graph). The engine owns only
-  /// test execution: it records each work's first accepting rank in
-  /// `accepted`; the driver commits those outcomes to the graph and the
-  /// sepsets afterwards.
+  /// build_depth_works from the driver's graph; at depth 0, only by the
+  /// run_depth_zero default). The engine owns only test execution: it
+  /// records each work's first accepting rank in `accepted`; the driver
+  /// commits those outcomes to the graph and the sepsets afterwards.
   /// `prototype` is cloned per worker thread on first use. Returns the
   /// number of CI tests executed.
   virtual std::int64_t run_depth(std::vector<EdgeWork>& works,
@@ -46,7 +65,9 @@ class SkeletonEngine {
                                  const PcOptions& options) = 0;
 
   /// Benchmark stub: perfbench times the driver's call to it as the start
-  /// of each depth's work-list build. No engine overrides it.
+  /// of each depth's work-list build; at depth 0 the driver calls it
+  /// right before run_depth_zero, with the graph still empty. No engine
+  /// overrides it.
   [[nodiscard]] virtual bool take_prepared_depth_works(
       std::int32_t depth, const UndirectedGraph& graph, bool grouped,
       std::vector<EdgeWork>& works) {
@@ -61,8 +82,9 @@ class SkeletonEngine {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Whether build_depth_works may fuse both directions of an edge into
-  /// one work unit (Section IV-C endpoint grouping). The naive baseline
-  /// returns false: it models the classic ordered-pair traversal.
+  /// one work unit (Section IV-C endpoint grouping), and whether depth 0
+  /// tests each pair once. The naive baseline returns false: it models
+  /// the classic ordered-pair traversal.
   [[nodiscard]] virtual bool supports_endpoint_grouping() const noexcept {
     return true;
   }

@@ -6,6 +6,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "pc/pair_index.hpp"
+
 namespace fastbns {
 namespace {
 
@@ -48,6 +50,24 @@ class CandidatePool {
   std::int32_t skip_ = 0;  ///< the skipped endpoint's position in row_
 };
 
+/// Depth 0's works over the pairs u < v that `keep` accepts, in
+/// lexicographic order: one marginal test I(x, y | {}) per work, so no
+/// snapshot.
+template <typename Keep>
+std::vector<EdgeWork> depth_zero_works(VarId n, bool group_endpoints,
+                                       std::size_t edges, Keep keep) {
+  std::vector<EdgeWork> works;
+  works.reserve(group_endpoints ? edges : 2 * edges);
+  for (VarId u = 0; u < n; ++u) {
+    for (VarId v = u + 1; v < n; ++v) {
+      if (!keep(u, v)) continue;
+      works.push_back({.x = u, .y = v, .total1 = 1});
+      if (!group_endpoints) works.push_back({.x = v, .y = u, .total1 = 1});
+    }
+  }
+  return works;
+}
+
 }  // namespace
 
 void AdjacencySnapshot::assign(const UndirectedGraph& graph) {
@@ -70,21 +90,14 @@ std::vector<EdgeWork> build_depth_works(const UndirectedGraph& graph,
                                         AdjacencySnapshot& snapshot) {
   const VarId n = graph.num_nodes();
   const auto edges = static_cast<std::size_t>(graph.num_edges());
-  std::vector<EdgeWork> works;
-  works.reserve(group_endpoints ? edges : 2 * edges);
-
   if (depth == 0) {
-    // Single marginal test I(x, y | {}) per work: no snapshot needed.
-    for (VarId u = 0; u < n; ++u) {
-      for (VarId v = u + 1; v < n; ++v) {
-        if (!graph.has_edge(u, v)) continue;
-        works.push_back({.x = u, .y = v, .total1 = 1});
-        if (!group_endpoints) works.push_back({.x = v, .y = u, .total1 = 1});
-      }
-    }
-    return works;
+    return depth_zero_works(n, group_endpoints, edges, [&](VarId u, VarId v) {
+      return graph.has_edge(u, v);
+    });
   }
 
+  std::vector<EdgeWork> works;
+  works.reserve(group_endpoints ? edges : 2 * edges);
   snapshot.assign(graph);
   // C(|adj(v)| - 1, d): the test count of every direction v owns.
   std::vector<std::uint64_t> pool_tests(static_cast<std::size_t>(n));
@@ -115,6 +128,13 @@ std::vector<EdgeWork> build_depth_works(const UndirectedGraph& graph,
     }
   }
   return works;
+}
+
+std::vector<EdgeWork> build_depth_zero_works(VarId num_nodes,
+                                             bool group_endpoints) {
+  return depth_zero_works(num_nodes, group_endpoints,
+                          static_cast<std::size_t>(pair_count(num_nodes)),
+                          [](VarId, VarId) { return true; });
 }
 
 void conditioning_set_for(const EdgeWork& work, std::int32_t depth,

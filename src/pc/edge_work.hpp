@@ -79,8 +79,8 @@ struct EdgeWork {
 };
 static_assert(std::is_trivially_copyable_v<EdgeWork> &&
                   sizeof(EdgeWork) <= 40,
-              "EdgeWork is a flat record: depth 0 builds one per edge of "
-              "the complete graph");
+              "EdgeWork is a flat record: a depth's list holds one per "
+              "remaining edge, two when ungrouped");
 
 /// Builds the works of depth `d` from `graph`, walking its edges u < v
 /// in lexicographic order.
@@ -88,13 +88,20 @@ static_assert(std::is_trivially_copyable_v<EdgeWork> &&
 /// Ungrouped: two works per edge, (u, v) then (v, u), direction-1 only —
 /// the classic PC-stable ordered-pair traversal.
 /// Depth 0 is special-cased to a single marginal test per work (grouped)
-/// per the paper's Section IV-B; its works need no snapshot. At depth
-/// >= 1 `snapshot` is rebuilt from `graph` and every work points into it,
-/// so it must outlive the works and the commit that unranks their
-/// sepsets.
+/// per the paper's Section IV-B; its works need no snapshot. The driver
+/// runs depth 0 without works (SkeletonEngine::run_depth_zero), so only
+/// the seam's list-building default and the tests build depth-0 lists.
+/// At depth >= 1 `snapshot` is rebuilt from `graph` and every work points
+/// into it, so it must outlive the works and the commit that unranks
+/// their sepsets.
 [[nodiscard]] std::vector<EdgeWork> build_depth_works(
     const UndirectedGraph& graph, std::int32_t depth, bool group_endpoints,
     AdjacencySnapshot& snapshot);
+
+/// The depth-0 works of the complete graph over `num_nodes` nodes,
+/// without building that graph: build_depth_works(complete, 0, ...).
+[[nodiscard]] std::vector<EdgeWork> build_depth_zero_works(
+    VarId num_nodes, bool group_endpoints);
 
 /// Reconstructs the conditioning set of test rank `r` of `work` at depth
 /// `d` into `z_out` (ascending variable ids) by unranking: the rank's

@@ -25,14 +25,16 @@ enum class EngineKind : std::uint8_t {
   /// Fast-BNS-par (Section IV-B): CI-level parallelism. At depth >= 1
   /// each thread claims whole works from one atomic cursor.
   kCiParallel,
-  /// Multi-process rank-partition extension: the driver deals every
-  /// depth's works round-robin over rank_count ranks as explicit lists
-  /// and forks one child per rank and non-empty list, which reads the CI
-  /// test, the dataset and the works it inherits at fork. The per-depth
-  /// commit barrier becomes a gather of length-prefixed pipe frames:
-  /// replies carry (index, x, y, accepted rank) per removal and the
-  /// driver unranks each sepset itself — the fork-based first step of
-  /// the roadmap's distributed (MPI-style) skeleton learning.
+  /// Multi-process rank-partition extension: the engine deals every
+  /// depth's units (the pair bitmap's words at depth 0, the works after)
+  /// round-robin over rank_count ranks as explicit lists and forks one
+  /// child per rank and non-empty list, which reads the CI test, the
+  /// dataset and the units it inherits at fork. The per-depth commit
+  /// barrier becomes a gather of length-prefixed pipe frames: replies
+  /// carry (word, bits) per word with a removal at depth 0 and (index,
+  /// x, y, accepted rank) per removal after, and the driver unranks each
+  /// sepset itself — the fork-based first step of the roadmap's
+  /// distributed (MPI-style) skeleton learning.
   kProcess,
 };
 
@@ -85,9 +87,10 @@ struct PcOptions {
   std::string numa_policy = "auto";
   /// Worker ranks (forked processes) of the multi-process engine
   /// (kProcess only): 0 = auto (min(2, hardware threads) — distributed by
-  /// default, degenerating to a single rank on a 1-cpu box). The driver
-  /// deals rank r positions r, r + rank_count, … of each depth's work
-  /// list, so only ranks beyond a depth's work count get nothing; rank 1
+  /// default, degenerating to a single rank on a 1-cpu box). The engine
+  /// deals rank r positions r, r + rank_count, … of each depth's units
+  /// (64-pair words at depth 0, works after), so only ranks beyond a
+  /// depth's unit count get nothing; rank 1
   /// is the fork-supervised degenerate case the fuzz harness sweeps.
   std::int32_t rank_count = 0;
   /// Worker threads *inside* each rank (kProcess only): 0 = auto

@@ -1,23 +1,18 @@
 #include "pc/sepset.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
+
+#include "pc/pair_index.hpp"
 
 namespace fastbns {
 namespace {
 
-/// Pairs per bit page (8 KiB).
+/// Pairs per bit page (8 KiB), a whole number of bitmap words.
 constexpr std::uint64_t kPagePairs = std::uint64_t{1} << 16;
-
-/// Triangular index of the unordered pair {x, y}: hi(hi - 1)/2 + lo. The
-/// product leaves 32 bits once hi passes 65,536.
-std::uint64_t pair_index(VarId x, VarId y) noexcept {
-  assert(x != y && x >= 0 && y >= 0);
-  const auto lo = static_cast<std::uint64_t>(std::min(x, y));
-  const auto hi = static_cast<std::uint64_t>(std::max(x, y));
-  return hi * (hi - 1) / 2 + lo;
-}
+constexpr std::uint64_t kPageWords = kPagePairs / kPairsPerWord;
 
 }  // namespace
 
@@ -34,6 +29,13 @@ bool SepsetStore::has_empty(std::uint64_t pair) const noexcept {
   return (empty_pages_[page][bit / 64] >> (bit % 64) & 1) != 0;
 }
 
+std::uint64_t& SepsetStore::empty_word(std::uint64_t pair) {
+  const std::uint64_t page = pair / kPagePairs;
+  if (page >= empty_pages_.size()) empty_pages_.resize(page + 1);
+  if (empty_pages_[page].empty()) empty_pages_[page].resize(kPageWords);
+  return empty_pages_[page][pair % kPagePairs / 64];
+}
+
 void SepsetStore::set(VarId x, VarId y, std::vector<VarId> sepset) {
   const std::uint64_t pair = pair_index(x, y);
   if (has_empty(pair)) return;
@@ -42,12 +44,18 @@ void SepsetStore::set(VarId x, VarId y, std::vector<VarId> sepset) {
     return;
   }
   if (sets_.contains(key(x, y))) return;
-  const std::uint64_t page = pair / kPagePairs;
-  if (page >= empty_pages_.size()) empty_pages_.resize(page + 1);
-  if (empty_pages_[page].empty()) empty_pages_[page].resize(kPagePairs / 64);
-  const std::uint64_t bit = pair % kPagePairs;
-  empty_pages_[page][bit / 64] |= std::uint64_t{1} << (bit % 64);
+  empty_word(pair) |= std::uint64_t{1} << (pair % 64);
   ++empty_count_;
+}
+
+void SepsetStore::set_empty(std::span<const std::uint64_t> removed) {
+  assert(sets_.empty());
+  for (std::size_t w = 0; w < removed.size(); ++w) {
+    if (removed[w] == 0) continue;
+    std::uint64_t& word = empty_word(w * kPairsPerWord);
+    empty_count_ += static_cast<std::size_t>(std::popcount(removed[w] & ~word));
+    word |= removed[w];
+  }
 }
 
 const std::vector<VarId>* SepsetStore::find(VarId x, VarId y) const {

@@ -1,18 +1,21 @@
 // The depth-loop driver of Algorithm 1. Execution strategy lives behind
 // the SkeletonEngine interface (src/engine/): the driver owns the graph,
-// sepset and statistics bookkeeping, builds each depth's work list from
-// the current graph snapshot, and delegates the CI tests of that depth to
-// the engine selected through the EngineRegistry.
+// sepset and statistics bookkeeping and delegates the CI tests of each
+// depth to the engine selected through the EngineRegistry. Depth 0 comes
+// back as one removal bit per pair, from which the driver builds the
+// graph; every later depth runs a work list built from the current graph.
 #include "pc/skeleton.hpp"
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "common/omp_utils.hpp"
 #include "common/timer.hpp"
 #include "engine/engine_registry.hpp"
 #include "engine/skeleton_engine.hpp"
+#include "pc/pair_index.hpp"
 #include "stats/table_builder_detail.hpp"
 
 namespace fastbns {
@@ -22,6 +25,23 @@ static_assert(static_cast<std::size_t>(kMaxConditioningDepth) <=
                   table_detail::kMaxDepth,
               "the table kernels' buffers must hold every conditioning set "
               "the depth loop reaches");
+
+/// Depth 0's commit: an edge for every pair whose bit in `removed` is
+/// clear, and the empty sepset for every pair whose bit is set.
+void commit_depth_zero(std::span<const std::uint64_t> removed,
+                       UndirectedGraph& graph, SepsetStore& sepsets,
+                       DepthStats& stats) {
+  std::uint64_t pair = 0;
+  for (VarId hi = 1; hi < graph.num_nodes(); ++hi) {
+    for (VarId lo = 0; lo < hi; ++lo, ++pair) {
+      if ((removed[pair / kPairsPerWord] >> (pair % kPairsPerWord) & 1) == 0) {
+        graph.add_edge(lo, hi);
+      }
+    }
+  }
+  stats.edges_removed = stats.edges_at_start - graph.num_edges();
+  sepsets.set_empty(removed);
+}
 
 /// Removes each removed work's edge and records its sepset, unranked from
 /// the accepting rank against the snapshot the works point into (the
@@ -72,14 +92,35 @@ SkeletonResult learn_skeleton(VarId num_nodes, const CiTest& prototype,
   const WallTimer total_timer;
 
   SkeletonResult result;
-  result.graph = UndirectedGraph::complete(num_nodes);
+  result.graph = UndirectedGraph(num_nodes);
 
   const bool grouped =
       options.group_endpoints && engine.supports_endpoint_grouping();
   // Each depth >= 1 rebuilds it; the depth's works and commit read it.
   AdjacencySnapshot snapshot;
 
-  for (std::int32_t depth = 0; depth <= kMaxConditioningDepth; ++depth) {
+  // Depth 0 (every max_depth reaches it) tests each pair of the complete
+  // graph once, so it needs no graph and no works: the engine returns a
+  // removal bit per pair and the graph is built from the clear bits.
+  if (num_nodes >= 2) {
+    // Only perfbench's timestamp of the depth's start: no library engine
+    // hands a prepared list over.
+    std::vector<EdgeWork> none;
+    (void)engine.take_prepared_depth_works(0, result.graph, grouped, none);
+    DepthStats stats;
+    stats.edges_at_start = static_cast<std::int64_t>(pair_count(num_nodes));
+    const WallTimer depth_timer;
+    std::vector<std::uint64_t> removed(pair_words(num_nodes));
+    stats.ci_tests =
+        engine.run_depth_zero(num_nodes, prototype, options, removed);
+    commit_depth_zero(removed, result.graph, result.sepsets, stats);
+    stats.seconds = depth_timer.seconds();
+    result.total_ci_tests += stats.ci_tests;
+    result.max_depth_reached = 0;
+    result.depth_stats.push_back(stats);
+  }
+
+  for (std::int32_t depth = 1; depth <= kMaxConditioningDepth; ++depth) {
     if (options.max_depth >= 0 && depth > options.max_depth) break;
     if (result.graph.num_edges() == 0) break;
 

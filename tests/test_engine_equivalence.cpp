@@ -327,5 +327,88 @@ TEST(EngineEquivalence, OracleRunsAgreeAcrossRegisteredEngines) {
   }
 }
 
+/// Forwards run_depth and the trait getters to a registry engine, as
+/// perfbench's TracingEngine does, and nothing else: depth 0 takes the
+/// seam's run_depth_zero default, which builds the depth-0 list and runs
+/// it through the engine's run_depth.
+class ForwardingEngine final : public SkeletonEngine {
+ public:
+  explicit ForwardingEngine(SkeletonEngine& inner) : inner_(inner) {}
+
+  void prepare_run() override { inner_.prepare_run(); }
+  std::int64_t run_depth(std::vector<EdgeWork>& works, std::int32_t depth,
+                         const CiTest& prototype,
+                         const PcOptions& options) override {
+    return inner_.run_depth(works, depth, prototype, options);
+  }
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return inner_.name();
+  }
+  [[nodiscard]] bool supports_endpoint_grouping() const noexcept override {
+    return inner_.supports_endpoint_grouping();
+  }
+  [[nodiscard]] bool wants_sample_parallel_test() const noexcept override {
+    return inner_.wants_sample_parallel_test();
+  }
+  [[nodiscard]] bool uses_sample_parallel_builds() const noexcept override {
+    return inner_.uses_sample_parallel_builds();
+  }
+
+ private:
+  SkeletonEngine& inner_;
+};
+
+TEST(EngineEquivalence, DepthZeroOverridesMatchTheListBuildingDefault) {
+  // Every builtin engine runs depth 0 over the pair bitmap's words; the
+  // default it overrides runs the depth-0 work list through run_depth.
+  // Both must call the test alike, grouped and ungrouped, so the learns
+  // agree in adjacency, sepsets, every depth's stats and the test count.
+  const VarId n = fixture().data.num_vars();
+  for (const std::string& name : list_engines()) {
+    for (const int threads : {1, 2}) {
+      for (const bool grouped : {true, false}) {
+        PcOptions options;
+        options.engine = engine_from_string(name);
+        options.num_threads = threads;
+        options.group_endpoints = grouped;
+        const std::string label = name + " t=" + std::to_string(threads) +
+                                  " grouped=" + std::to_string(grouped);
+        const DiscreteCiTest test(fixture().data,
+                                  test_options_for(options.engine));
+        const SkeletonResult direct = learn_skeleton(n, test, options);
+        const std::unique_ptr<SkeletonEngine> inner =
+            EngineRegistry::instance().create(options);
+        ForwardingEngine forwarding(*inner);
+        const SkeletonResult wrapped =
+            learn_skeleton(n, test, options, forwarding);
+
+        EXPECT_TRUE(direct.graph == wrapped.graph) << label;
+        EXPECT_EQ(direct.total_ci_tests, wrapped.total_ci_tests) << label;
+        ASSERT_EQ(direct.depth_stats.size(), wrapped.depth_stats.size())
+            << label;
+        for (std::size_t d = 0; d < direct.depth_stats.size(); ++d) {
+          const DepthStats& a = direct.depth_stats[d];
+          const DepthStats& b = wrapped.depth_stats[d];
+          EXPECT_EQ(a.depth, b.depth) << label << " d=" << d;
+          EXPECT_EQ(a.edges_at_start, b.edges_at_start) << label << " d=" << d;
+          EXPECT_EQ(a.edges_removed, b.edges_removed) << label << " d=" << d;
+          EXPECT_EQ(a.ci_tests, b.ci_tests) << label << " d=" << d;
+        }
+        for (VarId u = 0; u < n; ++u) {
+          for (VarId v = u + 1; v < n; ++v) {
+            const auto* expected = wrapped.sepsets.find(u, v);
+            const auto* actual = direct.sepsets.find(u, v);
+            ASSERT_EQ(expected == nullptr, actual == nullptr)
+                << label << ": " << u << "," << v;
+            if (expected != nullptr) {
+              EXPECT_EQ(*expected, *actual) << label << ": " << u << "," << v;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fastbns

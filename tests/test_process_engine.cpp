@@ -236,8 +236,12 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
       {"kill@rank=1,depth=2", true, 2},
       {"kill@rank=0,depth=0", true},
       {"wedge@rank=0,depth=1", true},
+      {"wedge@rank=0,depth=0", true},
       {"corrupt-frame@rank=1,depth=0;seed=7", true},
       {"truncate-frame@rank=1,depth=1", true},
+      // Depth 0's reply carries pair words instead of removals; the
+      // instance's 66 pairs make two words, so ranks 0 and 1 both get one.
+      {"truncate-frame@rank=1,depth=0", true},
       {"delay-frame@rank=0,depth=1,ms=900", true},
       // The channel-severing faults: the channel dies while waitpid
       // still says the rank is running (drop-conn), or dies mid-frame
@@ -245,6 +249,7 @@ TEST(ProcessEngine, EveryInjectedFaultPreservesTheFingerprint) {
       // faults that produce EOF from a live rank.
       {"drop-conn@rank=1,depth=1", true},
       {"partial-write@rank=1,depth=1", true},
+      {"partial-write@rank=1,depth=0", true},
       // Slow but inside the deadline: must NOT trigger recovery.
       {"slow-rank@rank=0,depth=0,ms=10", false},
   };
@@ -287,7 +292,8 @@ TEST(ProcessEngine, NoRankOutlivesTheLearn) {
   const fuzz::FuzzInstance instance = fuzz::make_instance(2);
   for (const std::string schedule :
        {"", "kill@rank=1,depth=1", "drop-conn@rank=1,depth=1",
-        "partial-write@rank=1,depth=1", "wedge@rank=0,depth=1"}) {
+        "partial-write@rank=1,depth=1", "wedge@rank=0,depth=1",
+        "kill@rank=1,depth=0", "wedge@rank=0,depth=0"}) {
     const auto engine = EngineRegistry::instance().create("process");
     const DiscreteCiTest test(instance.data, CiTestOptions{});
     PcOptions options = process_options(2);
@@ -493,22 +499,31 @@ TEST(ProcessEngine, RespawnFailureMidRunDegradesAndStillFinishes) {
 }
 
 TEST(ProcessEngine, RoundRobinDealSplitsDepthZeroEvenly) {
-  // Depth 0 holds W = n(n-1)/2 works of one marginal test each, and rank
-  // r of R runs list positions r, r + R, r + 2R, ..., so the busiest
-  // rank runs ceil(W / R) tests. At every depth the busiest reply lies
-  // between an even share and the whole depth.
+  // Depth 0 deals the words of the pair bitmap: W = ceil(P / 64) words
+  // over P = n(n-1)/2 pairs of one marginal test each, every word 64
+  // pairs but the last. Rank r of R runs words r, r + R, r + 2R, ..., so
+  // the busiest rank runs the largest of those sums. At every depth the
+  // busiest reply lies between an even share and the whole depth.
   const fuzz::FuzzInstance instance = fuzz::make_instance(5);
   const std::int64_t n = instance.data.num_vars();
-  const std::int64_t works = n * (n - 1) / 2;
+  const std::int64_t pairs = n * (n - 1) / 2;
+  const std::int64_t words = (pairs + 63) / 64;
   for (const std::int32_t ranks : {2, 3}) {
+    std::int64_t busiest = 0;
+    for (std::int64_t rank = 0; rank < ranks; ++rank) {
+      std::int64_t share = 0;
+      for (std::int64_t w = rank; w < words; w += ranks) {
+        share += std::min<std::int64_t>(64, pairs - 64 * w);
+      }
+      busiest = std::max(busiest, share);
+    }
     const FaultRun run = run_process(instance, process_options(ranks));
     ASSERT_TRUE(run.events.empty()) << describe_events(run.events);
     ASSERT_FALSE(run.depth_stats.empty());
     const ProcessDepthStats& first = run.depth_stats.front();
     EXPECT_EQ(first.depth, 0);
-    EXPECT_EQ(first.ci_tests, works) << "ranks=" << ranks;
-    EXPECT_EQ(first.max_rank_tests, (works + ranks - 1) / ranks)
-        << "ranks=" << ranks;
+    EXPECT_EQ(first.ci_tests, pairs) << "ranks=" << ranks;
+    EXPECT_EQ(first.max_rank_tests, busiest) << "ranks=" << ranks;
     for (const ProcessDepthStats& stats : run.depth_stats) {
       EXPECT_LE(stats.max_rank_tests, stats.ci_tests)
           << "ranks=" << ranks << " depth=" << stats.depth;

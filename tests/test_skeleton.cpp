@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "engine/engine_registry.hpp"
 #include "graph/dag.hpp"
+#include "network/random_network.hpp"
 #include "stats/oracle_test.hpp"
 
 namespace fastbns {
@@ -303,6 +307,73 @@ TEST(Skeleton, GroupingReducesCiTestsOnOracle) {
   const SkeletonResult without_grouping = learn_skeleton(8, oracle, ungrouped);
   EXPECT_TRUE(with_grouping.graph == without_grouping.graph);
   EXPECT_LE(with_grouping.total_ci_tests, without_grouping.total_ci_tests);
+}
+
+TEST(Skeleton, DepthZeroWordBoundariesMatchTheSequentialReference) {
+  // Depth 0 returns one removal bit per pair, 64 pairs to a word. These n
+  // put the pair count n(n-1)/2 on each side of a word boundary: 1 pair,
+  // one word and two pairs (66), one pair short of a whole word (703 and
+  // 4,095), exactly 127 words (8,128), one pair past a whole word (8,001
+  // and 8,385). Every registry engine, the process engine at 2 and 3
+  // ranks, must learn depth 0 exactly as fastbns-seq does, and a pair
+  // must have the empty sepset exactly when the graph lacks it.
+  for (const VarId n : {2, 12, 38, 91, 127, 128, 130}) {
+    RandomNetworkConfig config;
+    config.num_nodes = n;
+    config.num_edges = 3 * n / 4;
+    config.max_parents = 2;
+    config.seed = static_cast<std::uint64_t>(n);
+    const BayesianNetwork network = generate_random_network(config);
+    const DSeparationOracle oracle(network.dag());
+    PcOptions reference_options;
+    reference_options.engine = EngineKind::kFastSequential;
+    reference_options.max_depth = 0;
+    const SkeletonResult reference =
+        learn_skeleton(n, oracle, reference_options);
+    const std::int64_t pairs = std::int64_t{n} * (n - 1) / 2;
+    ASSERT_EQ(reference.total_ci_tests, pairs) << "n=" << n;
+    // Removed and kept pairs both occur, so words hold both bit values.
+    if (n > 2) {
+      ASSERT_GT(reference.graph.num_edges(), 0) << "n=" << n;
+      ASSERT_LT(reference.graph.num_edges(), pairs) << "n=" << n;
+    }
+
+    for (const std::string& name : list_engines()) {
+      const EngineKind kind = engine_from_string(name);
+      for (const std::int32_t ranks :
+           kind == EngineKind::kProcess ? std::vector<std::int32_t>{2, 3}
+                                        : std::vector<std::int32_t>{0}) {
+        PcOptions options;
+        options.engine = kind;
+        options.num_threads = 2;
+        options.rank_count = ranks;
+        options.max_depth = 0;
+        const SkeletonResult result = learn_skeleton(n, oracle, options);
+        const std::string label =
+            name + " ranks=" + std::to_string(ranks) + " n=" + std::to_string(n);
+        EXPECT_TRUE(result.graph == reference.graph) << label;
+        // The naive baseline tests (hi, lo) too when (lo, hi) is dependent.
+        EXPECT_EQ(result.total_ci_tests,
+                  kind == EngineKind::kNaiveSequential
+                      ? pairs + result.graph.num_edges()
+                      : reference.total_ci_tests)
+            << label;
+        for (VarId u = 0; u < n; ++u) {
+          for (VarId v = u + 1; v < n; ++v) {
+            const std::vector<VarId>* sepset = result.sepsets.find(u, v);
+            ASSERT_EQ(sepset == nullptr, result.graph.has_edge(u, v))
+                << label << ": " << u << "," << v;
+            if (sepset != nullptr) {
+              EXPECT_TRUE(sepset->empty()) << label << ": " << u << "," << v;
+            }
+            EXPECT_EQ(sepset == nullptr,
+                      reference.sepsets.find(u, v) == nullptr)
+                << label << ": " << u << "," << v;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
